@@ -18,9 +18,9 @@ import numpy as np
 from .geometry import (
     FeasibleSet,
     GeometryError,
-    ProductSet,
     Unconstrained,
     _as_vector,
+    product,
     symmetric_box,
 )
 
@@ -74,7 +74,8 @@ class GameOracle:
     ``gradient_fn`` maps a flat joint action vector to the flat joint
     gradient; ``losses`` (optional) is one callable per player on flat
     joint vectors; ``best_response_fn`` (optional) maps
-    ``(player, flat_profile)`` to ``(action, value)``.
+    ``(player, flat_profile)`` to ``(action, value)``. The joint set is
+    built once, at construction (see :func:`geometry.product`).
     """
 
     player_sets: list
@@ -85,11 +86,13 @@ class GameOracle:
     name: str = "custom"
     nash: np.ndarray = None
     metadata: dict = field(default_factory=dict)
+    joint_set: FeasibleSet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.lipschitz_bound <= 0:
             raise GameError("Lipschitz bound must be positive")
         self.player_sets = list(self.player_sets)
+        self.joint_set = product(self.player_sets)
 
     @property
     def num_players(self):
@@ -102,10 +105,6 @@ class GameOracle:
     @property
     def dim(self):
         return sum(self.player_dims)
-
-    @property
-    def joint_set(self):
-        return ProductSet(tuple(self.player_sets))
 
     def diameter(self):
         return self.joint_set.diameter()
@@ -271,7 +270,14 @@ def make_random_linear_monotone(
     ``bounded``, if given, wraps each player in a symmetric box of that
     half-width (the Nash point may then sit outside; leave unbounded for
     rate experiments that need it).
+
+    The symmetric part of M is exactly ``psd_diag * I`` (the skew part is
+    antisymmetric in floating point too), so the operator is monotone iff
+    ``psd_diag >= 0``; that is checked exactly, with no probe or
+    eigen-decomposition.
     """
+    if not psd_diag >= 0:
+        raise GameError("psd_diag must be nonnegative for a monotone operator")
     rng = np.random.default_rng(seed)
     dim = sum(dims)
     B = rng.standard_normal((dim, dim))

@@ -4,12 +4,21 @@ Supported sets: axis-aligned boxes, Euclidean balls, products of sets,
 and unconstrained space. All sets expose projection, the tangent residual
 (distance from a gradient to the negative normal cone), the linearized gap
 (support-function form), and the diameter. All norms are Euclidean.
+
+Each public method checks its input (finite entries, dimension, and for
+residual and gap a feasible point) and then calls an unchecked core of the
+same name with a leading underscore. The self-play round loop calls the
+cores directly on vectors it built itself from finite, feasible values.
+:func:`product` builds the joint set of several players: one ``Box`` for
+boxes, one ``Unconstrained`` for unconstrained factors, and a
+``ProductSet`` only for mixed factors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,11 +52,11 @@ class FeasibleSet:
     dim: int
 
     def project(self, point):
-        raise NotImplementedError
+        return self._project(_as_vector(point, self.dim))
 
     def contains(self, point, tol=MEMBERSHIP_TOL):
         p = _as_vector(point, self.dim)
-        return float(np.linalg.norm(p - self.project(p))) <= tol
+        return float(np.linalg.norm(p - self._project(p))) <= tol
 
     def diameter(self):
         """Euclidean diameter, or ``math.inf`` for unbounded sets."""
@@ -60,14 +69,14 @@ class FeasibleSet:
     def _clean(self, point):
         """Snap a near-feasible point onto the set, rejecting distant ones."""
         p = _as_vector(point, self.dim)
-        q = self.project(p)
+        q = self._project(p)
         if float(np.linalg.norm(p - q)) > MEMBERSHIP_TOL:
             raise GeometryError("point lies outside the feasible set")
         return q
 
     def tangent_residual(self, point, grad):
         """min over c in the normal cone at ``point`` of ||grad + c||."""
-        raise NotImplementedError
+        return self._tangent_residual(self._clean(point), _as_vector(grad, self.dim))
 
     def support_min(self, grad):
         """Return (argmin, min) of <grad, x> over the set.
@@ -75,20 +84,31 @@ class FeasibleSet:
         Ties are broken toward the componentwise-lowest feasible point so
         downstream regret traces are deterministic.
         """
-        raise NotImplementedError
+        return self._support_min(_as_vector(grad, self.dim))
 
     def linearized_gap(self, point, grad):
         """<grad, point> - min over the set of <grad, x'>; requires boundedness."""
         if not self.is_bounded:
             raise GeometryError("linearized gap is undefined on unbounded sets")
-        p = self._clean(point)
-        g = _as_vector(grad, self.dim)
-        _, low = self.support_min(g)
-        return max(float(p @ g) - low, 0.0)
+        return self._linearized_gap(self._clean(point), _as_vector(grad, self.dim))
 
     def sample(self, rng):
         """Uniform-ish random feasible point (testing helper)."""
         raise NotImplementedError
+
+    # -- unchecked cores: finite vectors of the right size, feasible points --
+    def _project(self, p):
+        raise NotImplementedError
+
+    def _tangent_residual(self, p, g):
+        raise NotImplementedError
+
+    def _support_min(self, g):
+        raise NotImplementedError
+
+    def _linearized_gap(self, p, g):
+        _, low = self._support_min(g)
+        return max(float(p.dot(g)) - low, 0.0)
 
 
 @dataclass(frozen=True)
@@ -108,34 +128,32 @@ class Box(FeasibleSet):
     def dim(self):
         return self.lower.size
 
-    def project(self, point):
-        p = _as_vector(point, self.dim)
-        return np.clip(p, self.lower, self.upper)
+    def _project(self, p):
+        return np.minimum(np.maximum(p, self.lower), self.upper)
 
     def diameter(self):
         return float(np.linalg.norm(self.upper - self.lower))
 
-    def _at_bound(self, p, bound):
-        return np.abs(p - bound) <= REL_BOUND_TOL * np.maximum(1.0, np.abs(bound))
+    @cached_property
+    def _bound_tol(self):
+        """Per-coordinate "at a bound" tolerances for the lower and upper bounds."""
+        return (REL_BOUND_TOL * np.maximum(1.0, np.abs(self.lower)),
+                REL_BOUND_TOL * np.maximum(1.0, np.abs(self.upper)))
 
-    def tangent_residual(self, point, grad):
-        p = self._clean(point)
-        g = _as_vector(grad, self.dim)
-        at_lo = self._at_bound(p, self.lower)
-        at_hi = self._at_bound(p, self.upper)
-        # Interior coordinate: the normal cone is {0}, contributes |g_j|.
-        # At the lower bound the cone is (-inf, 0], so only g_j < 0 survives;
-        # symmetric at the upper bound. A pinned coordinate contributes 0.
-        contrib = np.abs(g)
-        contrib = np.where(at_lo, np.maximum(-g, 0.0), contrib)
-        contrib = np.where(at_hi, np.maximum(g, 0.0), contrib)
-        contrib = np.where(at_lo & at_hi, 0.0, contrib)
-        return float(np.linalg.norm(contrib))
+    def _tangent_residual(self, p, g):
+        # p is feasible, so p - lower and upper - p are the distances to the
+        # bounds. Interior coordinate: the normal cone is {0}, contributes
+        # |g_j|. At the lower bound the cone is (-inf, 0], so only g_j < 0
+        # survives; symmetric at the upper bound. A pinned coordinate
+        # contributes 0.
+        tol_lo, tol_hi = self._bound_tol
+        contrib = np.where(p - self.lower <= tol_lo, np.minimum(g, 0.0), g)
+        contrib = np.where(self.upper - p <= tol_hi, np.maximum(contrib, 0.0), contrib)
+        return math.sqrt(contrib.dot(contrib))
 
-    def support_min(self, grad):
-        g = _as_vector(grad, self.dim)
-        x = np.where(g > 0, self.lower, np.where(g < 0, self.upper, self.lower))
-        return x, float(x @ g)
+    def _support_min(self, g):
+        x = np.where(g < 0, self.upper, self.lower)
+        return x, float(x.dot(g))
 
     def sample(self, rng):
         return rng.uniform(self.lower, self.upper)
@@ -157,8 +175,7 @@ class Ball(FeasibleSet):
     def dim(self):
         return self.center.size
 
-    def project(self, point):
-        p = _as_vector(point, self.dim)
+    def _project(self, p):
         d = p - self.center
         r = float(np.linalg.norm(d))
         if r <= self.radius:
@@ -168,9 +185,7 @@ class Ball(FeasibleSet):
     def diameter(self):
         return 2.0 * self.radius
 
-    def tangent_residual(self, point, grad):
-        p = self._clean(point)
-        g = _as_vector(grad, self.dim)
+    def _tangent_residual(self, p, g):
         d = p - self.center
         r = float(np.linalg.norm(d))
         # The normal cone is nontrivial only on the boundary; at radius within
@@ -184,8 +199,7 @@ class Ball(FeasibleSet):
         lam = max(-float(g @ n_hat), 0.0)
         return float(np.linalg.norm(g + lam * n_hat))
 
-    def support_min(self, grad):
-        g = _as_vector(grad, self.dim)
+    def _support_min(self, g):
         norm = float(np.linalg.norm(g))
         if norm == 0.0:
             return self.center.copy(), float(self.center @ g)
@@ -211,17 +225,16 @@ class Unconstrained(FeasibleSet):
     def dim(self):
         return self.dimension
 
-    def project(self, point):
-        return _as_vector(point, self.dim)
+    def _project(self, p):
+        return p
 
     def diameter(self):
         return math.inf
 
-    def tangent_residual(self, point, grad):
-        _as_vector(point, self.dim)
-        return float(np.linalg.norm(_as_vector(grad, self.dim)))
+    def _tangent_residual(self, p, g):
+        return float(np.linalg.norm(g))
 
-    def support_min(self, grad):
+    def _support_min(self, g):
         raise GeometryError("support minimization is unbounded")
 
     def sample(self, rng):
@@ -247,9 +260,8 @@ class ProductSet(FeasibleSet):
             yield f, slice(start, start + f.dim)
             start += f.dim
 
-    def project(self, point):
-        p = _as_vector(point, self.dim)
-        return np.concatenate([f.project(p[s]) for f, s in self._slices()])
+    def _project(self, p):
+        return np.concatenate([f._project(p[s]) for f, s in self._slices()])
 
     def diameter(self):
         sq = 0.0
@@ -260,23 +272,36 @@ class ProductSet(FeasibleSet):
             sq += d * d
         return math.sqrt(sq)
 
-    def tangent_residual(self, point, grad):
-        p = _as_vector(point, self.dim)
-        g = _as_vector(grad, self.dim)
-        sq = sum(f.tangent_residual(p[s], g[s]) ** 2 for f, s in self._slices())
+    def _tangent_residual(self, p, g):
+        sq = sum(f._tangent_residual(p[s], g[s]) ** 2 for f, s in self._slices())
         return math.sqrt(sq)
 
-    def support_min(self, grad):
-        g = _as_vector(grad, self.dim)
+    def _support_min(self, g):
         parts, total = [], 0.0
         for f, s in self._slices():
-            x, v = f.support_min(g[s])
+            x, v = f._support_min(g[s])
             parts.append(x)
             total += v
         return np.concatenate(parts), total
 
     def sample(self, rng):
         return np.concatenate([f.sample(rng) for f in self.factors])
+
+
+def product(factors):
+    """The joint set of several players' sets.
+
+    A product of boxes is the box over the concatenated bounds, and a
+    product of unconstrained spaces is one unconstrained space; other
+    combinations stay a :class:`ProductSet`.
+    """
+    factors = tuple(factors)
+    if factors and all(isinstance(f, Box) for f in factors):
+        return Box(np.concatenate([f.lower for f in factors]),
+                   np.concatenate([f.upper for f in factors]))
+    if factors and all(isinstance(f, Unconstrained) for f in factors):
+        return Unconstrained(sum(f.dim for f in factors))
+    return ProductSet(factors)
 
 
 def project(feasible_set, point):

@@ -5,6 +5,17 @@ proposes before any gradient is revealed, the oracle evaluates the joint
 gradient once, and everyone updates. Cumulative quantities (regrets,
 gradient variation) are accumulated every round even when only strided
 snapshots are written, so recorded rows are exact.
+
+Players are built and validated through ``make_learner``, one per player.
+The round loop then advances one joint state: the iterate, the previous
+gradient, a per-coordinate step size, and each player's predictor, anchor
+and adaptive latch. Each round applies the learners' update rule
+x+ = P(x - eta * g + w_t * (x1 - x)) once to the joint vector, on the joint
+set of the game (one ``Box`` when every player has a box), and measures
+the round once on the joint vector, summing per player where a column is
+per player. Validation happens at the boundary: the config (also after CLI
+overrides) and every gradient the oracle returns, checked for size and
+finiteness. The geometry cores the loop calls do not re-check.
 """
 
 from __future__ import annotations
@@ -13,14 +24,20 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import verify as verify_mod
-from .games import GameOracle, make_game, default_start, player_slices
-from .geometry import GeometryError
-from .learners import make_learner
+from .games import GameOracle, make_game, default_start
+from .learners import (
+    AdaptiveAOG,
+    LearnerError,
+    adapted_step_size,
+    anchor_pull,
+    make_learner,
+    step,
+)
 from .metrics import (
     RunRecord,
     csv_header,
@@ -138,12 +155,77 @@ def _build_learners(config, game):
     return out, tags, x1
 
 
+def _joint_rule(players, dims, x1):
+    """Lay the players' update rule out over the joint vector.
+
+    Returns ``predict(g_prev, g_base)``, the half-step predictor (None when
+    every player plays its base iterate), and ``pull(x, t)``, the anchor term
+    of round t (None when no player is anchored). Both follow the per-player
+    choices of the learner classes, coordinate by coordinate.
+    """
+    preds = {p.predictor for p in players}
+    anchors = {p.anchor for p in players}
+
+    def mask(test):
+        return np.repeat([bool(test(p)) for p in players], dims)
+
+    if preds == {"none"}:
+        predict = lambda g_prev, g_base: None
+    elif preds == {"last"}:
+        predict = lambda g_prev, g_base: g_prev
+    elif preds == {"base"}:
+        predict = lambda g_prev, g_base: g_base
+    else:
+        use_base = mask(lambda p: p.predictor == "base")
+        use_none = mask(lambda p: p.predictor == "none")
+
+        def predict(g_prev, g_base):
+            g_hat = g_prev if g_base is None else np.where(use_base, g_base, g_prev)
+            return np.where(use_none, 0.0, g_hat)
+
+    if anchors == {None}:
+        pull = lambda x, t: None
+    elif anchors == {"weight"}:
+        pull = lambda x, t: anchor_pull(x1, x, weight=1.0 / (t + 1.0))
+    elif anchors == {"divide"}:
+        pull = lambda x, t: anchor_pull(x1, x, divisor=t + 1.0)
+    else:
+        # weight 1/(t+1) on "weight" coordinates, 1 on "divide" ones, 0 on
+        # the rest; divisor t+1 on "divide" coordinates and 1 elsewhere.
+        weighted = mask(lambda p: p.anchor == "weight").astype(float)
+        divided = mask(lambda p: p.anchor == "divide").astype(float)
+
+        def pull(x, t):
+            return anchor_pull(x1, x, weighted * (1.0 / (t + 1.0)) + divided,
+                               1.0 + divided * t)
+
+    return predict, pull
+
+
+def _oracle_gradient(game, dim, z, t, point):
+    """The oracle's joint gradient at z, checked for size and finiteness.
+
+    This is the validation boundary of a round: everything the round loop
+    passes to the unchecked geometry cores is built from these values.
+    """
+    g = np.asarray(game.gradient_fn(z), dtype=float)
+    if g.shape != (dim,):
+        raise HarnessError(
+            f"round {t}: oracle gradient at the {point} has shape {g.shape}, "
+            f"expected ({dim},)"
+        )
+    if not np.isfinite(g).all():
+        raise HarnessError(f"round {t}: non-finite gradient from the oracle at the {point}")
+    return g
+
+
 def run_self_play(config: ExperimentConfig):
     """Run one synchronous self-play experiment and collect metric rows."""
     game = make_game(config.game, **config.game_params)
     players, tags, x1 = _build_learners(config, game)
     slices = game.slices()
     N = game.num_players
+    dim = game.dim
     T = config.T
     joint = game.joint_set
     bounded = joint.is_bounded
@@ -155,11 +237,10 @@ def run_self_play(config: ExperimentConfig):
             "record_potential: potential tracking assumes every player runs "
             "fixed-step aog with a common step size"
         )
-    eta = players[0].eta
 
     keep = config.keep_trajectory
     if keep is None:
-        keep = (T + 1) * game.dim * 3 <= TRAJECTORY_FLOAT_BUDGET
+        keep = (T + 1) * dim * 3 <= TRAJECTORY_FLOAT_BUDGET
     needs_base_grad = track_potential or any(p.needs_base_gradient for p in players)
 
     recorded = _recorded_rounds(T, config.stride)
@@ -172,48 +253,70 @@ def run_self_play(config: ExperimentConfig):
         else None
     )
 
-    sum_g = [np.zeros(s.dim) for s in game.player_sets]
+    # Joint state: iterate, previous gradient, per-coordinate step size, and
+    # per-player step size and adaptive latch.
+    predict, pull_of = _joint_rule(players, game.player_dims, x1)
+    etas = [p.eta for p in players]
+    eta = np.repeat(etas, game.player_dims)
+    adaptive = [i for i, p in enumerate(players) if isinstance(p, AdaptiveAOG)]
+    latched = [getattr(p, "adaptive", False) for p in players]
+    x = x1
+    g_prev = np.zeros(dim)
+
+    sum_g = np.zeros(dim)
     sum_gx = [0.0] * N
     dynreg = [0.0] * N
     s_var = [0.0] * N
-    prev_base = prev_g_half = None
+    prev_base = None
 
     for t in range(1, T + 1):
-        base = np.concatenate([p.x for p in players])
-        g_base = game.gradient_fn(base) if needs_base_grad else None
-        for p, s in zip(players, slices):
-            if p.needs_base_gradient:
-                p.observe_base(g_base[s])
-        etas_now = [p.eta for p in players]
-        half = np.concatenate([p.propose() for p in players])
-        g_half = game.gradient_fn(half)
-        if not np.all(np.isfinite(g_half)):
-            raise HarnessError(f"round {t}: non-finite gradient from the oracle")
+        record = t in recorded
+        g_base = _oracle_gradient(game, dim, x, t, "base point") if needs_base_grad else None
+        pull = pull_of(x, t)
+        g_hat = predict(g_prev, g_base)
+        half = x if g_hat is None else step(joint, x, eta, g_hat, pull)
+        g_half = _oracle_gradient(game, dim, half, t, "played point")
+        x_next = step(joint, x, eta, g_half, pull)
 
-        for i, (p, s) in enumerate(zip(players, slices)):
-            gi = g_half[s]
-            if t >= 2:
-                d = gi - prev_g_half[s]
-                s_var[i] += float(d @ d)
-            sum_g[i] += gi
-            sum_gx[i] += float(gi @ half[s])
-            if exact_game:
+        if t >= 2:
+            d = g_half - g_prev
+            for i, s in enumerate(slices):
+                ds = d[s]
+                s_var[i] += float(ds.dot(ds))
+        if bounded:
+            # Per-player <g, x> and min <g, x'> over the player's set (one
+            # support pass): the regret sums and the linearized gaps.
+            sum_g += g_half
+            gx = [float(g_half[s].dot(half[s])) for s in slices]
+            for i in range(N):
+                sum_gx[i] += gx[i]
+            if record or not exact_game:
+                x_min, _ = joint._support_min(g_half)
+                lows = [float(x_min[s].dot(g_half[s])) for s in slices]
+        tgap = None
+        if exact_game:
+            tgap = 0.0
+            for i in range(N):
                 _, best = game.best_response(i, half)
-                dynreg[i] += game.loss(i, half) - best
-            elif bounded:
-                dynreg[i] += game.player_sets[i].linearized_gap(half[s], gi)
-            p.update(gi)
+                inc = game.loss(i, half) - best
+                dynreg[i] += inc
+                tgap += inc
+        elif bounded:
+            for i in range(N):
+                dynreg[i] += max(gx[i] - lows[i], 0.0)
 
         pot = None
         if track_potential and t >= 2:
-            c_t = (prev_base - eta * prev_g_half + (x1 - prev_base) / t - base) / eta
-            resid = eta * (g_base + c_t)
-            drift = eta * (g_base - prev_g_half)
-            sq_r, sq_d = float(resid @ resid), float(drift @ drift)
-            pot = t * (t + 1) / 2.0 * (sq_r + sq_d) + t * float(resid @ (base - x1))
+            eta0 = etas[0]
+            c_t = (prev_base - eta0 * g_prev + (x1 - prev_base) / t - x) / eta0
+            resid = eta0 * (g_base + c_t)
+            drift = eta0 * (g_base - g_prev)
+            sq_r, sq_d = float(resid.dot(resid)), float(drift.dot(drift))
+            pot = t * (t + 1) / 2.0 * (sq_r + sq_d) + t * float(resid.dot(x - x1))
 
-        dist_half = float(np.linalg.norm(half - base))
-        r_tan = joint.tangent_residual(half, g_half)
+        if record or certs is not None:
+            dist_half = float(np.linalg.norm(half - x))
+            r_tan = joint._tangent_residual(half, g_half)
         if certs is not None:
             certs["t"].append(t)
             certs["potential"].append(pot)
@@ -222,18 +325,11 @@ def run_self_play(config: ExperimentConfig):
             certs["r_tan_half"].append(r_tan)
             certs["dist_half"].append(dist_half)
 
-        if t in recorded:
-            gap = joint.linearized_gap(half, g_half) if bounded else None
-            tgap = None
-            if exact_game:
-                tgap = sum(
-                    game.loss(i, half) - game.best_response(i, half)[1]
-                    for i in range(N)
-                )
+        if record:
             if bounded:
+                x_min, _ = joint._support_min(sum_g)
                 extreg = tuple(
-                    sum_gx[i] - game.player_sets[i].support_min(sum_g[i])[1]
-                    for i in range(N)
+                    sum_gx[i] - float(x_min[s].dot(sum_g[s])) for i, s in enumerate(slices)
                 )
                 dynreg_out = tuple(dynreg)
             else:
@@ -243,33 +339,39 @@ def run_self_play(config: ExperimentConfig):
                 RunRecord(
                     t=t,
                     r_tan=r_tan,
-                    gap=gap,
+                    gap=max(sum(gx) - sum(lows), 0.0) if bounded else None,
                     tgap_exact=tgap,
                     potential=pot,
-                    eta=tuple(etas_now),
+                    eta=tuple(etas),
                     S=tuple(s_var),
                     extreg=extreg,
                     dynreg=dynreg_out,
                     dist_half=dist_half,
-                    dist_anchor=float(np.linalg.norm(x1 - base)),
+                    dist_anchor=float(np.linalg.norm(x1 - x)),
                 )
             )
 
+        for i in adaptive:
+            etas[i], latched[i] = adapted_step_size(
+                etas[i], s_var[i], players[i].threshold, latched[i])
+            eta[slices[i]] = etas[i]
+
         if keep:
-            bases.append(base)
+            bases.append(x)
             halves.append(half)
             grads.append(g_half)
-        prev_base, prev_g_half = base, g_half
+        prev_base = x
+        x, g_prev = x_next, g_half
 
     trajectory = None
     if keep:
-        bases.append(np.concatenate([p.x for p in players]))  # x_{T+1}
+        bases.append(x)  # x_{T+1}
         trajectory = trajectory_from_selfplay(bases, halves, grads)
     result = RunResult(
         config=config,
         game=game,
         records=records,
-        eta=[p.eta for p in players],
+        eta=etas,
         trajectory=trajectory,
         certificates=certs,
     )
@@ -405,16 +507,17 @@ def emit_csv(result: RunResult, path):
 
 
 def _apply_overrides(config, args):
+    """A copy of ``config`` with the CLI overrides, validated like any config."""
+    changes = {}
     for name in ("out", "seed", "stride", "T", "algo"):
         value = getattr(args, name, None)
         if value is not None:
-            setattr(config, name, value)
-    return config
+            changes[name] = value
+    return replace(config, **changes)
 
 
 def _cmd_selfplay(args):
-    config = load_config(args.config)
-    _apply_overrides(config, args)
+    config = _apply_overrides(load_config(args.config), args)
     result = run_self_play(config)
     last = result.records[-1]
     print(f"T={last.t} r_tan={last.r_tan:.6g}"
@@ -438,8 +541,7 @@ def build_single_learner(config, game, player=0):
 
 
 def _cmd_adversarial(args):
-    config = load_config(args.config)
-    _apply_overrides(config, args)
+    config = _apply_overrides(load_config(args.config), args)
     game = make_game(config.game, **config.game_params)
     learner = build_single_learner(config, game)
     adversary = make_adversary(args.adversary, game.player_dims[0], seed=config.seed)
@@ -550,7 +652,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, GeometryError, ValueError) as exc:
+    except (ValueError, HarnessError, LearnerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

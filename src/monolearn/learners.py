@@ -7,6 +7,11 @@ extragradient-style learners (``eg``, ``eag``) additionally query a
 gradient at their base iterate through ``base_point()`` /
 ``observe_base()`` before proposing.
 
+All six learners share one update rule (:func:`step`, :func:`anchor_pull`,
+:func:`adapted_step_size`); each class only names its predictor and anchor.
+The self-play round loop applies the same functions to the joint vector of
+all players.
+
 Tags: ``gd``, ``og``, ``eg``, ``eag``, ``aog``, ``aog_adaptive``.
 """
 
@@ -27,10 +32,62 @@ class LearnerError(RuntimeError):
     pass
 
 
+# -- the update rule ---------------------------------------------------------
+# Every learner takes projected steps x+ = P(x - eta * g + w_t * (x1 - x)).
+# They differ in the half-step predictor, in the anchor weight w_t (0 or
+# 1/(t+1)), and in whether eta is latched-adaptive.
+
+
+def anchor_pull(x1, x, weight=None, divisor=None):
+    """The anchor term w_t * (x1 - x), as (x1 - x) * weight / divisor.
+
+    ``aog`` multiplies by the weight 1/(t+1) and ``eag`` divides by t+1.
+    The two round differently, so both forms are kept and every learner's
+    iterates stay reproducible bit for bit. Either factor may be a scalar
+    or a per-coordinate vector.
+    """
+    pull = x1 - x
+    if weight is not None:
+        pull *= weight
+    if divisor is not None:
+        pull /= divisor
+    return pull
+
+
+def step(feasible_set, x, eta, g, pull=None):
+    """One projected step P(x - eta * g + pull) on finite, sized vectors.
+
+    ``eta`` is a scalar or a per-coordinate vector; ``pull`` is the anchor
+    term from :func:`anchor_pull`, or None for no anchor.
+    """
+    y = x - eta * g
+    if pull is not None:
+        y += pull
+    return feasible_set._project(y)
+
+
+def adapted_step_size(eta, S, threshold, latched):
+    """(eta, latched) after a round of the latched adaptive rule: once S
+    exceeds the threshold, eta = 1/sqrt(1+S) from then on."""
+    if latched or S > threshold:
+        return 1.0 / math.sqrt(1.0 + S), True
+    return eta, False
+
+
+# -- learners ------------------------------------------------------------------
+
+
 class Learner:
-    """Common state: anchor x1, base iterate x, previous gradient, round t."""
+    """Common state: anchor x1, base iterate x, previous gradient, round t.
+
+    Subclasses choose the half-step ``predictor`` ("none": play x itself,
+    "last": the previous gradient, "base": the gradient observed at x) and
+    the ``anchor`` form (None, "weight" or "divide"; see :func:`anchor_pull`).
+    """
 
     tag = None
+    predictor = "last"
+    anchor = None
     needs_base_gradient = False
 
     def __init__(self, feasible_set: FeasibleSet, x1, eta):
@@ -54,7 +111,11 @@ class Learner:
         """Action x_{t+1/2} played this round (always feasible)."""
         if self._proposed:
             raise LearnerError("propose called twice in one round")
-        self.x_half = self._half_step()
+        if self.predictor == "none":
+            self.x_half = self.x.copy()
+        else:
+            g_hat = self.g_prev if self.predictor == "last" else self._require_base()
+            self.x_half = step(self.set, self.x, self.eta, g_hat, self._pull())
         self._proposed = True
         return self.x_half.copy()
 
@@ -63,10 +124,10 @@ class Learner:
         if not self._proposed:
             raise LearnerError("update called before propose")
         g = _as_vector(g, self.set.dim)
-        x_next = self._full_step(g)
+        x_next = step(self.set, self.x, self.eta, g, self._pull())
         if self.t >= 2:
             d = g - self.g_prev
-            self.S += float(d @ d)
+            self.S += float(d.dot(d))
         self._adapt_step()
         self.x = x_next
         self.g_prev = g
@@ -74,11 +135,16 @@ class Learner:
         self._proposed = False
 
     # -- per-algorithm pieces ----------------------------------------------
-    def _half_step(self):
-        raise NotImplementedError
+    def _pull(self):
+        if self.anchor == "weight":
+            return anchor_pull(self.x1, self.x, weight=self._anchor_weight(self.t))
+        if self.anchor == "divide":
+            return anchor_pull(self.x1, self.x, divisor=self.t + 1.0)
+        return None
 
-    def _full_step(self, g):
-        raise NotImplementedError
+    @staticmethod
+    def _anchor_weight(t):
+        return 1.0 / (t + 1.0)
 
     def _adapt_step(self):
         pass
@@ -88,24 +154,13 @@ class GradientDescent(Learner):
     """Online gradient descent; plays the base iterate itself."""
 
     tag = "gd"
-
-    def _half_step(self):
-        return self.x.copy()
-
-    def _full_step(self, g):
-        return self.set.project(self.x - self.eta * g)
+    predictor = "none"
 
 
 class OptimisticGradient(Learner):
     """Optimistic gradient: predicts this round's gradient by the last one."""
 
     tag = "og"
-
-    def _half_step(self):
-        return self.set.project(self.x - self.eta * self.g_prev)
-
-    def _full_step(self, g):
-        return self.set.project(self.x - self.eta * g)
 
 
 class AcceleratedOptimisticGradient(Learner):
@@ -116,21 +171,14 @@ class AcceleratedOptimisticGradient(Learner):
     """
 
     tag = "aog"
+    anchor = "weight"
 
     def __init__(self, feasible_set, x1, eta, anchor_weight_fn=None):
         super().__init__(feasible_set, x1, eta)
         # Overriding the anchor schedule with 0 recovers plain OG; used by
         # equivalence tests, not part of the public surface.
-        self._anchor_weight = anchor_weight_fn or (lambda t: 1.0 / (t + 1.0))
-
-    def _anchor(self):
-        return self._anchor_weight(self.t) * (self.x1 - self.x)
-
-    def _half_step(self):
-        return self.set.project(self.x - self.eta * self.g_prev + self._anchor())
-
-    def _full_step(self, g):
-        return self.set.project(self.x - self.eta * g + self._anchor())
+        if anchor_weight_fn is not None:
+            self._anchor_weight = anchor_weight_fn
 
 
 class AdaptiveAOG(AcceleratedOptimisticGradient):
@@ -154,14 +202,14 @@ class AdaptiveAOG(AcceleratedOptimisticGradient):
         self.adaptive = False
 
     def _adapt_step(self):
-        if self.adaptive or self.S > self.threshold:
-            self.adaptive = True
-            self.eta = 1.0 / math.sqrt(1.0 + self.S)
+        self.eta, self.adaptive = adapted_step_size(
+            self.eta, self.S, self.threshold, self.adaptive)
 
 
 class _TwoPhase(Learner):
     """Base for learners that also need the gradient at the base iterate."""
 
+    predictor = "base"
     needs_base_gradient = True
 
     def __init__(self, feasible_set, x1, eta):
@@ -190,28 +238,12 @@ class Extragradient(_TwoPhase):
 
     tag = "eg"
 
-    def _half_step(self):
-        return self.set.project(self.x - self.eta * self._require_base())
-
-    def _full_step(self, g):
-        return self.set.project(self.x - self.eta * g)
-
 
 class ExtraAnchoredGradient(_TwoPhase):
     """Extragradient with the 1/(t+1) anchor pull toward the start point."""
 
     tag = "eag"
-
-    def _anchor(self):
-        return (self.x1 - self.x) / (self.t + 1.0)
-
-    def _half_step(self):
-        return self.set.project(
-            self.x - self.eta * self._require_base() + self._anchor()
-        )
-
-    def _full_step(self, g):
-        return self.set.project(self.x - self.eta * g + self._anchor())
+    anchor = "divide"
 
 
 LEARNERS = {

@@ -6,6 +6,7 @@ import pytest
 from monolearn.games import (
     ActionProfile,
     GameError,
+    GameOracle,
     banded_coupling_matrix,
     default_start,
     make_appendix_d_toy,
@@ -14,6 +15,7 @@ from monolearn.games import (
     make_game,
     make_random_linear_monotone,
 )
+from monolearn.geometry import Ball, Box, ProductSet, Unconstrained, symmetric_box
 
 RNG = np.random.default_rng(777)
 
@@ -137,6 +139,31 @@ def test_skew_operator_monotonicity_is_exact():
         y = RNG.normal(size=4)
         dg = game.gradient_fn(x) - game.gradient_fn(y)
         assert abs(float(dg @ (x - y))) <= 1e-12
+
+
+def test_random_linear_rejects_negative_diagonal():
+    # The symmetric part of M is exactly psd_diag * I, so psd_diag < 0 is
+    # non-monotone; it is rejected bounded or not.
+    for bounded in (None, 1.0):
+        with pytest.raises(GameError, match="psd_diag"):
+            make_random_linear_monotone((2, 2), psd_diag=-1.0, bounded=bounded)
+    M = make_random_linear_monotone((2, 2), psd_diag=0.25, seed=3).metadata["M"]
+    assert np.array_equal((M + M.T) / 2.0, 0.25 * np.eye(4))
+
+
+def test_joint_set_is_built_once_per_game():
+    boxes = make_appendix_e_instance(4, validate=False)
+    joint = boxes.joint_set
+    assert isinstance(joint, Box) and joint is boxes.joint_set
+    assert np.array_equal(joint.lower, np.full(8, -200.0))
+    free = make_random_linear_monotone((2, 3)).joint_set
+    assert isinstance(free, Unconstrained) and free.dim == 5
+    mixed = GameOracle([symmetric_box(1.0, 2), Ball(np.zeros(2), 1.0)], 1.0, lambda z: z)
+    assert isinstance(mixed.joint_set, ProductSet)
+    # a box over concatenated bounds samples the same stream as the product
+    product = ProductSet(tuple(boxes.player_sets))
+    rng_a, rng_b = np.random.default_rng(1), np.random.default_rng(1)
+    assert np.array_equal(joint.sample(rng_a), product.sample(rng_b))
 
 
 def test_random_linear_nash_is_zero_of_operator():

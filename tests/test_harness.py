@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from monolearn.harness import (
     run_adversarial,
     run_self_play,
 )
-from monolearn.games import make_game
+from monolearn.games import GameOracle, make_game
 from monolearn.learners import make_learner
 from monolearn.geometry import symmetric_box
 
@@ -144,6 +145,31 @@ def test_two_phase_learners_in_self_play():
     assert result.records[-1].r_tan < 1.0
 
 
+def test_non_finite_base_gradient_aborts_with_round(monkeypatch):
+    # The oracle is finite everywhere except at the base point of round 3.
+    game = make_game("bilinear", dims=(1, 1))
+    grad, calls = game.gradient_fn, []
+
+    def gradient_fn(z):
+        calls.append(z)
+        g = grad(z)
+        return np.full_like(g, np.nan) if len(calls) == 5 else g
+
+    game.gradient_fn = gradient_fn
+    monkeypatch.setattr("monolearn.harness.make_game", lambda *a, **k: game)
+    cfg = ExperimentConfig(game="bilinear", algo="eg", T=10)
+    with pytest.raises(HarnessError, match=r"round 3: .*base point"):
+        run_self_play(cfg)
+
+
+def test_wrong_size_gradient_aborts(monkeypatch):
+    sets = make_game("bilinear", dims=(1, 1)).player_sets
+    bad = GameOracle(sets, 1.0, lambda z: np.zeros(3))
+    monkeypatch.setattr("monolearn.harness.make_game", lambda *a, **k: bad)
+    with pytest.raises(HarnessError, match=r"round 1: .*shape"):
+        run_self_play(ExperimentConfig(game="custom", T=5))
+
+
 def test_bad_x1_dimension_rejected():
     cfg = ExperimentConfig(
         game="bilinear", game_params={"dims": (1, 1)}, T=10, x1=[0.0, 0.0, 0.0]
@@ -236,6 +262,24 @@ def test_cli_bad_config_exits_one(tmp_path, capsys):
     cfg = write_config(tmp_path, game="nope", T=10)
     assert main(["selfplay", "--config", cfg]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, field", [("--T", "0", "T"), ("--T", "1", "T"),
+                                               ("--stride", "0", "stride")])
+def test_cli_overrides_are_validated(capsys, flag, value, field):
+    cfg = str(Path(__file__).resolve().parent.parent / "configs" / "bilinear_selfplay.json")
+    assert main(["selfplay", "--config", cfg, flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {field}:")
+
+
+def test_cli_harness_errors_exit_one(tmp_path, capsys):
+    trace = tmp_path / "short.csv"
+    trace.write_text("t,r_tan\n1,1.0\n2,0.5\n")
+    assert main(["slope", "--trace", str(trace)]) == 1
+    assert capsys.readouterr().err.startswith("error: fewer than 10 usable rows")
 
 
 def test_cli_verify_passes(capsys):
