@@ -8,7 +8,6 @@ proposition checkers.
 """
 
 from .games import (
-    ActionProfile,
     GameOracle,
     make_appendix_e_instance,
     make_bilinear_saddle,
@@ -21,11 +20,7 @@ from .geometry import (
     FeasibleSet,
     ProductSet,
     Unconstrained,
-    diameter,
-    linearized_gap,
-    project,
     symmetric_box,
-    tangent_residual,
 )
 from .harness import (
     ExperimentConfig,
@@ -34,7 +29,7 @@ from .harness import (
     run_adversarial,
     run_self_play,
 )
-from .learners import make_learner, run_two_phase
+from .learners import make_learner, play
 from .metrics import (
     Trajectory,
     dynamic_regret,
@@ -53,7 +48,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActionProfile",
     "Ball",
     "Box",
     "ExperimentConfig",
@@ -65,11 +59,9 @@ __all__ = [
     "Unconstrained",
     "check_descent_identity",
     "check_sequence_bound",
-    "diameter",
     "dynamic_regret",
     "external_regret",
     "fit_loglog_slope",
-    "linearized_gap",
     "load_config",
     "make_appendix_e_instance",
     "make_bilinear_saddle",
@@ -77,13 +69,11 @@ __all__ = [
     "make_learner",
     "make_random_linear_monotone",
     "measure_equilibrium",
+    "play",
     "potential",
-    "project",
     "run_adversarial",
     "run_eag_adversary",
     "run_self_play",
-    "run_two_phase",
     "second_order_variation",
     "symmetric_box",
-    "tangent_residual",
 ]

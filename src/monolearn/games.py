@@ -10,14 +10,13 @@ monotone operator.
 
 from __future__ import annotations
 
-import math
+import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import (
     FeasibleSet,
-    GeometryError,
     Unconstrained,
     _as_vector,
     product,
@@ -30,34 +29,6 @@ PROBE_PAIRS = 1000
 
 class GameError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class ActionProfile:
-    """Concatenated per-player action vectors with block structure."""
-
-    blocks: tuple
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "blocks", tuple(_as_vector(b) for b in self.blocks)
-        )
-
-    @property
-    def player_dims(self):
-        return tuple(b.size for b in self.blocks)
-
-    def flatten(self):
-        return np.concatenate(self.blocks)
-
-    @staticmethod
-    def unflatten(flat, player_dims):
-        flat = _as_vector(flat, sum(player_dims))
-        blocks, start = [], 0
-        for d in player_dims:
-            blocks.append(flat[start : start + d])
-            start += d
-        return ActionProfile(tuple(blocks))
 
 
 def player_slices(player_dims):
@@ -74,8 +45,10 @@ class GameOracle:
     ``gradient_fn`` maps a flat joint action vector to the flat joint
     gradient; ``losses`` (optional) is one callable per player on flat
     joint vectors; ``best_response_fn`` (optional) maps
-    ``(player, flat_profile)`` to ``(action, value)``. The joint set is
-    built once, at construction (see :func:`geometry.product`).
+    ``(player, flat_profile)`` to ``(action, value)``. ``start`` is the
+    default initial profile, projected onto the joint set (the projection
+    of 0 when not given). The joint set is built once, at construction (see
+    :func:`geometry.product`).
     """
 
     player_sets: list
@@ -85,6 +58,7 @@ class GameOracle:
     best_response_fn: object = None
     name: str = "custom"
     nash: np.ndarray = None
+    start: np.ndarray = None
     metadata: dict = field(default_factory=dict)
     joint_set: FeasibleSet = field(init=False, repr=False, compare=False)
 
@@ -93,6 +67,8 @@ class GameOracle:
             raise GameError("Lipschitz bound must be positive")
         self.player_sets = list(self.player_sets)
         self.joint_set = product(self.player_sets)
+        start = np.zeros(self.dim) if self.start is None else self.start
+        self.start = self.joint_set.project(start)
 
     @property
     def num_players(self):
@@ -166,7 +142,9 @@ def make_bilinear_saddle(payoff_scale=1.0, box_radius=1.0, dims=(1, 1), validate
     """Two-player zero-sum game f(x, y) = scale * <x, y> over symmetric boxes.
 
     Player 1 minimizes f, player 2 minimizes -f; the joint operator is the
-    skew map (scale * y, -scale * x) with Lipschitz constant ``scale``.
+    skew map (scale * y, -scale * x) with Lipschitz constant ``scale``. The
+    start point is halfway from the Nash point 0 to the upper corner, so
+    runs actually have to converge.
     """
     if payoff_scale <= 0 or box_radius <= 0:
         raise GameError("scale and radius must be positive")
@@ -194,6 +172,7 @@ def make_bilinear_saddle(payoff_scale=1.0, box_radius=1.0, dims=(1, 1), validate
         best_response_fn=_linear_best_response(br_coeff, sets),
         name="bilinear",
         nash=np.zeros(dx + dy),
+        start=np.full(dx + dy, 0.5 * float(box_radius)),
     )
     return game.validate() if validate else game
 
@@ -235,13 +214,6 @@ def make_appendix_e_instance(n=100, box_half_width=200.0, validate=True):
         x, y = z[:n], z[n:]
         return np.concatenate([H @ x - h - A.T @ y, A @ x - b])
 
-    def br(player, z):
-        # Player 2's loss -f is linear in y; player 1's own-action problem is
-        # a box QP with no exact solver here, so only player 2 is supported.
-        if player != 1:
-            raise GameError("exact best response only for the linear player")
-        return sets[1].support_min(-(A @ z[:n] - b))
-
     game = GameOracle(
         player_sets=sets,
         lipschitz_bound=1.0,
@@ -249,7 +221,8 @@ def make_appendix_e_instance(n=100, box_half_width=200.0, validate=True):
         losses=[f, lambda z: -f(z)],
         best_response_fn=None,  # not exposed: mixed exact/upper-bound reporting is disallowed
         name="appendix_e",
-        metadata={"A": A, "b": b, "h": h, "H": H, "partial_best_response": br},
+        start=np.full(2 * n, 1.0 / n),
+        metadata={"A": A, "b": b, "h": h, "H": H},
     )
     return game.validate() if validate else game
 
@@ -295,6 +268,7 @@ def make_random_linear_monotone(
         gradient_fn=lambda z: M @ z + r,
         name="random_linear_monotone",
         nash=nash,
+        start=np.ones(dim),
         metadata={"M": M, "r": r},
     )
     if validate and bounded is not None:
@@ -318,20 +292,9 @@ def make_game(game_id, **params):
         raise GameError(
             f"unknown game id {game_id!r}; known: {sorted(GAME_BUILDERS)}"
         ) from None
+    known = inspect.signature(builder).parameters
+    unknown = sorted(set(params) - set(known))
+    if unknown:
+        raise GameError(f"game_params: unknown keys {unknown} for {game_id!r}; "
+                        f"known: {sorted(known)}")
     return builder(**params)
-
-
-def default_start(game):
-    """Deterministic default initial profile for a built-in instance."""
-    if game.name == "appendix_e":
-        n = game.player_dims[0]
-        return np.full(game.dim, 1.0 / n)
-    if game.name in ("bilinear", "appendix_d_toy"):
-        half = np.concatenate([0.5 * (s.upper + s.lower) / 1.0 for s in game.player_sets])
-        # Center is the Nash point; offset halfway to the corner so runs
-        # actually have to converge.
-        corner = np.concatenate([s.upper for s in game.player_sets])
-        return half + 0.5 * (corner - half)
-    if game.name == "random_linear_monotone":
-        return np.ones(game.dim)
-    return game.joint_set.project(np.zeros(game.dim))

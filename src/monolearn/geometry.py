@@ -304,23 +304,6 @@ def product(factors):
     return ProductSet(factors)
 
 
-def project(feasible_set, point):
-    """Euclidean projection of ``point`` onto ``feasible_set``."""
-    return feasible_set.project(point)
-
-
-def tangent_residual(feasible_set, point, grad):
-    return feasible_set.tangent_residual(point, grad)
-
-
-def linearized_gap(feasible_set, point, grad):
-    return feasible_set.linearized_gap(point, grad)
-
-
-def diameter(feasible_set):
-    return feasible_set.diameter()
-
-
 def symmetric_box(half_width, dim):
     """[-w, w]^dim, the box shape used by the built-in game instances."""
     w = float(half_width)

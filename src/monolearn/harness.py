@@ -23,25 +23,21 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import verify as verify_mod
-from .games import GameOracle, make_game, default_start
-from .learners import (
-    AdaptiveAOG,
-    LearnerError,
-    adapted_step_size,
-    anchor_pull,
-    make_learner,
-    step,
-)
+from .games import GameOracle, make_game
+from .learners import LearnerError, adapted_step_size, anchor_pull, make_learner, play, step
 from .metrics import (
     RunRecord,
+    anchored_potential,
     csv_header,
     csv_row,
+    normal_element,
     trajectory_from_selfplay,
 )
 
@@ -75,6 +71,12 @@ class ExperimentConfig:
     D: float = None
 
     def __post_init__(self):
+        for name in ("T", "stride", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name}: must be an integer, got {value!r}")
+        if not isinstance(self.game_params, dict):
+            raise ConfigError(f"game_params: must be an object, got {self.game_params!r}")
         if self.T < 2:
             raise ConfigError("T: horizon must be at least 2")
         if self.stride < 1:
@@ -143,7 +145,7 @@ def _build_learners(config, game):
         D = game.diameter()
         if not math.isfinite(D):
             D = None
-    x1 = np.asarray(config.x1, dtype=float) if config.x1 is not None else default_start(game)
+    x1 = np.asarray(config.x1, dtype=float) if config.x1 is not None else game.start
     if x1.size != game.dim:
         raise ConfigError(f"x1: expected dimension {game.dim}, got {x1.size}")
     out = []
@@ -160,8 +162,8 @@ def _joint_rule(players, dims, x1):
 
     Returns ``predict(g_prev, g_base)``, the half-step predictor (None when
     every player plays its base iterate), and ``pull(x, t)``, the anchor term
-    of round t (None when no player is anchored). Both follow the per-player
-    choices of the learner classes, coordinate by coordinate.
+    of round t (None when no player is anchored). Both follow each player's
+    (predictor, anchor) from ``learners.RULES``, coordinate by coordinate.
     """
     preds = {p.predictor for p in players}
     anchors = {p.anchor for p in players}
@@ -258,8 +260,8 @@ def run_self_play(config: ExperimentConfig):
     predict, pull_of = _joint_rule(players, game.player_dims, x1)
     etas = [p.eta for p in players]
     eta = np.repeat(etas, game.player_dims)
-    adaptive = [i for i, p in enumerate(players) if isinstance(p, AdaptiveAOG)]
-    latched = [getattr(p, "adaptive", False) for p in players]
+    adaptive = [i for i, p in enumerate(players) if p.threshold is not None]
+    latched = [p.adaptive for p in players]
     x = x1
     g_prev = np.zeros(dim)
 
@@ -307,12 +309,9 @@ def run_self_play(config: ExperimentConfig):
 
         pot = None
         if track_potential and t >= 2:
-            eta0 = etas[0]
-            c_t = (prev_base - eta0 * g_prev + (x1 - prev_base) / t - x) / eta0
-            resid = eta0 * (g_base + c_t)
-            drift = eta0 * (g_base - g_prev)
-            sq_r, sq_d = float(resid.dot(resid)), float(drift.dot(drift))
-            pot = t * (t + 1) / 2.0 * (sq_r + sq_d) + t * float(resid.dot(x - x1))
+            c_t = normal_element(prev_base, g_prev, x, x1, etas[0], t)
+            witness = anchored_potential(c_t, g_base, g_prev, x, x1, etas[0], t)
+            pot, sq_r, sq_d = witness.value, witness.sq_residual, witness.sq_drift
 
         if record or certs is not None:
             dist_half = float(np.linalg.norm(half - x))
@@ -409,53 +408,31 @@ class AdversarialResult:
 
 
 def run_adversarial(learner, adversary, T, record_at=None):
-    """Single-agent loop: propose, receive a gradient, update.
-
-    Two-phase learners (eg/eag) play both their phase points; every played
-    action is charged. ``record_at`` lists rounds at which the running
-    external regret is snapshotted (the final round is always included).
+    """Single-agent loop over :func:`learners.play`: every played action is
+    charged, both phase points of eg/eag included. ``record_at`` lists rounds
+    at which the running external regret is snapshotted (the final round is
+    always included); the regret needs a bounded action set.
     """
     if T < 1:
         raise ConfigError("T: need at least one round")
-    record_at = set(record_at or ()) | {T}
     fset = learner.set
+    if not fset.is_bounded:
+        raise ConfigError("adversarial runs need a bounded action set: the "
+                          "external-regret comparator is unbounded")
+    record_at = set(record_at or ()) | {T}
     plays, grads = [], []
     sum_g = np.zeros(fset.dim)
     sum_gx = 0.0
     regret_at = {}
-
-    def charge(t, action, g):
-        nonlocal sum_gx
+    for t, action, g in play(learner, adversary, T):
         if not np.all(np.isfinite(g)):
             raise HarnessError(f"round {t}: adversary produced a non-finite gradient")
         plays.append(action)
         grads.append(g)
-        sum_g[:] += g
+        sum_g += g
         sum_gx += float(g @ action)
         if t in record_at:
             regret_at[t] = sum_gx - fset.support_min(sum_g)[1]
-
-    if learner.needs_base_gradient:
-        t = 0
-        while t < T:
-            base = learner.base_point()
-            g = np.asarray(adversary(t + 1, base), dtype=float)
-            charge(t + 1, base, g)
-            t += 1
-            if t >= T:
-                break
-            learner.observe_base(g)
-            half = learner.propose()
-            g2 = np.asarray(adversary(t + 1, half), dtype=float)
-            charge(t + 1, half, g2)
-            t += 1
-            learner.update(g2)
-    else:
-        for t in range(1, T + 1):
-            action = learner.propose()
-            g = np.asarray(adversary(t, action), dtype=float)
-            charge(t, action, g)
-            learner.update(g)
     return AdversarialResult(plays=plays, grads=grads, regret_at=regret_at)
 
 
@@ -532,11 +509,7 @@ def build_single_learner(config, game, player=0):
     L = config.L if config.L is not None else game.lipschitz_bound
     D = config.D if config.D is not None else fset.diameter()
     s = game.slices()[player]
-    x1 = (
-        np.asarray(config.x1, dtype=float)[s]
-        if config.x1 is not None
-        else default_start(game)[s]
-    )
+    x1 = np.asarray(config.x1, dtype=float)[s] if config.x1 is not None else game.start[s]
     return make_learner(tag, fset, x1, eta=config.eta, L=L, D=D)
 
 
@@ -555,9 +528,18 @@ def _cmd_adversarial(args):
     return 0
 
 
+VERIFY_CHECKS = ("identity", "sequence", "eag_regret")
+
+
 def _cmd_verify(args):
     failures = 0
-    checks = args.checks.split(",") if args.checks else ["identity", "sequence", "eag_regret"]
+    checks = args.checks.split(",") if args.checks else list(VERIFY_CHECKS)
+    unknown = sorted(set(checks) - set(VERIFY_CHECKS))
+    if unknown:
+        raise ConfigError(f"checks: unknown {unknown}; known: {', '.join(VERIFY_CHECKS)}")
+    T = 1000 if args.T is None else args.T
+    if T < 1:
+        raise ConfigError("T: need at least one round")
     rng = np.random.default_rng(args.seed)
     if "identity" in checks:
         worst = 0.0
@@ -578,7 +560,6 @@ def _cmd_verify(args):
               f"conclusion={report.conclusion_holds} "
               f"[{'ok' if report else 'FAIL'}]")
     if "eag_regret" in checks:
-        T = args.T or 1000
         regret, _ = verify_mod.run_eag_adversary(T, eta=0.5)
         ok = regret >= T / 2.0
         failures += not ok
@@ -633,7 +614,7 @@ def build_parser():
     ad.set_defaults(func=_cmd_adversarial)
 
     ver = sub.add_parser("verify", help="run the numeric proposition checkers")
-    ver.add_argument("--checks", help="comma list: identity,sequence,eag_regret")
+    ver.add_argument("--checks", help=f"comma list: {','.join(VERIFY_CHECKS)}")
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--T", type=int)
     ver.set_defaults(func=_cmd_verify)
@@ -652,7 +633,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, HarnessError, LearnerError) as exc:
+    except (ValueError, OSError, HarnessError, LearnerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

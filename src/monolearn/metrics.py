@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import GeometryError, _as_vector
-from .games import GameOracle, player_slices
+from .games import GameOracle
 
 # Membership tolerance for the explicit normal-cone witness c_t.
 WITNESS_TOL = 1e-9
@@ -146,18 +146,22 @@ def second_order_variation(grads):
     return total
 
 
-def anchored_normal_element(traj: Trajectory, eta, t):
-    """The explicit normal-cone element c_t implied by the anchored update.
+def normal_element(x_prev, g_prev, x_t, x1, eta, t):
+    """c_t = (x_{t-1} - eta V(x_{t-1/2}) + (x_1 - x_{t-1})/t - x_t) / eta.
 
-    c_t = (x_{t-1} - eta V(x_{t-1/2}) + (x_1 - x_{t-1})/t - x_t) / eta, the
+    The explicit normal-cone element implied by the anchored update: the
     residual of the projection that produced x_t one round earlier (anchor
-    coefficient 1/((t-1)+1) = 1/t). Defined for t >= 2.
+    coefficient 1/((t-1)+1) = 1/t), with ``g_prev`` = V(x_{t-1/2}).
     """
+    return (x_prev - eta * g_prev + (x1 - x_prev) / t - x_t) / eta
+
+
+def anchored_normal_element(traj: Trajectory, eta, t):
+    """:func:`normal_element` c_t of a stored trajectory; defined for t >= 2."""
     if t < 2:
         raise MetricError("normal-cone witness needs t >= 2")
-    x_prev, x_t = traj.base[t - 1], traj.base[t]
-    pre = x_prev - eta * traj.grad_half[t - 1] + (traj.x1 - x_prev) / t
-    return (pre - x_t) / eta
+    return normal_element(traj.base[t - 1], traj.grad_half[t - 1], traj.base[t],
+                          traj.x1, eta, t)
 
 
 @dataclass
@@ -169,31 +173,36 @@ class PotentialWitness:
     cross: float  # t * <eta V + eta c, x_t - x_1>
 
 
-def potential(traj: Trajectory, game: GameOracle, eta, t):
-    """Anchored potential at round t >= 2 of a fixed-step anchored run:
+def anchored_potential(c, v_t, g_prev, x_t, x1, eta, t):
+    """Anchored potential at round t >= 2 from c_t, V(x_t) and g_prev = V(x_{t-1/2}):
 
         P_t = t(t+1)/2 * (||eta V(x_t) + eta c_t||^2
                           + ||eta V(x_t) - eta V(x_{t-1/2})||^2)
               + t * <eta V(x_t) + eta c_t, x_t - x_1>.
+    """
+    resid = eta * (v_t + c)
+    drift = eta * (v_t - g_prev)
+    sq_residual = float(resid.dot(resid))
+    sq_drift = float(drift.dot(drift))
+    cross = t * float(resid.dot(x_t - x1))
+    value = t * (t + 1) / 2.0 * (sq_residual + sq_drift) + cross
+    return PotentialWitness(c, value, sq_residual, sq_drift, cross)
 
-    Raises if the witness c_t fails its normal-cone membership check.
+
+def potential(traj: Trajectory, game: GameOracle, eta, t):
+    """:func:`anchored_potential` at round t >= 2 of a stored fixed-step
+    anchored run. Raises if the witness c_t fails its normal-cone
+    membership check.
     """
     c = anchored_normal_element(traj, eta, t)
     x_t = traj.base[t]
     # per-player membership: projecting x_t + c_t must return x_t
-    joint = game.joint_set
-    back = joint.project(x_t + c)
+    back = game.joint_set.project(x_t + c)
     err = float(np.linalg.norm(back - x_t))
     if err > WITNESS_TOL * max(1.0, float(np.linalg.norm(c))):
         raise MetricError(f"normal-cone witness failed membership ({err:.3e})")
-    v_t = game.gradient(x_t)
-    resid = eta * (v_t + c)
-    drift = eta * (v_t - traj.grad_half[t - 1])
-    sq_residual = float(resid @ resid)
-    sq_drift = float(drift @ drift)
-    cross = t * float(resid @ (x_t - traj.x1))
-    value = t * (t + 1) / 2.0 * (sq_residual + sq_drift) + cross
-    return PotentialWitness(c, value, sq_residual, sq_drift, cross)
+    return anchored_potential(c, game.gradient(x_t), traj.grad_half[t - 1], x_t,
+                              traj.x1, eta, t)
 
 
 # -- CSV schema -----------------------------------------------------------

@@ -30,12 +30,9 @@ class IdentityInstance:
 
     ``a4`` is derived from the constraint a4 = a2 - b3 + (a0 - a2)/(t+1) - u4,
     which mirrors how the anchored update produces the next base iterate.
-    ``a1`` is carried for completeness of run-trace substitution but does not
-    enter the identity.
     """
 
     a0: np.ndarray
-    a1: np.ndarray
     a2: np.ndarray
     a3: np.ndarray
     b1: np.ndarray
@@ -62,7 +59,7 @@ class IdentityInstance:
 
     @staticmethod
     def random(rng, dim, t, q, scale=1.0):
-        vecs = [scale * rng.standard_normal(dim) for _ in range(10)]
+        vecs = [scale * rng.standard_normal(dim) for _ in range(9)]
         return IdentityInstance(*vecs, t=float(t), q=float(q))
 
 
@@ -115,7 +112,7 @@ def check_descent_identity(inst: IdentityInstance):
 def identity_instance_from_trace(traj, game, eta, t):
     """Substitute one round of a fixed-step anchored run into the identity.
 
-    Maps x_1 -> a0, x_{t-1+k/2} -> a_k, eta V(x_{t-1+k/2}) -> b_k,
+    Maps x_1 -> a0, x_{t-1+k/2} -> a_k (k = 2, 3), eta V(x_{t-1+k/2}) -> b_k,
     eta c_t -> u2, eta c_{t+1} -> u4, and q = (eta L)^2. The derived a4
     reproduces x_{t+1} exactly because u4 is defined from the same update.
     """
@@ -128,7 +125,6 @@ def identity_instance_from_trace(traj, game, eta, t):
     c_next = anchored_normal_element(traj, eta, t + 1)
     return IdentityInstance(
         a0=traj.x1,
-        a1=traj.half[t - 1],
         a2=traj.base[t],
         a3=traj.half[t],
         b1=eta * traj.grad_half[t - 1],
@@ -207,8 +203,8 @@ def run_eag_adversary(T, eta, check_iterates=True):
     if T < 1:
         raise VerifyError("need at least one round")
     box = symmetric_box(1.0, 1)
-    learner = learners.ExtraAnchoredGradient(box, np.zeros(1), eta)
-    played = learners.run_two_phase(learner, alternating_adversary, T)
+    learner = learners.make_learner("eag", box, np.zeros(1), eta=eta)
+    played = [(action, g) for _, action, g in learners.play(learner, alternating_adversary, T)]
     if check_iterates:
         clamped = max(-eta, -1.0)
         for idx, (action, _g) in enumerate(played):

@@ -22,7 +22,7 @@ from monolearn.harness import (
     run_adversarial,
     run_self_play,
 )
-from monolearn.learners import AdaptiveAOG
+from monolearn.learners import make_learner
 from monolearn.verify import (
     IdentityInstance,
     check_descent_identity,
@@ -103,7 +103,7 @@ def adaptive_runs(rate_runs):
 def adaptive_regret_over_root_t(adversary_name, horizons, seed=3):
     values = []
     for T in horizons:
-        learner = AdaptiveAOG(symmetric_box(1.0, 1), np.zeros(1), L=1.0, D=2.0)
+        learner = make_learner("aog_adaptive", symmetric_box(1.0, 1), np.zeros(1), L=1.0, D=2.0)
         adversary = make_adversary(adversary_name, 1, seed=seed)
         res = run_adversarial(learner, adversary, T)
         values.append(res.final_regret / math.sqrt(T))

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from monolearn.games import (
-    ActionProfile,
     GameError,
     GameOracle,
     banded_coupling_matrix,
-    default_start,
     make_appendix_d_toy,
     make_appendix_e_instance,
     make_bilinear_saddle,
@@ -37,15 +35,6 @@ def power_iteration_norm(M, iters=500):
         v = G @ v
         v /= np.linalg.norm(v)
     return math.sqrt(float(v @ G @ v))
-
-
-def test_profile_flatten_round_trip():
-    prof = ActionProfile((np.array([1.0, 2.0]), np.array([3.0])))
-    flat = prof.flatten()
-    assert np.array_equal(flat, [1.0, 2.0, 3.0])
-    back = ActionProfile.unflatten(flat, (2, 1))
-    assert all(np.array_equal(a, b) for a, b in zip(back.blocks, prof.blocks))
-    assert back.player_dims == (2, 1)
 
 
 def test_bilinear_gradient_example():
@@ -205,8 +194,32 @@ def test_make_game_registry():
         make_appendix_e_instance(1)
 
 
-def test_default_starts():
+def test_game_start_points():
     toy = make_appendix_d_toy()
-    assert np.array_equal(default_start(toy), [0.5, 0.5])
+    assert np.array_equal(toy.start, [0.5, 0.5])
     banded = make_game("appendix_e", n=4, box_half_width=1.0)
-    assert np.allclose(default_start(banded), np.full(8, 0.25))
+    assert np.allclose(banded.start, np.full(8, 0.25))
+
+
+def test_start_is_projected_onto_the_joint_set():
+    # the built-in start of random_linear_monotone is all ones, outside a
+    # box of half-width 0.5; the oracle's start is its projection
+    game = make_random_linear_monotone((2, 1), bounded=0.5, seed=1)
+    assert np.array_equal(game.start, np.full(3, 0.5))
+    custom = GameOracle([symmetric_box(1.0, 2), Box(np.array([1.0]), np.array([2.0]))],
+                        1.0, lambda z: z)
+    assert np.array_equal(custom.start, [0.0, 0.0, 1.0])
+
+
+def test_bounded_random_linear_runs_from_game_start():
+    from monolearn.harness import ExperimentConfig, run_self_play
+
+    cfg = ExperimentConfig(game="random_linear_monotone",
+                           game_params={"dims": (2, 2), "bounded": 0.5}, T=50, stride=10)
+    result = run_self_play(cfg)
+    assert result.records[-1].gap is not None
+
+
+def test_make_game_rejects_unknown_params():
+    with pytest.raises(GameError, match="bogus"):
+        make_game("bilinear", bogus=1)

@@ -201,6 +201,20 @@ def test_adversary_non_finite_gradient_aborts():
         run_adversarial(learner, lambda t, a: np.array([float("nan")]), 5)
 
 
+def test_unbounded_adversarial_run_rejected_before_first_round():
+    game = make_game("random_linear_monotone", dims=(2, 2))
+    learner = build_single_learner(ExperimentConfig(game="random_linear_monotone", T=10), game)
+    calls = []
+
+    def adversary(t, action):
+        calls.append(t)
+        return np.zeros(2)
+
+    with pytest.raises(ConfigError, match="bounded"):
+        run_adversarial(learner, adversary, 10)
+    assert calls == []
+
+
 def test_build_single_learner_uses_first_player_set():
     cfg = ExperimentConfig(game="appendix_d_toy", T=10, algo="aog_adaptive",
                            L=1.0, D=2.0, x1=[0.0, 0.0])
@@ -310,3 +324,47 @@ def test_cli_adversarial_and_slope(tmp_path, capsys):
     printed = capsys.readouterr().out
     slope = float(printed.split("slope=")[1].split()[0])
     assert -1.5 < slope < -0.5
+
+
+def assert_one_error_line(capsys, *needles):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    for needle in needles:
+        assert needle in lines[0]
+
+
+@pytest.mark.parametrize("data, needle", [
+    ({**BILINEAR, "game_params": {"bogus": 1}}, "bogus"),
+    ({**BILINEAR, "T": "50"}, "T:"),
+    ({**BILINEAR, "stride": 2.5}, "stride:"),
+    ({**BILINEAR, "seed": None}, "seed:"),
+    ({**BILINEAR, "game_params": [1, 1]}, "game_params:"),
+])
+def test_cli_bad_config_values_exit_one(tmp_path, capsys, data, needle):
+    assert main(["selfplay", "--config", write_config(tmp_path, **data)]) == 1
+    assert_one_error_line(capsys, needle)
+
+
+def test_cli_missing_files_exit_one(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    assert main(["selfplay", "--config", missing]) == 1
+    assert_one_error_line(capsys, missing)
+    assert main(["slope", "--trace", missing]) == 1
+    assert_one_error_line(capsys, missing)
+    cfg = write_config(tmp_path, **{**BILINEAR, "T": 20})
+    out = str(tmp_path / "no_such_dir" / "run.csv")
+    assert main(["selfplay", "--config", cfg, "--out", out]) == 1
+    assert_one_error_line(capsys, out)
+
+
+@pytest.mark.parametrize("args, needle", [
+    (["--T", "0"], "T:"),
+    (["--T", "-3", "--checks", "eag_regret"], "T:"),
+    (["--checks", "bogus"], "identity, sequence, eag_regret"),
+    (["--checks", "identity,nope"], "nope"),
+])
+def test_cli_verify_rejects_bad_arguments(capsys, args, needle):
+    assert main(["verify", *args]) == 1
+    assert_one_error_line(capsys, needle)

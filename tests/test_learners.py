@@ -5,14 +5,10 @@ import pytest
 
 from monolearn.geometry import GeometryError, Unconstrained, symmetric_box
 from monolearn.learners import (
-    AcceleratedOptimisticGradient,
-    AdaptiveAOG,
-    Extragradient,
     LearnerError,
-    OptimisticGradient,
     default_step_size,
     make_learner,
-    run_two_phase,
+    play,
 )
 
 RNG = np.random.default_rng(2024)
@@ -20,7 +16,7 @@ RNG = np.random.default_rng(2024)
 
 def seeded_anchored(x_t, g_prev, t, eta=0.1, x1=0.0):
     """An anchored learner with its mid-run state set explicitly."""
-    learner = AcceleratedOptimisticGradient(symmetric_box(1.0, 1), np.array([x1]), eta)
+    learner = make_learner("aog", symmetric_box(1.0, 1), np.array([x1]), eta=eta)
     learner.x = np.array([x_t])
     learner.g_prev = np.array([g_prev])
     learner.t = t
@@ -30,7 +26,7 @@ def seeded_anchored(x_t, g_prev, t, eta=0.1, x1=0.0):
 def test_first_anchored_proposal_is_start_point():
     box = symmetric_box(1.0, 2)
     x1 = np.array([0.3, -0.7])
-    learner = AcceleratedOptimisticGradient(box, x1, 0.2)
+    learner = make_learner("aog", box, x1, eta=0.2)
     assert np.array_equal(learner.propose(), x1)
 
 
@@ -41,7 +37,7 @@ def test_anchored_half_step_arithmetic():
 
 
 def test_plain_optimistic_half_step_arithmetic():
-    learner = OptimisticGradient(symmetric_box(1.0, 1), np.zeros(1), 0.1)
+    learner = make_learner("og", symmetric_box(1.0, 1), np.zeros(1), eta=0.1)
     learner.x = np.array([0.5])
     learner.g_prev = np.array([1.0])
     learner.t = 4
@@ -49,7 +45,7 @@ def test_plain_optimistic_half_step_arithmetic():
 
 
 def test_anchored_full_step_arithmetic():
-    learner = AcceleratedOptimisticGradient(Unconstrained(1), np.zeros(1), 0.1)
+    learner = make_learner("aog", Unconstrained(1), np.zeros(1), eta=0.1)
     learner.t = 2
     learner.propose()
     learner.update(np.array([1.0]))
@@ -65,7 +61,7 @@ def test_default_step_sizes():
 
 
 def test_adaptive_threshold_latch():
-    learner = AdaptiveAOG(symmetric_box(1.0, 1), np.zeros(1), L=0.01, D=0.1)
+    learner = make_learner("aog_adaptive", symmetric_box(1.0, 1), np.zeros(1), L=0.01, D=0.1)
     # threshold 4500*pi*D^2*L^2 ~ 1.41e-3; a gradient swing of 2 trips it
     assert not learner.adaptive
     for g in (1.0, -1.0, 1.0):
@@ -81,7 +77,7 @@ def test_adaptive_threshold_latch():
 
 
 def test_adaptive_stays_constant_under_constant_gradients():
-    learner = AdaptiveAOG(symmetric_box(1.0, 1), np.zeros(1), L=1.0, D=2.0)
+    learner = make_learner("aog_adaptive", symmetric_box(1.0, 1), np.zeros(1), L=1.0, D=2.0)
     for _ in range(50):
         learner.propose()
         learner.update(np.array([0.7]))
@@ -91,7 +87,7 @@ def test_adaptive_stays_constant_under_constant_gradients():
 
 
 def test_variation_sum_skips_first_round():
-    learner = AdaptiveAOG(symmetric_box(1.0, 1), np.zeros(1), L=1.0, D=2.0)
+    learner = make_learner("aog_adaptive", symmetric_box(1.0, 1), np.zeros(1), L=1.0, D=2.0)
     learner.propose()
     learner.update(np.array([5.0]))  # t = 1: not counted against g_prev = 0
     assert learner.S == 0.0
@@ -100,23 +96,9 @@ def test_variation_sum_skips_first_round():
     assert math.isclose(learner.S, 1.0)
 
 
-def test_zero_anchor_weight_recovers_plain_optimism():
-    box = symmetric_box(1.0, 3)
-    x1 = np.array([0.2, -0.4, 0.9])
-    og = OptimisticGradient(box, x1, 0.15)
-    anchored = AcceleratedOptimisticGradient(box, x1, 0.15, anchor_weight_fn=lambda t: 0.0)
-    for _ in range(200):
-        a, b = og.propose(), anchored.propose()
-        assert np.array_equal(a, b)
-        g = RNG.normal(size=3)
-        og.update(g)
-        anchored.update(g)
-        assert np.array_equal(og.x, anchored.x)
-
-
 def test_half_and_full_steps_stay_close():
     box = symmetric_box(1.0, 2)
-    learner = AcceleratedOptimisticGradient(box, np.array([0.5, -0.5]), 0.2)
+    learner = make_learner("aog", box, np.array([0.5, -0.5]), eta=0.2)
     for _ in range(300):
         half = learner.propose()
         g_prev = learner.g_prev.copy()
@@ -130,7 +112,7 @@ def test_half_and_full_steps_stay_close():
 
 
 def test_extragradient_one_iteration():
-    learner = Extragradient(Unconstrained(1), np.array([1.0]), 0.5)
+    learner = make_learner("eg", Unconstrained(1), np.array([1.0]), eta=0.5)
     learner.observe_base(np.array([1.0]))  # V(x) = x at x_t = 1
     half = learner.propose()
     assert math.isclose(float(half[0]), 0.5)
@@ -141,17 +123,12 @@ def test_extragradient_one_iteration():
 def test_two_phase_driver_plays_both_points():
     box = symmetric_box(1.0, 1)
     learner = make_learner("eag", box, np.zeros(1), eta=0.5)
-    played = run_two_phase(learner, lambda t, a: np.array([1.0]), 6)
+    played = list(play(learner, lambda t, a: np.array([1.0]), 6))
     assert len(played) == 6
+    assert [t for t, _, _ in played] == [1, 2, 3, 4, 5, 6]
     # odd rounds replay the base iterate, even rounds the probe point
-    assert float(played[0][0][0]) == 0.0
-    assert float(played[1][0][0]) == -0.5 + (0.0 - 0.0) / 2.0
-
-
-def test_two_phase_driver_rejects_single_phase_learners():
-    learner = make_learner("og", symmetric_box(1.0, 1), np.zeros(1), eta=0.1)
-    with pytest.raises(LearnerError):
-        run_two_phase(learner, lambda t, a: np.zeros(1), 4)
+    assert float(played[0][1][0]) == 0.0
+    assert float(played[1][1][0]) == -0.5 + (0.0 - 0.0) / 2.0
 
 
 def test_round_protocol_misuse():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from monolearn.harness import ExperimentConfig, run_self_play
-from monolearn.learners import AdaptiveAOG
+from monolearn.learners import make_learner
 from monolearn.geometry import symmetric_box
 from monolearn.verify import (
     IdentityInstance,
@@ -17,7 +17,7 @@ from monolearn.verify import (
 
 
 def test_identity_all_zero():
-    zeros = [np.zeros(3) for _ in range(10)]
+    zeros = [np.zeros(3) for _ in range(9)]
     inst = IdentityInstance(*zeros, t=5.0, q=0.1)
     lhs, rhs, rel = check_descent_identity(inst)
     assert lhs == 0.0 and rhs == 0.0 and rel == 0.0
@@ -101,7 +101,7 @@ def test_identity_from_run_trace():
 
 
 def test_identity_degenerate_flag():
-    zeros = [np.zeros(1) for _ in range(10)]
+    zeros = [np.zeros(1) for _ in range(9)]
     assert IdentityInstance(*zeros, t=1.0, q=0.2).degenerate_downstream
     assert not IdentityInstance(*zeros, t=10.0, q=0.01).degenerate_downstream
     with pytest.raises(VerifyError):
@@ -183,7 +183,7 @@ def test_same_adversary_is_sublinear_for_adaptive_learner():
     from monolearn.harness import make_adversary, run_adversarial
 
     def regret(T):
-        learner = AdaptiveAOG(symmetric_box(1.0, 1), np.zeros(1), L=1.0, D=2.0)
+        learner = make_learner("aog_adaptive", symmetric_box(1.0, 1), np.zeros(1), L=1.0, D=2.0)
         res = run_adversarial(learner, make_adversary("appendix_d", 1), T)
         return res.final_regret
 
