@@ -47,7 +47,8 @@ class GameOracle:
     joint vectors; ``best_response_fn`` (optional) maps
     ``(player, flat_profile)`` to ``(action, value)``. ``start`` is the
     default initial profile, projected onto the joint set (the projection
-    of 0 when not given). The joint set is built once, at construction (see
+    of 0 when not given). The joint set and the dimensions ``player_dims``
+    and ``dim`` are computed once, at construction (see
     :func:`geometry.product`).
     """
 
@@ -61,11 +62,15 @@ class GameOracle:
     start: np.ndarray = None
     metadata: dict = field(default_factory=dict)
     joint_set: FeasibleSet = field(init=False, repr=False, compare=False)
+    player_dims: tuple = field(init=False, repr=False, compare=False)
+    dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.lipschitz_bound <= 0:
             raise GameError("Lipschitz bound must be positive")
         self.player_sets = list(self.player_sets)
+        self.player_dims = tuple(s.dim for s in self.player_sets)
+        self.dim = sum(self.player_dims)
         self.joint_set = product(self.player_sets)
         start = np.zeros(self.dim) if self.start is None else self.start
         self.start = self.joint_set.project(start)
@@ -73,14 +78,6 @@ class GameOracle:
     @property
     def num_players(self):
         return len(self.player_sets)
-
-    @property
-    def player_dims(self):
-        return tuple(s.dim for s in self.player_sets)
-
-    @property
-    def dim(self):
-        return sum(self.player_dims)
 
     def diameter(self):
         return self.joint_set.diameter()
@@ -130,10 +127,14 @@ class GameOracle:
 
 
 def _linear_best_response(coeff_fn, player_sets):
-    """Best response for losses linear in the player's own action."""
+    """Best response for losses linear in the player's own action.
+
+    ``GameOracle.best_response`` has already checked the profile, so the
+    coefficient built from it goes to the unchecked support core.
+    """
 
     def br(player, x):
-        return player_sets[player].support_min(coeff_fn(player, x))
+        return player_sets[player]._support_min(coeff_fn(player, x))
 
     return br
 

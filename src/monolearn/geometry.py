@@ -7,8 +7,10 @@ and unconstrained space. All sets expose projection, the tangent residual
 
 Each public method checks its input (finite entries, dimension, and for
 residual and gap a feasible point) and then calls an unchecked core of the
-same name with a leading underscore. The self-play round loop calls the
-cores directly on vectors it built itself from finite, feasible values.
+same name with a leading underscore. The self-play harness calls the cores
+directly on vectors it built itself from finite, feasible values. The
+tangent-residual and support-minimization cores also take ``(k, dim)``
+arrays and answer row by row, with the same rounding as one row at a time.
 :func:`product` builds the joint set of several players: one ``Box`` for
 boxes, one ``Unconstrained`` for unconstrained factors, and a
 ``ProductSet`` only for mixed factors.
@@ -35,11 +37,16 @@ class GeometryError(ValueError):
     """Invalid geometric input (dimension mismatch, infeasible point, ...)."""
 
 
+def row_norms(v):
+    """Euclidean norm over the last axis; equals ``np.linalg.norm`` of one row."""
+    return np.sqrt(np.vecdot(v, v))
+
+
 def _as_vector(x, dim=None):
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         v = v.reshape(-1)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise GeometryError("vector has non-finite entries")
     if dim is not None and v.size != dim:
         raise GeometryError(f"expected dimension {dim}, got {v.size}")
@@ -76,7 +83,7 @@ class FeasibleSet:
 
     def tangent_residual(self, point, grad):
         """min over c in the normal cone at ``point`` of ||grad + c||."""
-        return self._tangent_residual(self._clean(point), _as_vector(grad, self.dim))
+        return float(self._tangent_residual(self._clean(point), _as_vector(grad, self.dim)))
 
     def support_min(self, grad):
         """Return (argmin, min) of <grad, x> over the set.
@@ -84,7 +91,8 @@ class FeasibleSet:
         Ties are broken toward the componentwise-lowest feasible point so
         downstream regret traces are deterministic.
         """
-        return self._support_min(_as_vector(grad, self.dim))
+        x, value = self._support_min(_as_vector(grad, self.dim))
+        return x, float(value)
 
     def linearized_gap(self, point, grad):
         """<grad, point> - min over the set of <grad, x'>; requires boundedness."""
@@ -96,7 +104,8 @@ class FeasibleSet:
         """Uniform-ish random feasible point (testing helper)."""
         raise NotImplementedError
 
-    # -- unchecked cores: finite vectors of the right size, feasible points --
+    # -- unchecked cores: finite vectors of the right size, feasible points;
+    # residual and support minimization also take rows over a leading axis --
     def _project(self, p):
         raise NotImplementedError
 
@@ -149,11 +158,11 @@ class Box(FeasibleSet):
         tol_lo, tol_hi = self._bound_tol
         contrib = np.where(p - self.lower <= tol_lo, np.minimum(g, 0.0), g)
         contrib = np.where(self.upper - p <= tol_hi, np.maximum(contrib, 0.0), contrib)
-        return math.sqrt(contrib.dot(contrib))
+        return row_norms(contrib)
 
     def _support_min(self, g):
         x = np.where(g < 0, self.upper, self.lower)
-        return x, float(x.dot(g))
+        return x, np.vecdot(x, g)
 
     def sample(self, rng):
         return rng.uniform(self.lower, self.upper)
@@ -187,24 +196,22 @@ class Ball(FeasibleSet):
 
     def _tangent_residual(self, p, g):
         d = p - self.center
-        r = float(np.linalg.norm(d))
+        r = row_norms(d)[..., None]
         # The normal cone is nontrivial only on the boundary; at radius within
         # tolerance of the boundary the cone is discontinuous and the boundary
         # formula lower-bounds both branches, so it is used there.
-        if r < self.radius * (1.0 - REL_BOUND_TOL):
-            return float(np.linalg.norm(g))
-        n_hat = d / r
+        interior = r[..., 0] < self.radius * (1.0 - REL_BOUND_TOL)
+        n_hat = d / np.where(r > 0, r, 1.0)
         # min over lam >= 0 of ||g + lam * n_hat||: an inward normal component
         # (g . n_hat < 0) is cancelled, an outward one cannot be.
-        lam = max(-float(g @ n_hat), 0.0)
-        return float(np.linalg.norm(g + lam * n_hat))
+        lam = np.maximum(-np.vecdot(g, n_hat), 0.0)[..., None]
+        return np.where(interior, row_norms(g), row_norms(g + lam * n_hat))
 
     def _support_min(self, g):
-        norm = float(np.linalg.norm(g))
-        if norm == 0.0:
-            return self.center.copy(), float(self.center @ g)
-        x = self.center - self.radius * g / norm
-        return x, float(x @ g)
+        norm = row_norms(g)[..., None]
+        x = np.where(norm > 0, self.center - self.radius * g / np.where(norm > 0, norm, 1.0),
+                     self.center)
+        return x, np.vecdot(x, g)
 
     def sample(self, rng):
         d = rng.standard_normal(self.dim)
@@ -232,7 +239,7 @@ class Unconstrained(FeasibleSet):
         return math.inf
 
     def _tangent_residual(self, p, g):
-        return float(np.linalg.norm(g))
+        return row_norms(g)
 
     def _support_min(self, g):
         raise GeometryError("support minimization is unbounded")
@@ -273,16 +280,16 @@ class ProductSet(FeasibleSet):
         return math.sqrt(sq)
 
     def _tangent_residual(self, p, g):
-        sq = sum(f._tangent_residual(p[s], g[s]) ** 2 for f, s in self._slices())
-        return math.sqrt(sq)
+        sq = sum(f._tangent_residual(p[..., s], g[..., s]) ** 2 for f, s in self._slices())
+        return np.sqrt(sq)
 
     def _support_min(self, g):
         parts, total = [], 0.0
         for f, s in self._slices():
-            x, v = f._support_min(g[s])
+            x, v = f._support_min(g[..., s])
             parts.append(x)
-            total += v
-        return np.concatenate(parts), total
+            total = total + v
+        return np.concatenate(parts, axis=-1), total
 
     def sample(self, rng):
         return np.concatenate([f.sample(rng) for f in self.factors])

@@ -7,15 +7,16 @@ gradient variation) are accumulated every round even when only strided
 snapshots are written, so recorded rows are exact.
 
 Players are built and validated through ``make_learner``, one per player.
-The round loop then advances one joint state: the iterate, the previous
-gradient, a per-coordinate step size, and each player's predictor, anchor
-and adaptive latch. Each round applies the learners' update rule
-x+ = P(x - eta * g + w_t * (x1 - x)) once to the joint vector, on the joint
-set of the game (one ``Box`` when every player has a box), and measures
-the round once on the joint vector, summing per player where a column is
-per player. Validation happens at the boundary: the config (also after CLI
-overrides) and every gradient the oracle returns, checked for size and
-finiteness. The geometry cores the loop calls do not re-check.
+A run then has two parts. The dynamics loop advances one joint state: each
+round applies the learners' update rule x+ = P(x - eta * g + w_t * (x1 - x))
+once to the joint vector, on the joint set of the game (one ``Box`` when
+every player has a box), and writes the round's points and gradients into a
+block of ``BLOCK_ROWS`` rows. After each block, the measurement pass
+computes every column of the block's rounds with whole-block array
+operations on the joint vectors, per player where a column is per player.
+Validation happens at the boundary: the config (also after CLI overrides)
+and every gradient the oracle returns, checked for size and finiteness. The
+geometry cores the run calls do not re-check.
 """
 
 from __future__ import annotations
@@ -24,26 +25,38 @@ import argparse
 import json
 import math
 import numbers
+import os
 import sys
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import verify as verify_mod
 from .games import GameOracle, make_game
+from .geometry import row_norms
 from .learners import LearnerError, adapted_step_size, anchor_pull, make_learner, play, step
 from .metrics import (
     RunRecord,
+    Trajectory,
     anchored_potential,
+    best_response_gaps,
     csv_header,
     csv_row,
+    gradient_variation,
+    linearized_gaps,
     normal_element,
-    trajectory_from_selfplay,
+    player_dots,
+    regret_terms,
+    running_sums,
 )
 
 DEFAULT_SLOPE_T_MIN = 100
 # Full trajectories are kept only while they stay comfortably in memory.
 TRAJECTORY_FLOAT_BUDGET = 20_000_000
+# Rounds per measurement block: at 256 coordinates a block's buffers take
+# about 1 MiB, so the measurement pass reads them from cache.
+BLOCK_ROWS = 128
 
 
 class ConfigError(ValueError):
@@ -81,8 +94,12 @@ class ExperimentConfig:
             raise ConfigError("T: horizon must be at least 2")
         if self.stride < 1:
             raise ConfigError("stride: must be at least 1")
-        if self.eta is not None and not self.eta > 0:
-            raise ConfigError("eta: step size must be positive")
+        for name in ("eta", "L", "D"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool)
+                                      or not isinstance(value, numbers.Real)
+                                      or not (math.isfinite(value) and value > 0)):
+                raise ConfigError(f"{name}: must be a finite positive number, got {value!r}")
 
     @staticmethod
     def from_dict(data):
@@ -221,162 +238,245 @@ def _oracle_gradient(game, dim, z, t, point):
     return g
 
 
+def _previous_rows(rows, carry):
+    """The rows of the round before each row: ``carry`` (the last row of the
+    block before; at round 1, the first row itself) followed by rows[:-1]."""
+    return np.concatenate([rows[:1] if carry is None else carry[None], rows[:-1]])
+
+
+class _BlockMeasure:
+    """The measurement pass: every CSV column and certificate of a block of
+    rounds, from the block's iterates and the state carried from the block
+    before (previous base point and gradient, and the running sums).
+
+    Each column comes from the per-round formulas in :mod:`metrics`, on all
+    rows of the block at once; only exact best responses and losses are
+    evaluated row by row. Cumulative columns add their increments in round
+    order, so every recorded row is exact whatever the stride.
+    """
+
+    def __init__(self, game, x1, recorded, track_potential):
+        self.game, self.x1, self.recorded = game, x1, recorded
+        self.joint = game.joint_set
+        self.slices = game.slices()
+        self.bounded = self.joint.is_bounded
+        self.exact = game.has_best_response and game.losses is not None
+        N = game.num_players
+        self.x_prev = self.g_prev = None
+        self.S, self.sum_gx, self.dynreg = np.zeros(N), np.zeros(N), np.zeros(N)
+        self.sum_g = np.zeros(game.dim)
+        self.records = []
+        self.certs = (
+            {"t": [], "potential": [], "residual_norm": [], "drift_norm": [],
+             "r_tan_half": [], "dist_half": []}
+            if track_potential else None
+        )
+
+    def __call__(self, t0, base, half, grad, etas, base_grad=None):
+        """Measure rounds t0, t0+1, ...: ``base``, ``half``, ``grad`` and
+        ``etas`` hold x_t, x_{t+1/2}, V(x_{t+1/2}) and the players' step
+        sizes one row per round, and ``base_grad`` V(x_t) when the potential
+        is tracked."""
+        game, slices, N = self.game, self.slices, self.game.num_players
+        n = len(grad)
+        ts = np.arange(t0, t0 + n)
+        g_prev = _previous_rows(grad, self.g_prev)
+        S = running_sums(self.S, gradient_variation(grad, g_prev, slices))
+        rec = np.flatnonzero([t in self.recorded for t in range(t0, t0 + n)])
+
+        extreg = dynreg = [(None,) * N] * len(rec)
+        gap, tgap, regret_incs = [None] * len(rec), [None] * n, None
+        if self.bounded:
+            gx, lows = regret_terms(self.joint, half, grad, slices)
+            sum_gx = running_sums(self.sum_gx, gx)
+            sum_g = running_sums(self.sum_g, grad)
+            x_min, _ = self.joint._support_min(sum_g[rec])
+            extreg = (sum_gx[rec] - player_dots(x_min, sum_g[rec], slices)).tolist()
+            gap = np.maximum(gx[rec].sum(axis=1) - lows[rec].sum(axis=1), 0.0).tolist()
+            regret_incs = linearized_gaps(gx, lows)
+            self.sum_gx, self.sum_g = sum_gx[-1], sum_g[-1]
+        if self.exact:
+            regret_incs = [best_response_gaps(game, h) for h in half]
+            tgap = [sum(row) for row in regret_incs]
+        if regret_incs is not None:
+            dynreg = running_sums(self.dynreg, regret_incs)
+            self.dynreg = dynreg[-1]
+            dynreg = dynreg[rec].tolist()
+
+        # r_tan and dist_half on recorded rows, or on every row for the
+        # per-round certificates.
+        at = slice(None) if self.certs is not None else rec
+        r_tan = self.joint._tangent_residual(half[at], grad[at]).tolist()
+        dist_half = row_norms(half[at] - base[at]).tolist()
+        pot = [None] * n
+        if self.certs is not None:
+            x_prev = _previous_rows(base, self.x_prev)
+            eta = etas[0, 0]  # one common fixed step
+            c = normal_element(x_prev, g_prev, base, self.x1, eta, ts)
+            wit = anchored_potential(c, base_grad, g_prev, base, self.x1, eta, ts)
+            pot = wit.value.tolist()
+            res, drift = np.sqrt(wit.sq_residual).tolist(), np.sqrt(wit.sq_drift).tolist()
+            if t0 == 1:  # P_t needs t >= 2
+                pot[0] = res[0] = drift[0] = None
+            self.certs["t"].extend(ts.tolist())
+            self.certs["potential"].extend(pot)
+            self.certs["residual_norm"].extend(res)
+            self.certs["drift_norm"].extend(drift)
+            self.certs["r_tan_half"].extend(r_tan)
+            self.certs["dist_half"].extend(dist_half)
+            r_tan, dist_half = [r_tan[k] for k in rec], [dist_half[k] for k in rec]
+
+        dist_anchor = row_norms(self.x1 - base[rec]).tolist()
+        S_rec, eta_rec = S[rec].tolist(), etas[rec].tolist()
+        for j, k in enumerate(rec.tolist()):
+            self.records.append(RunRecord(
+                t=t0 + k,
+                r_tan=r_tan[j],
+                gap=gap[j],
+                tgap_exact=tgap[k],
+                potential=pot[k],
+                eta=tuple(eta_rec[j]),
+                S=tuple(S_rec[j]),
+                extreg=tuple(extreg[j]),
+                dynreg=tuple(dynreg[j]),
+                dist_half=dist_half[j],
+                dist_anchor=dist_anchor[j],
+            ))
+        self.S = S[-1]
+        self.x_prev, self.g_prev = base[-1].copy(), grad[-1].copy()
+
+
 def run_self_play(config: ExperimentConfig):
-    """Run one synchronous self-play experiment and collect metric rows."""
+    """Run one synchronous self-play experiment and collect metric rows.
+
+    With ``config.out`` the CSV is written through :func:`_output_file`,
+    opened before the first round.
+    """
     game = make_game(config.game, **config.game_params)
     players, tags, x1 = _build_learners(config, game)
-    slices = game.slices()
-    N = game.num_players
-    dim = game.dim
-    T = config.T
-    joint = game.joint_set
-    bounded = joint.is_bounded
-    exact_game = game.has_best_response and game.losses is not None
-
-    track_potential = config.record_potential
-    if track_potential and (any(t != "aog" for t in tags) or len({p.eta for p in players}) != 1):
+    if config.record_potential and (
+            any(t != "aog" for t in tags) or len({p.eta for p in players}) != 1):
         raise ConfigError(
             "record_potential: potential tracking assumes every player runs "
             "fixed-step aog with a common step size"
         )
+    if not config.out:
+        return _self_play(config, game, players, x1)
+    with _output_file(config.out) as fh:
+        result = _self_play(config, game, players, x1)
+        emit_csv(result, fh)
+    return result
+
+
+@contextmanager
+def _output_file(path):
+    """A text file that becomes ``path`` only when the block completes.
+
+    It is a new file beside ``path``, so a missing directory fails at once,
+    and it is renamed onto ``path`` at the end. If the block raises, only
+    that new file is removed: no truncated CSV is left, and an earlier file
+    at ``path`` is kept. A ``path`` that exists but is not a regular file
+    (a pipe or a terminal) is written in place.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", newline="") as fh:
+            yield fh
+        return
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        fh = open(tmp, "x", newline="")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def _self_play(config, game, players, x1):
+    """The dynamics loop. It advances one joint state: the iterate, the
+    previous gradient, a per-coordinate step size, and each player's
+    predictor, anchor and adaptive latch. Each round writes x_t, x_{t+1/2}
+    and V(x_{t+1/2}) (and V(x_t) for the potential) into the rows of a block;
+    a full block goes to the measurement pass. With a kept trajectory the
+    blocks are views of it, so it is filled in place."""
+    slices = game.slices()
+    dim, T = game.dim, config.T
+    joint = game.joint_set
+    track_potential = config.record_potential
 
     keep = config.keep_trajectory
     if keep is None:
         keep = (T + 1) * dim * 3 <= TRAJECTORY_FLOAT_BUDGET
     needs_base_grad = track_potential or any(p.needs_base_gradient for p in players)
 
-    recorded = _recorded_rounds(T, config.stride)
-    records = []
-    bases, halves, grads = [], [], []
-    certs = (
-        {"t": [], "potential": [], "residual_norm": [], "drift_norm": [],
-         "r_tan_half": [], "dist_half": []}
-        if track_potential
-        else None
-    )
-
-    # Joint state: iterate, previous gradient, per-coordinate step size, and
-    # per-player step size and adaptive latch.
     predict, pull_of = _joint_rule(players, game.player_dims, x1)
     etas = [p.eta for p in players]
     eta = np.repeat(etas, game.player_dims)
     adaptive = [i for i, p in enumerate(players) if p.threshold is not None]
     latched = [p.adaptive for p in players]
+    s_var, s_zero = [0.0] * game.num_players, [0.0] * game.num_players
     x = x1
     g_prev = np.zeros(dim)
+    g_base = None
 
-    sum_g = np.zeros(dim)
-    sum_gx = [0.0] * N
-    dynreg = [0.0] * N
-    s_var = [0.0] * N
-    prev_base = None
+    rows = min(BLOCK_ROWS, T)
+    trajectory = Trajectory.allocate(T, dim) if keep else None
+    if not keep:
+        block_base, block_half, block_grad = np.empty((3, rows, dim))
+    base_grads = np.empty((rows, dim)) if track_potential else None
+    block_etas = np.tile(etas, (rows, 1))
+    measure = _BlockMeasure(game, x1, _recorded_rounds(T, config.stride), track_potential)
 
-    for t in range(1, T + 1):
-        record = t in recorded
-        g_base = _oracle_gradient(game, dim, x, t, "base point") if needs_base_grad else None
-        pull = pull_of(x, t)
-        g_hat = predict(g_prev, g_base)
-        half = x if g_hat is None else step(joint, x, eta, g_hat, pull)
-        g_half = _oracle_gradient(game, dim, half, t, "played point")
-        x_next = step(joint, x, eta, g_half, pull)
-
-        if t >= 2:
-            d = g_half - g_prev
-            for i, s in enumerate(slices):
-                ds = d[s]
-                s_var[i] += float(ds.dot(ds))
-        if bounded:
-            # Per-player <g, x> and min <g, x'> over the player's set (one
-            # support pass): the regret sums and the linearized gaps.
-            sum_g += g_half
-            gx = [float(g_half[s].dot(half[s])) for s in slices]
-            for i in range(N):
-                sum_gx[i] += gx[i]
-            if record or not exact_game:
-                x_min, _ = joint._support_min(g_half)
-                lows = [float(x_min[s].dot(g_half[s])) for s in slices]
-        tgap = None
-        if exact_game:
-            tgap = 0.0
-            for i in range(N):
-                _, best = game.best_response(i, half)
-                inc = game.loss(i, half) - best
-                dynreg[i] += inc
-                tgap += inc
-        elif bounded:
-            for i in range(N):
-                dynreg[i] += max(gx[i] - lows[i], 0.0)
-
-        pot = None
-        if track_potential and t >= 2:
-            c_t = normal_element(prev_base, g_prev, x, x1, etas[0], t)
-            witness = anchored_potential(c_t, g_base, g_prev, x, x1, etas[0], t)
-            pot, sq_r, sq_d = witness.value, witness.sq_residual, witness.sq_drift
-
-        if record or certs is not None:
-            dist_half = float(np.linalg.norm(half - x))
-            r_tan = joint._tangent_residual(half, g_half)
-        if certs is not None:
-            certs["t"].append(t)
-            certs["potential"].append(pot)
-            certs["residual_norm"].append(math.sqrt(sq_r) if pot is not None else None)
-            certs["drift_norm"].append(math.sqrt(sq_d) if pot is not None else None)
-            certs["r_tan_half"].append(r_tan)
-            certs["dist_half"].append(dist_half)
-
-        if record:
-            if bounded:
-                x_min, _ = joint._support_min(sum_g)
-                extreg = tuple(
-                    sum_gx[i] - float(x_min[s].dot(sum_g[s])) for i, s in enumerate(slices)
-                )
-                dynreg_out = tuple(dynreg)
-            else:
-                extreg = (None,) * N
-                dynreg_out = tuple(dynreg) if exact_game else (None,) * N
-            records.append(
-                RunRecord(
-                    t=t,
-                    r_tan=r_tan,
-                    gap=max(sum(gx) - sum(lows), 0.0) if bounded else None,
-                    tgap_exact=tgap,
-                    potential=pot,
-                    eta=tuple(etas),
-                    S=tuple(s_var),
-                    extreg=extreg,
-                    dynreg=dynreg_out,
-                    dist_half=dist_half,
-                    dist_anchor=float(np.linalg.norm(x1 - x)),
-                )
-            )
-
-        for i in adaptive:
-            etas[i], latched[i] = adapted_step_size(
-                etas[i], s_var[i], players[i].threshold, latched[i])
-            eta[slices[i]] = etas[i]
-
+    for t0 in range(1, T + 1, rows):
+        n = min(rows, T + 1 - t0)
         if keep:
-            bases.append(x)
-            halves.append(half)
-            grads.append(g_half)
-        prev_base = x
-        x, g_prev = x_next, g_half
+            base_rows = trajectory.base[t0:t0 + n]
+            half_rows = trajectory.half[t0:t0 + n]
+            grad_rows = trajectory.grad_half[t0:t0 + n]
+        else:
+            base_rows, half_rows, grad_rows = block_base[:n], block_half[:n], block_grad[:n]
+        for k in range(n):
+            t = t0 + k
+            if needs_base_grad:
+                g_base = _oracle_gradient(game, dim, x, t, "base point")
+                if track_potential:
+                    base_grads[k] = g_base
+            pull = pull_of(x, t)
+            g_hat = predict(g_prev, g_base)
+            half = x if g_hat is None else step(joint, x, eta, g_hat, pull)
+            g_half = _oracle_gradient(game, dim, half, t, "played point")
+            x_next = step(joint, x, eta, g_half, pull)
+            base_rows[k] = x
+            half_rows[k] = half
+            grad_rows[k] = g_half
+            if adaptive:
+                block_etas[k] = etas
+                inc = gradient_variation(g_half, g_prev, slices) if t >= 2 else s_zero
+                for i in adaptive:
+                    s_var[i] += inc[i]
+                    etas[i], latched[i] = adapted_step_size(
+                        etas[i], s_var[i], players[i].threshold, latched[i])
+                    eta[slices[i]] = etas[i]
+            x, g_prev = x_next, g_half
+        measure(t0, base_rows, half_rows, grad_rows, block_etas[:n],
+                base_grads[:n] if track_potential else None)
 
-    trajectory = None
     if keep:
-        bases.append(x)  # x_{T+1}
-        trajectory = trajectory_from_selfplay(bases, halves, grads)
-    result = RunResult(
+        trajectory.base[T + 1] = x
+    return RunResult(
         config=config,
         game=game,
-        records=records,
+        records=measure.records,
         eta=etas,
         trajectory=trajectory,
-        certificates=certs,
+        certificates=measure.certs,
     )
-    if config.out:
-        emit_csv(result, config.out)
-    return result
 
 
 # -- adversarial runs -----------------------------------------------------
@@ -472,12 +572,12 @@ def fit_loglog_slope(ts, values, window=None):
 # -- CSV ------------------------------------------------------------------
 
 
-def emit_csv(result: RunResult, path):
+def emit_csv(result: RunResult, fh):
+    """Write the run's CSV to the open text file ``fh``."""
     n = result.num_players
     lines = [csv_header(n)]
     lines.extend(csv_row(r, n) for r in result.records)
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    fh.write("\n".join(lines) + "\n")
 
 
 # -- CLI ------------------------------------------------------------------

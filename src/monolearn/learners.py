@@ -22,6 +22,7 @@ import math
 import numpy as np
 
 from .geometry import FeasibleSet, GeometryError, _as_vector
+from .metrics import gradient_variation
 
 # Step-size adaptation switches to 1/sqrt(1+S) once the accumulated
 # second-order gradient variation S exceeds ADAPTATION_FACTOR * D^2 * L^2.
@@ -146,8 +147,7 @@ class Learner:
         g = _as_vector(g, self.set.dim)
         x_next = step(self.set, self.x, self.eta, g, self._pull())
         if self.t >= 2:
-            d = g - self.g_prev
-            self.S += float(d.dot(d))
+            self.S += float(gradient_variation(g, self.g_prev))
         if self.threshold is not None:
             self.eta, self.adaptive = adapted_step_size(
                 self.eta, self.S, self.threshold, self.adaptive)

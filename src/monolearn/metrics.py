@@ -1,8 +1,11 @@
 """Per-round measurement: residuals, gaps, regrets, and the potential.
 
-Functions here are pure over stored trajectories; the experiment runner
-keeps streaming accumulators for the cumulative quantities and calls into
-the same closed forms.
+Functions here are pure over stored trajectories. Each per-round formula
+(per-player dot products, gradient variation, linearized and exact
+best-response gaps, c_t and P_t) takes rows over a leading axis, and
+:func:`running_sums` turns per-round increments into cumulative columns in
+round order. The experiment runner measures blocks of rounds with the same
+functions, so a column has one formula whichever path computes it.
 """
 
 from __future__ import annotations
@@ -31,13 +34,22 @@ class Trajectory:
     """Self-play iterates of a fixed-step run, 1-indexed by round.
 
     ``base[t]`` is x_t (t = 1..T+1), ``half[t]`` is x_{t+1/2} and
-    ``grad_half[t]`` its joint gradient (t = 1..T). Index 0 is unused
-    padding so round indices match the algebra.
+    ``grad_half[t]`` its joint gradient (t = 1..T), rows of 2-D arrays.
+    Row 0 is NaN padding so round indices match the algebra.
     """
 
-    base: list
-    half: list
-    grad_half: list
+    base: np.ndarray
+    half: np.ndarray
+    grad_half: np.ndarray
+
+    @staticmethod
+    def allocate(rounds, dim):
+        """An unfilled trajectory of ``rounds`` rounds, for the runner to write."""
+        traj = Trajectory(np.empty((rounds + 2, dim)), np.empty((rounds + 1, dim)),
+                          np.empty((rounds + 1, dim)))
+        for rows in (traj.base, traj.half, traj.grad_half):
+            rows[0] = np.nan
+        return traj
 
     @property
     def x1(self):
@@ -48,9 +60,49 @@ class Trajectory:
         return len(self.half) - 1
 
 
-def trajectory_from_selfplay(base, half, grad_half):
-    pad = [None]
-    return Trajectory(pad + list(base), pad + list(half), pad + list(grad_half))
+# -- per-round formulas over a leading row axis ------------------------------
+
+
+def player_dots(a, b, slices):
+    """Per-player <a, b> over the last axis: shape ``a.shape[:-1] + (N,)``.
+
+    ``np.vecdot`` rounds each row exactly as ``a.dot(b)`` of that row does.
+    """
+    return np.stack([np.vecdot(a[..., s], b[..., s]) for s in slices], axis=-1)
+
+
+def running_sums(carry, increments):
+    """Cumulative sums over the leading axis, starting from ``carry`` and
+    adding one row at a time in round order, as a streaming ``+=`` does."""
+    out = np.array(increments, dtype=float)
+    out[0] += carry
+    return np.cumsum(out, axis=0, out=out)
+
+
+def gradient_variation(g, g_prev, slices=None):
+    """Per-player ||g - g_prev||^2: the increments of S. With ``slices``
+    None, the increment of one learner over the whole vector."""
+    d = g - g_prev
+    if slices is None:
+        return np.vecdot(d, d)
+    return player_dots(d, d, slices)
+
+
+def regret_terms(feasible_set, x, g, slices):
+    """Per-player <g, x> and min over the player's set of <g, x'>, from one
+    support pass of the joint set: the parts of regrets and linearized gaps."""
+    x_min, _ = feasible_set._support_min(g)
+    return player_dots(g, x, slices), player_dots(x_min, g, slices)
+
+
+def linearized_gaps(gx, lows):
+    """Per-player linearized gaps from :func:`regret_terms`, clipped at 0."""
+    return np.maximum(gx - lows, 0.0)
+
+
+def best_response_gaps(game: GameOracle, x):
+    """Per-player loss minus exact best-response value at one profile."""
+    return [game.loss(i, x) - game.best_response(i, x)[1] for i in range(game.num_players)]
 
 
 @dataclass
@@ -69,10 +121,7 @@ def measure_equilibrium(game: GameOracle, profile):
     gap = joint.linearized_gap(x, v) if joint.is_bounded else None
     tgap = None
     if game.has_best_response and game.losses is not None:
-        tgap = 0.0
-        for i in range(game.num_players):
-            _, best = game.best_response(i, x)
-            tgap += game.loss(i, x) - best
+        tgap = sum(best_response_gaps(game, x))
     return EquilibriumMeasures(r_tan=r_tan, gap=gap, tgap_exact=tgap)
 
 
@@ -116,34 +165,28 @@ def dynamic_regret(profiles, game: GameOracle):
     per-player linearized gap, an upper bound by convexity. Mixed reporting
     is not done: one mode applies to all players of a run.
     """
-    slices = game.slices()
     exact = game.has_best_response and game.losses is not None
-    rows = []
-    for prof in profiles:
-        x = _as_vector(prof, game.dim)
-        row = []
-        if exact:
-            for i in range(game.num_players):
-                _, best = game.best_response(i, x)
-                row.append(game.loss(i, x) - best)
-        else:
-            v = game.gradient(x)
-            for i, s in enumerate(slices):
-                row.append(game.player_sets[i].linearized_gap(x[s], v[s]))
-        rows.append(row)
-    return DynamicRegretResult(per_round=np.asarray(rows, dtype=float), exact=exact)
+    if exact:
+        rows = [best_response_gaps(game, _as_vector(prof, game.dim)) for prof in profiles]
+    else:
+        # _clean rejects an infeasible profile and snaps a near-feasible one
+        # onto the set before the gap is taken.
+        joint, slices = game.joint_set, game.slices()
+        xs = [joint._clean(prof) for prof in profiles]
+        rows = [linearized_gaps(*regret_terms(joint, x, game.gradient(x), slices)) for x in xs]
+    per_round = np.asarray(rows, dtype=float).reshape(len(rows), game.num_players)
+    return DynamicRegretResult(per_round=per_round, exact=exact)
 
 
 def second_order_variation(grads):
     """sum_{t=2}^{T} ||g_t - g_{t-1}||^2 over a player's gradient sequence."""
-    grads = [np.asarray(g, dtype=float) for g in grads]
-    total = 0.0
-    for prev, cur in zip(grads, grads[1:]):
-        if prev.shape != cur.shape:
-            raise MetricError("gradient dimensions differ along the trace")
-        d = cur - prev
-        total += float(d @ d)
-    return total
+    grads = [np.asarray(g, dtype=float).reshape(-1) for g in grads]
+    if len({g.shape for g in grads}) > 1:
+        raise MetricError("gradient dimensions differ along the trace")
+    if len(grads) < 2:
+        return 0.0
+    g = np.stack(grads)
+    return float(running_sums(0.0, gradient_variation(g[1:], g[:-1]))[-1])
 
 
 def normal_element(x_prev, g_prev, x_t, x1, eta, t):
@@ -151,8 +194,10 @@ def normal_element(x_prev, g_prev, x_t, x1, eta, t):
 
     The explicit normal-cone element implied by the anchored update: the
     residual of the projection that produced x_t one round earlier (anchor
-    coefficient 1/((t-1)+1) = 1/t), with ``g_prev`` = V(x_{t-1/2}).
+    coefficient 1/((t-1)+1) = 1/t), with ``g_prev`` = V(x_{t-1/2}). Rows
+    over a leading axis take one round ``t`` each.
     """
+    t = np.asarray(t)[..., None]
     return (x_prev - eta * g_prev + (x1 - x_prev) / t - x_t) / eta
 
 
@@ -166,6 +211,8 @@ def anchored_normal_element(traj: Trajectory, eta, t):
 
 @dataclass
 class PotentialWitness:
+    """P_t and its parts: floats for one round, arrays for rows of rounds."""
+
     c: np.ndarray
     value: float
     sq_residual: float  # ||eta V + eta c||^2
@@ -179,12 +226,14 @@ def anchored_potential(c, v_t, g_prev, x_t, x1, eta, t):
         P_t = t(t+1)/2 * (||eta V(x_t) + eta c_t||^2
                           + ||eta V(x_t) - eta V(x_{t-1/2})||^2)
               + t * <eta V(x_t) + eta c_t, x_t - x_1>.
+
+    Rows over a leading axis take one round ``t`` each.
     """
     resid = eta * (v_t + c)
     drift = eta * (v_t - g_prev)
-    sq_residual = float(resid.dot(resid))
-    sq_drift = float(drift.dot(drift))
-    cross = t * float(resid.dot(x_t - x1))
+    sq_residual = np.vecdot(resid, resid)
+    sq_drift = np.vecdot(drift, drift)
+    cross = t * np.vecdot(resid, x_t - x1)
     value = t * (t + 1) / 2.0 * (sq_residual + sq_drift) + cross
     return PotentialWitness(c, value, sq_residual, sq_drift, cross)
 
@@ -232,6 +281,8 @@ def csv_header(num_players):
 
 
 def _fmt(value):
+    if type(value) is float:  # most cells: skip the checks below
+        return repr(value)
     if value is None:
         return ""
     if isinstance(value, (int, np.integer)):
@@ -240,13 +291,11 @@ def _fmt(value):
 
 
 def csv_row(record: RunRecord, num_players):
-    for name in ("eta", "S", "extreg", "dynreg"):
-        if len(getattr(record, name)) != num_players:
+    per_player = (record.eta, record.S, record.extreg, record.dynreg)
+    for name, values in zip(("eta", "S", "extreg", "dynreg"), per_player):
+        if len(values) != num_players:
             raise MetricError(f"record field {name} does not match player count")
-    cells = [str(record.t), _fmt(record.r_tan), _fmt(record.gap),
-             _fmt(record.tgap_exact), _fmt(record.potential)]
-    for name in ("eta", "S", "extreg", "dynreg"):
-        cells.extend(_fmt(v) for v in getattr(record, name))
-    cells.append(_fmt(record.dist_half))
-    cells.append(_fmt(record.dist_anchor))
-    return ",".join(cells)
+    return ",".join([_fmt(v) for v in (
+        record.t, record.r_tan, record.gap, record.tgap_exact, record.potential,
+        *record.eta, *record.S, *record.extreg, *record.dynreg,
+        record.dist_half, record.dist_anchor)])

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from monolearn.geometry import (
     Ball,
@@ -226,6 +229,49 @@ def test_box_support_min_tie_breaks_low():
     x, v = box.support_min(np.array([0.0, 1.0, -1.0]))
     assert np.array_equal(x, [-1.0, -1.0, 1.0])
     assert v == -2.0
+
+
+@st.composite
+def box_rows(draw):
+    """A box (some coordinates pinned), k feasible points with coordinates on
+    the bounds, and k gradients with exact zeros among their entries."""
+    dim, k = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    lower = draw(arrays(float, dim, elements=st.floats(-5.0, 5.0)))
+    width = draw(arrays(float, dim, elements=st.sampled_from([0.0, 1e-12]) | st.floats(0.0, 5.0)))
+    box = Box(lower, lower + width)
+    u = draw(arrays(float, (k, dim), elements=st.sampled_from([0.0, 1.0]) | st.floats(-0.5, 1.5)))
+    points = box._project(lower + u * width)
+    grads = draw(arrays(float, (k, dim), elements=st.just(0.0) | st.floats(-3.0, 3.0)))
+    return box, points, grads
+
+
+@settings(max_examples=200, deadline=None)
+@given(box_rows())
+def test_box_batched_cores_equal_row_cores(case):
+    box, points, grads = case
+    r_tan = box._tangent_residual(points, grads)
+    x_min, values = box._support_min(grads)
+    assert r_tan.shape == values.shape == (len(grads),)
+    for k, (p, g) in enumerate(zip(points, grads)):
+        assert r_tan[k] == box._tangent_residual(p, g) == box.tangent_residual(p, g)
+        x, v = box.support_min(g)
+        assert np.array_equal(x_min[k], x) and values[k] == v
+        ties = g == 0.0
+        assert np.array_equal(x[ties], box.lower[ties])
+
+
+@pytest.mark.parametrize("fset", [s for s in sample_sets() if s.is_bounded])
+def test_batched_cores_equal_row_cores_on_every_set(fset):
+    points = np.stack([fset.sample(RNG) for _ in range(6)])
+    points[0] = fset.project(points[0] * 50.0)  # a boundary point
+    grads = RNG.normal(size=points.shape)
+    grads[1] = 0.0
+    r_tan = fset._tangent_residual(points, grads)
+    x_min, values = fset._support_min(grads)
+    for k, (p, g) in enumerate(zip(points, grads)):
+        assert r_tan[k] == fset.tangent_residual(p, g)
+        x, v = fset.support_min(g)
+        assert np.array_equal(x_min[k], x) and values[k] == v
 
 
 # -- diameter -------------------------------------------------------------

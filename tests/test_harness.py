@@ -1,5 +1,6 @@
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -262,6 +263,26 @@ def test_cli_selfplay_writes_csv(tmp_path, capsys):
     assert lines[1].split(",")[0] == "1"
 
 
+def test_failed_run_keeps_earlier_csv(tmp_path, monkeypatch):
+    game = make_game("bilinear", dims=(1, 1))
+    grad = game.gradient_fn
+    game.gradient_fn = lambda z: np.array([np.inf, 0.0]) if z[0] < -0.5 else grad(z)
+    monkeypatch.setattr("monolearn.harness.make_game", lambda *a, **k: game)
+    out = tmp_path / "run.csv"
+    out.write_text("earlier\n")
+    # from (-1, -1) the first oracle call is at x1 itself
+    with pytest.raises(HarnessError, match="round 1: non-finite"):
+        run_self_play(ExperimentConfig(game="bilinear", T=50, x1=[-1.0, -1.0], out=str(out)))
+    assert out.read_text() == "earlier\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
+    run_self_play(ExperimentConfig(game="bilinear", T=50, out=str(out)))
+    assert out.read_text().startswith("t,r_tan,")
+    assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
+    # a path that is not a regular file is written in place, never replaced
+    run_self_play(ExperimentConfig(game="bilinear", T=50, out=os.devnull))
+    assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
+
+
 def test_cli_reproducible_csv(tmp_path):
     cfg = write_config(tmp_path, **BILINEAR)
     outs = []
@@ -341,22 +362,36 @@ def assert_one_error_line(capsys, *needles):
     ({**BILINEAR, "stride": 2.5}, "stride:"),
     ({**BILINEAR, "seed": None}, "seed:"),
     ({**BILINEAR, "game_params": [1, 1]}, "game_params:"),
+    ({**BILINEAR, "eta": "0.3"}, "eta:"),
+    ({**BILINEAR, "L": "1"}, "L:"),
+    ({**BILINEAR, "D": True}, "D:"),
+    ({**BILINEAR, "eta": 0}, "eta:"),
+    ({**BILINEAR, "D": -2.0}, "D:"),
+    ({**BILINEAR, "L": float("inf")}, "L:"),
+    ({**BILINEAR, "eta": float("nan")}, "eta:"),
 ])
 def test_cli_bad_config_values_exit_one(tmp_path, capsys, data, needle):
     assert main(["selfplay", "--config", write_config(tmp_path, **data)]) == 1
     assert_one_error_line(capsys, needle)
 
 
-def test_cli_missing_files_exit_one(tmp_path, capsys):
+def test_cli_missing_files_exit_one(tmp_path, capsys, monkeypatch):
     missing = str(tmp_path / "missing.json")
     assert main(["selfplay", "--config", missing]) == 1
     assert_one_error_line(capsys, missing)
     assert main(["slope", "--trace", missing]) == 1
     assert_one_error_line(capsys, missing)
+    # An unwritable --out fails before the first round: no oracle call
+    # after the game is built.
+    game, calls = make_game("bilinear", dims=(1, 1)), []
+    grad = game.gradient_fn
+    game.gradient_fn = lambda z: calls.append(z) or grad(z)
+    monkeypatch.setattr("monolearn.harness.make_game", lambda *a, **k: game)
     cfg = write_config(tmp_path, **{**BILINEAR, "T": 20})
     out = str(tmp_path / "no_such_dir" / "run.csv")
     assert main(["selfplay", "--config", cfg, "--out", out]) == 1
     assert_one_error_line(capsys, out)
+    assert calls == []
 
 
 @pytest.mark.parametrize("args, needle", [
@@ -368,3 +403,4 @@ def test_cli_missing_files_exit_one(tmp_path, capsys):
 def test_cli_verify_rejects_bad_arguments(capsys, args, needle):
     assert main(["verify", *args]) == 1
     assert_one_error_line(capsys, needle)
+

@@ -13,7 +13,15 @@ import pytest
 
 from monolearn.games import make_game
 from monolearn.geometry import ProductSet
-from monolearn.harness import ExperimentConfig, _build_learners, _recorded_rounds, run_self_play
+from monolearn.harness import (
+    BLOCK_ROWS,
+    ExperimentConfig,
+    HarnessError,
+    _build_learners,
+    _recorded_rounds,
+    run_self_play,
+)
+from monolearn.learners import ADAPTATION_FACTOR
 
 ROW_FIELDS = ("r_tan", "gap", "tgap_exact", "potential", "dist_half", "dist_anchor")
 TUPLE_FIELDS = ("eta", "S", "extreg", "dynreg")
@@ -159,3 +167,98 @@ def test_adaptive_switch_mid_run_matches_reference():
     last, prev = result.records[-1], result.records[-2]
     for i in range(2):
         assert last.eta[i] == 1.0 / math.sqrt(1.0 + prev.S[i])
+
+
+# -- block boundaries of the measurement pass ----------------------------------
+
+B = BLOCK_ROWS
+
+
+@pytest.mark.parametrize("T", [2 * B - 1, 2 * B, 2 * B + 1])
+def test_horizon_around_block_multiples_matches_reference(T):
+    result = assert_equivalent(ExperimentConfig(game="bilinear", game_params={"dims": (2, 2)},
+                                                algo="aog", T=T, record_potential=True))
+    assert [r.t for r in result.records] == list(range(1, T + 1))
+    assert len(result.certificates["t"]) == T
+    assert_equivalent(ExperimentConfig(game="appendix_e", game_params={"n": 5},
+                                       algo="og", eta=0.3, T=T, stride=5))
+
+
+@pytest.mark.parametrize("game, params", [("appendix_e", {"n": 5}),
+                                          ("bilinear", {"dims": (2, 2)})])
+def test_stride_longer_than_a_block_matches_reference(game, params):
+    # Rounds B+1..2B and 3B+1..4B form blocks without a recorded row.
+    result = assert_equivalent(ExperimentConfig(game=game, game_params=params, algo="aog",
+                                                eta=0.3, T=5 * B + 3, stride=2 * B + 1))
+    assert [r.t for r in result.records] == [1, 2 * B + 2, 4 * B + 3, 5 * B + 3]
+
+
+@pytest.mark.parametrize("latch_round", [B, B + 1, B + B // 2])
+def test_adaptive_switch_at_block_positions_matches_reference(latch_round):
+    # Both players share one threshold. It sits halfway between the larger
+    # player S of a fixed-step run at latch_round - 1 and at latch_round, so
+    # the first latch trips on latch_round and the adapted step is first
+    # played on the round after: the first round of the second block, its
+    # second round, or the middle of it.
+    base = dict(game="appendix_e", game_params={"n": 5}, algo="aog_adaptive",
+                T=2 * B + 10, eta=0.3, L=1.0)
+    fixed = run_self_play(ExperimentConfig(**base, D=1e6))
+    top = [max(r.S) for r in fixed.records]
+    assert top[latch_round - 2] < top[latch_round - 1]
+    threshold = (top[latch_round - 2] + top[latch_round - 1]) / 2.0
+    result = assert_equivalent(ExperimentConfig(
+        **base, D=math.sqrt(threshold / ADAPTATION_FACTOR)))
+    etas = [r.eta for r in result.records]
+    assert all(e == (0.3, 0.3) for e in etas[:latch_round])
+    switched = [i for i in range(2) if etas[latch_round][i] != 0.3]
+    assert switched
+    for i in switched:
+        assert etas[latch_round][i] == 1.0 / math.sqrt(1.0 + result.records[latch_round - 1].S[i])
+
+
+def test_mixed_tags_with_mid_run_latch_across_blocks_match_reference():
+    # With this D the aog_adaptive player first plays its adapted step at
+    # round 148, inside the second block.
+    result = assert_equivalent(ExperimentConfig(
+        game="appendix_e", game_params={"n": 5}, algo=["eag", "aog_adaptive"],
+        T=2 * B + 3, stride=3, L=1.0, D=6.9e-4, eta=0.3))
+    assert result.records[0].eta[1] == 0.3 != result.records[-1].eta[1]
+
+
+@pytest.mark.parametrize("game, params", [("bilinear", {"dims": (2, 2)}),
+                                          ("random_linear_monotone", {"dims": (3, 2)})])
+def test_kept_and_dropped_trajectory_give_identical_records(game, params):
+    results = [run_self_play(ExperimentConfig(game=game, game_params=params, algo="aog",
+                                              T=2 * B + 9, stride=4, record_potential=True,
+                                              keep_trajectory=keep))
+               for keep in (True, False)]
+    assert results[0].trajectory is not None and results[1].trajectory is None
+    assert results[0].records == results[1].records
+    assert results[0].certificates == results[1].certificates
+
+
+def test_non_finite_gradient_mid_block_raises_and_leaves_no_csv(tmp_path, monkeypatch):
+    game = make_game("bilinear", dims=(1, 1))
+    grad, calls = game.gradient_fn, []
+
+    def gradient_fn(z):
+        calls.append(z)
+        # aog calls the oracle once per round
+        return np.array([np.nan, 0.0]) if len(calls) == B + 17 else grad(z)
+
+    game.gradient_fn = gradient_fn
+    monkeypatch.setattr("monolearn.harness.make_game", lambda *a, **k: game)
+    out = tmp_path / "run.csv"
+    with pytest.raises(HarnessError, match=rf"round {B + 17}: non-finite"):
+        run_self_play(ExperimentConfig(game="bilinear", T=3 * B, out=str(out)))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("game, params", [("bilinear", {"dims": (2, 2)}),
+                                          ("appendix_e", {"n": 5})])
+def test_strided_rows_equal_stride_one_rows(game, params):
+    runs = [run_self_play(ExperimentConfig(game=game, game_params=params, algo="aog",
+                                           eta=0.3, T=2 * B + 7, stride=stride))
+            for stride in (1, B // 3)]
+    by_round = {r.t: r for r in runs[0].records}
+    assert all(r == by_round[r.t] for r in runs[1].records)

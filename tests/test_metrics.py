@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from monolearn.games import make_bilinear_saddle, make_game
-from monolearn.geometry import symmetric_box
+from monolearn.geometry import GeometryError, symmetric_box
 from monolearn.harness import ExperimentConfig, run_self_play
 from monolearn.metrics import (
     MetricError,
@@ -101,6 +101,16 @@ def test_dynamic_regret_fallback_is_linearized_gap():
     for i, s in enumerate(game.slices()):
         want = game.player_sets[i].linearized_gap(z[s], v[s])
         assert math.isclose(res.per_round[0, i], want, abs_tol=1e-12)
+
+
+def test_dynamic_regret_fallback_checks_feasibility():
+    game = make_game("appendix_e", n=4, box_half_width=1.0)
+    with pytest.raises(GeometryError):
+        dynamic_regret([np.full(game.dim, 2.0)], game)
+    # a profile within the membership tolerance is measured on the set
+    on_set, near = np.ones(game.dim), np.full(game.dim, 1.0 + 1e-12)
+    assert np.array_equal(dynamic_regret([near], game).per_round,
+                          dynamic_regret([on_set], game).per_round)
 
 
 def test_second_order_variation():
