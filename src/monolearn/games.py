@@ -5,7 +5,8 @@ gradient operator ``V`` (stacking each player's own-action gradient), a
 Lipschitz bound ``L``, and, when available, per-player loss functions and
 exact best responses. Built-in instances cover the bilinear saddle game,
 a banded quadratic-bilinear min-max game, and a seeded random linear
-monotone operator.
+monotone operator. Each is affine, V(z) = M z + r, and passes ``(M, r)``,
+so monotonicity and the Lipschitz bound are certified exactly.
 """
 
 from __future__ import annotations
@@ -22,9 +23,6 @@ from .geometry import (
     product,
     symmetric_box,
 )
-
-PROBE_SEED = 42
-PROBE_PAIRS = 1000
 
 
 class GameError(ValueError):
@@ -43,8 +41,9 @@ class GameOracle:
     """Gradient oracle of a smooth monotone game.
 
     ``gradient_fn`` maps a flat joint action vector to the flat joint
-    gradient; ``losses`` (optional) is one callable per player on flat
-    joint vectors; ``best_response_fn`` (optional) maps
+    gradient; for V(z) = M z + r, pass ``affine=(M, r)`` and the oracle sets
+    it. ``losses`` (optional) is one callable per player on flat joint
+    vectors; ``best_response_fn`` (optional) maps
     ``(player, flat_profile)`` to ``(action, value)``. ``start`` is the
     default initial profile, projected onto the joint set (the projection
     of 0 when not given). The joint set and the dimensions ``player_dims``
@@ -54,12 +53,13 @@ class GameOracle:
 
     player_sets: list
     lipschitz_bound: float
-    gradient_fn: object
+    gradient_fn: object = None
     losses: list = None
     best_response_fn: object = None
     name: str = "custom"
     nash: np.ndarray = None
     start: np.ndarray = None
+    affine: tuple = None
     metadata: dict = field(default_factory=dict)
     joint_set: FeasibleSet = field(init=False, repr=False, compare=False)
     player_dims: tuple = field(init=False, repr=False, compare=False)
@@ -72,6 +72,13 @@ class GameOracle:
         self.player_dims = tuple(s.dim for s in self.player_sets)
         self.dim = sum(self.player_dims)
         self.joint_set = product(self.player_sets)
+        if self.affine is not None:
+            if self.gradient_fn is not None:
+                raise GameError("give affine=(M, r) or gradient_fn, not both")
+            M, r = self.affine
+            self.gradient_fn = lambda z: M @ z + r
+        elif self.gradient_fn is None:
+            raise GameError("need affine=(M, r) or gradient_fn")
         start = np.zeros(self.dim) if self.start is None else self.start
         self.start = self.joint_set.project(start)
 
@@ -90,8 +97,7 @@ class GameOracle:
         x = _as_vector(profile, self.dim)
         if not self.joint_set.contains(x):
             raise GameError("profile is infeasible")
-        g = _as_vector(self.gradient_fn(x), self.dim)
-        return g
+        return _as_vector(self.gradient_fn(x), self.dim)
 
     def loss(self, player, profile):
         if self.losses is None:
@@ -110,8 +116,21 @@ class GameOracle:
         action, value = self.best_response_fn(player, x)
         return _as_vector(action, self.player_dims[player]), float(value)
 
-    def validate(self, seed=PROBE_SEED, pairs=PROBE_PAIRS):
-        """Probe monotonicity and the Lipschitz bound on random feasible pairs."""
+    def validate(self, seed=42, pairs=1000):
+        """Certify monotonicity and the Lipschitz bound: exactly for an affine
+        operator (monotone iff lambda_min((M + M^T)/2) >= 0, L >= ||M||_2),
+        else on ``pairs`` random feasible pairs."""
+        L = self.lipschitz_bound
+        if self.affine is not None:
+            M = self.affine[0]
+            low = float(np.linalg.eigvalsh((M + M.T) / 2.0)[0])
+            norm = float(np.linalg.norm(M, 2))
+            if low < -1e-10 * max(1.0, L):
+                raise GameError(f"game {self.name!r} is not monotone: "
+                                f"lambda_min((M + M^T)/2) = {low!r}")
+            if norm > L + 1e-8:
+                raise GameError(f"game {self.name!r}: ||M||_2 = {norm!r} > L = {L!r}")
+            return self
         rng = np.random.default_rng(seed)
         joint = self.joint_set
         for _ in range(pairs):
@@ -121,31 +140,18 @@ class GameOracle:
             nx = float(np.linalg.norm(dx))
             if float(dg @ dx) < -1e-10 * nx * nx:
                 raise GameError(f"game {self.name!r} failed the monotonicity probe")
-            if float(np.linalg.norm(dg)) > (self.lipschitz_bound + 1e-8) * nx:
+            if float(np.linalg.norm(dg)) > (L + 1e-8) * nx:
                 raise GameError(f"game {self.name!r} failed the Lipschitz probe")
         return self
 
 
-def _linear_best_response(coeff_fn, player_sets):
-    """Best response for losses linear in the player's own action.
-
-    ``GameOracle.best_response`` has already checked the profile, so the
-    coefficient built from it goes to the unchecked support core.
-    """
-
-    def br(player, x):
-        return player_sets[player]._support_min(coeff_fn(player, x))
-
-    return br
-
-
-def make_bilinear_saddle(payoff_scale=1.0, box_radius=1.0, dims=(1, 1), validate=True):
+def make_bilinear_saddle(payoff_scale=1.0, box_radius=1.0, dims=(1, 1)):
     """Two-player zero-sum game f(x, y) = scale * <x, y> over symmetric boxes.
 
     Player 1 minimizes f, player 2 minimizes -f; the joint operator is the
-    skew map (scale * y, -scale * x) with Lipschitz constant ``scale``. The
-    start point is halfway from the Nash point 0 to the upper corner, so
-    runs actually have to converge.
+    skew map (scale * y, -scale * x), M = scale * [[0, I], [-I, 0]], with
+    Lipschitz constant ``scale``. The start point is halfway from the Nash
+    point 0 to the upper corner, so runs actually have to converge.
     """
     if payoff_scale <= 0 or box_radius <= 0:
         raise GameError("scale and radius must be positive")
@@ -154,28 +160,29 @@ def make_bilinear_saddle(payoff_scale=1.0, box_radius=1.0, dims=(1, 1), validate
         raise GameError("bilinear coupling <x, y> requires equal player dims")
     s = float(payoff_scale)
     sets = [symmetric_box(box_radius, dx), symmetric_box(box_radius, dy)]
+    M = s * np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(dx))
+    r = np.zeros(2 * dx)
+    blocks = [(M[:dx], r[:dx]), (M[dx:], r[dx:])]
 
-    def grad(z):
-        x, y = z[:dx], z[dx:]
-        return np.concatenate([s * y, -s * x])
+    def best_response(player, z):
+        # Each loss is <player's block of M z + r, own action>, linear in the
+        # own action. The profile is already checked: use the unchecked core.
+        M_i, r_i = blocks[player]
+        return sets[player]._support_min(M_i @ z + r_i)
 
     def f(z):
         return s * float(z[:dx] @ z[dx:])
 
-    def br_coeff(player, z):
-        return s * z[dx:] if player == 0 else -s * z[:dx]
-
-    game = GameOracle(
+    return GameOracle(
         player_sets=sets,
         lipschitz_bound=s,
-        gradient_fn=grad,
+        affine=(M, r),
         losses=[f, lambda z: -f(z)],
-        best_response_fn=_linear_best_response(br_coeff, sets),
+        best_response_fn=best_response,
         name="bilinear",
         nash=np.zeros(dx + dy),
         start=np.full(dx + dy, 0.5 * float(box_radius)),
-    )
-    return game.validate() if validate else game
+    ).validate()
 
 
 def banded_coupling_matrix(n):
@@ -191,11 +198,12 @@ def banded_coupling_matrix(n):
     return A / 4.0
 
 
-def make_appendix_e_instance(n=100, box_half_width=200.0, validate=True):
+def make_appendix_e_instance(n=100, box_half_width=200.0):
     """Quadratic-bilinear min-max game f(x,y) = x'Hx/2 - h'x - <Ax - b, y>.
 
     ``A`` is the banded coupling matrix, ``b = ones/4``, ``h = e_n/4``,
-    ``H = 2A'A``; both players live in [-w, w]^n. The operator norms satisfy
+    ``H = 2A'A``; both players live in [-w, w]^n. The joint operator has
+    M = [[H, -A'], [A, 0]] and r = [-h; -b]. The operator norms satisfy
     ||A|| <= 1/2 and ||H|| <= 1/2, so the game is 1-smooth.
     """
     if n < 2:
@@ -211,33 +219,27 @@ def make_appendix_e_instance(n=100, box_half_width=200.0, validate=True):
         x, y = z[:n], z[n:]
         return float(0.5 * x @ H @ x - h @ x - (A @ x - b) @ y)
 
-    def grad(z):
-        x, y = z[:n], z[n:]
-        return np.concatenate([H @ x - h - A.T @ y, A @ x - b])
-
-    game = GameOracle(
+    return GameOracle(
         player_sets=sets,
         lipschitz_bound=1.0,
-        gradient_fn=grad,
+        affine=(np.block([[H, -A.T], [A, np.zeros((n, n))]]), np.concatenate([-h, -b])),
         losses=[f, lambda z: -f(z)],
         best_response_fn=None,  # not exposed: mixed exact/upper-bound reporting is disallowed
         name="appendix_e",
         start=np.full(2 * n, 1.0 / n),
         metadata={"A": A, "b": b, "h": h, "H": H},
-    )
-    return game.validate() if validate else game
+    ).validate()
 
 
-def make_appendix_d_toy(validate=True):
+def make_appendix_d_toy():
     """The 1+1-dimensional unit bilinear game f(y1, y2) = y1 * y2 on [-1,1]^2."""
-    game = make_bilinear_saddle(1.0, 1.0, (1, 1), validate=validate)
+    game = make_bilinear_saddle(1.0, 1.0, (1, 1))
     game.name = "appendix_d_toy"
     return game
 
 
-def make_random_linear_monotone(
-    dims=(1, 1), skew_scale=1.0, psd_diag=0.1, seed=0, bounded=None, validate=True
-):
+def make_random_linear_monotone(dims=(1, 1), skew_scale=1.0, psd_diag=0.1, seed=0,
+                                bounded=None):
     """Linear monotone operator V(z) = M z + r with M = skew + psd_diag * I.
 
     The Nash equilibrium solves V(z) = 0 and is recorded on the oracle.
@@ -245,10 +247,10 @@ def make_random_linear_monotone(
     half-width (the Nash point may then sit outside; leave unbounded for
     rate experiments that need it).
 
-    The symmetric part of M is exactly ``psd_diag * I`` (the skew part is
-    antisymmetric in floating point too), so the operator is monotone iff
-    ``psd_diag >= 0``; that is checked exactly, with no probe or
-    eigen-decomposition.
+    It is certified by construction, with no spectral check: the symmetric
+    part of M is exactly ``psd_diag * I`` (the skew part is antisymmetric in
+    floating point too), so it is monotone iff ``psd_diag >= 0``; and
+    L = ||M||_2.
     """
     if not psd_diag >= 0:
         raise GameError("psd_diag must be nonnegative for a monotone operator")
@@ -257,24 +259,18 @@ def make_random_linear_monotone(
     B = rng.standard_normal((dim, dim))
     M = skew_scale * (B - B.T) / 2.0 + psd_diag * np.eye(dim)
     r = rng.standard_normal(dim)
-    nash = np.linalg.solve(M, -r)
     if bounded is None:
         sets = [Unconstrained(d) for d in dims]
     else:
         sets = [symmetric_box(bounded, d) for d in dims]
-    L = float(np.linalg.norm(M, 2))
-    game = GameOracle(
+    return GameOracle(
         player_sets=sets,
-        lipschitz_bound=L,
-        gradient_fn=lambda z: M @ z + r,
+        lipschitz_bound=float(np.linalg.norm(M, 2)),
+        affine=(M, r),
         name="random_linear_monotone",
-        nash=nash,
+        nash=np.linalg.solve(M, -r),
         start=np.ones(dim),
-        metadata={"M": M, "r": r},
     )
-    if validate and bounded is not None:
-        game.validate()
-    return game
 
 
 GAME_BUILDERS = {

@@ -27,7 +27,7 @@ import math
 import numbers
 import os
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -52,8 +52,6 @@ from .metrics import (
 )
 
 DEFAULT_SLOPE_T_MIN = 100
-# Full trajectories are kept only while they stay comfortably in memory.
-TRAJECTORY_FLOAT_BUDGET = 20_000_000
 # Rounds per measurement block: at 256 coordinates a block's buffers take
 # about 1 MiB, so the measurement pass reads them from cache.
 BLOCK_ROWS = 128
@@ -78,7 +76,7 @@ class ExperimentConfig:
     stride: int = 1
     out: str = None
     record_potential: bool = False
-    keep_trajectory: bool = None  # None: decide from memory budget
+    keep_trajectory: bool = False
     x1: list = None
     L: float = None
     D: float = None
@@ -88,6 +86,10 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name}: must be an integer, got {value!r}")
+        for name in ("record_potential", "keep_trajectory"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ConfigError(f"{name}: must be true or false, got {value!r}")
         if not isinstance(self.game_params, dict):
             raise ConfigError(f"game_params: must be an object, got {self.game_params!r}")
         if self.T < 2:
@@ -411,8 +413,6 @@ def _self_play(config, game, players, x1):
     track_potential = config.record_potential
 
     keep = config.keep_trajectory
-    if keep is None:
-        keep = (T + 1) * dim * 3 <= TRAJECTORY_FLOAT_BUDGET
     needs_base_grad = track_potential or any(p.needs_base_gradient for p in players)
 
     predict, pull_of = _joint_rule(players, game.player_dims, x1)
@@ -618,13 +618,13 @@ def _cmd_adversarial(args):
     game = make_game(config.game, **config.game_params)
     learner = build_single_learner(config, game)
     adversary = make_adversary(args.adversary, game.player_dims[0], seed=config.seed)
-    result = run_adversarial(learner, adversary, config.T)
-    print(f"T={config.T} regret={result.final_regret:.6g}")
-    if config.out:
-        with open(config.out, "w") as fh:
+    with _output_file(config.out) if config.out else nullcontext() as fh:
+        result = run_adversarial(learner, adversary, config.T)
+        if fh is not None:
             fh.write("t,regret\n")
             for t in sorted(result.regret_at):
                 fh.write(f"{t},{result.regret_at[t]!r}\n")
+    print(f"T={config.T} regret={result.final_regret:.6g}")
     return 0
 
 
@@ -673,6 +673,9 @@ def _cmd_slope(args):
 
     with open(args.trace) as fh:
         reader = csv_lib.DictReader(fh)
+        if args.column not in (reader.fieldnames or ()):
+            raise ConfigError(f"column: unknown {args.column!r}; the trace has "
+                              f"{', '.join(reader.fieldnames or ())}")
         ts, vals = [], []
         for row in reader:
             cell = row.get(args.column, "")

@@ -136,12 +136,12 @@ def test_random_linear_rejects_negative_diagonal():
     for bounded in (None, 1.0):
         with pytest.raises(GameError, match="psd_diag"):
             make_random_linear_monotone((2, 2), psd_diag=-1.0, bounded=bounded)
-    M = make_random_linear_monotone((2, 2), psd_diag=0.25, seed=3).metadata["M"]
+    M = make_random_linear_monotone((2, 2), psd_diag=0.25, seed=3).affine[0]
     assert np.array_equal((M + M.T) / 2.0, 0.25 * np.eye(4))
 
 
 def test_joint_set_is_built_once_per_game():
-    boxes = make_appendix_e_instance(4, validate=False)
+    boxes = make_appendix_e_instance(4)
     joint = boxes.joint_set
     assert isinstance(joint, Box) and joint is boxes.joint_set
     assert np.array_equal(joint.lower, np.full(8, -200.0))
@@ -223,3 +223,84 @@ def test_bounded_random_linear_runs_from_game_start():
 def test_make_game_rejects_unknown_params():
     with pytest.raises(GameError, match="bogus"):
         make_game("bilinear", bogus=1)
+
+
+def assert_exact_certificate(game):
+    M, r = game.affine
+    assert r.shape == (game.dim,)
+    sym_min = np.linalg.eigvalsh((M + M.T) / 2.0)[0]
+    assert sym_min >= -1e-10 * max(1.0, game.lipschitz_bound)
+    assert np.linalg.norm(M, 2) <= game.lipschitz_bound + 1e-8
+    assert game.validate() is game
+    z = game.start
+    assert np.array_equal(game.gradient_fn(z), M @ z + r)
+
+
+@pytest.mark.parametrize("scale", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_bilinear_certificate_is_exact(scale, d):
+    game = make_bilinear_saddle(scale, 1.0, (d, d))
+    assert_exact_certificate(game)
+    assert np.array_equal((game.affine[0] + game.affine[0].T) / 2.0, np.zeros((2 * d, 2 * d)))
+    assert math.isclose(np.linalg.norm(game.affine[0], 2), scale, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 100])
+def test_appendix_e_certificate_is_exact(n):
+    game = make_appendix_e_instance(n)
+    assert_exact_certificate(game)
+    M, r = game.affine
+    A, H, h, b = (game.metadata[k] for k in "AHhb")
+    assert np.array_equal(M, np.block([[H, -A.T], [A, np.zeros((n, n))]]))
+    assert np.array_equal(r, np.concatenate([-h, -b]))
+
+
+@pytest.mark.parametrize("bounded", [None, 0.5])
+def test_random_linear_certificate_is_exact(bounded):
+    game = make_random_linear_monotone((3, 2), psd_diag=0.1, seed=4, bounded=bounded)
+    assert_exact_certificate(game)
+    assert game.lipschitz_bound == np.linalg.norm(game.affine[0], 2)
+
+
+def test_affine_validation_rejects_with_the_failing_value():
+    box = [symmetric_box(1.0, 2)]
+    with pytest.raises(GameError, match=r"not monotone: lambda_min\(\(M \+ M\^T\)/2\) = -1\.0"):
+        GameOracle(box, 1.0, affine=(-np.eye(2), np.zeros(2))).validate()
+    with pytest.raises(GameError, match=r"\|\|M\|\|_2 = 2\.0 > L = 1\.5"):
+        GameOracle(box, 1.5, affine=(2.0 * np.eye(2), np.zeros(2))).validate()
+    with pytest.raises(GameError, match="not both"):
+        GameOracle(box, 1.0, lambda z: z, affine=(np.eye(2), np.zeros(2)))
+
+
+def test_make_game_rejects_validate_key():
+    with pytest.raises(GameError, match="validate"):
+        make_game("bilinear", validate=False)
+
+
+def test_builtin_builds_do_not_sample(monkeypatch):
+    def refuse(self, rng):
+        raise AssertionError("a built-in game build sampled a random probe point")
+
+    monkeypatch.setattr(Box, "sample", refuse)
+    monkeypatch.setattr(Unconstrained, "sample", refuse)
+    make_game("bilinear", dims=(2, 2))
+    make_game("appendix_e", n=10)
+    make_game("appendix_d_toy")
+    make_game("random_linear_monotone", dims=(2, 2))
+    make_game("random_linear_monotone", dims=(2, 2), bounded=1.0)
+
+
+@pytest.mark.parametrize("scale", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_bilinear_gradient_and_best_responses_are_closed_forms(scale, d):
+    game = make_bilinear_saddle(scale, 1.0, (d, d))
+    rng = np.random.default_rng(d)
+    for _ in range(20):
+        z = game.joint_set.sample(rng)
+        x, y = z[:d], z[d:]
+        assert np.array_equal(game.gradient(z), np.concatenate([scale * y, -scale * x]))
+        for player, coeff in ((0, scale * y), (1, -scale * x)):
+            action, value = game.best_response(player, z)
+            want = np.where(coeff < 0, 1.0, -1.0)
+            assert np.array_equal(action, want)
+            assert value == float(want @ coeff)

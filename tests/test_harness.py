@@ -53,6 +53,14 @@ def test_config_requires_core_fields(tmp_path):
         load_config(path)
 
 
+def test_trajectory_is_kept_only_on_request():
+    cfg = ExperimentConfig(game="bilinear", T=20)
+    assert cfg.keep_trajectory is False
+    assert run_self_play(cfg).trajectory is None
+    assert run_self_play(ExperimentConfig(game="bilinear", T=20,
+                                          keep_trajectory=True)).trajectory is not None
+
+
 def test_config_field_validation():
     with pytest.raises(ConfigError, match="T"):
         ExperimentConfig(game="bilinear", T=1)
@@ -369,6 +377,8 @@ def assert_one_error_line(capsys, *needles):
     ({**BILINEAR, "D": -2.0}, "D:"),
     ({**BILINEAR, "L": float("inf")}, "L:"),
     ({**BILINEAR, "eta": float("nan")}, "eta:"),
+    ({**BILINEAR, "keep_trajectory": "false"}, "keep_trajectory:"),
+    ({**BILINEAR, "record_potential": 1}, "record_potential:"),
 ])
 def test_cli_bad_config_values_exit_one(tmp_path, capsys, data, needle):
     assert main(["selfplay", "--config", write_config(tmp_path, **data)]) == 1
@@ -404,3 +414,43 @@ def test_cli_verify_rejects_bad_arguments(capsys, args, needle):
     assert main(["verify", *args]) == 1
     assert_one_error_line(capsys, needle)
 
+
+
+def test_cli_slope_unknown_column_exits_one(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("t,r_tan,gap\n" + "".join(f"{t},{1.0 / t},1.0\n" for t in range(1, 300)))
+    assert main(["slope", "--trace", str(trace), "--column", "r_tna"]) == 1
+    assert_one_error_line(capsys, "'r_tna'", "t, r_tan, gap")
+
+
+ADVERSARIAL = dict(game="appendix_d_toy", algo="aog_adaptive", T=50, L=1.0, D=2.0,
+                   x1=[0.0, 0.0])
+
+
+def test_cli_adversarial_out_is_opened_before_the_run(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("monolearn.harness.run_adversarial",
+                        lambda *a, **k: calls.append(a) or run_adversarial(*a, **k))
+    cfg = write_config(tmp_path, **ADVERSARIAL)
+    out = str(tmp_path / "no_such_dir" / "regret.csv")
+    assert main(["adversarial", "--config", cfg, "--out", out]) == 1
+    assert_one_error_line(capsys, out)
+    assert calls == []
+
+
+def test_cli_adversarial_failed_run_keeps_earlier_csv(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, **ADVERSARIAL)
+    out = tmp_path / "regret.csv"
+    assert main(["adversarial", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("T=50 regret=")
+    earlier = out.read_bytes()
+    assert earlier.startswith(b"t,regret\n")
+
+    def fail(*args, **kwargs):
+        raise HarnessError("round 3: adversary produced a non-finite gradient")
+
+    monkeypatch.setattr("monolearn.harness.run_adversarial", fail)
+    assert main(["adversarial", "--config", cfg, "--out", str(out)]) == 1
+    assert_one_error_line(capsys, "round 3")
+    assert out.read_bytes() == earlier
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "regret.csv"]
