@@ -7,16 +7,18 @@ gradient variation) are accumulated every round even when only strided
 snapshots are written, so recorded rows are exact.
 
 Players are built and validated through ``make_learner``, one per player.
-A run then has two parts. The dynamics loop advances one joint state: each
-round applies the learners' update rule x+ = P(x - eta * g + w_t * (x1 - x))
-once to the joint vector, on the joint set of the game (one ``Box`` when
-every player has a box), and writes the round's points and gradients into a
-block of ``BLOCK_ROWS`` rows. After each block, the measurement pass
-computes every column of the block's rounds with whole-block array
-operations on the joint vectors, per player where a column is per player.
-Validation happens at the boundary: the config (also after CLI overrides)
-and every gradient the oracle returns, checked for size and finiteness. The
-geometry cores the run calls do not re-check.
+Every iterate comes from the one round loop, :func:`learners.dynamics`,
+which this module runs in two ways. Self-play feeds it the oracle's joint
+gradient and writes each round's points and gradients into a block
+of ``BLOCK_ROWS`` rows. After each block, the measurement pass computes
+every column of the block's rounds with whole-block array operations on
+the joint vectors, per player where a column is per player. The
+adversarial runner drives the same loop with one player through
+:func:`learners.play` and takes the external regret of every recorded
+round from the same row formulas, in one pass after the run. Validation
+happens at the boundary: the config (also after CLI overrides) and every
+gradient the oracle or adversary returns, checked for size and
+finiteness. The geometry cores the run calls do not re-check.
 """
 
 from __future__ import annotations
@@ -29,13 +31,14 @@ import os
 import sys
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
 from . import verify as verify_mod
 from .games import GameOracle, make_game
 from .geometry import row_norms
-from .learners import LearnerError, adapted_step_size, anchor_pull, make_learner, play, step
+from .learners import dynamics, make_learner, play
 from .metrics import (
     RunRecord,
     Trajectory,
@@ -43,10 +46,11 @@ from .metrics import (
     best_response_gaps,
     csv_header,
     csv_row,
+    external_regrets,
     gradient_variation,
     linearized_gaps,
     normal_element,
-    player_dots,
+    regret_rows,
     regret_terms,
     running_sums,
 )
@@ -147,9 +151,7 @@ class RunResult:
 
 
 def _recorded_rounds(T, stride):
-    rounds = set(range(1, T + 1, stride))
-    rounds.add(T)
-    return rounds
+    return set(range(1, T + 1, stride)) | {T}
 
 
 def _build_learners(config, game):
@@ -174,53 +176,6 @@ def _build_learners(config, game):
         )
     x1 = np.concatenate([p.x1 for p in out])
     return out, tags, x1
-
-
-def _joint_rule(players, dims, x1):
-    """Lay the players' update rule out over the joint vector.
-
-    Returns ``predict(g_prev, g_base)``, the half-step predictor (None when
-    every player plays its base iterate), and ``pull(x, t)``, the anchor term
-    of round t (None when no player is anchored). Both follow each player's
-    (predictor, anchor) from ``learners.RULES``, coordinate by coordinate.
-    """
-    preds = {p.predictor for p in players}
-    anchors = {p.anchor for p in players}
-
-    def mask(test):
-        return np.repeat([bool(test(p)) for p in players], dims)
-
-    if preds == {"none"}:
-        predict = lambda g_prev, g_base: None
-    elif preds == {"last"}:
-        predict = lambda g_prev, g_base: g_prev
-    elif preds == {"base"}:
-        predict = lambda g_prev, g_base: g_base
-    else:
-        use_base = mask(lambda p: p.predictor == "base")
-        use_none = mask(lambda p: p.predictor == "none")
-
-        def predict(g_prev, g_base):
-            g_hat = g_prev if g_base is None else np.where(use_base, g_base, g_prev)
-            return np.where(use_none, 0.0, g_hat)
-
-    if anchors == {None}:
-        pull = lambda x, t: None
-    elif anchors == {"weight"}:
-        pull = lambda x, t: anchor_pull(x1, x, weight=1.0 / (t + 1.0))
-    elif anchors == {"divide"}:
-        pull = lambda x, t: anchor_pull(x1, x, divisor=t + 1.0)
-    else:
-        # weight 1/(t+1) on "weight" coordinates, 1 on "divide" ones, 0 on
-        # the rest; divisor t+1 on "divide" coordinates and 1 elsewhere.
-        weighted = mask(lambda p: p.anchor == "weight").astype(float)
-        divided = mask(lambda p: p.anchor == "divide").astype(float)
-
-        def pull(x, t):
-            return anchor_pull(x1, x, weighted * (1.0 / (t + 1.0)) + divided,
-                               1.0 + divided * t)
-
-    return predict, pull
 
 
 def _oracle_gradient(game, dim, z, t, point):
@@ -292,8 +247,7 @@ class _BlockMeasure:
             gx, lows = regret_terms(self.joint, half, grad, slices)
             sum_gx = running_sums(self.sum_gx, gx)
             sum_g = running_sums(self.sum_g, grad)
-            x_min, _ = self.joint._support_min(sum_g[rec])
-            extreg = (sum_gx[rec] - player_dots(x_min, sum_g[rec], slices)).tolist()
+            extreg = external_regrets(self.joint, sum_gx[rec], sum_g[rec], slices).tolist()
             gap = np.maximum(gx[rec].sum(axis=1) - lows[rec].sum(axis=1), 0.0).tolist()
             regret_incs = linearized_gaps(gx, lows)
             self.sum_gx, self.sum_g = sum_gx[-1], sum_g[-1]
@@ -401,29 +355,18 @@ def _output_file(path):
 
 
 def _self_play(config, game, players, x1):
-    """The dynamics loop. It advances one joint state: the iterate, the
-    previous gradient, a per-coordinate step size, and each player's
-    predictor, anchor and adaptive latch. Each round writes x_t, x_{t+1/2}
-    and V(x_{t+1/2}) (and V(x_t) for the potential) into the rows of a block;
-    a full block goes to the measurement pass. With a kept trajectory the
-    blocks are views of it, so it is filled in place."""
-    slices = game.slices()
+    """Self-play through :func:`learners.dynamics`: the oracle gives
+    the joint gradients, and each step's x_t, x_{t+1/2} and V(x_{t+1/2})
+    (and V(x_t) for the potential) go into the rows of a block; a full block
+    goes to the measurement pass. With a kept trajectory the blocks are
+    views of it, so it is filled in place."""
     dim, T = game.dim, config.T
-    joint = game.joint_set
     track_potential = config.record_potential
-
     keep = config.keep_trajectory
-    needs_base_grad = track_potential or any(p.needs_base_gradient for p in players)
-
-    predict, pull_of = _joint_rule(players, game.player_dims, x1)
-    etas = [p.eta for p in players]
-    eta = np.repeat(etas, game.player_dims)
-    adaptive = [i for i, p in enumerate(players) if p.threshold is not None]
-    latched = [p.adaptive for p in players]
-    s_var, s_zero = [0.0] * game.num_players, [0.0] * game.num_players
-    x = x1
-    g_prev = np.zeros(dim)
-    g_base = None
+    steps = dynamics(players, game.joint_set, x1, partial(_oracle_gradient, game, dim),
+                     base_gradient=track_potential)
+    etas = tuple(p.eta for p in players)
+    adaptive = any(p.threshold is not None for p in players)
 
     rows = min(BLOCK_ROWS, T)
     trajectory = Trajectory.allocate(T, dim) if keep else None
@@ -441,39 +384,26 @@ def _self_play(config, game, players, x1):
             grad_rows = trajectory.grad_half[t0:t0 + n]
         else:
             base_rows, half_rows, grad_rows = block_base[:n], block_half[:n], block_grad[:n]
-        for k in range(n):
-            t = t0 + k
-            if needs_base_grad:
-                g_base = _oracle_gradient(game, dim, x, t, "base point")
-                if track_potential:
-                    base_grads[k] = g_base
-            pull = pull_of(x, t)
-            g_hat = predict(g_prev, g_base)
-            half = x if g_hat is None else step(joint, x, eta, g_hat, pull)
-            g_half = _oracle_gradient(game, dim, half, t, "played point")
-            x_next = step(joint, x, eta, g_half, pull)
+        # range first: zip stops before it asks the loop for a step too many
+        for k, (x, half, g_half, g_base, x_next, etas_next) in zip(range(n), steps):
             base_rows[k] = x
             half_rows[k] = half
             grad_rows[k] = g_half
+            if track_potential:
+                base_grads[k] = g_base
             if adaptive:
                 block_etas[k] = etas
-                inc = gradient_variation(g_half, g_prev, slices) if t >= 2 else s_zero
-                for i in adaptive:
-                    s_var[i] += inc[i]
-                    etas[i], latched[i] = adapted_step_size(
-                        etas[i], s_var[i], players[i].threshold, latched[i])
-                    eta[slices[i]] = etas[i]
-            x, g_prev = x_next, g_half
+            etas = etas_next
         measure(t0, base_rows, half_rows, grad_rows, block_etas[:n],
                 base_grads[:n] if track_potential else None)
 
     if keep:
-        trajectory.base[T + 1] = x
+        trajectory.base[T + 1] = x_next
     return RunResult(
         config=config,
         game=game,
         records=measure.records,
-        eta=etas,
+        eta=list(etas),
         trajectory=trajectory,
         certificates=measure.certs,
     )
@@ -498,8 +428,8 @@ def make_adversary(name, dim, seed=0):
 
 @dataclass
 class AdversarialResult:
-    plays: list
-    grads: list
+    plays: np.ndarray  # (T, dim): the action of round t in row t - 1
+    grads: np.ndarray  # (T, dim): its gradient
     regret_at: dict  # recorded round -> external regret of the play prefix
 
     @property
@@ -508,10 +438,11 @@ class AdversarialResult:
 
 
 def run_adversarial(learner, adversary, T, record_at=None):
-    """Single-agent loop over :func:`learners.play`: every played action is
+    """Single-agent run over :func:`learners.play`: every played action is
     charged, both phase points of eg/eag included. ``record_at`` lists rounds
-    at which the running external regret is snapshotted (the final round is
-    always included); the regret needs a bounded action set.
+    at which the external regret of the play so far is recorded (the final
+    round is always included); the regret needs a bounded action set. Each
+    gradient is checked for finiteness before the learner uses it.
     """
     if T < 1:
         raise ConfigError("T: need at least one round")
@@ -519,21 +450,21 @@ def run_adversarial(learner, adversary, T, record_at=None):
     if not fset.is_bounded:
         raise ConfigError("adversarial runs need a bounded action set: the "
                           "external-regret comparator is unbounded")
-    record_at = set(record_at or ()) | {T}
-    plays, grads = [], []
-    sum_g = np.zeros(fset.dim)
-    sum_gx = 0.0
-    regret_at = {}
-    for t, action, g in play(learner, adversary, T):
+
+    def checked(t, action):
+        g = np.asarray(adversary(t, action), dtype=float)
         if not np.all(np.isfinite(g)):
             raise HarnessError(f"round {t}: adversary produced a non-finite gradient")
-        plays.append(action)
-        grads.append(g)
-        sum_g += g
-        sum_gx += float(g @ action)
-        if t in record_at:
-            regret_at[t] = sum_gx - fset.support_min(sum_g)[1]
-    return AdversarialResult(plays=plays, grads=grads, regret_at=regret_at)
+        return g
+
+    plays, grads = np.empty((2, T, fset.dim))
+    for t, action, g in play(learner, checked, T):
+        plays[t - 1], grads[t - 1] = action, g
+    wanted = set(record_at or ()) | {T}
+    rounds = [t for t in range(1, T + 1) if t in wanted]
+    regrets = regret_rows(plays, grads, fset, np.subtract(rounds, 1))
+    return AdversarialResult(plays=plays, grads=grads,
+                             regret_at=dict(zip(rounds, regrets.tolist())))
 
 
 # -- slope fitting --------------------------------------------------------
@@ -678,8 +609,8 @@ def _cmd_slope(args):
                               f"{', '.join(reader.fieldnames or ())}")
         ts, vals = [], []
         for row in reader:
-            cell = row.get(args.column, "")
-            if cell == "":
+            cell = row.get(args.column)
+            if cell is None or cell == "":  # a short row has None cells
                 continue
             ts.append(float(row["t"]))
             vals.append(float(cell))
@@ -736,7 +667,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, HarnessError, LearnerError) as exc:
+    except (ValueError, OSError, HarnessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

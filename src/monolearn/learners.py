@@ -1,16 +1,14 @@
-"""Online learning dynamics behind a propose / feedback / update interface.
+"""Online learning dynamics: one update rule and one round loop.
 
-Each learner keeps its own iterate state and interacts with the world one
-round at a time: ``propose()`` returns the action played this round,
-``update(g)`` consumes the gradient observed at that action. The
-extragradient-style learners (``eg``, ``eag``) additionally observe the
-gradient at their base iterate through ``observe_base()`` before proposing;
-:func:`play` drives any learner online and plays both of their phase points.
-
-All six algorithms are one :class:`Learner` with one update rule
-(:func:`step`, :func:`anchor_pull`, :func:`adapted_step_size`); the tag
-picks the predictor and anchor from :data:`RULES`. The self-play round loop
-applies the same functions to the joint vector of all players.
+All six algorithms are one :class:`Learner`, a per-player rule with no run
+state; the tag picks the predictor and anchor from :data:`RULES`, and every
+step is :func:`step` with :func:`anchor_pull` and the latch of
+:func:`adapted_step_size`. :func:`dynamics` is the one round loop: it runs
+the rules of several players on their joint vector, and every iterate in
+the package comes from it. The self-play runner (``harness``) feeds it the
+game oracle's gradients, and :func:`play` runs a single learner through it
+online against a gradient source, with the extragradient-style learners
+(``eg``, ``eag``) charging both phase points.
 
 Tags: ``gd``, ``og``, ``eg``, ``eag``, ``aog``, ``aog_adaptive``.
 """
@@ -21,16 +19,13 @@ import math
 
 import numpy as np
 
+from .games import player_slices
 from .geometry import FeasibleSet, GeometryError, _as_vector
 from .metrics import gradient_variation
 
 # Step-size adaptation switches to 1/sqrt(1+S) once the accumulated
 # second-order gradient variation S exceeds ADAPTATION_FACTOR * D^2 * L^2.
 ADAPTATION_FACTOR = 4500.0 * math.pi
-
-
-class LearnerError(RuntimeError):
-    pass
 
 
 # -- the update rule ---------------------------------------------------------
@@ -91,14 +86,14 @@ def adapted_step_size(eta, S, threshold, latched):
 
 
 class Learner:
-    """One learner of any tag: anchor x1, base iterate x, previous gradient,
-    round t, and the (predictor, anchor) pair that ``RULES`` gives its tag.
+    """One player's rule, with no run state: the tag, the (predictor, anchor)
+    pair that ``RULES`` gives it, the action set, the validated start x1, the
+    step size eta and, for ``aog_adaptive``, the latch threshold.
 
-    With a ``threshold`` the step size is latched-adaptive (``aog_adaptive``):
-    it stays fixed while the second-order gradient variation S is at most
-    the threshold, and is 1/sqrt(1+S) from the first round S exceeds it on.
-    The first anchored proposal equals x1 exactly: the initial gradient
-    estimate is zero and the anchor displacement vanishes at t = 1.
+    With a ``threshold`` the step size is latched-adaptive: it stays eta
+    while the second-order gradient variation S is at most the threshold,
+    and is 1/sqrt(1+S) from the first round S exceeds it on. Every run of a
+    learner, through :func:`dynamics`, starts at x1.
     """
 
     def __init__(self, tag, feasible_set: FeasibleSet, x1, eta, threshold=None):
@@ -110,68 +105,14 @@ class Learner:
         if not feasible_set.contains(x1):
             raise GeometryError("initial point is infeasible")
         self.x1 = feasible_set.project(x1)
-        self.x = self.x1.copy()
-        self.x_half = None
-        self.g_prev = np.zeros(feasible_set.dim)
-        self.t = 1
         if not (eta > 0):
             raise ValueError("step size must be positive")
         self.eta = float(eta)
-        self.S = 0.0
         self.threshold = threshold
-        self.adaptive = False
-        self._g_base = None
-        self._proposed = False
-
-    # -- round protocol -----------------------------------------------------
-    def observe_base(self, g):
-        """Consume the gradient at the base iterate x (eg/eag only)."""
-        self._g_base = _as_vector(g, self.set.dim)
-
-    def propose(self):
-        """Action x_{t+1/2} played this round (always feasible)."""
-        if self._proposed:
-            raise LearnerError("propose called twice in one round")
-        if self.predictor == "none":
-            self.x_half = self.x.copy()
-        else:
-            g_hat = self.g_prev if self.predictor == "last" else self._require_base()
-            self.x_half = step(self.set, self.x, self.eta, g_hat, self._pull())
-        self._proposed = True
-        return self.x_half.copy()
-
-    def update(self, g):
-        """Consume the gradient observed at the played action."""
-        if not self._proposed:
-            raise LearnerError("update called before propose")
-        g = _as_vector(g, self.set.dim)
-        x_next = step(self.set, self.x, self.eta, g, self._pull())
-        if self.t >= 2:
-            self.S += float(gradient_variation(g, self.g_prev))
-        if self.threshold is not None:
-            self.eta, self.adaptive = adapted_step_size(
-                self.eta, self.S, self.threshold, self.adaptive)
-        self.x = x_next
-        self.g_prev = g
-        self.t += 1
-        self._g_base = None
-        self._proposed = False
-
-    def _require_base(self):
-        if self._g_base is None:
-            raise LearnerError(f"{self.tag} needs observe_base before propose")
-        return self._g_base
-
-    def _pull(self):
-        if self.anchor == "weight":
-            return anchor_pull(self.x1, self.x, weight=1.0 / (self.t + 1.0))
-        if self.anchor == "divide":
-            return anchor_pull(self.x1, self.x, divisor=self.t + 1.0)
-        return None
 
 
-# The benchmark's outside-in tracer looks this name up; it folds the doubly
-# wrapped ``update`` into one span, so the alias changes no count.
+# The benchmark's outside-in tracer looks this name up; a Learner has no
+# per-round method, so the tracer wraps nothing on it.
 _TwoPhase = Learner
 
 
@@ -204,27 +145,128 @@ def make_learner(tag, feasible_set, x1, eta=None, L=None, D=None):
     return Learner(tag, feasible_set, x1, eta, threshold)
 
 
+# -- the round loop ------------------------------------------------------------
+
+
+def _joint_rule(players, dims, x1):
+    """Lay the players' update rule out over the joint vector.
+
+    Returns ``predict(g_prev, g_base)``, the half-step predictor (None when
+    every player plays its base iterate), and ``pull(x, t)``, the anchor term
+    of round t (None when no player is anchored). Both follow each player's
+    (predictor, anchor) from ``RULES``, coordinate by coordinate.
+    """
+    preds = {p.predictor for p in players}
+    anchors = {p.anchor for p in players}
+
+    def mask(test):
+        return np.repeat([bool(test(p)) for p in players], dims)
+
+    if preds == {"none"}:
+        predict = lambda g_prev, g_base: None
+    elif preds == {"last"}:
+        predict = lambda g_prev, g_base: g_prev
+    elif preds == {"base"}:
+        predict = lambda g_prev, g_base: g_base
+    else:
+        use_base = mask(lambda p: p.predictor == "base")
+        use_none = mask(lambda p: p.predictor == "none")
+
+        def predict(g_prev, g_base):
+            g_hat = g_prev if g_base is None else np.where(use_base, g_base, g_prev)
+            return np.where(use_none, 0.0, g_hat)
+
+    if anchors == {None}:
+        pull = lambda x, t: None
+    elif anchors == {"weight"}:
+        pull = lambda x, t: anchor_pull(x1, x, weight=1.0 / (t + 1.0))
+    elif anchors == {"divide"}:
+        pull = lambda x, t: anchor_pull(x1, x, divisor=t + 1.0)
+    else:
+        # weight 1/(t+1) on "weight" coordinates, 1 on "divide" ones, 0 on
+        # the rest; divisor t+1 on "divide" coordinates and 1 elsewhere.
+        weighted = mask(lambda p: p.anchor == "weight").astype(float)
+        divided = mask(lambda p: p.anchor == "divide").astype(float)
+
+        def pull(x, t):
+            return anchor_pull(x1, x, weighted * (1.0 / (t + 1.0)) + divided,
+                               1.0 + divided * t)
+
+    return predict, pull
+
+
+def dynamics(players, feasible_set, x1, gradient, base_gradient=False):
+    """The round loop: every iterate of a run, self-play or online, comes
+    from this generator.
+
+    It advances the players' joint state from x1, their start points
+    concatenated, on ``feasible_set``, the joint set. Step t asks
+    ``gradient(z, t, point)`` for the joint gradient at the "base point" x_t
+    (when a player's predictor needs it, or with ``base_gradient``) and at
+    the "played point" x_{t+1/2}, and yields the tuple
+
+        x_t, x_{t+1/2}, V(x_{t+1/2}), V(x_t) or None, x_{t+1}, etas
+
+    where ``etas`` are the players' step sizes for step t+1. Yielded arrays
+    are never written to afterwards. A "last" predictor's first half step is
+    x1 exactly: its gradient estimate starts at zero, and the anchor
+    displacement vanishes at t = 1.
+    """
+    dims = [p.set.dim for p in players]
+    slices = list(player_slices(dims))
+    predict, pull_of = _joint_rule(players, dims, x1)
+    needs_base = base_gradient or any(p.needs_base_gradient for p in players)
+    etas = [p.eta for p in players]
+    eta = np.repeat(etas, dims)
+    adaptive = [i for i, p in enumerate(players) if p.threshold is not None]
+    latched, s_var, s_zero = [False] * len(players), [0.0] * len(players), [0.0] * len(players)
+    x, g_prev, g_base = x1, np.zeros(x1.size), None
+    t = 0
+    while True:
+        t += 1
+        if needs_base:
+            g_base = gradient(x, t, "base point")
+        pull = pull_of(x, t)
+        g_hat = predict(g_prev, g_base)
+        half = x if g_hat is None else step(feasible_set, x, eta, g_hat, pull)
+        g_half = gradient(half, t, "played point")
+        x_next = step(feasible_set, x, eta, g_half, pull)
+        if adaptive:
+            inc = gradient_variation(g_half, g_prev, slices) if t >= 2 else s_zero
+            for i in adaptive:
+                s_var[i] += inc[i]
+                etas[i], latched[i] = adapted_step_size(
+                    etas[i], s_var[i], players[i].threshold, latched[i])
+                eta[slices[i]] = etas[i]
+        yield x, half, g_half, g_base, x_next, tuple(etas)
+        x, g_prev = x_next, g_half
+
+
 def play(learner, gradient_source, rounds):
     """Drive a learner online for ``rounds`` rounds, yielding (t, action, g).
 
-    ``gradient_source(t, action)`` maps each played action to its gradient;
-    rounds count from 1. An eg/eag learner plays both phase points, each
-    charged as one round: its base iterate, whose gradient it observes, and
-    then its probe point. The caller sees each gradient before the learner
-    does, so it can reject one.
+    This is :func:`dynamics` with one player and ``gradient_source(t,
+    action)`` in place of the oracle; rounds count from 1. An eg/eag learner
+    plays both phase points, each charged as one round: its base iterate,
+    whose gradient it predicts with, and then its probe point. With an odd
+    ``rounds`` its run ends after a base iterate. Each gradient is checked
+    for size and finiteness before the learner uses it; a source that
+    raises stops the run before its gradient is used.
     """
-    t = 0
-    while t < rounds:
+    dim, t, charged = learner.set.dim, 0, []
+
+    def gradient(point, _step, _point):
+        nonlocal t
+        if t == rounds:  # an odd horizon's last probe point: never played
+            return np.zeros(dim)
         t += 1
-        if learner.needs_base_gradient:
-            base = learner.x.copy()
-            g = np.asarray(gradient_source(t, base), dtype=float)
-            yield t, base, g
-            if t >= rounds:
-                return
-            learner.observe_base(g)
-            t += 1
-        action = learner.propose()
-        g = np.asarray(gradient_source(t, action), dtype=float)
-        yield t, action, g
-        learner.update(g)
+        action = point.copy()
+        g = _as_vector(gradient_source(t, action), dim)
+        charged.append((t, action, g))
+        return g
+
+    steps = dynamics([learner], learner.set, learner.x1, gradient)
+    while t < rounds:
+        next(steps)
+        yield from charged
+        charged.clear()

@@ -2,15 +2,15 @@
 
 Functions here are pure over stored trajectories. Each per-round formula
 (per-player dot products, gradient variation, linearized and exact
-best-response gaps, c_t and P_t) takes rows over a leading axis, and
-:func:`running_sums` turns per-round increments into cumulative columns in
-round order. The experiment runner measures blocks of rounds with the same
-functions, so a column has one formula whichever path computes it.
+best-response gaps, external regret from running sums, c_t and P_t) takes
+rows over a leading axis, and :func:`running_sums` turns per-round
+increments into cumulative columns in round order. The experiment runner
+measures blocks of rounds, and the adversarial runner whole runs, with the
+same functions, so a column has one formula whichever path computes it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,32 +125,40 @@ def measure_equilibrium(game: GameOracle, profile):
     return EquilibriumMeasures(r_tan=r_tan, gap=gap, tgap_exact=tgap)
 
 
+def external_regrets(feasible_set, sum_gx, sum_g, slices=None):
+    """External regret against the best fixed comparator, from the running
+    sums of <g, x> and of g: sum_gx - min over the set of <sum_g, x>, row by
+    row. With ``slices``, per player, each against its own factor of the
+    set; with None, one learner over the whole vector."""
+    x_min, low = feasible_set._support_min(sum_g)
+    return sum_gx - (low if slices is None else player_dots(x_min, sum_g, slices))
+
+
 def external_regret(plays, grads, feasible_set):
     """Linearized external regret of a played sequence against the best fixed
     comparator: max over x of sum_t <g_t, x_t - x>, in closed form."""
     if not feasible_set.is_bounded:
         raise GeometryError("external regret comparator needs a bounded set")
-    plays = [_as_vector(p, feasible_set.dim) for p in plays]
-    grads = [_as_vector(g, feasible_set.dim) for g in grads]
     if len(plays) != len(grads):
         raise MetricError("plays and gradients must align")
-    g_sum = np.zeros(feasible_set.dim)
-    realized = 0.0
-    for p, g in zip(plays, grads):
-        g_sum += g
-        realized += float(g @ p)
-    _, comparator_value = feasible_set.support_min(g_sum)
-    return realized - comparator_value
+    if not len(plays):
+        return 0.0
+    dim = feasible_set.dim
+    plays, grads = (_as_vector(v, len(v) * dim).reshape(-1, dim) for v in (plays, grads))
+    return float(regret_rows(plays, grads, feasible_set, -1))
+
+
+def regret_rows(plays, grads, feasible_set, rows):
+    """External regret of the play up to each of ``rows`` (0-based round
+    indices, one or an array) of the (T, dim) arrays ``plays`` and ``grads``."""
+    sum_gx = running_sums(0.0, np.vecdot(grads, plays))[rows]
+    return external_regrets(feasible_set, sum_gx, running_sums(0.0, grads)[rows])
 
 
 @dataclass
 class DynamicRegretResult:
     per_round: np.ndarray  # shape (T, N) nonnegative gap terms
     exact: bool
-
-    @property
-    def cumulative(self):
-        return np.cumsum(self.per_round, axis=0)
 
     @property
     def totals(self):

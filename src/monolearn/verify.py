@@ -7,7 +7,6 @@ adversary that forces linear regret on the anchored extragradient learner.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,7 +191,7 @@ def alternating_adversary(t, action):
     return np.array([1.0 if t % 2 == 1 else 0.0])
 
 
-def run_eag_adversary(T, eta, check_iterates=True):
+def run_eag_adversary(T, eta):
     """Replay the linear-regret construction against the online anchored
     extragradient learner and return (regret, play trace).
 
@@ -205,12 +204,10 @@ def run_eag_adversary(T, eta, check_iterates=True):
     box = symmetric_box(1.0, 1)
     learner = learners.make_learner("eag", box, np.zeros(1), eta=eta)
     played = [(action, g) for _, action, g in learners.play(learner, alternating_adversary, T)]
-    if check_iterates:
-        clamped = max(-eta, -1.0)
-        for idx, (action, _g) in enumerate(played):
-            t = idx + 1
-            want = 0.0 if t % 2 == 1 else clamped
-            if abs(float(action[0]) - want) > 1e-12:
-                raise VerifyError(f"unexpected iterate at round {t}")
+    clamped = max(-eta, -1.0)
+    for t, (action, _g) in enumerate(played, start=1):
+        want = 0.0 if t % 2 == 1 else clamped
+        if abs(float(action[0]) - want) > 1e-12:
+            raise VerifyError(f"unexpected iterate at round {t}")
     regret = external_regret(*zip(*played), box)
     return regret, played

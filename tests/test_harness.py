@@ -1,5 +1,4 @@
 import json
-import math
 import os
 from pathlib import Path
 
@@ -19,7 +18,7 @@ from monolearn.harness import (
     run_self_play,
 )
 from monolearn.games import GameOracle, make_game
-from monolearn.learners import make_learner
+from monolearn.learners import make_learner, play
 from monolearn.geometry import symmetric_box
 
 
@@ -202,6 +201,25 @@ def test_random_adversary_recorded_prefixes():
                           record_at=[10, 50])
     assert set(res.regret_at) == {10, 50, 100}
     assert len(res.plays) == 100
+
+
+@pytest.mark.parametrize("tag", ["aog_adaptive", "eag"])
+def test_recorded_regrets_equal_a_per_round_accumulator(tag):
+    learner = make_learner(tag, symmetric_box(1.0, 2), np.array([0.5, -0.5]), eta=0.3,
+                           L=1.0, D=2.0)
+    T = 2 * 128 + 5
+    res = run_adversarial(learner, make_adversary("random_box", 2, seed=4), T,
+                          record_at=range(3, T, 7))
+    played = list(play(learner, make_adversary("random_box", 2, seed=4), T))
+    assert np.array_equal(res.plays, [a for _, a, _ in played])
+    assert np.array_equal(res.grads, [g for _, _, g in played])
+    sum_g, sum_gx, want = np.zeros(2), 0.0, {}
+    for t, action, g in played:
+        sum_g += g
+        sum_gx += float(g @ action)
+        if t % 7 == 3 or t == T:
+            want[t] = sum_gx - learner.set.support_min(sum_g)[1]
+    assert res.regret_at == want
 
 
 def test_adversary_non_finite_gradient_aborts():
@@ -421,6 +439,18 @@ def test_cli_slope_unknown_column_exits_one(tmp_path, capsys):
     trace.write_text("t,r_tan,gap\n" + "".join(f"{t},{1.0 / t},1.0\n" for t in range(1, 300)))
     assert main(["slope", "--trace", str(trace), "--column", "r_tna"]) == 1
     assert_one_error_line(capsys, "'r_tna'", "t, r_tan, gap")
+
+
+def test_cli_slope_skips_the_missing_cells_of_a_short_row(tmp_path, capsys):
+    # csv.DictReader fills the cells missing from a short row with None
+    trace = tmp_path / "trace.csv"
+    trace.write_text("t,r_tan,gap\n1,1.0,2\n2,0.5\n")
+    assert main(["slope", "--trace", str(trace), "--column", "gap", "--t-min", "1"]) == 1
+    assert_one_error_line(capsys, "fewer than 10 usable rows")
+    trace.write_text("t,r_tan,gap\n" + "".join(f"{t},1.0,{2.0 / t}\n" for t in range(1, 30))
+                     + "30,0.5\n")
+    assert main(["slope", "--trace", str(trace), "--column", "gap", "--t-min", "1"]) == 0
+    assert capsys.readouterr().out.startswith("slope=-1.0000 ")
 
 
 ADVERSARIAL = dict(game="appendix_d_toy", algo="aog_adaptive", T=50, L=1.0, D=2.0,

@@ -1,18 +1,23 @@
-"""The joint-state self-play round against a per-player reference loop.
+"""The joint round loop against a per-player reference loop.
 
-``reference_self_play`` drives one learner object per player through the
-propose / observe_base / update protocol and measures every round per
-player, on the product of the players' sets. ``run_self_play`` must
-reproduce its iterates bit for bit and its recorded rows to 1e-12.
+``RefPlayer`` is one player's rule written out on its own state, from the
+shared update-rule functions (``RULES``, ``step``, ``anchor_pull``,
+``adapted_step_size``) and nothing of the round loop. ``reference_self_play``
+steps one per player and measures every round per player, on the product of
+the players' sets; ``run_self_play`` must reproduce its iterates bit for bit
+and its recorded rows to 1e-12. ``reference_play`` charges one learner's
+phase points as online rounds, as ``learners.play`` must.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monolearn.games import make_game
-from monolearn.geometry import ProductSet
+from monolearn.geometry import Box, ProductSet
 from monolearn.harness import (
     BLOCK_ROWS,
     ExperimentConfig,
@@ -21,43 +26,83 @@ from monolearn.harness import (
     _recorded_rounds,
     run_self_play,
 )
-from monolearn.learners import ADAPTATION_FACTOR
+from monolearn.learners import (
+    ADAPTATION_FACTOR,
+    RULES,
+    adapted_step_size,
+    anchor_pull,
+    make_learner,
+    play,
+    step,
+)
 
 ROW_FIELDS = ("r_tan", "gap", "tgap_exact", "potential", "dist_half", "dist_anchor")
 TUPLE_FIELDS = ("eta", "S", "extreg", "dynreg")
+TAGS = sorted(RULES)
+
+
+class RefPlayer:
+    """One player's iterate x, previous gradient, round t, variation S and
+    latch, stepped on the player's own set."""
+
+    def __init__(self, learner):
+        self.rule = learner
+        self.predictor, self.anchor = RULES[learner.tag]
+        self.x = learner.x1.copy()
+        self.g_prev = np.zeros(learner.set.dim)
+        self.t, self.S, self.eta, self.latched = 1, 0.0, learner.eta, False
+
+    def pull(self):
+        if self.anchor == "weight":
+            return anchor_pull(self.rule.x1, self.x, weight=1.0 / (self.t + 1.0))
+        if self.anchor == "divide":
+            return anchor_pull(self.rule.x1, self.x, divisor=self.t + 1.0)
+        return None
+
+    def propose(self, g_base=None):
+        if self.predictor == "none":
+            return self.x.copy()
+        g_hat = self.g_prev if self.predictor == "last" else g_base
+        return step(self.rule.set, self.x, self.eta, g_hat, self.pull())
+
+    def update(self, g):
+        x_next = step(self.rule.set, self.x, self.eta, g, self.pull())
+        if self.t >= 2:
+            d = g - self.g_prev
+            self.S += float(d @ d)
+        if self.rule.threshold is not None:
+            self.eta, self.latched = adapted_step_size(
+                self.eta, self.S, self.rule.threshold, self.latched)
+        self.x, self.g_prev, self.t = x_next, g, self.t + 1
 
 
 def reference_self_play(config):
     """Per-player self-play loop: (rows, bases, halves, grads, final etas)."""
     game = make_game(config.game, **config.game_params)
-    players, _, x1 = _build_learners(config, game)
+    learners, _, x1 = _build_learners(config, game)
+    players = [RefPlayer(p) for p in learners]
     slices = game.slices()
     N = game.num_players
     joint = ProductSet(tuple(game.player_sets))
     bounded = joint.is_bounded
     exact = game.has_best_response and game.losses is not None
-    needs_base = config.record_potential or any(p.needs_base_gradient for p in players)
+    needs_base = config.record_potential or any(p.predictor == "base" for p in players)
     eta = players[0].eta
     recorded = _recorded_rounds(config.T, config.stride)
 
     sum_g = [np.zeros(s.dim) for s in game.player_sets]
-    sum_gx, dynreg, s_var = [0.0] * N, [0.0] * N, [0.0] * N
+    sum_gx, dynreg = [0.0] * N, [0.0] * N
     rows, bases, halves, grads = [], [], [], []
     prev_base = prev_g = None
     for t in range(1, config.T + 1):
         base = np.concatenate([p.x for p in players])
         g_base = game.gradient_fn(base) if needs_base else None
-        for p, s in zip(players, slices):
-            if p.needs_base_gradient:
-                p.observe_base(g_base[s])
         etas = tuple(p.eta for p in players)
-        half = np.concatenate([p.propose() for p in players])
+        half = np.concatenate([p.propose(None if g_base is None else g_base[s])
+                               for p, s in zip(players, slices)])
         g_half = game.gradient_fn(half)
         for i, (p, s) in enumerate(zip(players, slices)):
             gi = g_half[s]
-            if t >= 2:
-                d = gi - prev_g[s]
-                s_var[i] += float(d @ d)
             sum_g[i] += gi
             sum_gx[i] += float(gi @ half[s])
             if exact:
@@ -81,7 +126,7 @@ def reference_self_play(config):
                                for i in range(N)) if exact else None,
                 potential=pot,
                 eta=etas,
-                S=tuple(s_var),
+                S=tuple(p.S for p in players),
                 extreg=tuple(sum_gx[i] - game.player_sets[i].support_min(sum_g[i])[1]
                              for i in range(N)) if bounded else (None,) * N,
                 dynreg=tuple(dynreg) if bounded or exact else (None,) * N,
@@ -96,13 +141,35 @@ def reference_self_play(config):
     return rows, bases, halves, grads, [p.eta for p in players]
 
 
-def close(a, b, rel=1e-12):
+def reference_play(learner, gradient_source, rounds):
+    """The online rounds of one learner as (t, action, g): an eg/eag learner
+    plays its base iterate and then its probe point, one round each, and an
+    odd horizon ends after a base iterate."""
+    p, out, t = RefPlayer(learner), [], 0
+    while t < rounds:
+        t += 1
+        g_base = None
+        if p.predictor == "base":
+            base = p.x.copy()
+            g_base = np.asarray(gradient_source(t, base), dtype=float)
+            out.append((t, base, g_base))
+            if t == rounds:
+                break
+            t += 1
+        action = p.propose(g_base)
+        g = np.asarray(gradient_source(t, action), dtype=float)
+        out.append((t, action, g))
+        p.update(g)
+    return out
+
+
+def close(a, b, rel=1e-12, floor=0.0):
     if a is None or b is None:
         return a is None and b is None
-    return abs(a - b) <= rel * max(abs(a), abs(b)) or a == b
+    return abs(a - b) <= max(rel * max(abs(a), abs(b)), floor) or a == b
 
 
-def assert_equivalent(config):
+def assert_equivalent(config, floor=0.0):
     config.keep_trajectory = True
     result = run_self_play(config)
     rows, bases, halves, grads, etas = reference_self_play(config)
@@ -117,11 +184,11 @@ def assert_equivalent(config):
     for rec, row in zip(result.records, rows):
         assert rec.t == row["t"]
         for name in ROW_FIELDS:
-            assert close(getattr(rec, name), row[name]), (rec.t, name)
+            assert close(getattr(rec, name), row[name], floor=floor), (rec.t, name)
         for name in TUPLE_FIELDS:
             got, want = getattr(rec, name), row[name]
             assert len(got) == len(want)
-            assert all(close(a, b) for a, b in zip(got, want)), (rec.t, name)
+            assert all(close(a, b, floor=floor) for a, b in zip(got, want)), (rec.t, name)
     return result
 
 
@@ -262,3 +329,50 @@ def test_strided_rows_equal_stride_one_rows(game, params):
             for stride in (1, B // 3)]
     by_round = {r.t: r for r in runs[0].records}
     assert all(r == by_round[r.t] for r in runs[1].records)
+
+
+# -- property tests: random tag mixes, and online play ------------------------
+
+
+@settings(max_examples=25, deadline=None)
+@given(tags=st.lists(st.sampled_from(TAGS), min_size=1, max_size=3), data=st.data())
+def test_random_tag_mixes_match_reference(tags, data):
+    # A small D puts the adaptive latch inside the run; T straddles a block.
+    # Iterates must match bit for bit. A column that cancels to zero, such
+    # as the gap of a profile at a corner of the box, keeps a few ulps of
+    # its O(1) terms, and the per-player and joint sums order them
+    # differently: rows get an absolute floor of 1e-12.
+    dims = data.draw(st.lists(st.integers(1, 3), min_size=len(tags), max_size=len(tags)))
+    params = {"dims": dims, "seed": data.draw(st.integers(0, 2**16)),
+              "bounded": data.draw(st.sampled_from([None, 0.5, 2.0]))}
+    assert_equivalent(ExperimentConfig(
+        game="random_linear_monotone", game_params=params, algo=tags,
+        T=data.draw(st.integers(B - 2, B + 2)),
+        stride=data.draw(st.sampled_from([1, 7, B + 1])),
+        D=data.draw(st.sampled_from([1e-3, 1e-2, 30.0]))), floor=1e-12)
+
+
+@pytest.mark.parametrize("tag", TAGS)
+@settings(max_examples=15, deadline=None)
+@given(dim=st.integers(1, 3), T=st.integers(1, 2 * B + 3), seed=st.integers(0, 2**16),
+       D=st.sampled_from([1e-3, 1e-2, 2.0]))
+def test_play_matches_reference(tag, dim, T, seed, D):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((dim, dim))
+    b = rng.standard_normal((T + 1, dim))
+    calls = []
+
+    def source(t, action):
+        calls.append(t)
+        return A @ action + b[t]
+
+    learner = make_learner(tag, Box(-np.ones(dim), 2.0 * np.ones(dim)),
+                           rng.uniform(-1.0, 2.0, dim), eta=0.3, L=1.0, D=D)
+    got = list(play(learner, source, T))
+    assert calls == list(range(1, T + 1))
+    want = reference_play(learner, source, T)
+    assert len(got) == len(want) == T
+    for (t, action, g), (t_ref, action_ref, g_ref) in zip(got, want):
+        assert t == t_ref
+        assert np.array_equal(action, action_ref), (tag, t)
+        assert np.array_equal(g, g_ref), (tag, t)

@@ -5,52 +5,57 @@ import pytest
 
 from monolearn.geometry import GeometryError, Unconstrained, symmetric_box
 from monolearn.learners import (
-    LearnerError,
     default_step_size,
+    dynamics,
     make_learner,
     play,
 )
+from monolearn.metrics import second_order_variation
 
 RNG = np.random.default_rng(2024)
 
 
-def seeded_anchored(x_t, g_prev, t, eta=0.1, x1=0.0):
-    """An anchored learner with its mid-run state set explicitly."""
-    learner = make_learner("aog", symmetric_box(1.0, 1), np.array([x1]), eta=eta)
-    learner.x = np.array([x_t])
-    learner.g_prev = np.array([g_prev])
-    learner.t = t
-    return learner
+def scripted_steps(learner, grads):
+    """The round loop's per-step output for one learner: the played point
+    of step t gets the gradient ``grads[t - 1]``, the base point V(x) = x."""
+    def gradient(z, t, point):
+        return z.copy() if point == "base point" else np.atleast_1d(grads[t - 1])
+
+    steps = dynamics([learner], learner.set, learner.x1, gradient)
+    return [next(steps) for _ in grads]
 
 
 def test_first_anchored_proposal_is_start_point():
     box = symmetric_box(1.0, 2)
     x1 = np.array([0.3, -0.7])
     learner = make_learner("aog", box, x1, eta=0.2)
-    assert np.array_equal(learner.propose(), x1)
+    (_, action, _), = play(learner, lambda t, a: np.zeros(2), 1)
+    assert np.array_equal(action, x1)
 
 
 def test_anchored_half_step_arithmetic():
-    learner = seeded_anchored(x_t=0.5, g_prev=1.0, t=4)
+    # From x1 = 0, gradients 0 and -8 lead to x_3 = 0.8, and the gradient
+    # 1 to x_4 = 0.8 - 0.1 + (0 - 0.8)/4 = 0.5; then at t = 4 with g_prev = 1:
+    learner = make_learner("aog", symmetric_box(1.0, 1), np.zeros(1), eta=0.1)
+    *_, (x_4, half, _, _, _, _) = scripted_steps(learner, [0.0, -8.0, 1.0, 0.0])
+    assert math.isclose(float(x_4[0]), 0.5, abs_tol=1e-15)
     # 0.5 - 0.1*1 + (0 - 0.5)/5 = 0.3
-    assert math.isclose(float(learner.propose()[0]), 0.3, abs_tol=1e-15)
+    assert math.isclose(float(half[0]), 0.3, abs_tol=1e-15)
 
 
 def test_plain_optimistic_half_step_arithmetic():
-    learner = make_learner("og", symmetric_box(1.0, 1), np.zeros(1), eta=0.1)
-    learner.x = np.array([0.5])
-    learner.g_prev = np.array([1.0])
-    learner.t = 4
-    assert math.isclose(float(learner.propose()[0]), 0.4, abs_tol=1e-15)
+    # x_4 = 0.6 - 0.1 * 1 = 0.5 and g_prev = 1 at t = 4: no anchor term
+    learner = make_learner("og", symmetric_box(1.0, 1), np.array([0.6]), eta=0.1)
+    *_, (_, half, _, _, _, _) = scripted_steps(learner, [0.0, 0.0, 1.0, 0.0])
+    assert math.isclose(float(half[0]), 0.4, abs_tol=1e-15)
 
 
 def test_anchored_full_step_arithmetic():
     learner = make_learner("aog", Unconstrained(1), np.zeros(1), eta=0.1)
-    learner.t = 2
-    learner.propose()
-    learner.update(np.array([1.0]))
+    *_, (x_2, _, _, _, x_3, _) = scripted_steps(learner, [0.0, 1.0])
+    assert float(x_2[0]) == 0.0
     # 0 - 0.1*1 + (0 - 0)/3 = -0.1
-    assert math.isclose(float(learner.x[0]), -0.1, abs_tol=1e-15)
+    assert math.isclose(float(x_3[0]), -0.1, abs_tol=1e-15)
 
 
 def test_default_step_sizes():
@@ -62,62 +67,69 @@ def test_default_step_sizes():
 
 def test_adaptive_threshold_latch():
     learner = make_learner("aog_adaptive", symmetric_box(1.0, 1), np.zeros(1), L=0.01, D=0.1)
+    eta0 = learner.eta
     # threshold 4500*pi*D^2*L^2 ~ 1.41e-3; a gradient swing of 2 trips it
-    assert not learner.adaptive
-    for g in (1.0, -1.0, 1.0):
-        learner.propose()
-        learner.update(np.array([g]))
-    assert learner.S > learner.threshold
-    assert learner.adaptive
-    assert math.isclose(learner.eta, 1.0 / math.sqrt(1.0 + learner.S))
+    grads = [1.0, -1.0, 1.0]
+    steps = scripted_steps(learner, grads)
+    assert steps[0][-1] == (eta0,)
+    S = second_order_variation(grads)
+    assert S > learner.threshold
+    (eta,) = steps[-1][-1]
+    assert eta != eta0
+    assert math.isclose(eta, 1.0 / math.sqrt(1.0 + S))
     # latched: even a quiet round keeps the adaptive branch active
-    learner.propose()
-    learner.update(learner.g_prev.copy())
-    assert learner.adaptive
+    (eta,) = scripted_steps(learner, grads + [1.0])[-1][-1]
+    assert eta != eta0
+    assert math.isclose(eta, 1.0 / math.sqrt(1.0 + S))
+
+
+def hair_trigger_adaptive():
+    """aog_adaptive with eta = 1/3 and a latch threshold of ~1.4e-296, far
+    below any nonzero S of the gradients below: its step size leaves 1/3
+    exactly when the kernel's S leaves 0, and is then 1/sqrt(1+S)."""
+    return make_learner("aog_adaptive", symmetric_box(1.0, 1), np.zeros(1), L=1.0, D=1e-150)
 
 
 def test_adaptive_stays_constant_under_constant_gradients():
-    learner = make_learner("aog_adaptive", symmetric_box(1.0, 1), np.zeros(1), L=1.0, D=2.0)
-    for _ in range(50):
-        learner.propose()
-        learner.update(np.array([0.7]))
-    assert learner.S == 0.0
-    assert math.isclose(learner.eta, 1.0 / 3.0)
-    assert not learner.adaptive
+    learner = hair_trigger_adaptive()
+    etas = [etas for *_, etas in scripted_steps(learner, [0.7] * 50)]
+    assert 0.0 < learner.threshold < 1e-295
+    # S == 0.0 after every round: the latch never trips
+    assert set(etas) == {(learner.eta,)}
+    assert math.isclose(etas[-1][0], 1.0 / 3.0)
 
 
 def test_variation_sum_skips_first_round():
-    learner = make_learner("aog_adaptive", symmetric_box(1.0, 1), np.zeros(1), L=1.0, D=2.0)
-    learner.propose()
-    learner.update(np.array([5.0]))  # t = 1: not counted against g_prev = 0
-    assert learner.S == 0.0
-    learner.propose()
-    learner.update(np.array([4.0]))
-    assert math.isclose(learner.S, 1.0)
+    learner = hair_trigger_adaptive()
+    # t = 1: not counted against g_prev = 0, so S == 0.0 after it
+    (first,), (second,) = (etas for *_, etas in scripted_steps(learner, [5.0, 4.0]))
+    assert first == learner.eta
+    # then S = (4 - 5)^2 = 1, read back from eta = 1/sqrt(1+S)
+    assert math.isclose(1.0 / second**2 - 1.0, 1.0)
 
 
 def test_half_and_full_steps_stay_close():
     box = symmetric_box(1.0, 2)
     learner = make_learner("aog", box, np.array([0.5, -0.5]), eta=0.2)
-    for _ in range(300):
-        half = learner.propose()
-        g_prev = learner.g_prev.copy()
-        g = RNG.normal(size=2)
-        learner.update(g)
+    grads = RNG.normal(size=(300, 2))
+    g_prev = np.zeros(2)
+    for _, half, g, _, x_next, _ in scripted_steps(learner, grads):
         # both points come from the same prox center, so projection
         # non-expansiveness bounds their distance by eta * ||g - g_prev||
-        gap = np.linalg.norm(half - learner.x)
+        gap = np.linalg.norm(half - x_next)
         assert gap <= learner.eta * np.linalg.norm(g - g_prev) + 1e-10
-        assert box.contains(half) and box.contains(learner.x)
+        assert box.contains(half) and box.contains(x_next)
+        g_prev = g
 
 
 def test_extragradient_one_iteration():
     learner = make_learner("eg", Unconstrained(1), np.array([1.0]), eta=0.5)
-    learner.observe_base(np.array([1.0]))  # V(x) = x at x_t = 1
-    half = learner.propose()
-    assert math.isclose(float(half[0]), 0.5)
-    learner.update(np.array([0.5]))  # V at the probe point
-    assert math.isclose(float(learner.x[0]), 0.75)
+    # V(x) = x: the base iterate 1, the probe point 1 - 0.5*1, then the next
+    # base iterate 1 - 0.5*0.5
+    played = list(play(learner, lambda t, a: a.copy(), 3))
+    assert float(played[0][2][0]) == 1.0
+    assert math.isclose(float(played[1][1][0]), 0.5)
+    assert math.isclose(float(played[2][1][0]), 0.75)
 
 
 def test_two_phase_driver_plays_both_points():
@@ -129,18 +141,6 @@ def test_two_phase_driver_plays_both_points():
     # odd rounds replay the base iterate, even rounds the probe point
     assert float(played[0][1][0]) == 0.0
     assert float(played[1][1][0]) == -0.5 + (0.0 - 0.0) / 2.0
-
-
-def test_round_protocol_misuse():
-    learner = make_learner("aog", symmetric_box(1.0, 1), np.zeros(1), eta=0.1)
-    with pytest.raises(LearnerError):
-        learner.update(np.zeros(1))
-    learner.propose()
-    with pytest.raises(LearnerError):
-        learner.propose()
-    eg = make_learner("eg", symmetric_box(1.0, 1), np.zeros(1), eta=0.1)
-    with pytest.raises(LearnerError):
-        eg.propose()  # probe gradient not observed yet
 
 
 def test_infeasible_start_rejected():
@@ -162,10 +162,15 @@ def test_deterministic_replay():
     def run():
         learner = make_learner("aog", symmetric_box(1.0, 2), np.array([0.5, 0.5]), eta=0.3)
         rng = np.random.default_rng(11)
-        out = []
-        for _ in range(100):
-            out.append(learner.propose().copy())
-            learner.update(rng.normal(size=2))
-        return np.array(out)
+        return np.array([a for _, a, _ in play(learner, lambda t, a: rng.normal(size=2), 100)])
 
     assert np.array_equal(run(), run())
+
+
+def test_every_run_of_a_learner_starts_at_x1():
+    learner = make_learner("eag", symmetric_box(1.0, 2), np.array([0.5, -0.5]), eta=0.3)
+    runs = [[(t, a.tobytes(), g.tobytes())
+             for t, a, g in play(learner, lambda t, a: np.array([t, -1.0]) + a, 9)]
+            for _ in range(2)]
+    assert runs[0] == runs[1]
+    assert np.array_equal(learner.x1, [0.5, -0.5])
