@@ -42,13 +42,15 @@ class GameOracle:
 
     ``gradient_fn`` maps a flat joint action vector to the flat joint
     gradient; for V(z) = M z + r, pass ``affine=(M, r)`` and the oracle sets
-    it. ``losses`` (optional) is one callable per player on flat joint
-    vectors; ``best_response_fn`` (optional) maps
-    ``(player, flat_profile)`` to ``(action, value)``. ``start`` is the
-    default initial profile, projected onto the joint set (the projection
-    of 0 when not given). The joint set and the dimensions ``player_dims``
-    and ``dim`` are computed once, at construction (see
-    :func:`geometry.product`).
+    it. ``losses`` (optional) holds one callable per player, and
+    ``best_response_fn`` (optional, needs ``losses``) maps ``(player, Z)``
+    to the exact minimizers and minimum values. Both take ``(k, dim)`` rows
+    ``Z`` of joint profiles and return ``(k,)`` values, and the minimizers
+    as ``(k, d_i)`` rows; :meth:`loss` and :meth:`best_response` are their
+    checked one-profile forms. ``start`` is the default initial profile,
+    projected onto the joint set (the projection of 0 when not given). The
+    joint set and the dimensions ``player_dims`` and ``dim`` are computed
+    once, at construction (see :func:`geometry.product`).
     """
 
     player_sets: list
@@ -79,6 +81,8 @@ class GameOracle:
             self.gradient_fn = lambda z: M @ z + r
         elif self.gradient_fn is None:
             raise GameError("need affine=(M, r) or gradient_fn")
+        if self.best_response_fn is not None and self.losses is None:
+            raise GameError("best_response_fn needs the players' losses")
         start = np.zeros(self.dim) if self.start is None else self.start
         self.start = self.joint_set.project(start)
 
@@ -102,7 +106,7 @@ class GameOracle:
     def loss(self, player, profile):
         if self.losses is None:
             raise GameError(f"game {self.name!r} does not expose losses")
-        return float(self.losses[player](_as_vector(profile, self.dim)))
+        return float(self.losses[player](_as_vector(profile, self.dim)[None])[0])
 
     @property
     def has_best_response(self):
@@ -112,9 +116,8 @@ class GameOracle:
         """Exact (argmin, min) of player's loss over own actions, others fixed."""
         if self.best_response_fn is None:
             raise GameError(f"game {self.name!r} has no exact best response")
-        x = _as_vector(profile, self.dim)
-        action, value = self.best_response_fn(player, x)
-        return _as_vector(action, self.player_dims[player]), float(value)
+        action, value = self.best_response_fn(player, _as_vector(profile, self.dim)[None])
+        return _as_vector(action, self.player_dims[player]), float(value[0])
 
     def validate(self, seed=42, pairs=1000):
         """Certify monotonicity and the Lipschitz bound: exactly for an affine
@@ -162,22 +165,22 @@ def make_bilinear_saddle(payoff_scale=1.0, box_radius=1.0, dims=(1, 1)):
     sets = [symmetric_box(box_radius, dx), symmetric_box(box_radius, dy)]
     M = s * np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(dx))
     r = np.zeros(2 * dx)
-    blocks = [(M[:dx], r[:dx]), (M[dx:], r[dx:])]
+    blocks = [(M[:dx].T, r[:dx]), (M[dx:].T, r[dx:])]
 
-    def best_response(player, z):
+    def best_response(player, Z):
         # Each loss is <player's block of M z + r, own action>, linear in the
-        # own action. The profile is already checked: use the unchecked core.
-        M_i, r_i = blocks[player]
-        return sets[player]._support_min(M_i @ z + r_i)
+        # own action. The rows are already checked: use the unchecked core.
+        M_iT, r_i = blocks[player]
+        return sets[player]._support_min(Z @ M_iT + r_i)
 
-    def f(z):
-        return s * float(z[:dx] @ z[dx:])
+    def f(Z):
+        return s * np.vecdot(Z[:, :dx], Z[:, dx:])
 
     return GameOracle(
         player_sets=sets,
         lipschitz_bound=s,
         affine=(M, r),
-        losses=[f, lambda z: -f(z)],
+        losses=[f, lambda Z: -f(Z)],
         best_response_fn=best_response,
         name="bilinear",
         nash=np.zeros(dx + dy),
@@ -215,15 +218,15 @@ def make_appendix_e_instance(n=100, box_half_width=200.0):
     H = 2.0 * A.T @ A
     sets = [symmetric_box(box_half_width, n), symmetric_box(box_half_width, n)]
 
-    def f(z):
-        x, y = z[:n], z[n:]
-        return float(0.5 * x @ H @ x - h @ x - (A @ x - b) @ y)
+    def f(Z):
+        X, Y = Z[:, :n], Z[:, n:]
+        return np.vecdot(0.5 * X @ H, X) - X @ h - np.vecdot(X @ A.T - b, Y)
 
     return GameOracle(
         player_sets=sets,
         lipschitz_bound=1.0,
         affine=(np.block([[H, -A.T], [A, np.zeros((n, n))]]), np.concatenate([-h, -b])),
-        losses=[f, lambda z: -f(z)],
+        losses=[f, lambda Z: -f(Z)],
         best_response_fn=None,  # not exposed: mixed exact/upper-bound reporting is disallowed
         name="appendix_e",
         start=np.full(2 * n, 1.0 / n),

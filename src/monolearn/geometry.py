@@ -9,7 +9,7 @@ Each public method checks its input (finite entries, dimension, and for
 residual and gap a feasible point) and then calls an unchecked core of the
 same name with a leading underscore. The self-play harness calls the cores
 directly on vectors it built itself from finite, feasible values. The
-tangent-residual and support-minimization cores also take ``(k, dim)``
+projection, residual and support-minimization cores also take ``(k, dim)``
 arrays and answer row by row, with the same rounding as one row at a time.
 :func:`product` builds the joint set of several players: one ``Box`` for
 boxes, one ``Unconstrained`` for unconstrained factors, and a
@@ -73,17 +73,18 @@ class FeasibleSet:
     def is_bounded(self):
         return math.isfinite(self.diameter())
 
-    def _clean(self, point):
-        """Snap a near-feasible point onto the set, rejecting distant ones."""
-        p = _as_vector(point, self.dim)
+    def _clean(self, p):
+        """Snap near-feasible points (unchecked core input) onto the set,
+        rejecting any farther than MEMBERSHIP_TOL."""
         q = self._project(p)
-        if float(np.linalg.norm(p - q)) > MEMBERSHIP_TOL:
+        if np.any(row_norms(p - q) > MEMBERSHIP_TOL):
             raise GeometryError("point lies outside the feasible set")
         return q
 
     def tangent_residual(self, point, grad):
         """min over c in the normal cone at ``point`` of ||grad + c||."""
-        return float(self._tangent_residual(self._clean(point), _as_vector(grad, self.dim)))
+        return float(self._tangent_residual(self._clean(_as_vector(point, self.dim)),
+                                            _as_vector(grad, self.dim)))
 
     def support_min(self, grad):
         """Return (argmin, min) of <grad, x> over the set.
@@ -98,14 +99,15 @@ class FeasibleSet:
         """<grad, point> - min over the set of <grad, x'>; requires boundedness."""
         if not self.is_bounded:
             raise GeometryError("linearized gap is undefined on unbounded sets")
-        return self._linearized_gap(self._clean(point), _as_vector(grad, self.dim))
+        return self._linearized_gap(self._clean(_as_vector(point, self.dim)),
+                                    _as_vector(grad, self.dim))
 
     def sample(self, rng):
         """Uniform-ish random feasible point (testing helper)."""
         raise NotImplementedError
 
     # -- unchecked cores: finite vectors of the right size, feasible points;
-    # residual and support minimization also take rows over a leading axis --
+    # all but _linearized_gap also take rows over a leading axis --
     def _project(self, p):
         raise NotImplementedError
 
@@ -186,10 +188,9 @@ class Ball(FeasibleSet):
 
     def _project(self, p):
         d = p - self.center
-        r = float(np.linalg.norm(d))
-        if r <= self.radius:
-            return p
-        return self.center + d * (self.radius / r)
+        r = row_norms(d)[..., None]
+        return np.where(r <= self.radius, p,
+                        self.center + d * (self.radius / np.maximum(r, self.radius)))
 
     def diameter(self):
         return 2.0 * self.radius
@@ -268,7 +269,7 @@ class ProductSet(FeasibleSet):
             start += f.dim
 
     def _project(self, p):
-        return np.concatenate([f._project(p[s]) for f, s in self._slices()])
+        return np.concatenate([f._project(p[..., s]) for f, s in self._slices()], axis=-1)
 
     def diameter(self):
         sq = 0.0

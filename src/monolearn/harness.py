@@ -207,9 +207,9 @@ class _BlockMeasure:
     before (previous base point and gradient, and the running sums).
 
     Each column comes from the per-round formulas in :mod:`metrics`, on all
-    rows of the block at once; only exact best responses and losses are
-    evaluated row by row. Cumulative columns add their increments in round
-    order, so every recorded row is exact whatever the stride.
+    rows of the block at once, with one exact-oracle call per player per
+    block. Cumulative columns add their increments in round order, so every
+    recorded row is exact whatever the stride.
     """
 
     def __init__(self, game, x1, recorded, track_potential):
@@ -217,7 +217,6 @@ class _BlockMeasure:
         self.joint = game.joint_set
         self.slices = game.slices()
         self.bounded = self.joint.is_bounded
-        self.exact = game.has_best_response and game.losses is not None
         N = game.num_players
         self.x_prev = self.g_prev = None
         self.S, self.sum_gx, self.dynreg = np.zeros(N), np.zeros(N), np.zeros(N)
@@ -242,7 +241,7 @@ class _BlockMeasure:
         rec = np.flatnonzero([t in self.recorded for t in range(t0, t0 + n)])
 
         extreg = dynreg = [(None,) * N] * len(rec)
-        gap, tgap, regret_incs = [None] * len(rec), [None] * n, None
+        gap, tgap, regret_incs = [None] * len(rec), [None] * len(rec), None
         if self.bounded:
             gx, lows = regret_terms(self.joint, half, grad, slices)
             sum_gx = running_sums(self.sum_gx, gx)
@@ -251,9 +250,11 @@ class _BlockMeasure:
             gap = np.maximum(gx[rec].sum(axis=1) - lows[rec].sum(axis=1), 0.0).tolist()
             regret_incs = linearized_gaps(gx, lows)
             self.sum_gx, self.sum_g = sum_gx[-1], sum_g[-1]
-        if self.exact:
-            regret_incs = [best_response_gaps(game, h) for h in half]
-            tgap = [sum(row) for row in regret_incs]
+        if game.has_best_response:
+            regret_incs = best_response_gaps(game, half)
+            # Python's sum adds the players' gaps left to right; numpy's
+            # pairwise sum would regroup them from 8 players on
+            tgap = [sum(row) for row in regret_incs[rec].tolist()]
         if regret_incs is not None:
             dynreg = running_sums(self.dynreg, regret_incs)
             self.dynreg = dynreg[-1]
@@ -289,7 +290,7 @@ class _BlockMeasure:
                 t=t0 + k,
                 r_tan=r_tan[j],
                 gap=gap[j],
-                tgap_exact=tgap[k],
+                tgap_exact=tgap[j],
                 potential=pot[k],
                 eta=tuple(eta_rec[j]),
                 S=tuple(S_rec[j]),

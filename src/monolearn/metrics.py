@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import GeometryError, _as_vector
-from .games import GameOracle
+from .games import GameError, GameOracle
 
 # Membership tolerance for the explicit normal-cone witness c_t.
 WITNESS_TOL = 1e-9
@@ -100,9 +100,14 @@ def linearized_gaps(gx, lows):
     return np.maximum(gx - lows, 0.0)
 
 
-def best_response_gaps(game: GameOracle, x):
-    """Per-player loss minus exact best-response value at one profile."""
-    return [game.loss(i, x) - game.best_response(i, x)[1] for i in range(game.num_players)]
+def best_response_gaps(game: GameOracle, Z):
+    """Per-player loss minus exact best-response value at the feasible
+    profile rows ``Z`` (k, dim): shape (k, N), one oracle call per player."""
+    gaps = np.stack([game.losses[i](Z) - game.best_response_fn(i, Z)[1]
+                     for i in range(game.num_players)], axis=-1)
+    if gaps.shape != (len(Z), game.num_players) or not np.isfinite(gaps).all():
+        raise GameError(f"game {game.name!r}: non-finite or misshaped exact best-response gaps")
+    return gaps
 
 
 @dataclass
@@ -119,9 +124,7 @@ def measure_equilibrium(game: GameOracle, profile):
     joint = game.joint_set
     r_tan = joint.tangent_residual(x, v)
     gap = joint.linearized_gap(x, v) if joint.is_bounded else None
-    tgap = None
-    if game.has_best_response and game.losses is not None:
-        tgap = sum(best_response_gaps(game, x))
+    tgap = sum(best_response_gaps(game, x[None])[0].tolist()) if game.has_best_response else None
     return EquilibriumMeasures(r_tan=r_tan, gap=gap, tgap_exact=tgap)
 
 
@@ -160,10 +163,6 @@ class DynamicRegretResult:
     per_round: np.ndarray  # shape (T, N) nonnegative gap terms
     exact: bool
 
-    @property
-    def totals(self):
-        return self.per_round.sum(axis=0)
-
 
 def dynamic_regret(profiles, game: GameOracle):
     """Per-player dynamic regret terms along a sequence of played profiles.
@@ -171,19 +170,15 @@ def dynamic_regret(profiles, game: GameOracle):
     Exact mode (every player has an exact best response): the term is the
     player's loss minus its best-response value. Otherwise falls back to the
     per-player linearized gap, an upper bound by convexity. Mixed reporting
-    is not done: one mode applies to all players of a run.
+    is not done: one mode applies to all players of a run. In both modes a
+    profile is first snapped onto the joint set, or rejected if farther.
     """
-    exact = game.has_best_response and game.losses is not None
-    if exact:
-        rows = [best_response_gaps(game, _as_vector(prof, game.dim)) for prof in profiles]
-    else:
-        # _clean rejects an infeasible profile and snaps a near-feasible one
-        # onto the set before the gap is taken.
-        joint, slices = game.joint_set, game.slices()
-        xs = [joint._clean(prof) for prof in profiles]
-        rows = [linearized_gaps(*regret_terms(joint, x, game.gradient(x), slices)) for x in xs]
-    per_round = np.asarray(rows, dtype=float).reshape(len(rows), game.num_players)
-    return DynamicRegretResult(per_round=per_round, exact=exact)
+    joint, dim = game.joint_set, game.dim
+    X = joint._clean(_as_vector(profiles, len(profiles) * dim).reshape(-1, dim))
+    if game.has_best_response:
+        return DynamicRegretResult(best_response_gaps(game, X), True)
+    G = np.array([game.gradient(x) for x in X]).reshape(X.shape)
+    return DynamicRegretResult(linearized_gaps(*regret_terms(joint, X, G, game.slices())), False)
 
 
 def second_order_variation(grads):

@@ -290,17 +290,54 @@ def test_builtin_builds_do_not_sample(monkeypatch):
     make_game("random_linear_monotone", dims=(2, 2), bounded=1.0)
 
 
+def same_bits(a, b):
+    """Equal as float64 bit patterns: -0.0 and 0.0 differ, NaN equals itself."""
+    a, b = np.atleast_1d(np.asarray(a, float)), np.atleast_1d(np.asarray(b, float))
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 @pytest.mark.parametrize("scale", [0.5, 1.0, 3.0])
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_bilinear_gradient_and_best_responses_are_closed_forms(scale, d):
+    # Profile rows, with exact zeros so ties and signed zeros are covered:
+    # the row forms equal the one-row wrappers bit for bit, and both equal
+    # the closed forms.
     game = make_bilinear_saddle(scale, 1.0, (d, d))
     rng = np.random.default_rng(d)
-    for _ in range(20):
-        z = game.joint_set.sample(rng)
+    Z = np.stack([game.joint_set.sample(rng) for _ in range(20)])
+    Z[:4, :d] = 0.0
+    Z[2:6, d:] = 0.0
+    rows = [(game.losses[i](Z), *game.best_response_fn(i, Z)) for i in range(2)]
+    for losses, actions, values in rows:
+        assert losses.shape == values.shape == (20,) and actions.shape == (20, d)
+    for k, z in enumerate(Z):
         x, y = z[:d], z[d:]
         assert np.array_equal(game.gradient(z), np.concatenate([scale * y, -scale * x]))
         for player, coeff in ((0, scale * y), (1, -scale * x)):
+            losses, actions, values = rows[player]
             action, value = game.best_response(player, z)
             want = np.where(coeff < 0, 1.0, -1.0)
-            assert np.array_equal(action, want)
-            assert value == float(want @ coeff)
+            assert np.array_equal(action, want) and same_bits(actions[k], action)
+            assert value == float(want @ coeff) and same_bits(values[k], value)
+            # the one-profile loss formula the row form replaced
+            assert same_bits(losses[k], game.loss(player, z))
+            assert same_bits(losses[k], (1 - 2 * player) * scale * float(x @ y))
+
+
+def test_appendix_e_row_losses_match_the_formula():
+    game = make_appendix_e_instance(5, box_half_width=2.0)
+    meta = game.metadata
+    Z = np.stack([game.joint_set.sample(RNG) for _ in range(7)])
+    rows = [game.losses[i](Z) for i in range(2)]
+    for k, z in enumerate(Z):
+        x, y = z[:5], z[5:]
+        f = 0.5 * x @ meta["H"] @ x - meta["h"] @ x - (meta["A"] @ x - meta["b"]) @ y
+        assert math.isclose(rows[0][k], f, rel_tol=1e-12, abs_tol=1e-12)
+        assert same_bits(rows[1][k], -rows[0][k])
+        assert same_bits(rows[0][k], game.loss(0, z))
+
+
+def test_best_response_needs_losses():
+    with pytest.raises(GameError, match="losses"):
+        GameOracle([symmetric_box(1.0, 1)], 1.0, lambda z: z,
+                   best_response_fn=lambda player, Z: (Z, Z[:, 0]))

@@ -109,17 +109,38 @@ def test_projection_onto_unit_ball():
     assert math.isclose(float(np.linalg.norm(out)), 1.0, rel_tol=1e-12)
 
 
-def test_projection_idempotent_and_nonexpansive():
-    for fset in sample_sets():
-        for _ in range(1000):
-            p = RNG.normal(scale=3.0, size=fset.dim)
-            q = RNG.normal(scale=3.0, size=fset.dim)
-            pp, qq = fset.project(p), fset.project(q)
-            assert np.linalg.norm(fset.project(pp) - pp) <= 1e-12
-            assert (
-                np.linalg.norm(pp - qq)
-                <= np.linalg.norm(p - q) + 1e-12
-            )
+@st.composite
+def feasible_sets(draw, factors=True):
+    """A random Box (some coordinates pinned), Ball, or ProductSet of them."""
+    kinds = ["box", "ball"] + (["product"] if factors else [])
+    kind = draw(st.sampled_from(kinds))
+    dim = draw(st.integers(1, 4))
+    coords = arrays(float, dim, elements=st.floats(-5.0, 5.0))
+    if kind == "box":
+        lower = draw(coords)
+        width = draw(arrays(float, dim, elements=st.just(0.0) | st.floats(0.0, 5.0)))
+        return Box(lower, lower + width)
+    if kind == "ball":
+        return Ball(draw(coords), draw(st.floats(0.1, 5.0)))
+    return ProductSet(tuple(draw(st.lists(feasible_sets(factors=False),
+                                          min_size=1, max_size=3))))
+
+
+def points_of(fset):
+    return arrays(float, fset.dim, elements=st.floats(-20.0, 20.0))
+
+
+def norm(v):
+    return float(np.linalg.norm(v))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fset=feasible_sets(), data=st.data())
+def test_projection_idempotent_and_nonexpansive(fset, data):
+    p, q = data.draw(points_of(fset)), data.draw(points_of(fset))
+    pp, qq = fset.project(p), fset.project(q)
+    assert norm(fset.project(pp) - pp) <= 1e-12 * max(1.0, norm(pp))
+    assert norm(pp - qq) <= norm(p - q) + 1e-12 * max(1.0, norm(p) + norm(q))
 
 
 def test_projection_dimension_mismatch():
@@ -169,18 +190,26 @@ def test_residual_matches_line_search_on_balls():
         assert abs(got - want) <= 1e-6
 
 
-def test_residual_zero_iff_projection_stationary():
-    box = Box([-1.0, -1.0], [1.0, 1.0])
-    tau = 1e-3
-    for _ in range(200):
-        p = box.project(RNG.uniform(-1.5, 1.5, 2))
-        g = RNG.normal(size=2)
-        r = box.tangent_residual(p, g)
-        stationary = np.linalg.norm(box.project(p - tau * g) - p) <= 1e-12
-        if r == 0.0:
-            assert stationary
-        if stationary:
-            assert r <= 1e-9
+@settings(max_examples=300, deadline=None)
+@given(fset=feasible_sets(), data=st.data(), c=st.floats(1e-3, 1e3),
+       tau=st.sampled_from([1e-3, 0.1, 1.0]))
+def test_residual_zero_iff_projection_stationary(fset, data, c, tau):
+    """r_tan(p, g) = 0 exactly when P(p - tau g) = p.
+
+    Stationary pairs are exactly p = P(q), g = c (p - q) with c > 0: then -g
+    is in the normal cone at p. Their residual must vanish. For any g, the
+    projected step is at most tau times the residual, so a zero residual
+    means a stationary point; the slack covers coordinates within the
+    REL_BOUND_TOL band of a bound, which the residual counts as on it.
+    """
+    q = data.draw(points_of(fset))
+    p = fset.project(q)
+    g = c * (p - q)
+    assert fset.tangent_residual(p, g) <= 1e-9 * max(1.0, norm(g))
+    assert norm(fset.project(p - tau * g) - p) <= 1e-12 * max(1.0, norm(p))
+    g = data.draw(points_of(fset))
+    step = norm(fset.project(p - tau * g) - p)
+    assert step <= tau * fset.tangent_residual(p, g) + 1e-8 * max(1.0, norm(p))
 
 
 def test_residual_rejects_infeasible_point():
@@ -268,7 +297,9 @@ def test_batched_cores_equal_row_cores_on_every_set(fset):
     grads[1] = 0.0
     r_tan = fset._tangent_residual(points, grads)
     x_min, values = fset._support_min(grads)
+    projected = fset._project(3.0 * grads)
     for k, (p, g) in enumerate(zip(points, grads)):
+        assert np.array_equal(projected[k], fset.project(3.0 * g))
         assert r_tan[k] == fset.tangent_residual(p, g)
         x, v = fset.support_min(g)
         assert np.array_equal(x_min[k], x) and values[k] == v

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from monolearn.games import make_bilinear_saddle, make_game
+from monolearn.games import GameError, GameOracle, make_bilinear_saddle, make_game
 from monolearn.geometry import GeometryError, symmetric_box
 from monolearn.harness import ExperimentConfig, run_self_play
 from monolearn.metrics import (
     MetricError,
     RunRecord,
     anchored_normal_element,
+    best_response_gaps,
     csv_header,
     csv_row,
     dynamic_regret,
@@ -89,7 +90,7 @@ def test_dynamic_regret_examples():
     assert math.isclose(res.per_round[0, 0], 2.0, abs_tol=1e-12)
     at_nash = dynamic_regret([np.zeros(2)] * 4, game)
     assert np.allclose(at_nash.per_round, 0.0)
-    assert np.array_equal(at_nash.totals, [0.0, 0.0])
+    assert np.array_equal(at_nash.per_round.sum(axis=0), [0.0, 0.0])
 
 
 def test_dynamic_regret_fallback_is_linearized_gap():
@@ -111,6 +112,72 @@ def test_dynamic_regret_fallback_checks_feasibility():
     on_set, near = np.ones(game.dim), np.full(game.dim, 1.0 + 1e-12)
     assert np.array_equal(dynamic_regret([near], game).per_round,
                           dynamic_regret([on_set], game).per_round)
+
+
+def test_dynamic_regret_exact_checks_feasibility():
+    game = make_bilinear_saddle()
+    with pytest.raises(GeometryError):
+        dynamic_regret([[2.0, 3.0]], game)
+    # a profile within the membership tolerance is measured on the set
+    on_set, near = np.ones(game.dim), np.full(game.dim, 1.0 + 1e-12)
+    assert np.array_equal(dynamic_regret([near], game).per_round,
+                          dynamic_regret([on_set], game).per_round)
+
+
+def one_row_gaps(game, z):
+    return [game.loss(i, z) - game.best_response(i, z)[1] for i in range(game.num_players)]
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_best_response_gaps_rows_equal_one_row_calls(d):
+    game = make_bilinear_saddle(1.5, 1.0, (d, d))
+    Z = np.stack([game.joint_set.sample(RNG) for _ in range(9)])
+    Z[0] = 0.0
+    gaps = best_response_gaps(game, Z)
+    assert gaps.shape == (9, 2)
+    for row, z in zip(gaps, Z):
+        want = np.array(one_row_gaps(game, z))
+        assert np.array_equal(row.view(np.int64), want.view(np.int64))
+    assert np.array_equal(dynamic_regret(Z, game).per_round, gaps)
+
+
+def test_measure_equilibrium_exact_gap_is_the_one_row_sum():
+    game = make_bilinear_saddle(3.0, 1.0, (2, 2))
+    for z in [game.joint_set.sample(RNG) for _ in range(20)] + [np.zeros(4)]:
+        want = sum(one_row_gaps(game, z))
+        got = measure_equilibrium(game, z).tgap_exact
+        assert type(got) is float and got.hex() == want.hex()
+
+
+def custom_exact_game(losses, values):
+    """A 1+1 bilinear operator whose exact oracle gives both players the
+    losses ``losses(Z)`` and best-response values ``values(Z)``."""
+    M = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    return GameOracle([symmetric_box(1.0, 1)] * 2, 1.0, affine=(M, np.zeros(2)),
+                      losses=[losses] * 2,
+                      best_response_fn=lambda player, Z: (-np.ones((len(Z), 1)), values(Z)))
+
+
+def test_best_response_gaps_reject_a_non_finite_row():
+    def values(Z):
+        return np.where(np.arange(len(Z)) == 3, np.nan, -1.0)
+
+    game = custom_exact_game(lambda Z: Z[:, 0] * Z[:, 1], values)
+    Z = np.zeros((6, 2))
+    with pytest.raises(GameError, match="finite"):
+        best_response_gaps(game, Z)
+    with pytest.raises(GameError, match="finite"):
+        dynamic_regret(Z, game)
+    assert best_response_gaps(game, Z[:3]).shape == (3, 2)
+
+
+def test_exact_total_gap_of_negative_zeros_is_positive_zero():
+    # per-player gaps (-0.0, -0.0): Python's sum starts from int 0, so the
+    # total is 0.0, as the CSV has always had it
+    game = custom_exact_game(lambda Z: np.full(len(Z), -0.0), lambda Z: np.zeros(len(Z)))
+    z = np.zeros(2)
+    assert [g.hex() for g in best_response_gaps(game, z[None])[0]] == ["-0x0.0p+0"] * 2
+    assert measure_equilibrium(game, z).tgap_exact.hex() == "0x0.0p+0"
 
 
 def test_second_order_variation():
