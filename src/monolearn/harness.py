@@ -154,28 +154,28 @@ def _recorded_rounds(T, stride):
     return set(range(1, T + 1, stride)) | {T}
 
 
-def _build_learners(config, game):
+def _learner_inputs(config, game):
+    """The per-player tags, L and joint start x1 of a run: the config's,
+    else the game's."""
     tags = config.algo
     if isinstance(tags, str):
         tags = [tags] * game.num_players
     if len(tags) != game.num_players:
         raise ConfigError("algo: need one tag per player")
     L = config.L if config.L is not None else game.lipschitz_bound
-    D = config.D
-    if D is None:
-        D = game.diameter()
-        if not math.isfinite(D):
-            D = None
     x1 = np.asarray(config.x1, dtype=float) if config.x1 is not None else game.start
     if x1.size != game.dim:
         raise ConfigError(f"x1: expected dimension {game.dim}, got {x1.size}")
-    out = []
-    for tag, s in zip(tags, game.slices()):
-        out.append(
-            make_learner(tag, game.player_sets[len(out)], x1[s], eta=config.eta, L=L, D=D)
-        )
-    x1 = np.concatenate([p.x1 for p in out])
-    return out, tags, x1
+    return tags, L, x1
+
+
+def _build_learners(config, game):
+    tags, L, x1 = _learner_inputs(config, game)
+    D = config.D if config.D is not None else game.diameter()
+    D = D if math.isfinite(D) else None  # an unbounded game has no default D
+    out = [make_learner(tag, fset, x1[s], eta=config.eta, L=L, D=D)
+           for tag, fset, s in zip(tags, game.player_sets, game.slices())]
+    return out, tags, np.concatenate([p.x1 for p in out])
 
 
 def _oracle_gradient(game, dim, z, t, point):
@@ -535,14 +535,13 @@ def _cmd_selfplay(args):
 
 
 def build_single_learner(config, game, player=0):
-    """A lone learner on one player's action set, for adversarial runs."""
-    tag = config.algo if isinstance(config.algo, str) else config.algo[player]
+    """A lone learner on one player's action set, for adversarial runs; its
+    default D is the diameter of that set."""
+    tags, L, x1 = _learner_inputs(config, game)
     fset = game.player_sets[player]
-    L = config.L if config.L is not None else game.lipschitz_bound
     D = config.D if config.D is not None else fset.diameter()
-    s = game.slices()[player]
-    x1 = np.asarray(config.x1, dtype=float)[s] if config.x1 is not None else game.start[s]
-    return make_learner(tag, fset, x1, eta=config.eta, L=L, D=D)
+    return make_learner(tags[player], fset, x1[game.slices()[player]],
+                        eta=config.eta, L=L, D=D)
 
 
 def _cmd_adversarial(args):
@@ -632,7 +631,6 @@ def build_parser():
     sp = sub.add_parser("selfplay", help="run a self-play experiment from a config")
     sp.add_argument("--config", required=True)
     sp.add_argument("--out")
-    sp.add_argument("--seed", type=int)
     sp.add_argument("--stride", type=int)
     sp.add_argument("--T", type=int)
     sp.add_argument("--algo")

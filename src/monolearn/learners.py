@@ -1,12 +1,14 @@
 """Online learning dynamics: one update rule and one round loop.
 
 All six algorithms are one :class:`Learner`, a per-player rule with no run
-state; the tag picks the predictor and anchor from :data:`RULES`, and every
-step is :func:`step` with :func:`anchor_pull` and the latch of
-:func:`adapted_step_size`. :func:`dynamics` is the one round loop: it runs
-the rules of several players on their joint vector, and every iterate in
-the package comes from it. The self-play runner (``harness``) feeds it the
-game oracle's gradients, and :func:`play` runs a single learner through it
+state; the tag picks the predictor and whether the player is anchored from
+:data:`RULES`, and every step is :func:`step` with the one anchor term
+:func:`anchor_pull` and the latch of :func:`adapted_step_size`. The
+anchored learners (``eag``, ``aog``, ``aog_adaptive``) share the weight
+1/(t+1). :func:`dynamics` is the one round loop: it runs the rules of
+several players on their joint vector, and every iterate in the package
+comes from it. The self-play runner (``harness``) feeds it the game
+oracle's gradients, and :func:`play` runs a single learner through it
 online against a gradient source, with the extragradient-style learners
 (``eg``, ``eag``) charging both phase points.
 
@@ -30,36 +32,26 @@ ADAPTATION_FACTOR = 4500.0 * math.pi
 
 # -- the update rule ---------------------------------------------------------
 # Every learner takes projected steps x+ = P(x - eta * g + w_t * (x1 - x)).
-# They differ in the half-step predictor, in the anchor weight w_t (0 or
-# 1/(t+1)), and in whether eta is latched-adaptive.
+# They differ in the half-step predictor, in the anchor weight w_t (0, or
+# 1/(t+1) when anchored), and in whether eta is latched-adaptive.
 
-# tag -> (predictor, anchor). Predictor "none" plays x itself, "last"
+# tag -> (predictor, anchored). Predictor "none" plays x itself, "last"
 # predicts with the previous gradient, "base" with the gradient observed at
-# x. Anchor None, "weight" or "divide": see :func:`anchor_pull`.
+# x. An anchored player pulls toward x1 with weight 1/(t+1).
 RULES = {
-    "gd": ("none", None),
-    "og": ("last", None),
-    "eg": ("base", None),
-    "eag": ("base", "divide"),
-    "aog": ("last", "weight"),
-    "aog_adaptive": ("last", "weight"),
+    "gd": ("none", False),
+    "og": ("last", False),
+    "eg": ("base", False),
+    "eag": ("base", True),
+    "aog": ("last", True),
+    "aog_adaptive": ("last", True),
 }
 
 
-def anchor_pull(x1, x, weight=None, divisor=None):
-    """The anchor term w_t * (x1 - x), as (x1 - x) * weight / divisor.
-
-    ``aog`` multiplies by the weight 1/(t+1) and ``eag`` divides by t+1.
-    The two round differently, so both forms are kept and every learner's
-    iterates stay reproducible bit for bit. Either factor may be a scalar
-    or a per-coordinate vector.
-    """
-    pull = x1 - x
-    if weight is not None:
-        pull *= weight
-    if divisor is not None:
-        pull /= divisor
-    return pull
+def anchor_pull(x1, x, weight):
+    """The anchor term (x1 - x) * weight; the weight is a scalar or a
+    per-coordinate vector."""
+    return (x1 - x) * weight
 
 
 def step(feasible_set, x, eta, g, pull=None):
@@ -86,9 +78,10 @@ def adapted_step_size(eta, S, threshold, latched):
 
 
 class Learner:
-    """One player's rule, with no run state: the tag, the (predictor, anchor)
-    pair that ``RULES`` gives it, the action set, the validated start x1, the
-    step size eta and, for ``aog_adaptive``, the latch threshold.
+    """One player's rule, with no run state: the tag, the (predictor,
+    anchored) pair that ``RULES`` gives it, the action set, the validated
+    start x1, the step size eta and, for ``aog_adaptive``, the latch
+    threshold.
 
     With a ``threshold`` the step size is latched-adaptive: it stays eta
     while the second-order gradient variation S is at most the threshold,
@@ -98,7 +91,7 @@ class Learner:
 
     def __init__(self, tag, feasible_set: FeasibleSet, x1, eta, threshold=None):
         self.tag = tag
-        self.predictor, self.anchor = RULES[tag]
+        self.predictor, self.anchored = RULES[tag]
         self.needs_base_gradient = self.predictor == "base"
         self.set = feasible_set
         x1 = _as_vector(x1, feasible_set.dim)
@@ -154,10 +147,9 @@ def _joint_rule(players, dims, x1):
     Returns ``predict(g_prev, g_base)``, the half-step predictor (None when
     every player plays its base iterate), and ``pull(x, t)``, the anchor term
     of round t (None when no player is anchored). Both follow each player's
-    (predictor, anchor) from ``RULES``, coordinate by coordinate.
+    (predictor, anchored) from ``RULES``, coordinate by coordinate.
     """
     preds = {p.predictor for p in players}
-    anchors = {p.anchor for p in players}
 
     def mask(test):
         return np.repeat([bool(test(p)) for p in players], dims)
@@ -176,23 +168,12 @@ def _joint_rule(players, dims, x1):
             g_hat = g_prev if g_base is None else np.where(use_base, g_base, g_prev)
             return np.where(use_none, 0.0, g_hat)
 
-    if anchors == {None}:
-        pull = lambda x, t: None
-    elif anchors == {"weight"}:
-        pull = lambda x, t: anchor_pull(x1, x, weight=1.0 / (t + 1.0))
-    elif anchors == {"divide"}:
-        pull = lambda x, t: anchor_pull(x1, x, divisor=t + 1.0)
-    else:
-        # weight 1/(t+1) on "weight" coordinates, 1 on "divide" ones, 0 on
-        # the rest; divisor t+1 on "divide" coordinates and 1 elsewhere.
-        weighted = mask(lambda p: p.anchor == "weight").astype(float)
-        divided = mask(lambda p: p.anchor == "divide").astype(float)
-
-        def pull(x, t):
-            return anchor_pull(x1, x, weighted * (1.0 / (t + 1.0)) + divided,
-                               1.0 + divided * t)
-
-    return predict, pull
+    anchored = [p.anchored for p in players]
+    if not any(anchored):
+        return predict, lambda x, t: None
+    # weight 1/(t+1) on anchored coordinates, 0 on the rest
+    w = 1.0 if all(anchored) else np.repeat(anchored, dims).astype(float)
+    return predict, lambda x, t: anchor_pull(x1, x, w * (1.0 / (t + 1.0)))
 
 
 def dynamics(players, feasible_set, x1, gradient, base_gradient=False):

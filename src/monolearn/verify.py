@@ -13,7 +13,7 @@ import numpy as np
 
 from . import learners
 from .geometry import symmetric_box
-from .metrics import external_regret
+from .metrics import anchored_potential, external_regret
 
 REL_TOL = 1e-9
 ABS_FLOOR = 1e-12
@@ -66,17 +66,13 @@ def _sq(v):
     return float(v @ v)
 
 
-def _potential_expr(t, b, u, a, a0, coeff_t):
-    return t * (t + 1.0) / 2.0 * (_sq(b[1] + u) + _sq(b[1] - b[0])) + coeff_t * float(
-        (b[1] + u) @ (a - a0)
-    )
-
-
 def check_descent_identity(inst: IdentityInstance):
     """Evaluate both sides of the descent identity term by term.
 
     Returns (lhs, rhs, relative_error); the identity is exact in real
-    arithmetic, so the relative error is floating-point noise.
+    arithmetic, so the relative error is floating-point noise. P_t and
+    P_{t+1} are :func:`metrics.anchored_potential` with unit step, the
+    formula the runs record.
     """
     t, q = inst.t, inst.q
     a0, a2, a3, a4 = inst.a0, inst.a2, inst.a3, inst.a4
@@ -84,8 +80,8 @@ def check_descent_identity(inst: IdentityInstance):
     u2, u4 = inst.u2, inst.u4
     ip = lambda x, y: float(x @ y)
 
-    p_now = _potential_expr(t, (b1, b2), u2, a2, a0, t)
-    p_next = _potential_expr(t + 1.0, (b3, b4), u4, a4, a0, t + 1.0)
+    p_now = float(anchored_potential(u2, b2, b1, a2, a0, 1.0, t).value)
+    p_next = float(anchored_potential(u4, b4, b3, a4, a0, 1.0, t + 1.0).value)
     lhs = (
         p_now
         - p_next

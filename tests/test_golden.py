@@ -11,6 +11,13 @@ exact best responses and losses one profile at a time: the CSV of the
 shipped bilinear config, and stride-1 bilinear runs with the potential
 whose horizon ends in a partial block. They pin every column, the exact
 ``tgap_exact`` and ``dynreg_i`` columns included.
+
+The play-stream and mixed-tag digests were taken when ``eag`` still divided
+its anchor displacement by t+1 while ``aog`` multiplied it by 1/(t+1): the
+actions and gradients of ``gd``, ``og``, ``eg`` and ``aog`` against the
+seeded ``random_box`` adversary, and the stride-1 CSV of an ``og`` player
+beside an ``aog`` player, whose anchor is laid out per coordinate. Only
+``eag`` moved when the two anchor forms became one.
 """
 
 import hashlib
@@ -18,7 +25,15 @@ from pathlib import Path
 
 import pytest
 
-from monolearn.harness import BLOCK_ROWS, ExperimentConfig, main, run_self_play
+from monolearn.geometry import symmetric_box
+from monolearn.harness import (
+    BLOCK_ROWS,
+    ExperimentConfig,
+    main,
+    make_adversary,
+    run_self_play,
+)
+from monolearn.learners import make_learner, play
 from monolearn.verify import run_eag_adversary
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -45,18 +60,34 @@ BILINEAR_STRIDE1_SHA256 = {
     3: "cd818472ef0e43cfa8d1b959a513f0920165e205356a92cca2295b3fb7616efa",
 }
 
+# tag -> digest of its 1001-round play stream against random_box (dim 3, seed 4)
+PLAY_SHA256 = {
+    "gd": "20de64797a72df5d504410a0a402d0823db8794e8b05605ad529e0a67c9244c5",
+    "og": "9baba7e8ffcb9ca2a6f23c56227283e777e4987487d321cfbf65e9eac43ed1b3",
+    "eg": "caa4c99e2afde26a8c9a31b3274fe82f2336b0efb8618c3128766247d761a71a",
+    "aog": "58b7138e10692fe9e300b9d4915982e7dcb5bd1a12d59fd2edaa07a887817208",
+}
+
+# stride-1 appendix_e (n=5) run of 2 * BLOCK_ROWS + 5 rounds, tags og and aog
+MIXED_TAGS_SHA256 = "5c1e83c38556d953a78515869cc07f2ca03a429ca6acd906cfb3265990fb0790"
+
 
 def sha256_of(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def eag_digest(regret, played):
-    """sha256 of repr(regret), then each play's action and gradient bytes."""
-    h = hashlib.sha256(repr(float(regret)).encode())
+def play_digest(played, prefix=b""):
+    """sha256 of ``prefix``, then each play's action and gradient bytes."""
+    h = hashlib.sha256(prefix)
     for action, g in played:
         h.update(action.tobytes())
         h.update(g.tobytes())
     return h.hexdigest()
+
+
+def eag_digest(regret, played):
+    """:func:`play_digest` of the plays, prefixed by repr(regret)."""
+    return play_digest(played, repr(float(regret)).encode())
 
 
 @pytest.mark.parametrize("adversary", sorted(ADVERSARIAL_CSV_SHA256))
@@ -92,3 +123,21 @@ def test_bilinear_stride1_potential_csv_bytes(tmp_path, d):
                                             out=str(out)))
     assert len(result.records) == T
     assert sha256_of(out) == BILINEAR_STRIDE1_SHA256[d]
+
+
+@pytest.mark.parametrize("tag", sorted(PLAY_SHA256))
+def test_play_stream_bytes(tag):
+    learner = make_learner(tag, symmetric_box(1.0, 3), [0.5, -0.25, 0.0], eta=0.2)
+    adversary = make_adversary("random_box", 3, seed=4)
+    played = [(action, g) for _, action, g in play(learner, adversary, 1001)]
+    assert play_digest(played) == PLAY_SHA256[tag]
+
+
+def test_mixed_tags_stride1_csv_bytes(tmp_path):
+    out = tmp_path / "run.csv"
+    T = 2 * BLOCK_ROWS + 5
+    result = run_self_play(ExperimentConfig(game="appendix_e", game_params={"n": 5},
+                                            algo=["og", "aog"], T=T, stride=1,
+                                            out=str(out)))
+    assert len(result.records) == T
+    assert sha256_of(out) == MIXED_TAGS_SHA256

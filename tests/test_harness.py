@@ -457,6 +457,21 @@ ADVERSARIAL = dict(game="appendix_d_toy", algo="aog_adaptive", T=50, L=1.0, D=2.
                    x1=[0.0, 0.0])
 
 
+@pytest.mark.parametrize("x1", [[0.5], [0.1, 0.2, 0.3]])
+def test_cli_adversarial_bad_x1_length_exits_one(tmp_path, capsys, x1):
+    cfg = write_config(tmp_path, **{**ADVERSARIAL, "x1": x1})
+    assert main(["adversarial", "--config", cfg]) == 1
+    assert_one_error_line(capsys, "x1: ", f"got {len(x1)}")
+
+
+def test_cli_selfplay_has_no_seed_option(tmp_path, capsys):
+    # self-play is deterministic: no part of it reads config.seed
+    with pytest.raises(SystemExit) as exc:
+        main(["selfplay", "--config", write_config(tmp_path, **BILINEAR), "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_cli_adversarial_out_is_opened_before_the_run(tmp_path, capsys, monkeypatch):
     calls = []
     monkeypatch.setattr("monolearn.harness.run_adversarial",

@@ -47,16 +47,14 @@ class RefPlayer:
 
     def __init__(self, learner):
         self.rule = learner
-        self.predictor, self.anchor = RULES[learner.tag]
+        self.predictor, self.anchored = RULES[learner.tag]
         self.x = learner.x1.copy()
         self.g_prev = np.zeros(learner.set.dim)
         self.t, self.S, self.eta, self.latched = 1, 0.0, learner.eta, False
 
     def pull(self):
-        if self.anchor == "weight":
-            return anchor_pull(self.rule.x1, self.x, weight=1.0 / (self.t + 1.0))
-        if self.anchor == "divide":
-            return anchor_pull(self.rule.x1, self.x, divisor=self.t + 1.0)
+        if self.anchored:
+            return anchor_pull(self.rule.x1, self.x, 1.0 / (self.t + 1.0))
         return None
 
     def propose(self, g_base=None):
