@@ -37,8 +37,8 @@ import numpy as np
 
 from . import verify as verify_mod
 from .games import GameOracle, make_game
-from .geometry import row_norms
-from .learners import dynamics, make_learner, play
+from .geometry import GeometryError, row_norms
+from .learners import dynamics, make_learner, play_rows
 from .metrics import (
     RunRecord,
     Trajectory,
@@ -76,7 +76,7 @@ class ExperimentConfig:
     algo: object = "aog"  # tag, or list of per-player tags
     game_params: dict = field(default_factory=dict)
     eta: float = None
-    seed: int = 0
+    seed: int = None  # seed of the random_box adversary (None: 0); self-play takes none
     stride: int = 1
     out: str = None
     record_potential: bool = False
@@ -88,6 +88,8 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("T", "stride", "seed"):
             value = getattr(self, name)
+            if name == "seed" and value is None:
+                continue
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name}: must be an integer, got {value!r}")
         for name in ("record_potential", "keep_trajectory"):
@@ -115,6 +117,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "game" not in data or "T" not in data:
             raise ConfigError("config requires at least 'game' and 'T'")
+        # a given seed must be an integer: null does not read as "unset" here
+        if "seed" in data and data["seed"] is None:
+            raise ConfigError("seed: must be an integer, got None")
         return ExperimentConfig(**data)
 
 
@@ -309,6 +314,9 @@ def run_self_play(config: ExperimentConfig):
     With ``config.out`` the CSV is written through :func:`_output_file`,
     opened before the first round.
     """
+    if config.seed is not None:
+        raise ConfigError(f"seed: self-play is deterministic and reads no seed, "
+                          f"got {config.seed!r}; only adversarial runs take one")
     game = make_game(config.game, **config.game_params)
     players, tags, x1 = _build_learners(config, game)
     if config.record_potential and (
@@ -414,17 +422,36 @@ def _self_play(config, game, players, x1):
 
 
 def make_adversary(name, dim, seed=0):
-    """Scripted gradient sources addressable by id."""
+    """Scripted gradient sources addressable by id.
+
+    ``random_box`` plays gradients drawn uniformly from [-1, 1]^dim by
+    ``default_rng(seed)``. It draws them ``BLOCK_ROWS`` rounds at a time and
+    hands out one row per round, so its stream is the rows of one
+    ``uniform(-1, 1, (T, dim))`` draw, and each row is returned once.
+    """
     if name == "appendix_d":
         if dim != 1:
             raise ConfigError("the alternating adversary is one-dimensional")
         return verify_mod.alternating_adversary
     if name == "random_box":
-        rng = np.random.default_rng(seed)
-        return lambda t, action: rng.uniform(-1.0, 1.0, dim)
+        return _random_box(np.random.default_rng(seed), dim)
     if name == "zero":
         return lambda t, action: np.zeros(dim)
     raise ConfigError(f"unknown adversary {name!r}")
+
+
+def _random_box(rng, dim):
+    rows = iter(())
+
+    def adversary(t, action):
+        nonlocal rows
+        row = next(rows, None)
+        if row is None:
+            rows = iter(rng.uniform(-1.0, 1.0, (BLOCK_ROWS, dim)))
+            row = next(rows)
+        return row
+
+    return adversary
 
 
 @dataclass
@@ -443,7 +470,9 @@ def run_adversarial(learner, adversary, T, record_at=None):
     charged, both phase points of eg/eag included. ``record_at`` lists rounds
     at which the external regret of the play so far is recorded (the final
     round is always included); the regret needs a bounded action set. Each
-    gradient is checked for finiteness before the learner uses it.
+    gradient is checked once, by ``play``, before the learner uses it; a
+    wrong-size or non-finite one raises :class:`HarnessError` naming its
+    round.
     """
     if T < 1:
         raise ConfigError("T: need at least one round")
@@ -451,16 +480,10 @@ def run_adversarial(learner, adversary, T, record_at=None):
     if not fset.is_bounded:
         raise ConfigError("adversarial runs need a bounded action set: the "
                           "external-regret comparator is unbounded")
-
-    def checked(t, action):
-        g = np.asarray(adversary(t, action), dtype=float)
-        if not np.all(np.isfinite(g)):
-            raise HarnessError(f"round {t}: adversary produced a non-finite gradient")
-        return g
-
-    plays, grads = np.empty((2, T, fset.dim))
-    for t, action, g in play(learner, checked, T):
-        plays[t - 1], grads[t - 1] = action, g
+    try:
+        plays, grads = play_rows(learner, adversary, T)
+    except GeometryError as exc:
+        raise HarnessError(str(exc)) from None
     wanted = set(record_at or ()) | {T}
     rounds = [t for t in range(1, T + 1) if t in wanted]
     regrets = regret_rows(plays, grads, fset, np.subtract(rounds, 1))
@@ -548,7 +571,7 @@ def _cmd_adversarial(args):
     config = _apply_overrides(load_config(args.config), args)
     game = make_game(config.game, **config.game_params)
     learner = build_single_learner(config, game)
-    adversary = make_adversary(args.adversary, game.player_dims[0], seed=config.seed)
+    adversary = make_adversary(args.adversary, game.player_dims[0], seed=config.seed or 0)
     with _output_file(config.out) if config.out else nullcontext() as fh:
         result = run_adversarial(learner, adversary, config.T)
         if fh is not None:

@@ -23,7 +23,6 @@ import numpy as np
 
 from .games import player_slices
 from .geometry import FeasibleSet, GeometryError, _as_vector
-from .metrics import gradient_variation
 
 # Step-size adaptation switches to 1/sqrt(1+S) once the accumulated
 # second-order gradient variation S exceeds ADAPTATION_FACTOR * D^2 * L^2.
@@ -188,7 +187,8 @@ def dynamics(players, feasible_set, x1, gradient, base_gradient=False):
 
         x_t, x_{t+1/2}, V(x_{t+1/2}), V(x_t) or None, x_{t+1}, etas
 
-    where ``etas`` are the players' step sizes for step t+1. Yielded arrays
+    where ``etas`` are the players' step sizes for step t+1 (an adaptive
+    player's changes from the round its S passes its threshold). Yielded arrays
     are never written to afterwards. A "last" predictor's first half step is
     x1 exactly: its gradient estimate starts at zero, and the anchor
     displacement vanishes at t = 1.
@@ -199,8 +199,10 @@ def dynamics(players, feasible_set, x1, gradient, base_gradient=False):
     needs_base = base_gradient or any(p.needs_base_gradient for p in players)
     etas = [p.eta for p in players]
     eta = np.repeat(etas, dims)
-    adaptive = [i for i, p in enumerate(players) if p.threshold is not None]
-    latched, s_var, s_zero = [False] * len(players), [0.0] * len(players), [0.0] * len(players)
+    # (player, slice, threshold) of each adaptive player
+    adaptive = [(i, slices[i], p.threshold) for i, p in enumerate(players)
+                if p.threshold is not None]
+    latched, s_var = [False] * len(players), [0.0] * len(players)
     x, g_prev, g_base = x1, np.zeros(x1.size), None
     t = 0
     while True:
@@ -212,13 +214,17 @@ def dynamics(players, feasible_set, x1, gradient, base_gradient=False):
         half = x if g_hat is None else step(feasible_set, x, eta, g_hat, pull)
         g_half = gradient(half, t, "played point")
         x_next = step(feasible_set, x, eta, g_half, pull)
-        if adaptive:
-            inc = gradient_variation(g_half, g_prev, slices) if t >= 2 else s_zero
-            for i in adaptive:
-                s_var[i] += inc[i]
-                etas[i], latched[i] = adapted_step_size(
-                    etas[i], s_var[i], players[i].threshold, latched[i])
-                eta[slices[i]] = etas[i]
+        if adaptive and t >= 2:
+            d = g_half - g_prev
+            for i, s, threshold in adaptive:
+                # player i's increment of S: the np.vecdot of its slice that
+                # metrics.player_dots takes, so S is the measured S bit for bit
+                s_var[i] += np.vecdot(d[s], d[s])
+                # eta can move only once S passes the threshold
+                if latched[i] or s_var[i] > threshold:
+                    etas[i], latched[i] = adapted_step_size(
+                        etas[i], s_var[i], threshold, latched[i])
+                    eta[s] = etas[i]
         yield x, half, g_half, g_base, x_next, tuple(etas)
         x, g_prev = x_next, g_half
 
@@ -230,9 +236,13 @@ def play(learner, gradient_source, rounds):
     action)`` in place of the oracle; rounds count from 1. An eg/eag learner
     plays both phase points, each charged as one round: its base iterate,
     whose gradient it predicts with, and then its probe point. With an odd
-    ``rounds`` its run ends after a base iterate. Each gradient is checked
-    for size and finiteness before the learner uses it; a source that
-    raises stops the run before its gradient is used.
+    ``rounds`` its run ends after a base iterate.
+
+    This is the one check of an online gradient: each is checked for size
+    and finiteness before the learner uses it, and a bad one raises
+    :class:`GeometryError` naming its round, after which the source is not
+    called again. A source that raises stops the run before its gradient is
+    used.
     """
     dim, t, charged = learner.set.dim, 0, []
 
@@ -242,7 +252,11 @@ def play(learner, gradient_source, rounds):
             return np.zeros(dim)
         t += 1
         action = point.copy()
-        g = _as_vector(gradient_source(t, action), dim)
+        g = gradient_source(t, action)
+        try:
+            g = _as_vector(g, dim)
+        except GeometryError as exc:
+            raise GeometryError(f"round {t}: gradient from the source: {exc}") from None
         charged.append((t, action, g))
         return g
 
@@ -251,3 +265,12 @@ def play(learner, gradient_source, rounds):
         next(steps)
         yield from charged
         charged.clear()
+
+
+def play_rows(learner, gradient_source, rounds):
+    """:func:`play` written into arrays: (plays, grads), each (rounds, dim),
+    with the action of round t and its gradient in row t - 1."""
+    plays, grads = np.empty((2, rounds, learner.set.dim))
+    for t, action, g in play(learner, gradient_source, rounds):
+        plays[t - 1], grads[t - 1] = action, g
+    return plays, grads

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import learners
 from .geometry import symmetric_box
-from .metrics import anchored_potential, external_regret
+from .metrics import anchored_potential, regret_rows
 
 REL_TOL = 1e-9
 ABS_FLOOR = 1e-12
@@ -194,16 +194,17 @@ def run_eag_adversary(T, eta):
     The learner starts at 0 on [-1, 1]; the scripted opponent forces its
     played points to 0 (odd rounds) and max(-eta, -1) (even rounds), and
     the comparator -1 earns at most -T/2, so the regret is at least T/2.
+    The play trace is a (T, 2, 1) array whose row t - 1 is the action of
+    round t and its gradient, so it iterates as (action, g) pairs.
     """
     if T < 1:
         raise VerifyError("need at least one round")
     box = symmetric_box(1.0, 1)
     learner = learners.make_learner("eag", box, np.zeros(1), eta=eta)
-    played = [(action, g) for _, action, g in learners.play(learner, alternating_adversary, T)]
-    clamped = max(-eta, -1.0)
-    for t, (action, _g) in enumerate(played, start=1):
-        want = 0.0 if t % 2 == 1 else clamped
-        if abs(float(action[0]) - want) > 1e-12:
-            raise VerifyError(f"unexpected iterate at round {t}")
-    regret = external_regret(*zip(*played), box)
-    return regret, played
+    plays, grads = learners.play_rows(learner, alternating_adversary, T)
+    want = np.where(np.arange(1, T + 1) % 2 == 1, 0.0, max(-eta, -1.0))
+    off = np.flatnonzero(np.abs(plays[:, 0] - want) > 1e-12)
+    if off.size:
+        raise VerifyError(f"unexpected iterate at round {off[0] + 1}")
+    regret = float(regret_rows(plays, grads, box, -1))
+    return regret, np.stack((plays, grads), axis=1)

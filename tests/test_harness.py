@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from monolearn.harness import (
+    BLOCK_ROWS,
     ConfigError,
     ExperimentConfig,
     HarnessError,
@@ -226,6 +227,50 @@ def test_adversary_non_finite_gradient_aborts():
     learner = make_learner("og", symmetric_box(1.0, 1), np.zeros(1), eta=0.2)
     with pytest.raises(HarnessError):
         run_adversarial(learner, lambda t, a: np.array([float("nan")]), 5)
+
+
+def bad_at(k, value, dim=1):
+    """An adversary that returns ``value`` at round k and zeros before it,
+    and records each round it is called for."""
+    calls = []
+
+    def adversary(t, action):
+        calls.append(t)
+        return np.asarray(value, dtype=float) if t == k else np.zeros(dim)
+
+    return adversary, calls
+
+
+BAD_GRADIENTS = {"nan": [float("nan")], "inf": [float("inf")], "size": [0.5, 0.5]}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_GRADIENTS))
+@pytest.mark.parametrize("tag", ["aog_adaptive", "eag"])
+def test_adversary_gradient_checked_once_at_its_round(bad, tag):
+    # play's check is the only one: the bad gradient of round k stops the
+    # run before any later round is asked for, and the error names round k
+    k = 7
+    learner = make_learner(tag, symmetric_box(1.0, 1), np.zeros(1), eta=0.2, L=1.0, D=2.0)
+    adversary, calls = bad_at(k, BAD_GRADIENTS[bad])
+    with pytest.raises(HarnessError, match=f"^round {k}: "):
+        run_adversarial(learner, adversary, 20)
+    assert calls == list(range(1, k + 1))
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_random_box_stream_is_one_uniform_draw(dim):
+    # drawn BLOCK_ROWS rows at a time: two refills and a partial last block
+    T = 2 * BLOCK_ROWS + 5
+    want = np.random.default_rng(11).uniform(-1.0, 1.0, (T, dim))
+    adversary = make_adversary("random_box", dim, seed=11)
+    got = [adversary(t, np.zeros(dim)) for t in range(1, T + 1)]
+    assert np.array_equal(got, want)  # each row is still as it was returned
+    # a learner that writes to its gradient changes no later one
+    adversary = make_adversary("random_box", dim, seed=11)
+    for t in range(1, T + 1):
+        g = adversary(t, np.zeros(dim))
+        assert g.shape == (dim,) and np.array_equal(g, want[t - 1])
+        g[:] = 7.0
 
 
 def test_unbounded_adversarial_run_rejected_before_first_round():
@@ -464,6 +509,31 @@ def test_cli_adversarial_bad_x1_length_exits_one(tmp_path, capsys, x1):
     assert_one_error_line(capsys, "x1: ", f"got {len(x1)}")
 
 
+@pytest.mark.parametrize("seed", [0, 1, 999])
+def test_cli_selfplay_config_seed_exits_one(tmp_path, capsys, seed):
+    # self-play reads no seed, so a config that sets one is an error
+    out = tmp_path / "run.csv"
+    cfg = write_config(tmp_path, **{**BILINEAR, "seed": seed})
+    assert main(["selfplay", "--config", cfg, "--out", str(out)]) == 1
+    assert_one_error_line(capsys, "seed: ", repr(seed))
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="^seed: "):
+        run_self_play(ExperimentConfig(**BILINEAR, seed=seed))
+
+
+def test_cli_adversarial_reads_config_seed(tmp_path, capsys):
+    def regret_csv(name, **data):
+        out = tmp_path / f"{name}.csv"
+        cfg = write_config(tmp_path, name=f"{name}.json", **{**ADVERSARIAL, **data})
+        assert main(["adversarial", "--config", cfg, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    unset, zero, three = regret_csv("unset"), regret_csv("zero", seed=0), regret_csv("three", seed=3)
+    assert unset == zero  # no seed: the random_box stream of seed 0
+    assert three != zero
+    capsys.readouterr()
+
+
 def test_cli_selfplay_has_no_seed_option(tmp_path, capsys):
     # self-play is deterministic: no part of it reads config.seed
     with pytest.raises(SystemExit) as exc:
@@ -499,3 +569,15 @@ def test_cli_adversarial_failed_run_keeps_earlier_csv(tmp_path, capsys, monkeypa
     assert_one_error_line(capsys, "round 3")
     assert out.read_bytes() == earlier
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "regret.csv"]
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_GRADIENTS))
+def test_cli_adversary_bad_gradient_exits_one(tmp_path, capsys, monkeypatch, bad):
+    adversary, calls = bad_at(4, BAD_GRADIENTS[bad])
+    monkeypatch.setattr("monolearn.harness.make_adversary", lambda *a, **k: adversary)
+    out = tmp_path / "regret.csv"
+    cfg = write_config(tmp_path, **ADVERSARIAL)
+    assert main(["adversarial", "--config", cfg, "--out", str(out)]) == 1
+    assert_one_error_line(capsys, "round 4: ")
+    assert calls == [1, 2, 3, 4]
+    assert not out.exists()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from monolearn.games import make_game
 from monolearn.geometry import GeometryError, Unconstrained, symmetric_box
 from monolearn.learners import (
     default_step_size,
@@ -106,6 +107,36 @@ def test_variation_sum_skips_first_round():
     assert first == learner.eta
     # then S = (4 - 5)^2 = 1, read back from eta = 1/sqrt(1+S)
     assert math.isclose(1.0 / second**2 - 1.0, 1.0)
+
+
+def test_adaptive_step_sizes_follow_each_players_variation():
+    # Two adaptive players around a fixed-step one, on a joint vector of
+    # dims (1, 3, 2). Each adaptive step size is eta0 until that player's S
+    # passes the threshold and 1/sqrt(1+S) from then on, with S the
+    # second-order variation of the player's own gradient slice: bit for
+    # bit, as the measurement pass's S column computes it.
+    game = make_game("random_linear_monotone", dims=(1, 3, 2), bounded=1.0, seed=5)
+    noise = 0.3 * np.random.default_rng(1).standard_normal((201, game.dim))
+    tags = ["aog_adaptive", "og", "aog_adaptive"]
+    players = [make_learner(tag, fset, game.start[s], L=1.0, D=0.03)
+               for tag, fset, s in zip(tags, game.player_sets, game.slices())]
+    x1 = np.concatenate([p.x1 for p in players])
+    steps = dynamics(players, game.joint_set, x1,
+                     lambda z, t, point: game.gradient_fn(z) + noise[t])
+    out = [next(steps) for _ in range(200)]
+    grads = np.array([g_half for _, _, g_half, _, _, _ in out])
+    eta0 = [p.eta for p in players]
+    for i, s in enumerate(game.slices()):
+        etas = [etas[i] for *_, etas in out]
+        if tags[i] == "og":
+            assert set(etas) == {eta0[i]}
+            continue
+        S = [second_order_variation(grads[:t, s]) for t in range(1, len(out) + 1)]
+        latched = [S_t > players[i].threshold for S_t in S]
+        first = latched.index(True)
+        assert 10 < first < 150  # the latch trips mid-run
+        assert etas[:first] == [eta0[i]] * first
+        assert etas[first:] == [1.0 / math.sqrt(1.0 + S_t) for S_t in S[first:]]
 
 
 def test_half_and_full_steps_stay_close():
