@@ -229,14 +229,14 @@ def test_adversary_non_finite_gradient_aborts():
         run_adversarial(learner, lambda t, a: np.array([float("nan")]), 5)
 
 
-def bad_at(k, value, dim=1):
-    """An adversary that returns ``value`` at round k and zeros before it,
-    and records each round it is called for."""
+def bad_at(k, value):
+    """A one-dimensional adversary that returns ``value`` at round k and
+    zeros before it, and records each round it is called for."""
     calls = []
 
     def adversary(t, action):
         calls.append(t)
-        return np.asarray(value, dtype=float) if t == k else np.zeros(dim)
+        return np.asarray(value, dtype=float) if t == k else np.zeros(1)
 
     return adversary, calls
 
