@@ -33,7 +33,6 @@ from .learners import make_learner, play
 from .metrics import (
     Trajectory,
     dynamic_regret,
-    external_regret,
     measure_equilibrium,
     potential,
     second_order_variation,
@@ -60,7 +59,6 @@ __all__ = [
     "check_descent_identity",
     "check_sequence_bound",
     "dynamic_regret",
-    "external_regret",
     "fit_loglog_slope",
     "load_config",
     "make_appendix_e_instance",

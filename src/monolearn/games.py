@@ -297,4 +297,7 @@ def make_game(game_id, **params):
     if unknown:
         raise GameError(f"game_params: unknown keys {unknown} for {game_id!r}; "
                         f"known: {sorted(known)}")
-    return builder(**params)
+    try:
+        return builder(**params)
+    except TypeError as exc:  # a game_params value of the wrong type
+        raise GameError(f"game_params: {exc}") from None

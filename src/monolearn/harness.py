@@ -40,7 +40,6 @@ from .games import GameOracle, make_game
 from .geometry import GeometryError, row_norms
 from .learners import dynamics, make_learner, play_rows
 from .metrics import (
-    RunRecord,
     Trajectory,
     anchored_potential,
     best_response_gaps,
@@ -86,6 +85,18 @@ class ExperimentConfig:
     D: float = None
 
     def __post_init__(self):
+        if not isinstance(self.game, str):
+            raise ConfigError(f"game: must be a game id string, got {self.game!r}")
+        tags = [self.algo] if isinstance(self.algo, str) else self.algo
+        if not isinstance(tags, (list, tuple)) or not all(isinstance(t, str) for t in tags):
+            raise ConfigError(f"algo: must be a tag or a list of tags, got {self.algo!r}")
+        if self.x1 is not None and (
+                not isinstance(self.x1, (list, tuple, np.ndarray))
+                or not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                           for v in self.x1)):
+            raise ConfigError(f"x1: must be a list of numbers, got {self.x1!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError(f"out: must be a file path string, got {self.out!r}")
         for name in ("T", "stride", "seed"):
             value = getattr(self, name)
             if name == "seed" and value is None:
@@ -138,21 +149,15 @@ def load_config(path):
 class RunResult:
     config: ExperimentConfig
     game: GameOracle
-    records: list
+    columns: dict  # CSV column name -> its cells, one per recorded round, in header order
     eta: list  # final per-player step sizes
     trajectory: object = None
     certificates: dict = None  # per-round series when potential tracking is on
 
-    @property
-    def num_players(self):
-        return self.game.num_players
-
     def column(self, name):
-        return np.array([getattr(r, name) for r in self.records], dtype=float)
-
-    @property
-    def ts(self):
-        return np.array([r.t for r in self.records], dtype=int)
+        """The cells of CSV column ``name``, one per recorded round; None
+        marks an empty cell."""
+        return self.columns[name]
 
 
 def _recorded_rounds(T, stride):
@@ -209,7 +214,9 @@ def _previous_rows(rows, carry):
 class _BlockMeasure:
     """The measurement pass: every CSV column and certificate of a block of
     rounds, from the block's iterates and the state carried from the block
-    before (previous base point and gradient, and the running sums).
+    before (previous base point and gradient, and the running sums). The
+    recorded rows go into ``columns``, a dict from each name of
+    :func:`metrics.csv_header`, in header order, to that column's cells.
 
     Each column comes from the per-round formulas in :mod:`metrics`, on all
     rows of the block at once, with one exact-oracle call per player per
@@ -226,7 +233,7 @@ class _BlockMeasure:
         self.x_prev = self.g_prev = None
         self.S, self.sum_gx, self.dynreg = np.zeros(N), np.zeros(N), np.zeros(N)
         self.sum_g = np.zeros(game.dim)
-        self.records = []
+        self.columns = {name: [] for name in csv_header(N).split(",")}
         self.certs = (
             {"t": [], "potential": [], "residual_norm": [], "drift_norm": [],
              "r_tan_half": [], "dist_half": []}
@@ -245,13 +252,13 @@ class _BlockMeasure:
         S = running_sums(self.S, gradient_variation(grad, g_prev, slices))
         rec = np.flatnonzero([t in self.recorded for t in range(t0, t0 + n)])
 
-        extreg = dynreg = [(None,) * N] * len(rec)
-        gap, tgap, regret_incs = [None] * len(rec), [None] * len(rec), None
+        extreg = dynreg = regret_incs = None
+        gap = tgap = pot = [None] * len(rec)
         if self.bounded:
             gx, lows = regret_terms(self.joint, half, grad, slices)
             sum_gx = running_sums(self.sum_gx, gx)
             sum_g = running_sums(self.sum_g, grad)
-            extreg = external_regrets(self.joint, sum_gx[rec], sum_g[rec], slices).tolist()
+            extreg = external_regrets(self.joint, sum_gx[rec], sum_g[rec], slices)
             gap = np.maximum(gx[rec].sum(axis=1) - lows[rec].sum(axis=1), 0.0).tolist()
             regret_incs = linearized_gaps(gx, lows)
             self.sum_gx, self.sum_g = sum_gx[-1], sum_g[-1]
@@ -263,14 +270,13 @@ class _BlockMeasure:
         if regret_incs is not None:
             dynreg = running_sums(self.dynreg, regret_incs)
             self.dynreg = dynreg[-1]
-            dynreg = dynreg[rec].tolist()
+            dynreg = dynreg[rec]
 
         # r_tan and dist_half on recorded rows, or on every row for the
         # per-round certificates.
         at = slice(None) if self.certs is not None else rec
         r_tan = self.joint._tangent_residual(half[at], grad[at]).tolist()
         dist_half = row_norms(half[at] - base[at]).tolist()
-        pot = [None] * n
         if self.certs is not None:
             x_prev = _previous_rows(base, self.x_prev)
             eta = etas[0, 0]  # one common fixed step
@@ -286,24 +292,22 @@ class _BlockMeasure:
             self.certs["drift_norm"].extend(drift)
             self.certs["r_tan_half"].extend(r_tan)
             self.certs["dist_half"].extend(dist_half)
-            r_tan, dist_half = [r_tan[k] for k in rec], [dist_half[k] for k in rec]
+            r_tan, dist_half, pot = ([cells[k] for k in rec]
+                                     for cells in (r_tan, dist_half, pot))
 
-        dist_anchor = row_norms(self.x1 - base[rec]).tolist()
-        S_rec, eta_rec = S[rec].tolist(), etas[rec].tolist()
-        for j, k in enumerate(rec.tolist()):
-            self.records.append(RunRecord(
-                t=t0 + k,
-                r_tan=r_tan[j],
-                gap=gap[j],
-                tgap_exact=tgap[j],
-                potential=pot[k],
-                eta=tuple(eta_rec[j]),
-                S=tuple(S_rec[j]),
-                extreg=tuple(extreg[j]),
-                dynreg=tuple(dynreg[j]),
-                dist_half=dist_half[j],
-                dist_anchor=dist_anchor[j],
-            ))
+        cols = self.columns
+        cols["t"].extend(ts[rec].tolist())
+        cols["r_tan"].extend(r_tan)
+        cols["gap"].extend(gap)
+        cols["tgap_exact"].extend(tgap)
+        cols["potential"].extend(pot)
+        for name, table in (("eta", etas[rec]), ("S", S[rec]),
+                            ("extreg", extreg), ("dynreg", dynreg)):
+            per_player = [[None] * len(rec)] * N if table is None else table.T.tolist()
+            for i, cells in enumerate(per_player, 1):
+                cols[f"{name}_{i}"].extend(cells)
+        cols["dist_half"].extend(dist_half)
+        cols["dist_anchor"].extend(row_norms(self.x1 - base[rec]).tolist())
         self.S = S[-1]
         self.x_prev, self.g_prev = base[-1].copy(), grad[-1].copy()
 
@@ -411,7 +415,7 @@ def _self_play(config, game, players, x1):
     return RunResult(
         config=config,
         game=game,
-        records=measure.records,
+        columns=measure.columns,
         eta=list(etas),
         trajectory=trajectory,
         certificates=measure.certs,
@@ -528,10 +532,11 @@ def fit_loglog_slope(ts, values, window=None):
 
 
 def emit_csv(result: RunResult, fh):
-    """Write the run's CSV to the open text file ``fh``."""
-    n = result.num_players
-    lines = [csv_header(n)]
-    lines.extend(csv_row(r, n) for r in result.records)
+    """Write the run's CSV to the open text file ``fh``: the header from the
+    column names, then one line per recorded round."""
+    columns = result.columns
+    lines = [",".join(columns)]
+    lines.extend(csv_row(cells) for cells in zip(*columns.values(), strict=True))
     fh.write("\n".join(lines) + "\n")
 
 
@@ -551,9 +556,8 @@ def _apply_overrides(config, args):
 def _cmd_selfplay(args):
     config = _apply_overrides(load_config(args.config), args)
     result = run_self_play(config)
-    last = result.records[-1]
-    print(f"T={last.t} r_tan={last.r_tan:.6g}"
-          + (f" gap={last.gap:.6g}" if last.gap is not None else ""))
+    t, r_tan, gap = (result.column(name)[-1] for name in ("t", "r_tan", "gap"))
+    print(f"T={t} r_tan={r_tan:.6g}" + (f" gap={gap:.6g}" if gap is not None else ""))
     return 0
 
 
@@ -577,7 +581,7 @@ def _cmd_adversarial(args):
         if fh is not None:
             fh.write("t,regret\n")
             for t in sorted(result.regret_at):
-                fh.write(f"{t},{result.regret_at[t]!r}\n")
+                fh.write(csv_row((t, result.regret_at[t])) + "\n")
     print(f"T={config.T} regret={result.final_regret:.6g}")
     return 0
 

@@ -15,14 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeometryError, _as_vector
+from .geometry import _as_vector
 from .games import GameError, GameOracle
 
 # Membership tolerance for the explicit normal-cone witness c_t.
 WITNESS_TOL = 1e-9
-
-CSV_BASE_COLUMNS = ("t", "r_tan", "gap", "tgap_exact", "potential")
-CSV_TAIL_COLUMNS = ("dist_half", "dist_anchor")
 
 
 class MetricError(ValueError):
@@ -137,20 +134,6 @@ def external_regrets(feasible_set, sum_gx, sum_g, slices=None):
     return sum_gx - (low if slices is None else player_dots(x_min, sum_g, slices))
 
 
-def external_regret(plays, grads, feasible_set):
-    """Linearized external regret of a played sequence against the best fixed
-    comparator: max over x of sum_t <g_t, x_t - x>, in closed form."""
-    if not feasible_set.is_bounded:
-        raise GeometryError("external regret comparator needs a bounded set")
-    if len(plays) != len(grads):
-        raise MetricError("plays and gradients must align")
-    if not len(plays):
-        return 0.0
-    dim = feasible_set.dim
-    plays, grads = (_as_vector(v, len(v) * dim).reshape(-1, dim) for v in (plays, grads))
-    return float(regret_rows(plays, grads, feasible_set, -1))
-
-
 def regret_rows(plays, grads, feasible_set, rows):
     """External regret of the play up to each of ``rows`` (0-based round
     indices, one or an array) of the (T, dim) arrays ``plays`` and ``grads``."""
@@ -260,45 +243,16 @@ def potential(traj: Trajectory, game: GameOracle, eta, t):
 # -- CSV schema -----------------------------------------------------------
 
 
-@dataclass
-class RunRecord:
-    t: int
-    r_tan: float
-    gap: float = None
-    tgap_exact: float = None
-    potential: float = None
-    eta: tuple = ()
-    S: tuple = ()
-    extreg: tuple = ()
-    dynreg: tuple = ()
-    dist_half: float = None
-    dist_anchor: float = None
-
-
 def csv_header(num_players):
-    cols = list(CSV_BASE_COLUMNS)
-    for name in ("eta", "S", "extreg", "dynreg"):
-        cols.extend(f"{name}_{i + 1}" for i in range(num_players))
-    cols.extend(CSV_TAIL_COLUMNS)
-    return ",".join(cols)
+    """The self-play CSV's column names in order, comma-separated: the one
+    place the schema is spelled."""
+    per_player = [f"{name}_{i + 1}" for name in ("eta", "S", "extreg", "dynreg")
+                  for i in range(num_players)]
+    return ",".join(["t", "r_tan", "gap", "tgap_exact", "potential", *per_player,
+                     "dist_half", "dist_anchor"])
 
 
-def _fmt(value):
-    if type(value) is float:  # most cells: skip the checks below
-        return repr(value)
-    if value is None:
-        return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
-def csv_row(record: RunRecord, num_players):
-    per_player = (record.eta, record.S, record.extreg, record.dynreg)
-    for name, values in zip(("eta", "S", "extreg", "dynreg"), per_player):
-        if len(values) != num_players:
-            raise MetricError(f"record field {name} does not match player count")
-    return ",".join([_fmt(v) for v in (
-        record.t, record.r_tan, record.gap, record.tgap_exact, record.potential,
-        *record.eta, *record.S, *record.extreg, *record.dynreg,
-        record.dist_half, record.dist_anchor)])
+def csv_row(cells):
+    """One CSV line from a row's cells, Python ints and floats: ``repr``
+    round-trips a float exactly, and None is an empty cell."""
+    return ",".join(["" if v is None else repr(v) for v in cells])

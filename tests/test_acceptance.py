@@ -164,19 +164,19 @@ def test_criterion_3_rate_separation(shipped_runs):
 
     fits = {}
     for tag, result in (("aog", aog), ("og", og), ("full", full)):
-        fits[tag] = fit_loglog_slope(result.ts, result.column("r_tan"),
+        fits[tag] = fit_loglog_slope(result.column("t"), result.column("r_tan"),
                                      window=(100, result.config.T))
     ok = (
         -1.15 <= fits["aog"].slope <= -0.85
         and -0.65 <= fits["og"].slope <= -0.35
         and -1.15 <= fits["full"].slope <= -0.85
-        and aog.records[-1].r_tan < og.records[-1].r_tan
+        and aog.column("r_tan")[-1] < og.column("r_tan")[-1]
         and full_secs < 600.0
     )
     report(3, ok,
            f"slopes aog={fits['aog'].slope:.3f} og={fits['og'].slope:.3f} "
-           f"full={fits['full'].slope:.3f}; final r_tan aog={aog.records[-1].r_tan:.4g} "
-           f"< og={og.records[-1].r_tan:.4g}; full run {full_secs:.0f}s")
+           f"full={fits['full'].slope:.3f}; final r_tan aog={aog.column('r_tan')[-1]:.4g} "
+           f"< og={og.column('r_tan')[-1]:.4g}; full run {full_secs:.0f}s")
 
 
 def test_criterion_4_adaptive_step_never_trips(adaptive_runs):
@@ -186,10 +186,12 @@ def test_criterion_4_adaptive_step_never_trips(adaptive_runs):
         threshold = 4500.0 * math.pi * D * D * L * L
         eta0 = 1.0 / (3.0 * L)
         s_max = 0.0
-        for rec in result.records:
-            s_max = max(s_max, max(rec.S))
-            assert all(s <= threshold for s in rec.S), f"{name}: S tripped at t={rec.t}"
-            assert all(e == eta0 for e in rec.eta), f"{name}: eta moved at t={rec.t}"
+        for i in range(1, result.game.num_players + 1):
+            S, eta = result.column(f"S_{i}"), result.column(f"eta_{i}")
+            s_max = max(s_max, max(S))
+            for t, s, e in zip(result.column("t"), S, eta):
+                assert s <= threshold, f"{name}: S_{i} tripped at t={t}"
+                assert e == eta0, f"{name}: eta_{i} moved at t={t}"
         margins.append(f"{name}: S_max/threshold={s_max / threshold:.2e}")
     report(4, True, "step size constant at 1/(3L) on all instances (" + "; ".join(margins) + ")")
 
@@ -224,9 +226,9 @@ def test_criterion_7_dynamic_regret_log_growth(rate_runs):
     details, ok = [], True
     for name in ("bilinear_1d", "bilinear_2d"):
         result = rate_runs[name]
-        rows = {rec.t: rec.dynreg for rec in result.records}
         for player in range(2):
-            d2, d3, d4 = rows[100][player], rows[1000][player], rows[10000][player]
+            dynreg = dict(zip(result.column("t"), result.column(f"dynreg_{player + 1}")))
+            d2, d3, d4 = dynreg[100], dynreg[1000], dynreg[10000]
             lhs = d4 - d3
             rhs = 1.2 * (math.log(1e4) - math.log(1e3)) / (
                 math.log(1e3) - math.log(1e2)
@@ -307,12 +309,12 @@ def test_criterion_10_unbounded_domain_rate():
     r1 = float(np.linalg.norm(game.gradient_fn(x1)))
     H = max(eta * r1, float(np.linalg.norm(x1 - game.nash)))
     worst = 0.0
-    for rec in result.records:
-        if rec.t < 2:
+    for t, r_tan in zip(result.column("t"), result.column("r_tan")):
+        if t < 2:
             continue
-        bound = 1430.0 * H / (eta * rec.t)
-        worst = max(worst, rec.r_tan / bound)
-        assert rec.r_tan <= bound, f"unbounded rate violated at t={rec.t}"
+        bound = 1430.0 * H / (eta * t)
+        worst = max(worst, r_tan / bound)
+        assert r_tan <= bound, f"unbounded rate violated at t={t}"
     report(10, True, f"r_tan <= 1430H/(eta*T) on all recorded rounds "
                      f"(tightest ratio {worst:.2e}, H={H:.3f})")
 

@@ -217,7 +217,7 @@ def test_bounded_random_linear_runs_from_game_start():
     cfg = ExperimentConfig(game="random_linear_monotone",
                            game_params={"dims": (2, 2), "bounded": 0.5}, T=50, stride=10)
     result = run_self_play(cfg)
-    assert result.records[-1].gap is not None
+    assert result.column("gap")[-1] is not None
 
 
 def test_make_game_rejects_unknown_params():

@@ -121,7 +121,7 @@ def test_bilinear_stride1_potential_csv_bytes(tmp_path, d):
     result = run_self_play(ExperimentConfig(game="bilinear", game_params={"dims": [d, d]},
                                             T=T, stride=1, record_potential=True,
                                             out=str(out)))
-    assert len(result.records) == T
+    assert result.column("t") == list(range(1, T + 1))
     assert sha256_of(out) == BILINEAR_STRIDE1_SHA256[d]
 
 
@@ -139,5 +139,5 @@ def test_mixed_tags_stride1_csv_bytes(tmp_path):
     result = run_self_play(ExperimentConfig(game="appendix_e", game_params={"n": 5},
                                             algo=["og", "aog"], T=T, stride=1,
                                             out=str(out)))
-    assert len(result.records) == T
+    assert result.column("t") == list(range(1, T + 1))
     assert sha256_of(out) == MIXED_TAGS_SHA256

@@ -1,5 +1,7 @@
+import io
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ from monolearn.harness import (
     ExperimentConfig,
     HarnessError,
     build_single_learner,
+    emit_csv,
     fit_loglog_slope,
     load_config,
     main,
@@ -21,6 +24,7 @@ from monolearn.harness import (
 from monolearn.games import GameOracle, make_game
 from monolearn.learners import make_learner, play
 from monolearn.geometry import symmetric_box
+from monolearn.metrics import csv_header
 
 
 def write_config(tmp_path, name="cfg.json", **data):
@@ -84,7 +88,7 @@ def test_recorded_rounds_follow_stride():
     cfg = ExperimentConfig(**{**BILINEAR, "game_params": {"dims": (1, 1)}})
     result = run_self_play(cfg)
     want = sorted(set(range(1, 201, 7)) | {200})
-    assert list(result.ts) == want
+    assert result.column("t") == want
 
 
 def test_zero_sum_conservation_along_run():
@@ -98,11 +102,11 @@ def test_zero_sum_conservation_along_run():
     )
     result = run_self_play(cfg)
     game = result.game
-    for rec in result.records:
-        z = result.trajectory.half[rec.t]
+    for t in result.column("t"):
+        z = result.trajectory.half[t]
         assert abs(game.loss(0, z) + game.loss(1, z)) <= 1e-10
-        # the two per-player exact gap terms each upper-bound zero
-        assert all(v >= -1e-12 for v in rec.dynreg)
+    # the two per-player exact gap terms each upper-bound zero
+    assert all(v >= -1e-12 for name in ("dynreg_1", "dynreg_2") for v in result.column(name))
 
 
 def test_heterogeneous_algos_supported():
@@ -113,7 +117,7 @@ def test_heterogeneous_algos_supported():
         T=100,
     )
     result = run_self_play(cfg)
-    assert len(result.records) == 100
+    assert len(result.column("t")) == 100
 
 
 def test_potential_tracking_requires_uniform_fixed_step():
@@ -137,10 +141,10 @@ def test_unbounded_run_reports_residual_only():
         stride=10,
     )
     result = run_self_play(cfg)
-    last = result.records[-1]
-    assert last.gap is None
-    assert last.extreg == (None, None)
-    assert last.r_tan >= 0.0
+    last = {name: cells[-1] for name, cells in result.columns.items()}
+    assert last["gap"] is None
+    assert (last["extreg_1"], last["extreg_2"]) == (None, None)
+    assert last["r_tan"] >= 0.0
 
 
 def test_two_phase_learners_in_self_play():
@@ -151,7 +155,7 @@ def test_two_phase_learners_in_self_play():
         T=100,
     )
     result = run_self_play(cfg)
-    assert result.records[-1].r_tan < 1.0
+    assert result.column("r_tan")[-1] < 1.0
 
 
 def test_non_finite_base_gradient_aborts_with_round(monkeypatch):
@@ -177,6 +181,28 @@ def test_wrong_size_gradient_aborts(monkeypatch):
     monkeypatch.setattr("monolearn.harness.make_game", lambda *a, **k: bad)
     with pytest.raises(HarnessError, match=r"round 1: .*shape"):
         run_self_play(ExperimentConfig(game="custom", T=5))
+
+
+@pytest.mark.parametrize("config", [
+    dict(game="appendix_e", game_params={"n": 5}, algo=["og", "aog"], T=2 * BLOCK_ROWS + 5,
+         stride=3),
+    dict(game="bilinear", game_params={"dims": [1, 1]}, T=2 * BLOCK_ROWS + 5, stride=1,
+         record_potential=True),
+])
+def test_columns_follow_the_header_and_match_the_csv(tmp_path, config):
+    out = tmp_path / "run.csv"
+    result = run_self_play(ExperimentConfig(**config, out=str(out)))
+    header = csv_header(result.game.num_players).split(",")
+    assert list(result.columns) == header
+    lines = out.read_text().splitlines()
+    assert lines[0].split(",") == header
+    for name, cells in zip(header, zip(*(line.split(",") for line in lines[1:])), strict=True):
+        parse = int if name == "t" else float
+        assert result.column(name) == [None if c == "" else parse(c) for c in cells], name
+    # a column of another length is not written
+    short = {**result.columns, "dist_anchor": result.column("dist_anchor")[:-1]}
+    with pytest.raises(ValueError):
+        emit_csv(replace(result, columns=short), io.StringIO())
 
 
 def test_bad_x1_dimension_rejected():
@@ -442,6 +468,12 @@ def assert_one_error_line(capsys, *needles):
     ({**BILINEAR, "eta": float("nan")}, "eta:"),
     ({**BILINEAR, "keep_trajectory": "false"}, "keep_trajectory:"),
     ({**BILINEAR, "record_potential": 1}, "record_potential:"),
+    ({**BILINEAR, "algo": 5}, "algo:"),
+    ({**BILINEAR, "game": []}, "game:"),
+    ({**BILINEAR, "x1": {"a": 1}}, "x1:"),
+    ({**BILINEAR, "out": 5}, "out:"),
+    ({**BILINEAR, "game_params": {"payoff_scale": "x"}}, "game_params:"),
+    ({**BILINEAR, "game": "appendix_e", "game_params": {"n": 2.5}}, "game_params:"),
 ])
 def test_cli_bad_config_values_exit_one(tmp_path, capsys, data, needle):
     assert main(["selfplay", "--config", write_config(tmp_path, **data)]) == 1
@@ -507,6 +539,12 @@ def test_cli_adversarial_bad_x1_length_exits_one(tmp_path, capsys, x1):
     cfg = write_config(tmp_path, **{**ADVERSARIAL, "x1": x1})
     assert main(["adversarial", "--config", cfg]) == 1
     assert_one_error_line(capsys, "x1: ", f"got {len(x1)}")
+
+
+def test_cli_adversarial_bad_algo_exits_one(tmp_path, capsys):
+    cfg = write_config(tmp_path, **{**ADVERSARIAL, "algo": 5})
+    assert main(["adversarial", "--config", cfg]) == 1
+    assert_one_error_line(capsys, "algo:")
 
 
 @pytest.mark.parametrize("seed", [0, 1, 999])

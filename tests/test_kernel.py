@@ -36,8 +36,6 @@ from monolearn.learners import (
     step,
 )
 
-ROW_FIELDS = ("r_tan", "gap", "tgap_exact", "potential", "dist_half", "dist_anchor")
-TUPLE_FIELDS = ("eta", "S", "extreg", "dynreg")
 TAGS = sorted(RULES)
 
 
@@ -75,7 +73,8 @@ class RefPlayer:
 
 
 def reference_self_play(config):
-    """Per-player self-play loop: (rows, bases, halves, grads, final etas)."""
+    """Per-player self-play loop: (rows, bases, halves, grads, final etas),
+    each row a dict from CSV column name to cell."""
     game = make_game(config.game, **config.game_params)
     learners, _, x1 = _build_learners(config, game)
     players = [RefPlayer(p) for p in learners]
@@ -116,21 +115,24 @@ def reference_self_play(config):
             pot = (t * (t + 1) / 2.0 * (float(resid @ resid) + float(drift @ drift))
                    + t * float(resid @ (base - x1)))
         if t in recorded:
-            rows.append(dict(
+            row = dict(
                 t=t,
                 r_tan=joint.tangent_residual(half, g_half),
                 gap=joint.linearized_gap(half, g_half) if bounded else None,
                 tgap_exact=sum(game.loss(i, half) - game.best_response(i, half)[1]
                                for i in range(N)) if exact else None,
                 potential=pot,
-                eta=etas,
-                S=tuple(p.S for p in players),
-                extreg=tuple(sum_gx[i] - game.player_sets[i].support_min(sum_g[i])[1]
-                             for i in range(N)) if bounded else (None,) * N,
-                dynreg=tuple(dynreg) if bounded or exact else (None,) * N,
                 dist_half=float(np.linalg.norm(half - base)),
                 dist_anchor=float(np.linalg.norm(x1 - base)),
-            ))
+            )
+            for i, p in enumerate(players):
+                row[f"eta_{i + 1}"] = etas[i]
+                row[f"S_{i + 1}"] = p.S
+                row[f"extreg_{i + 1}"] = (
+                    sum_gx[i] - game.player_sets[i].support_min(sum_g[i])[1]
+                    if bounded else None)
+                row[f"dynreg_{i + 1}"] = dynreg[i] if bounded or exact else None
+            rows.append(row)
         bases.append(base)
         halves.append(half)
         grads.append(g_half)
@@ -178,15 +180,12 @@ def assert_equivalent(config, floor=0.0):
         for k, (w, g) in enumerate(zip(want, got)):
             assert np.array_equal(w, g), f"{name} differs at round {k + 1}"
     assert result.eta == etas
-    assert len(result.records) == len(rows)
-    for rec, row in zip(result.records, rows):
-        assert rec.t == row["t"]
-        for name in ROW_FIELDS:
-            assert close(getattr(rec, name), row[name], floor=floor), (rec.t, name)
-        for name in TUPLE_FIELDS:
-            got, want = getattr(rec, name), row[name]
-            assert len(got) == len(want)
-            assert all(close(a, b, floor=floor) for a, b in zip(got, want)), (rec.t, name)
+    ts = result.column("t")
+    assert ts == [row["t"] for row in rows]
+    assert sorted(result.columns) == sorted(rows[0])
+    for name, cells in result.columns.items():
+        for t, got, row in zip(ts, cells, rows, strict=True):
+            assert close(got, row[name], floor=floor), (t, name)
     return result
 
 
@@ -205,7 +204,7 @@ def test_mixed_learners_match_reference(tags):
 def test_exact_bilinear_with_potential_matches_reference():
     result = assert_equivalent(ExperimentConfig(game="bilinear", game_params={"dims": (2, 2)},
                                                 algo="aog", T=300, record_potential=True))
-    assert all(r.tgap_exact is not None for r in result.records)
+    assert None not in result.column("tgap_exact")
 
 
 def test_appendix_e_matches_reference():
@@ -226,12 +225,11 @@ def test_adaptive_switch_mid_run_matches_reference():
     config = ExperimentConfig(game="appendix_e", game_params={"n": 5},
                               algo="aog_adaptive", T=300, L=1.0, D=8e-4, eta=0.3)
     result = assert_equivalent(config)
-    switched = [next(k for k, r in enumerate(result.records) if r.eta[i] != 0.3)
-                for i in range(2)]
-    assert 1 < min(switched) < max(switched) < len(result.records) - 1
-    last, prev = result.records[-1], result.records[-2]
-    for i in range(2):
-        assert last.eta[i] == 1.0 / math.sqrt(1.0 + prev.S[i])
+    switched = [next(k for k, e in enumerate(result.column(f"eta_{i}")) if e != 0.3)
+                for i in (1, 2)]
+    assert 1 < min(switched) < max(switched) < len(result.column("t")) - 1
+    for i in (1, 2):
+        assert result.column(f"eta_{i}")[-1] == 1.0 / math.sqrt(1.0 + result.column(f"S_{i}")[-2])
 
 
 # -- block boundaries of the measurement pass ----------------------------------
@@ -243,7 +241,7 @@ B = BLOCK_ROWS
 def test_horizon_around_block_multiples_matches_reference(T):
     result = assert_equivalent(ExperimentConfig(game="bilinear", game_params={"dims": (2, 2)},
                                                 algo="aog", T=T, record_potential=True))
-    assert [r.t for r in result.records] == list(range(1, T + 1))
+    assert result.column("t") == list(range(1, T + 1))
     assert len(result.certificates["t"]) == T
     assert_equivalent(ExperimentConfig(game="appendix_e", game_params={"n": 5},
                                        algo="og", eta=0.3, T=T, stride=5))
@@ -255,7 +253,7 @@ def test_stride_longer_than_a_block_matches_reference(game, params):
     # Rounds B+1..2B and 3B+1..4B form blocks without a recorded row.
     result = assert_equivalent(ExperimentConfig(game=game, game_params=params, algo="aog",
                                                 eta=0.3, T=5 * B + 3, stride=2 * B + 1))
-    assert [r.t for r in result.records] == [1, 2 * B + 2, 4 * B + 3, 5 * B + 3]
+    assert result.column("t") == [1, 2 * B + 2, 4 * B + 3, 5 * B + 3]
 
 
 @pytest.mark.parametrize("latch_round", [B, B + 1, B + B // 2])
@@ -268,17 +266,18 @@ def test_adaptive_switch_at_block_positions_matches_reference(latch_round):
     base = dict(game="appendix_e", game_params={"n": 5}, algo="aog_adaptive",
                 T=2 * B + 10, eta=0.3, L=1.0)
     fixed = run_self_play(ExperimentConfig(**base, D=1e6))
-    top = [max(r.S) for r in fixed.records]
+    top = [max(s) for s in zip(fixed.column("S_1"), fixed.column("S_2"))]
     assert top[latch_round - 2] < top[latch_round - 1]
     threshold = (top[latch_round - 2] + top[latch_round - 1]) / 2.0
     result = assert_equivalent(ExperimentConfig(
         **base, D=math.sqrt(threshold / ADAPTATION_FACTOR)))
-    etas = [r.eta for r in result.records]
+    etas = list(zip(result.column("eta_1"), result.column("eta_2")))
     assert all(e == (0.3, 0.3) for e in etas[:latch_round])
     switched = [i for i in range(2) if etas[latch_round][i] != 0.3]
     assert switched
     for i in switched:
-        assert etas[latch_round][i] == 1.0 / math.sqrt(1.0 + result.records[latch_round - 1].S[i])
+        S = result.column(f"S_{i + 1}")
+        assert etas[latch_round][i] == 1.0 / math.sqrt(1.0 + S[latch_round - 1])
 
 
 def test_mixed_tags_with_mid_run_latch_across_blocks_match_reference():
@@ -287,7 +286,8 @@ def test_mixed_tags_with_mid_run_latch_across_blocks_match_reference():
     result = assert_equivalent(ExperimentConfig(
         game="appendix_e", game_params={"n": 5}, algo=["eag", "aog_adaptive"],
         T=2 * B + 3, stride=3, L=1.0, D=6.9e-4, eta=0.3))
-    assert result.records[0].eta[1] == 0.3 != result.records[-1].eta[1]
+    eta_2 = result.column("eta_2")
+    assert eta_2[0] == 0.3 != eta_2[-1]
 
 
 @pytest.mark.parametrize("game, params", [("bilinear", {"dims": (2, 2)}),
@@ -298,7 +298,7 @@ def test_kept_and_dropped_trajectory_give_identical_records(game, params):
                                               keep_trajectory=keep))
                for keep in (True, False)]
     assert results[0].trajectory is not None and results[1].trajectory is None
-    assert results[0].records == results[1].records
+    assert results[0].columns == results[1].columns
     assert results[0].certificates == results[1].certificates
 
 
@@ -325,8 +325,10 @@ def test_strided_rows_equal_stride_one_rows(game, params):
     runs = [run_self_play(ExperimentConfig(game=game, game_params=params, algo="aog",
                                            eta=0.3, T=2 * B + 7, stride=stride))
             for stride in (1, B // 3)]
-    by_round = {r.t: r for r in runs[0].records}
-    assert all(r == by_round[r.t] for r in runs[1].records)
+    every, strided = (run.columns for run in runs)
+    assert every["t"] == list(range(1, 2 * B + 8))
+    for name, cells in strided.items():
+        assert cells == [every[name][t - 1] for t in strided["t"]], name
 
 
 # -- property tests: random tag mixes, and online play ------------------------

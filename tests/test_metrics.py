@@ -8,15 +8,14 @@ from monolearn.geometry import GeometryError, symmetric_box
 from monolearn.harness import ExperimentConfig, run_self_play
 from monolearn.metrics import (
     MetricError,
-    RunRecord,
     anchored_normal_element,
     best_response_gaps,
     csv_header,
     csv_row,
     dynamic_regret,
-    external_regret,
     measure_equilibrium,
     potential,
+    regret_rows,
     second_order_variation,
 )
 
@@ -68,19 +67,15 @@ def test_gap_ordering_chain():
 
 def test_external_regret_examples():
     box = symmetric_box(1.0, 1)
-    plays = [np.zeros(1)] * 3
-    grads = [np.array([1.0]), np.array([-1.0]), np.array([1.0])]
-    assert math.isclose(external_regret(plays, grads, box), 1.0, abs_tol=1e-12)
+    plays = np.zeros((3, 1))
+    grads = np.array([[1.0], [-1.0], [1.0]])
+    # prefixes of 1, 2 and 3 rounds: the best fixed action is -1, 1, -1
+    assert np.allclose(regret_rows(plays, grads, box, np.arange(3)), [1.0, 0.0, 1.0],
+                       rtol=0.0, atol=1e-12)
     # constant gradient played at its own support minimizer: zero regret
     g = np.array([0.7])
     minimizer, _ = box.support_min(g)
-    assert external_regret([minimizer] * 5, [g] * 5, box) == 0.0
-
-
-def test_external_regret_input_validation():
-    box = symmetric_box(1.0, 1)
-    with pytest.raises(MetricError):
-        external_regret([np.zeros(1)], [], box)
+    assert regret_rows(np.tile(minimizer, (5, 1)), np.tile(g, (5, 1)), box, -1) == 0.0
 
 
 def test_dynamic_regret_examples():
@@ -194,7 +189,7 @@ def test_learner_variation_matches_metric():
     s = slice(0, 1)
     grads = [traj.grad_half[t][s] for t in range(1, traj.rounds + 1)]
     want = second_order_variation(grads)
-    got = result.records[-1].S[0]
+    got = result.column("S_1")[-1]
     assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-15)
 
 
@@ -234,7 +229,7 @@ def test_stationary_nash_run_is_flat():
     wit = potential(traj, result.game, result.eta[0], 5)
     assert np.array_equal(wit.c, np.zeros(2))
     assert wit.value == 0.0
-    assert all(r.r_tan == 0.0 for r in result.records)
+    assert all(r_tan == 0.0 for r_tan in result.column("r_tan"))
 
 
 def test_csv_header_matches_schema():
@@ -247,22 +242,8 @@ def test_csv_header_matches_schema():
 
 
 def test_csv_row_formatting():
-    rec = RunRecord(
-        t=3,
-        r_tan=0.5,
-        gap=None,
-        tgap_exact=None,
-        potential=1.25,
-        eta=(0.1,),
-        S=(0.0,),
-        extreg=(None,),
-        dynreg=(2.0,),
-        dist_half=0.0,
-        dist_anchor=1.0,
-    )
-    row = csv_row(rec, 1)
+    row = csv_row((3, 0.5, None, None, 1.25, 0.1, 0.0, None, 2.0, 0.0, 1.0))
     assert row == "3,0.5,,,1.25,0.1,0.0,,2.0,0.0,1.0"
     # repr round-trips floats exactly
-    assert float(row.split(",")[1]) == 0.5
-    with pytest.raises(MetricError):
-        csv_row(rec, 2)
+    third = 1.0 / 3.0
+    assert float(csv_row((third,))) == third
