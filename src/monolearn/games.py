@@ -6,12 +6,14 @@ Lipschitz bound ``L``, and, when available, per-player loss functions and
 exact best responses. Built-in instances cover the bilinear saddle game,
 a banded quadratic-bilinear min-max game, and a seeded random linear
 monotone operator. Each is affine, V(z) = M z + r, and passes ``(M, r)``,
-so monotonicity and the Lipschitz bound are certified exactly.
+so monotonicity and the Lipschitz bound are certified exactly; ||M||_2
+comes from one symmetric eigen-solve (:func:`spectral_norm`).
 """
 
 from __future__ import annotations
 
 import inspect
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +29,32 @@ from .geometry import (
 
 class GameError(ValueError):
     pass
+
+
+def spectral_norm(M):
+    """||M||_2 as sqrt(lambda_max(M^T M)): one ``eigvalsh`` of the Gram
+    matrix, which numpy forms with one ``syrk``, in place of a full SVD.
+
+    M is first scaled by the power of two 2^-e that brings max|M| into
+    [1/2, 1), and the result is scaled back by 2^e. A power-of-two scaling
+    rounds nothing in the normal range, and the Gram matrix of the scaled
+    copy neither overflows nor underflows for entries from 1e-300 to 1e300.
+    The zero matrix has norm 0; a matrix with a non-finite entry raises
+    :class:`GameError`.
+    """
+    peak = max(float(M.max(initial=0.0)), -float(M.min(initial=0.0)))
+    if not math.isfinite(peak):
+        raise GameError(f"operator matrix has a non-finite entry (max |M| = {peak!r})")
+    if peak == 0.0:
+        return 0.0
+    e = math.frexp(peak)[1]
+    # The Gram matrix is allocated before the scaled copy, so the copy, freed
+    # first, leaves room that eigvalsh's own work copy reuses.
+    gram = np.empty((M.shape[1], M.shape[1]))
+    S = np.ldexp(M, -e)
+    np.matmul(S.T, S, out=gram)
+    del S
+    return math.ldexp(math.sqrt(np.linalg.eigvalsh(gram)[-1]), e)
 
 
 def player_slices(player_dims):
@@ -68,8 +96,9 @@ class GameOracle:
     dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.lipschitz_bound <= 0:
-            raise GameError("Lipschitz bound must be positive")
+        if not (math.isfinite(self.lipschitz_bound) and self.lipschitz_bound > 0):
+            raise GameError(f"Lipschitz bound must be finite and positive, "
+                            f"got {self.lipschitz_bound!r}")
         self.player_sets = list(self.player_sets)
         self.player_dims = tuple(s.dim for s in self.player_sets)
         self.dim = sum(self.player_dims)
@@ -121,13 +150,14 @@ class GameOracle:
 
     def validate(self, seed=42, pairs=1000):
         """Certify monotonicity and the Lipschitz bound: exactly for an affine
-        operator (monotone iff lambda_min((M + M^T)/2) >= 0, L >= ||M||_2),
-        else on ``pairs`` random feasible pairs."""
+        operator (monotone iff lambda_min((M + M^T)/2) >= 0, L >= ||M||_2,
+        with ||M||_2 from :func:`spectral_norm`), else on ``pairs`` random
+        feasible pairs."""
         L = self.lipschitz_bound
         if self.affine is not None:
             M = self.affine[0]
             low = float(np.linalg.eigvalsh((M + M.T) / 2.0)[0])
-            norm = float(np.linalg.norm(M, 2))
+            norm = spectral_norm(M)
             if low < -1e-10 * max(1.0, L):
                 raise GameError(f"game {self.name!r} is not monotone: "
                                 f"lambda_min((M + M^T)/2) = {low!r}")
@@ -245,22 +275,30 @@ def make_random_linear_monotone(dims=(1, 1), skew_scale=1.0, psd_diag=0.1, seed=
                                 bounded=None):
     """Linear monotone operator V(z) = M z + r with M = skew + psd_diag * I.
 
-    The Nash equilibrium solves V(z) = 0 and is recorded on the oracle.
     ``bounded``, if given, wraps each player in a symmetric box of that
-    half-width (the Nash point may then sit outside; leave unbounded for
-    rate experiments that need it).
+    half-width; leave it unbounded for rate experiments. No Nash point is
+    recorded: M is singular when ``psd_diag`` is 0 and the dimension is odd,
+    and a boxed game's equilibrium is not the zero of V anyway.
 
     It is certified by construction, with no spectral check: the symmetric
     part of M is exactly ``psd_diag * I`` (the skew part is antisymmetric in
     floating point too), so it is monotone iff ``psd_diag >= 0``; and
-    L = ||M||_2.
+    L = ||M||_2, from :func:`spectral_norm`.
     """
-    if not psd_diag >= 0:
-        raise GameError("psd_diag must be nonnegative for a monotone operator")
+    dims = list(dims)
+    if not dims or any(d < 1 for d in dims):
+        raise GameError(f"dims: need at least one player, each of dimension >= 1, "
+                        f"got {dims}")
+    if not math.isfinite(skew_scale):
+        raise GameError(f"skew_scale: must be finite, got {skew_scale!r}")
+    if not (math.isfinite(psd_diag) and psd_diag >= 0):
+        raise GameError(f"psd_diag: must be finite and nonnegative for a monotone "
+                        f"operator, got {psd_diag!r}")
     rng = np.random.default_rng(seed)
     dim = sum(dims)
     B = rng.standard_normal((dim, dim))
     M = skew_scale * (B - B.T) / 2.0 + psd_diag * np.eye(dim)
+    del B  # freed before spectral_norm forms its Gram matrix: peak memory
     r = rng.standard_normal(dim)
     if bounded is None:
         sets = [Unconstrained(d) for d in dims]
@@ -268,10 +306,9 @@ def make_random_linear_monotone(dims=(1, 1), skew_scale=1.0, psd_diag=0.1, seed=
         sets = [symmetric_box(bounded, d) for d in dims]
     return GameOracle(
         player_sets=sets,
-        lipschitz_bound=float(np.linalg.norm(M, 2)),
+        lipschitz_bound=spectral_norm(M),
         affine=(M, r),
         name="random_linear_monotone",
-        nash=np.linalg.solve(M, -r),
         start=np.ones(dim),
     )
 

@@ -160,10 +160,6 @@ class RunResult:
         return self.columns[name]
 
 
-def _recorded_rounds(T, stride):
-    return set(range(1, T + 1, stride)) | {T}
-
-
 def _learner_inputs(config, game):
     """The per-player tags, L and joint start x1 of a run: the config's,
     else the game's."""
@@ -215,8 +211,9 @@ class _BlockMeasure:
     """The measurement pass: every CSV column and certificate of a block of
     rounds, from the block's iterates and the state carried from the block
     before (previous base point and gradient, and the running sums). The
-    recorded rows go into ``columns``, a dict from each name of
-    :func:`metrics.csv_header`, in header order, to that column's cells.
+    recorded rows, rounds 1, 1 + stride, 1 + 2 stride, ... and T, go into
+    ``columns``, a dict from each name of :func:`metrics.csv_header`, in
+    header order, to that column's cells.
 
     Each column comes from the per-round formulas in :mod:`metrics`, on all
     rows of the block at once, with one exact-oracle call per player per
@@ -224,8 +221,8 @@ class _BlockMeasure:
     recorded row is exact whatever the stride.
     """
 
-    def __init__(self, game, x1, recorded, track_potential):
-        self.game, self.x1, self.recorded = game, x1, recorded
+    def __init__(self, game, x1, T, stride, track_potential):
+        self.game, self.x1, self.T, self.stride = game, x1, T, stride
         self.joint = game.joint_set
         self.slices = game.slices()
         self.bounded = self.joint.is_bounded
@@ -250,7 +247,7 @@ class _BlockMeasure:
         ts = np.arange(t0, t0 + n)
         g_prev = _previous_rows(grad, self.g_prev)
         S = running_sums(self.S, gradient_variation(grad, g_prev, slices))
-        rec = np.flatnonzero([t in self.recorded for t in range(t0, t0 + n)])
+        rec = np.flatnonzero(((ts - 1) % self.stride == 0) | (ts == self.T))
 
         extreg = dynreg = regret_incs = None
         gap = tgap = pot = [None] * len(rec)
@@ -387,7 +384,7 @@ def _self_play(config, game, players, x1):
         block_base, block_half, block_grad = np.empty((3, rows, dim))
     base_grads = np.empty((rows, dim)) if track_potential else None
     block_etas = np.tile(etas, (rows, 1))
-    measure = _BlockMeasure(game, x1, _recorded_rounds(T, config.stride), track_potential)
+    measure = _BlockMeasure(game, x1, T, config.stride, track_potential)
 
     for t0 in range(1, T + 1, rows):
         n = min(rows, T + 1 - t0)

@@ -307,7 +307,9 @@ def test_criterion_10_unbounded_domain_rate():
     eta = run_eta(result)
     x1 = np.ones(2)
     r1 = float(np.linalg.norm(game.gradient_fn(x1)))
-    H = max(eta * r1, float(np.linalg.norm(x1 - game.nash)))
+    M, r = game.affine
+    z_star = np.linalg.solve(M, -r)  # psd_diag > 0: M is nonsingular
+    H = max(eta * r1, float(np.linalg.norm(x1 - z_star)))
     worst = 0.0
     for t, r_tan in zip(result.column("t"), result.column("r_tan")):
         if t < 2:

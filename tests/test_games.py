@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from monolearn.games import (
     GameError,
@@ -12,6 +15,7 @@ from monolearn.games import (
     make_bilinear_saddle,
     make_game,
     make_random_linear_monotone,
+    spectral_norm,
 )
 from monolearn.geometry import Ball, Box, ProductSet, Unconstrained, symmetric_box
 
@@ -155,9 +159,60 @@ def test_joint_set_is_built_once_per_game():
     assert np.array_equal(joint.sample(rng_a), product.sample(rng_b))
 
 
-def test_random_linear_nash_is_zero_of_operator():
-    game = make_random_linear_monotone((1, 1), seed=9)
-    assert np.linalg.norm(game.gradient_fn(game.nash)) <= 1e-10
+@pytest.mark.parametrize("bounded", [None, 1.0])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_random_linear_odd_skew_game_builds_and_plays(seed, bounded):
+    # psd_diag = 0 and an odd dimension make M skew-symmetric and singular:
+    # a valid monotone game with no unique zero of V.
+    from monolearn.harness import ExperimentConfig, run_self_play
+
+    params = {"dims": [1, 2], "psd_diag": 0.0, "seed": seed, "bounded": bounded}
+    game = make_random_linear_monotone(**params)
+    assert abs(np.linalg.det(game.affine[0])) <= 1e-12
+    assert game.validate() is game
+    result = run_self_play(ExperimentConfig(game="random_linear_monotone", game_params=params,
+                                            algo="aog", T=50, stride=1))
+    assert result.column("t") == list(range(1, 51))
+    assert all(math.isfinite(v) for v in result.column("r_tan"))
+
+
+# Random square matrices (n = 1..40), the zero matrix, rank-1 matrices and
+# skew + c*I, each optionally scaled by 2^900 or 2^-900.
+ENTRIES = st.floats(-10.0, 10.0, allow_subnormal=False)
+
+
+@st.composite
+def norm_cases(draw):
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["random", "zero", "rank1", "skew"]))
+    if kind == "random":
+        M = draw(arrays(np.float64, (n, n), elements=ENTRIES))
+    elif kind == "zero":
+        M = np.zeros((n, n))
+    elif kind == "rank1":
+        u, v = (draw(arrays(np.float64, n, elements=ENTRIES)) for _ in range(2))
+        M = np.outer(u, v)
+    else:
+        B = draw(arrays(np.float64, (n, n), elements=ENTRIES))
+        M = (B - B.T) / 2.0 + draw(ENTRIES) * np.eye(n)
+    return np.ldexp(M, draw(st.sampled_from([0, 900, -900])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(norm_cases())
+def test_spectral_norm_matches_svd(M):
+    want = float(np.linalg.norm(M, 2))
+    got = spectral_norm(M)
+    if not M.any():
+        assert got == 0.0
+    else:
+        assert math.isclose(got, want, rel_tol=1e-12)
+
+
+def test_spectral_norm_rejects_non_finite_entries():
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(GameError, match="non-finite"):
+            spectral_norm(np.array([[1.0, bad], [0.0, 1.0]]))
 
 
 def test_validation_probes_pass_for_builtins():
@@ -260,6 +315,12 @@ def test_random_linear_certificate_is_exact(bounded):
     game = make_random_linear_monotone((3, 2), psd_diag=0.1, seed=4, bounded=bounded)
     assert_exact_certificate(game)
     assert game.lipschitz_bound == np.linalg.norm(game.affine[0], 2)
+
+
+@pytest.mark.parametrize("L", [0.0, -1.0, math.nan, math.inf])
+def test_oracle_rejects_a_non_finite_or_non_positive_lipschitz_bound(L):
+    with pytest.raises(GameError, match="Lipschitz bound must be finite and positive"):
+        GameOracle([symmetric_box(1.0, 2)], L, affine=(np.eye(2), np.zeros(2)))
 
 
 def test_affine_validation_rejects_with_the_failing_value():

@@ -34,6 +34,7 @@ def write_config(tmp_path, name="cfg.json", **data):
 
 
 BILINEAR = dict(game="bilinear", game_params={"dims": [1, 1]}, algo="aog", T=200, stride=7)
+RANDOM_LINEAR = dict(game="random_linear_monotone", algo="aog", T=20)
 
 
 # -- configuration --------------------------------------------------------
@@ -474,6 +475,10 @@ def assert_one_error_line(capsys, *needles):
     ({**BILINEAR, "out": 5}, "out:"),
     ({**BILINEAR, "game_params": {"payoff_scale": "x"}}, "game_params:"),
     ({**BILINEAR, "game": "appendix_e", "game_params": {"n": 2.5}}, "game_params:"),
+    ({**RANDOM_LINEAR, "game_params": {"skew_scale": float("nan")}}, "skew_scale:"),
+    ({**RANDOM_LINEAR, "game_params": {"psd_diag": float("inf")}}, "psd_diag:"),
+    ({**RANDOM_LINEAR, "game_params": {"dims": []}}, "dims:"),
+    ({**RANDOM_LINEAR, "game_params": {"dims": [2, 0]}}, "dims:"),
 ])
 def test_cli_bad_config_values_exit_one(tmp_path, capsys, data, needle):
     assert main(["selfplay", "--config", write_config(tmp_path, **data)]) == 1

@@ -23,7 +23,6 @@ from monolearn.harness import (
     ExperimentConfig,
     HarnessError,
     _build_learners,
-    _recorded_rounds,
     run_self_play,
 )
 from monolearn.learners import (
@@ -85,7 +84,7 @@ def reference_self_play(config):
     exact = game.has_best_response and game.losses is not None
     needs_base = config.record_potential or any(p.predictor == "base" for p in players)
     eta = players[0].eta
-    recorded = _recorded_rounds(config.T, config.stride)
+    recorded = set(range(1, config.T + 1, config.stride)) | {config.T}
 
     sum_g = [np.zeros(s.dim) for s in game.player_sets]
     sum_gx, dynreg = [0.0] * N, [0.0] * N
