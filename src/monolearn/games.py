@@ -6,8 +6,11 @@ Lipschitz bound ``L``, and, when available, per-player loss functions and
 exact best responses. Built-in instances cover the bilinear saddle game,
 a banded quadratic-bilinear min-max game, and a seeded random linear
 monotone operator. Each is affine, V(z) = M z + r, and passes ``(M, r)``,
-so monotonicity and the Lipschitz bound are certified exactly; ||M||_2
-comes from one symmetric eigen-solve (:func:`spectral_norm`).
+so monotonicity and the Lipschitz bound are certified exactly, in two tiers
+(:meth:`GameOracle.validate`): first the O(n^2) Gershgorin and Schur bounds,
+which ``bilinear`` and ``appendix_e`` meet exactly, and only if one fails,
+lambda_min((M + M^T)/2) and ||M||_2 from symmetric eigen-solves
+(:func:`spectral_norm`).
 """
 
 from __future__ import annotations
@@ -87,7 +90,6 @@ class GameOracle:
     losses: list = None
     best_response_fn: object = None
     name: str = "custom"
-    nash: np.ndarray = None
     start: np.ndarray = None
     affine: tuple = None
     metadata: dict = field(default_factory=dict)
@@ -150,18 +152,35 @@ class GameOracle:
 
     def validate(self, seed=42, pairs=1000):
         """Certify monotonicity and the Lipschitz bound: exactly for an affine
-        operator (monotone iff lambda_min((M + M^T)/2) >= 0, L >= ||M||_2,
-        with ||M||_2 from :func:`spectral_norm`), else on ``pairs`` random
-        feasible pairs."""
+        operator (monotone iff lambda_min((M + M^T)/2) >= 0, L >= ||M||_2),
+        else on ``pairs`` random feasible pairs.
+
+        The affine certificate has two tiers. First two O(n^2) sufficient
+        bounds: Gershgorin's lambda_min(S) >= min_i (S_ii - sum_{j!=i} |S_ij|)
+        on S = (M + M^T)/2, and Schur's ||M||_2 <= sqrt(||M||_1 ||M||_inf).
+        If both pass, no eigen-solve runs. Else lambda_min(S) comes from
+        ``eigvalsh`` and ||M||_2 from :func:`spectral_norm`, and a failing
+        value is reported.
+        """
         L = self.lipschitz_bound
         if self.affine is not None:
             M = self.affine[0]
-            low = float(np.linalg.eigvalsh((M + M.T) / 2.0)[0])
+            floor, cap = -1e-10 * max(1.0, L), L + 1e-8
+            S = (M + M.T) / 2.0
+            d = np.diagonal(S)
+            gershgorin = (d + np.abs(d) - np.abs(S).sum(axis=1)).min()
+            absM = np.abs(M)
+            # two square roots, so the product cannot overflow
+            schur = math.sqrt(absM.sum(axis=0).max()) * math.sqrt(
+                absM.sum(axis=1).max())
+            if gershgorin >= floor and schur <= cap:
+                return self
+            low = float(np.linalg.eigvalsh(S)[0])
             norm = spectral_norm(M)
-            if low < -1e-10 * max(1.0, L):
+            if low < floor:
                 raise GameError(f"game {self.name!r} is not monotone: "
                                 f"lambda_min((M + M^T)/2) = {low!r}")
-            if norm > L + 1e-8:
+            if norm > cap:
                 raise GameError(f"game {self.name!r}: ||M||_2 = {norm!r} > L = {L!r}")
             return self
         rng = np.random.default_rng(seed)
@@ -213,7 +232,6 @@ def make_bilinear_saddle(payoff_scale=1.0, box_radius=1.0, dims=(1, 1)):
         losses=[f, lambda Z: -f(Z)],
         best_response_fn=best_response,
         name="bilinear",
-        nash=np.zeros(dx + dy),
         start=np.full(dx + dy, 0.5 * float(box_radius)),
     ).validate()
 
@@ -238,6 +256,13 @@ def make_appendix_e_instance(n=100, box_half_width=200.0):
     ``H = 2A'A``; both players live in [-w, w]^n. The joint operator has
     M = [[H, -A'], [A, 0]] and r = [-h; -b]. The operator norms satisfy
     ||A|| <= 1/2 and ||H|| <= 1/2, so the game is 1-smooth.
+
+    Every entry is dyadic, so the O(n^2) certificate of
+    :meth:`GameOracle.validate` is exact in binary. H is tridiagonal, with
+    diagonal 1/4 (1/8 in the first row) and off-diagonal -1/8: weakly
+    diagonally dominant, so the symmetric part diag(H, 0) has Gershgorin
+    minimum exactly 0. A row or column of |M| sums to at most
+    1/2 (of H or 0) + 1/2 (of A), so ||M||_1 = ||M||_inf <= 1 = L.
     """
     if n < 2:
         raise GameError("instance requires n >= 2")
@@ -276,9 +301,8 @@ def make_random_linear_monotone(dims=(1, 1), skew_scale=1.0, psd_diag=0.1, seed=
     """Linear monotone operator V(z) = M z + r with M = skew + psd_diag * I.
 
     ``bounded``, if given, wraps each player in a symmetric box of that
-    half-width; leave it unbounded for rate experiments. No Nash point is
-    recorded: M is singular when ``psd_diag`` is 0 and the dimension is odd,
-    and a boxed game's equilibrium is not the zero of V anyway.
+    half-width; leave it unbounded for rate experiments. Nothing solves
+    M z = -r, so M may be singular (``psd_diag`` 0 and an odd dimension).
 
     It is certified by construction, with no spectral check: the symmetric
     part of M is exactly ``psd_diag * I`` (the skew part is antisymmetric in
@@ -297,8 +321,11 @@ def make_random_linear_monotone(dims=(1, 1), skew_scale=1.0, psd_diag=0.1, seed=
     rng = np.random.default_rng(seed)
     dim = sum(dims)
     B = rng.standard_normal((dim, dim))
-    M = skew_scale * (B - B.T) / 2.0 + psd_diag * np.eye(dim)
+    with np.errstate(over="ignore"):  # reported below, with the key to blame
+        M = skew_scale * (B - B.T) / 2.0 + psd_diag * np.eye(dim)
     del B  # freed before spectral_norm forms its Gram matrix: peak memory
+    if not (math.isfinite(M.max()) and math.isfinite(M.min())):
+        raise GameError(f"skew_scale: {skew_scale!r} overflows the operator matrix")
     r = rng.standard_normal(dim)
     if bounded is None:
         sets = [Unconstrained(d) for d in dims]

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -331,6 +331,62 @@ def test_affine_validation_rejects_with_the_failing_value():
         GameOracle(box, 1.5, affine=(2.0 * np.eye(2), np.zeros(2))).validate()
     with pytest.raises(GameError, match="not both"):
         GameOracle(box, 1.0, lambda z: z, affine=(np.eye(2), np.zeros(2)))
+
+
+def test_builtin_builds_make_no_eigen_solve(monkeypatch):
+    # bilinear and appendix_e meet the Gershgorin and Schur bounds exactly,
+    # so validate returns before eigvalsh (which spectral_norm also calls)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a built-in game build ran an eigen-solve")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for d in (1, 3):
+        for scale in (0.5, 3.0):
+            make_game("bilinear", payoff_scale=scale, dims=(d, d))
+    make_game("appendix_d_toy")
+    for n in (2, 3, 10, 100):
+        make_game("appendix_e", n=n)
+
+
+@st.composite
+def certificate_cases(draw):
+    """An affine operator M (random, skew + c*I, PSD, non-monotone or
+    diagonal) and an L below or above ||M||_2."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["random", "skew", "psd", "non_monotone", "diagonal"]))
+    B = draw(arrays(np.float64, (n, n), elements=ENTRIES))
+    if kind == "random":
+        M = B
+    elif kind == "skew":
+        M = (B - B.T) / 2.0 + draw(st.floats(-1.0, 1.0)) * np.eye(n)
+    elif kind == "psd":
+        M = B.T @ B
+    elif kind == "non_monotone":
+        M = (B - B.T) / 2.0 - B.T @ B - np.eye(n)
+    else:
+        M = np.diag(np.diagonal(B))
+    norm = spectral_norm(M)
+    return M, draw(st.floats(0.25, 4.0)) * (norm if norm > 0 else 1.0)
+
+
+def far_from(value, threshold):
+    return abs(value - threshold) > 1e-9 * max(abs(value), abs(threshold))
+
+
+@settings(max_examples=300, deadline=None)
+@given(certificate_cases())
+def test_affine_validation_agrees_with_the_eigen_certificate(case):
+    M, L = case
+    low = float(np.linalg.eigvalsh((M + M.T) / 2.0)[0])
+    norm = spectral_norm(M)
+    floor, cap = -1e-10 * max(1.0, L), L + 1e-8
+    assume(far_from(low, floor) and far_from(norm, cap))
+    game = GameOracle([Unconstrained(M.shape[0])], L, affine=(M, np.zeros(M.shape[0])))
+    if low >= floor and norm <= cap:
+        assert game.validate() is game
+    else:
+        with pytest.raises(GameError):
+            game.validate()
 
 
 def test_make_game_rejects_validate_key():

@@ -479,7 +479,10 @@ def assert_one_error_line(capsys, *needles):
     ({**RANDOM_LINEAR, "game_params": {"psd_diag": float("inf")}}, "psd_diag:"),
     ({**RANDOM_LINEAR, "game_params": {"dims": []}}, "dims:"),
     ({**RANDOM_LINEAR, "game_params": {"dims": [2, 0]}}, "dims:"),
+    ({**RANDOM_LINEAR, "game_params": {"skew_scale": 1.7e308, "dims": [3, 3]}}, "skew_scale:"),
 ])
+# a warning (numpy's overflow RuntimeWarning, say) would be a second stderr line
+@pytest.mark.filterwarnings("error")
 def test_cli_bad_config_values_exit_one(tmp_path, capsys, data, needle):
     assert main(["selfplay", "--config", write_config(tmp_path, **data)]) == 1
     assert_one_error_line(capsys, needle)

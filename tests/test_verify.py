@@ -44,41 +44,65 @@ def test_identity_scale_invariance():
         assert rel <= 1e-9
 
 
-def test_identity_symbolically_in_one_dimension():
-    """Re-derive the identity with exact rational/symbolic arithmetic.
+def test_identity_symbolically_in_every_dimension():
+    """Both sides of check_descent_identity are polynomials in the pairwise
+    inner products of its nine free vectors (a4 is derived from them).
 
-    This is an oracle independent of floating point: if the two sides were
-    not identically equal as polynomials, simplify would not return zero.
+    Each vector is a formal symbol and each inner product <x, y> of two
+    linear combinations expands into one symbol per pair. The two sides then
+    cancel as rational functions of those symbols, t and q, with no relation
+    among the inner products assumed: the identity holds in every dimension.
+    The same expansion, evaluated at a numeric instance, reproduces the
+    function's own lhs and rhs, so it transcribes the code's two sides.
     """
     sympy = pytest.importorskip("sympy")
-    names = "a0 a1 a2 a3 b1 b2 b3 b4 u2 u4 t q"
-    a0, a1, a2, a3, b1, b2, b3, b4, u2, u4, t, q = sympy.symbols(names, real=True)
+    names = ["a0", "a2", "a3", "b1", "b2", "b3", "b4", "u2", "u4"]
+    basis = sympy.symbols(names)
+    a0, a2, a3, b1, b2, b3, b4, u2, u4 = basis
+    t, q = sympy.symbols("t q", positive=True)
+    pair = {(i, j): sympy.Symbol(f"<{names[i]},{names[j]}>")
+            for i in range(9) for j in range(i, 9)}
+
+    def ip(x, y):
+        poly = sympy.Poly(sympy.expand(x * y), *basis)
+        return sum(c * pair[tuple(k for k, e in enumerate(m) for _ in range(e))]
+                   for m, c in poly.terms())
+
+    def pot(tt, b_prev, b_cur, u, a):  # metrics.anchored_potential, unit step
+        resid = b_cur + u
+        return tt * (tt + 1) / 2 * (ip(resid, resid) + ip(b_cur - b_prev, b_cur - b_prev)) \
+            + tt * ip(resid, a - a0)
+
     a4 = a2 - b3 + (a0 - a2) / (t + 1) - u4
-
-    def pot(tt, b_prev, b_cur, u, a):
-        return tt * (tt + 1) / 2 * ((b_cur + u) ** 2 + (b_cur - b_prev) ** 2) + tt * (
-            (b_cur + u) * (a - a0)
-        )
-
     lhs = (
         pot(t, b1, b2, u2, a2)
         - pot(t + 1, b3, b4, u4, a4)
-        - t * (t + 1) * (b4 - b2) * (a4 - a2)
-        - t * (t + 1) / (4 * q) * (q * (a4 - a3) ** 2 - (b4 - b3) ** 2)
-        - t * (t + 1) * u4 * (a4 - a2)
+        - t * (t + 1) * ip(b4 - b2, a4 - a2)
+        - t * (t + 1) / (4 * q) * (q * ip(a4 - a3, a4 - a3) - ip(b4 - b3, b4 - b3))
+        - t * (t + 1) * ip(u4, a4 - a2)
         - t * (t + 1) / 2 * (
-            u2 * (a2 - a3)
-            + u2 * (a2 - a4)
-            + (a2 - b1 + (a0 - a2) / (t + 1) - a3) * (a3 - a4)
+            ip(u2, a2 - a3)
+            + ip(u2, a2 - a4)
+            + ip(a2 - b1 + (a0 - a2) / (t + 1) - a3, a3 - a4)
         )
     )
+    w1 = (a3 - a4) / 2 + b1 - b2
+    w2 = (a3 + a4) / 2 - a2 + b2 + u2 - (a0 - a2) / (t + 1)
     rhs = (
-        t * (t + 1) / 2 * ((a3 - a4) / 2 + b1 - b2) ** 2
-        + t * (t + 1) / 2 * ((a3 + a4) / 2 - a2 + b2 + u2 - (a0 - a2) / (t + 1)) ** 2
-        + ((1 - 4 * q) * t - 4 * q) / (4 * q) * (t + 1) * (b3 - b4) ** 2
-        + (t + 1) * (b3 - b4) * (b4 + u4)
+        t * (t + 1) / 2 * ip(w1, w1)
+        + t * (t + 1) / 2 * ip(w2, w2)
+        + ((1 - 4 * q) * t - 4 * q) / (4 * q) * (t + 1) * ip(b3 - b4, b3 - b4)
+        + (t + 1) * ip(b3 - b4, b4 + u4)
     )
-    assert sympy.simplify(sympy.expand(lhs - rhs)) == 0
+    assert sympy.cancel(lhs - rhs) == 0
+
+    inst = IdentityInstance.random(np.random.default_rng(11), 4, t=7, q=0.05)
+    vecs = [getattr(inst, name) for name in names]
+    values = {t: inst.t, q: inst.q}
+    values.update({s: float(vecs[i] @ vecs[j]) for (i, j), s in pair.items()})
+    want_lhs, want_rhs, _ = check_descent_identity(inst)
+    assert math.isclose(float(lhs.subs(values)), want_lhs, rel_tol=1e-9)
+    assert math.isclose(float(rhs.subs(values)), want_rhs, rel_tol=1e-9)
 
 
 def test_identity_from_run_trace():
