@@ -31,10 +31,8 @@ from .harness import (
 )
 from .learners import make_learner, play
 from .metrics import (
-    Trajectory,
     dynamic_regret,
     measure_equilibrium,
-    potential,
     second_order_variation,
 )
 from .verify import (
@@ -54,7 +52,6 @@ __all__ = [
     "GameOracle",
     "IdentityInstance",
     "ProductSet",
-    "Trajectory",
     "Unconstrained",
     "check_descent_identity",
     "check_sequence_bound",
@@ -68,7 +65,6 @@ __all__ = [
     "make_random_linear_monotone",
     "measure_equilibrium",
     "play",
-    "potential",
     "run_adversarial",
     "run_eag_adversary",
     "run_self_play",

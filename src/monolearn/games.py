@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -207,9 +208,13 @@ def make_bilinear_saddle(payoff_scale=1.0, box_radius=1.0, dims=(1, 1)):
     """
     if payoff_scale <= 0 or box_radius <= 0:
         raise GameError("scale and radius must be positive")
+    dims = list(dims)
+    if (len(dims) != 2 or dims[0] != dims[1]
+            or not all(isinstance(d, numbers.Integral) and not isinstance(d, bool) and d >= 1
+                       for d in dims)):
+        raise GameError(f"dims: the bilinear coupling <x, y> needs two equal integer "
+                        f"player dimensions >= 1, got {dims}")
     dx, dy = dims
-    if dx != dy:
-        raise GameError("bilinear coupling <x, y> requires equal player dims")
     s = float(payoff_scale)
     sets = [symmetric_box(box_radius, dx), symmetric_box(box_radius, dy)]
     M = s * np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(dx))

@@ -40,7 +40,6 @@ from .games import GameOracle, make_game
 from .geometry import GeometryError, row_norms
 from .learners import dynamics, make_learner, play_rows
 from .metrics import (
-    Trajectory,
     anchored_potential,
     best_response_gaps,
     csv_header,
@@ -58,6 +57,8 @@ DEFAULT_SLOPE_T_MIN = 100
 # Rounds per measurement block: at 256 coordinates a block's buffers take
 # about 1 MiB, so the measurement pass reads them from cache.
 BLOCK_ROWS = 128
+# Membership tolerance for the normal-cone witness c_t of the potential.
+WITNESS_TOL = 1e-9
 
 
 class ConfigError(ValueError):
@@ -79,7 +80,7 @@ class ExperimentConfig:
     stride: int = 1
     out: str = None
     record_potential: bool = False
-    keep_trajectory: bool = False
+    keep_trajectory: bool = False  # accepted only as false: no run keeps its iterates
     x1: list = None
     L: float = None
     D: float = None
@@ -103,10 +104,12 @@ class ExperimentConfig:
                 continue
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name}: must be an integer, got {value!r}")
-        for name in ("record_potential", "keep_trajectory"):
-            value = getattr(self, name)
-            if not isinstance(value, bool):
-                raise ConfigError(f"{name}: must be true or false, got {value!r}")
+        if not isinstance(self.record_potential, bool):
+            raise ConfigError(f"record_potential: must be true or false, "
+                              f"got {self.record_potential!r}")
+        if self.keep_trajectory is not False:
+            raise ConfigError(f"keep_trajectory: must be false, got {self.keep_trajectory!r}; "
+                              f"runs keep no iterates, only the measured rows")
         if not isinstance(self.game_params, dict):
             raise ConfigError(f"game_params: must be an object, got {self.game_params!r}")
         if self.T < 2:
@@ -151,7 +154,6 @@ class RunResult:
     game: GameOracle
     columns: dict  # CSV column name -> its cells, one per recorded round, in header order
     eta: list  # final per-player step sizes
-    trajectory: object = None
     certificates: dict = None  # per-round series when potential tracking is on
 
     def column(self, name):
@@ -219,6 +221,12 @@ class _BlockMeasure:
     rows of the block at once, with one exact-oracle call per player per
     block. Cumulative columns add their increments in round order, so every
     recorded row is exact whatever the stride.
+
+    When the potential is tracked, the pass also checks the certificate's
+    hypothesis on every round t >= 2: the witness c_t lies in the normal
+    cone at x_t, that is ||P(x_t + c_t) - x_t|| <= ``WITNESS_TOL`` *
+    max(1, ||c_t||), with one projection of the block's rows. The first
+    round that fails raises :class:`HarnessError` naming it.
     """
 
     def __init__(self, game, x1, T, stride, track_potential):
@@ -278,6 +286,14 @@ class _BlockMeasure:
             x_prev = _previous_rows(base, self.x_prev)
             eta = etas[0, 0]  # one common fixed step
             c = normal_element(x_prev, g_prev, base, self.x1, eta, ts)
+            miss = row_norms(self.joint._project(base + c) - base)
+            bad = np.flatnonzero((miss > WITNESS_TOL * np.maximum(1.0, row_norms(c)))
+                                 & (ts >= 2))  # c_t needs t >= 2
+            if bad.size:
+                k = bad[0]
+                raise HarnessError(f"round {ts[k]}: the potential's witness c_t is not in "
+                                   f"the normal cone at x_t (||P(x_t + c_t) - x_t|| = "
+                                   f"{miss[k]:.3e})")
             wit = anchored_potential(c, base_grad, g_prev, base, self.x1, eta, ts)
             pot = wit.value.tolist()
             res, drift = np.sqrt(wit.sq_residual).tolist(), np.sqrt(wit.sq_drift).tolist()
@@ -367,54 +383,42 @@ def _output_file(path):
 def _self_play(config, game, players, x1):
     """Self-play through :func:`learners.dynamics`: the oracle gives
     the joint gradients, and each step's x_t, x_{t+1/2} and V(x_{t+1/2})
-    (and V(x_t) for the potential) go into the rows of a block; a full block
-    goes to the measurement pass. With a kept trajectory the blocks are
-    views of it, so it is filled in place."""
+    (and V(x_t) for the potential) go into the rows of three block buffers,
+    reused from block to block; a full block goes to the measurement pass.
+    The buffers are the only place the run's iterates reach."""
     dim, T = game.dim, config.T
     track_potential = config.record_potential
-    keep = config.keep_trajectory
     steps = dynamics(players, game.joint_set, x1, partial(_oracle_gradient, game, dim),
                      base_gradient=track_potential)
     etas = tuple(p.eta for p in players)
     adaptive = any(p.threshold is not None for p in players)
 
     rows = min(BLOCK_ROWS, T)
-    trajectory = Trajectory.allocate(T, dim) if keep else None
-    if not keep:
-        block_base, block_half, block_grad = np.empty((3, rows, dim))
+    block_base, block_half, block_grad = np.empty((3, rows, dim))
     base_grads = np.empty((rows, dim)) if track_potential else None
     block_etas = np.tile(etas, (rows, 1))
     measure = _BlockMeasure(game, x1, T, config.stride, track_potential)
 
     for t0 in range(1, T + 1, rows):
         n = min(rows, T + 1 - t0)
-        if keep:
-            base_rows = trajectory.base[t0:t0 + n]
-            half_rows = trajectory.half[t0:t0 + n]
-            grad_rows = trajectory.grad_half[t0:t0 + n]
-        else:
-            base_rows, half_rows, grad_rows = block_base[:n], block_half[:n], block_grad[:n]
         # range first: zip stops before it asks the loop for a step too many
-        for k, (x, half, g_half, g_base, x_next, etas_next) in zip(range(n), steps):
-            base_rows[k] = x
-            half_rows[k] = half
-            grad_rows[k] = g_half
+        for k, (x, half, g_half, g_base, _, etas_next) in zip(range(n), steps):
+            block_base[k] = x
+            block_half[k] = half
+            block_grad[k] = g_half
             if track_potential:
                 base_grads[k] = g_base
             if adaptive:
                 block_etas[k] = etas
             etas = etas_next
-        measure(t0, base_rows, half_rows, grad_rows, block_etas[:n],
+        measure(t0, block_base[:n], block_half[:n], block_grad[:n], block_etas[:n],
                 base_grads[:n] if track_potential else None)
 
-    if keep:
-        trajectory.base[T + 1] = x_next
     return RunResult(
         config=config,
         game=game,
         columns=measure.columns,
         eta=list(etas),
-        trajectory=trajectory,
         certificates=measure.certs,
     )
 
@@ -631,6 +635,8 @@ def _cmd_slope(args):
         if args.column not in (reader.fieldnames or ()):
             raise ConfigError(f"column: unknown {args.column!r}; the trace has "
                               f"{', '.join(reader.fieldnames or ())}")
+        if "t" not in reader.fieldnames:
+            raise ConfigError(f"trace: {args.trace} has no 't' column to fit against")
         ts, vals = [], []
         for row in reader:
             cell = row.get(args.column)

@@ -1,6 +1,6 @@
 """Per-round measurement: residuals, gaps, regrets, and the potential.
 
-Functions here are pure over stored trajectories. Each per-round formula
+Functions here are pure and keep no iterates. Each per-round formula
 (per-player dot products, gradient variation, linearized and exact
 best-response gaps, external regret from running sums, c_t and P_t) takes
 rows over a leading axis, and :func:`running_sums` turns per-round
@@ -18,43 +18,9 @@ import numpy as np
 from .geometry import _as_vector
 from .games import GameError, GameOracle
 
-# Membership tolerance for the explicit normal-cone witness c_t.
-WITNESS_TOL = 1e-9
-
 
 class MetricError(ValueError):
     pass
-
-
-@dataclass
-class Trajectory:
-    """Self-play iterates of a fixed-step run, 1-indexed by round.
-
-    ``base[t]`` is x_t (t = 1..T+1), ``half[t]`` is x_{t+1/2} and
-    ``grad_half[t]`` its joint gradient (t = 1..T), rows of 2-D arrays.
-    Row 0 is NaN padding so round indices match the algebra.
-    """
-
-    base: np.ndarray
-    half: np.ndarray
-    grad_half: np.ndarray
-
-    @staticmethod
-    def allocate(rounds, dim):
-        """An unfilled trajectory of ``rounds`` rounds, for the runner to write."""
-        traj = Trajectory(np.empty((rounds + 2, dim)), np.empty((rounds + 1, dim)),
-                          np.empty((rounds + 1, dim)))
-        for rows in (traj.base, traj.half, traj.grad_half):
-            rows[0] = np.nan
-        return traj
-
-    @property
-    def x1(self):
-        return self.base[1]
-
-    @property
-    def rounds(self):
-        return len(self.half) - 1
 
 
 # -- per-round formulas over a leading row axis ------------------------------
@@ -187,19 +153,10 @@ def normal_element(x_prev, g_prev, x_t, x1, eta, t):
     return (x_prev - eta * g_prev + (x1 - x_prev) / t - x_t) / eta
 
 
-def anchored_normal_element(traj: Trajectory, eta, t):
-    """:func:`normal_element` c_t of a stored trajectory; defined for t >= 2."""
-    if t < 2:
-        raise MetricError("normal-cone witness needs t >= 2")
-    return normal_element(traj.base[t - 1], traj.grad_half[t - 1], traj.base[t],
-                          traj.x1, eta, t)
-
-
 @dataclass
 class PotentialWitness:
     """P_t and its parts: floats for one round, arrays for rows of rounds."""
 
-    c: np.ndarray
     value: float
     sq_residual: float  # ||eta V + eta c||^2
     sq_drift: float  # ||eta V(x_t) - eta V(x_{t-1/2})||^2
@@ -221,23 +178,7 @@ def anchored_potential(c, v_t, g_prev, x_t, x1, eta, t):
     sq_drift = np.vecdot(drift, drift)
     cross = t * np.vecdot(resid, x_t - x1)
     value = t * (t + 1) / 2.0 * (sq_residual + sq_drift) + cross
-    return PotentialWitness(c, value, sq_residual, sq_drift, cross)
-
-
-def potential(traj: Trajectory, game: GameOracle, eta, t):
-    """:func:`anchored_potential` at round t >= 2 of a stored fixed-step
-    anchored run. Raises if the witness c_t fails its normal-cone
-    membership check.
-    """
-    c = anchored_normal_element(traj, eta, t)
-    x_t = traj.base[t]
-    # per-player membership: projecting x_t + c_t must return x_t
-    back = game.joint_set.project(x_t + c)
-    err = float(np.linalg.norm(back - x_t))
-    if err > WITNESS_TOL * max(1.0, float(np.linalg.norm(c))):
-        raise MetricError(f"normal-cone witness failed membership ({err:.3e})")
-    return anchored_potential(c, game.gradient(x_t), traj.grad_half[t - 1], x_t,
-                              traj.x1, eta, t)
+    return PotentialWitness(value, sq_residual, sq_drift, cross)
 
 
 # -- CSV schema -----------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import learners
 from .geometry import symmetric_box
-from .metrics import anchored_potential, regret_rows
+from .metrics import anchored_potential, normal_element, regret_rows
 
 REL_TOL = 1e-9
 ABS_FLOOR = 1e-12
@@ -104,32 +104,35 @@ def check_descent_identity(inst: IdentityInstance):
     return lhs, rhs, rel
 
 
-def identity_instance_from_trace(traj, game, eta, t):
-    """Substitute one round of a fixed-step anchored run into the identity.
+def identity_instance_from_trace(x1, eta, L, t, steps):
+    """Substitute round t of a fixed-step anchored run into the identity.
 
-    Maps x_1 -> a0, x_{t-1+k/2} -> a_k (k = 2, 3), eta V(x_{t-1+k/2}) -> b_k,
-    eta c_t -> u2, eta c_{t+1} -> u4, and q = (eta L)^2. The derived a4
-    reproduces x_{t+1} exactly because u4 is defined from the same update.
+    ``steps`` are the three consecutive steps of rounds t-1, t and t+1 that
+    :func:`learners.dynamics` yields with ``base_gradient=True``; they hold
+    x_{t-1}, x_t, x_{t+1/2} and x_{t+1}, V at the half points, and V(x_t)
+    and V(x_{t+1}) as base gradients, so no oracle is called. Maps x_1 ->
+    a0, x_{t-1+k/2} -> a_k (k = 2, 3), eta V(x_{t-1+k/2}) -> b_k, eta c_t ->
+    u2, eta c_{t+1} -> u4, and q = (eta L)^2. The derived a4 reproduces
+    x_{t+1} exactly because u4 is defined from the same update.
     """
-    from .metrics import anchored_normal_element
-
-    if t < 2 or t + 1 > traj.rounds + 1:
-        raise VerifyError("trace substitution needs 2 <= t <= T")
-    q = (eta * game.lipschitz_bound) ** 2
-    c_t = anchored_normal_element(traj, eta, t)
-    c_next = anchored_normal_element(traj, eta, t + 1)
+    if t < 2:
+        raise VerifyError("trace substitution needs t >= 2")
+    (x_prev, _, g_prev, _, _, _), (x_t, half, g_half, v_t, x_next, _), nxt = steps
+    v_next = nxt[3]
+    if v_t is None or v_next is None:
+        raise VerifyError("trace substitution needs steps with base gradients")
     return IdentityInstance(
-        a0=traj.x1,
-        a2=traj.base[t],
-        a3=traj.half[t],
-        b1=eta * traj.grad_half[t - 1],
-        b2=eta * game.gradient(traj.base[t]),
-        b3=eta * traj.grad_half[t],
-        b4=eta * game.gradient(traj.base[t + 1]),
-        u2=eta * c_t,
-        u4=eta * c_next,
+        a0=x1,
+        a2=x_t,
+        a3=half,
+        b1=eta * g_prev,
+        b2=eta * v_t,
+        b3=eta * g_half,
+        b4=eta * v_next,
+        u2=eta * normal_element(x_prev, g_prev, x_t, x1, eta, t),
+        u4=eta * normal_element(x_t, g_half, x_next, x1, eta, t + 1),
         t=float(t),
-        q=q,
+        q=(eta * L) ** 2,
     )
 
 

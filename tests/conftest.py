@@ -1,8 +1,12 @@
 import math
+from functools import partial
 
+import numpy as np
 import pytest
 
-from monolearn.harness import ExperimentConfig, run_self_play
+from monolearn.games import make_game
+from monolearn.harness import ExperimentConfig, _build_learners, _oracle_gradient, run_self_play
+from monolearn.learners import dynamics
 
 # The three bounded instances used by the rate-certificate acceptance runs.
 RATE_INSTANCES = {
@@ -12,37 +16,58 @@ RATE_INSTANCES = {
 }
 
 
+def rate_config(name):
+    """Fixed-step anchored self-play at eta = 1/(sqrt(6) L), T = 10^4."""
+    gid, params = RATE_INSTANCES[name]
+    return ExperimentConfig(game=gid, game_params=params, algo="aog", T=10_000,
+                            stride=1, record_potential=True)
+
+
 @pytest.fixture(scope="session")
 def rate_runs():
-    """Fixed-step anchored self-play at eta = 1/(sqrt(6) L), T = 10^4."""
-    runs = {}
-    for name, (gid, params) in RATE_INSTANCES.items():
-        cfg = ExperimentConfig(
-            game=gid,
-            game_params=params,
-            algo="aog",
-            T=10_000,
-            stride=1,
-            record_potential=True,
-            keep_trajectory=True,
-        )
-        runs[name] = run_self_play(cfg)
-    return runs
+    return {name: run_self_play(rate_config(name)) for name in RATE_INSTANCES}
+
+
+def kernel_steps(config):
+    """(game, players, x1, steps): the steps of :func:`learners.dynamics`
+    driven as ``harness._self_play`` drives it: the same players, start
+    point and oracle gradient, and base gradients when the config records
+    the potential."""
+    game = make_game(config.game, **config.game_params)
+    players, _, x1 = _build_learners(config, game)
+    steps = dynamics(players, game.joint_set, x1, partial(_oracle_gradient, game, game.dim),
+                     base_gradient=config.record_potential)
+    return game, players, x1, steps
+
+
+def kernel_run(config):
+    """:func:`kernel_steps` with the steps of rounds 1..T in a list."""
+    game, players, x1, steps = kernel_steps(config)
+    return game, players, x1, [step for _, step in zip(range(config.T), steps)]
+
+
+def step_windows(config, ts):
+    """(x1, eta, L, windows) of a fixed-step run: ``windows[t]`` holds the
+    steps of rounds t-1, t and t+1, the input of
+    ``verify.identity_instance_from_trace``; no other step is kept."""
+    game, players, x1, steps = kernel_steps(config)
+    wanted = {int(t) for t in ts}
+    windows, last = {}, max(wanted) + 1
+    for t, step in zip(range(1, last + 1), steps):
+        for centre in (t - 1, t, t + 1):
+            if centre in wanted:
+                windows.setdefault(centre, []).append(step)
+    return x1, players[0].eta, game.lipschitz_bound, windows
+
+
+# Rounds of each rate run at which criterion 8 substitutes the trace.
+TRACE_ROUNDS = np.linspace(2, 10_000 - 1, 34, dtype=int)
 
 
 @pytest.fixture(scope="session")
-def small_aog_run():
-    """Short fixed-step anchored bilinear run with full trajectory."""
-    cfg = ExperimentConfig(
-        game="bilinear",
-        game_params={"dims": (2, 2)},
-        algo="aog",
-        T=200,
-        stride=1,
-        record_potential=True,
-        keep_trajectory=True,
-    )
-    return run_self_play(cfg)
+def trace_windows():
+    """Criterion 8's step windows of the three rate instances."""
+    return {name: step_windows(rate_config(name), TRACE_ROUNDS) for name in RATE_INSTANCES}
 
 
 def run_eta(result):

@@ -238,7 +238,7 @@ def test_criterion_7_dynamic_regret_log_growth(rate_runs):
     report(7, ok, "log-consistent increments: " + "; ".join(details))
 
 
-def test_criterion_8_descent_identity(rate_runs):
+def test_criterion_8_descent_identity(trace_windows):
     start = time.monotonic()
     rng = np.random.default_rng(2718)
     count, worst = 0, 0.0
@@ -251,10 +251,9 @@ def test_criterion_8_descent_identity(rate_runs):
                     worst = max(worst, rel)
                     count += 1
     trace_worst, trace_count = 0.0, 0
-    for result in rate_runs.values():
-        eta = run_eta(result)
-        for t in np.linspace(2, result.config.T - 1, 34, dtype=int):
-            inst = identity_instance_from_trace(result.trajectory, result.game, eta, int(t))
+    for x1, eta, L, windows in trace_windows.values():
+        for t, steps in windows.items():
+            inst = identity_instance_from_trace(x1, eta, L, t, steps)
             _, _, rel = check_descent_identity(inst)
             trace_worst = max(trace_worst, rel)
             trace_count += 1

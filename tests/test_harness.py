@@ -12,6 +12,7 @@ from monolearn.harness import (
     ConfigError,
     ExperimentConfig,
     HarnessError,
+    _BlockMeasure,
     build_single_learner,
     emit_csv,
     fit_loglog_slope,
@@ -25,6 +26,8 @@ from monolearn.games import GameOracle, make_game
 from monolearn.learners import make_learner, play
 from monolearn.geometry import symmetric_box
 from monolearn.metrics import csv_header
+
+from conftest import kernel_run
 
 
 def write_config(tmp_path, name="cfg.json", **data):
@@ -58,12 +61,10 @@ def test_config_requires_core_fields(tmp_path):
         load_config(path)
 
 
-def test_trajectory_is_kept_only_on_request():
-    cfg = ExperimentConfig(game="bilinear", T=20)
-    assert cfg.keep_trajectory is False
-    assert run_self_play(cfg).trajectory is None
-    assert run_self_play(ExperimentConfig(game="bilinear", T=20,
-                                          keep_trajectory=True)).trajectory is not None
+def test_keep_trajectory_is_accepted_only_as_false():
+    assert ExperimentConfig(game="bilinear", T=20, keep_trajectory=False).keep_trajectory is False
+    with pytest.raises(ConfigError, match="keep_trajectory"):
+        ExperimentConfig(game="bilinear", T=20, keep_trajectory=True)
 
 
 def test_config_field_validation():
@@ -99,12 +100,11 @@ def test_zero_sum_conservation_along_run():
         algo="aog",
         T=300,
         stride=10,
-        keep_trajectory=True,
     )
     result = run_self_play(cfg)
-    game = result.game
+    game, _, _, run = kernel_run(cfg)
     for t in result.column("t"):
-        z = result.trajectory.half[t]
+        z = run[t - 1][1]  # x_{t+1/2}
         assert abs(game.loss(0, z) + game.loss(1, z)) <= 1e-10
     # the two per-player exact gap terms each upper-bound zero
     assert all(v >= -1e-12 for name in ("dynreg_1", "dynreg_2") for v in result.column(name))
@@ -131,6 +131,26 @@ def test_potential_tracking_requires_uniform_fixed_step():
     )
     with pytest.raises(ConfigError, match="record_potential"):
         run_self_play(cfg)
+
+
+def test_measurement_pass_checks_the_potential_witness_membership():
+    cfg = ExperimentConfig(game="bilinear", game_params={"dims": (1, 1)}, algo="aog",
+                           T=20, record_potential=True)
+    game, players, x1, run = kernel_run(cfg)
+    base, half, grad, base_grad = (np.array([s[k] for s in run]) for k in (0, 1, 2, 3))
+    etas = np.tile([p.eta for p in players], (cfg.T, 1))
+
+    def measure(base_rows):
+        _BlockMeasure(game, x1, cfg.T, 1, True)(1, base_rows, half, grad, etas, base_grad)
+
+    measure(base)
+    # round 8's base point moves off the run, strictly inside the box: c_8
+    # no longer lies in the normal cone at x_8
+    moved = base.copy()
+    assert np.all(np.abs(moved[7]) < 1.0 - 1e-2)
+    moved[7] += 1e-3
+    with pytest.raises(HarnessError, match="^round 8: .*normal cone"):
+        measure(moved)
 
 
 def test_unbounded_run_reports_residual_only():
@@ -480,6 +500,9 @@ def assert_one_error_line(capsys, *needles):
     ({**RANDOM_LINEAR, "game_params": {"dims": []}}, "dims:"),
     ({**RANDOM_LINEAR, "game_params": {"dims": [2, 0]}}, "dims:"),
     ({**RANDOM_LINEAR, "game_params": {"skew_scale": 1.7e308, "dims": [3, 3]}}, "skew_scale:"),
+    ({"game": "bilinear", "T": 20, "game_params": {"dims": [0, 0]}}, "dims:"),
+    ({"game": "bilinear", "T": 20, "game_params": {"dims": [1]}}, "dims:"),
+    ({"game": "bilinear", "T": 20, "keep_trajectory": True}, "keep_trajectory"),
 ])
 # a warning (numpy's overflow RuntimeWarning, say) would be a second stderr line
 @pytest.mark.filterwarnings("error")
@@ -524,6 +547,13 @@ def test_cli_slope_unknown_column_exits_one(tmp_path, capsys):
     trace.write_text("t,r_tan,gap\n" + "".join(f"{t},{1.0 / t},1.0\n" for t in range(1, 300)))
     assert main(["slope", "--trace", str(trace), "--column", "r_tna"]) == 1
     assert_one_error_line(capsys, "'r_tna'", "t, r_tan, gap")
+
+
+def test_cli_slope_trace_without_t_column_exits_one(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("x,foo\n1,2\n2,3\n")
+    assert main(["slope", "--trace", str(trace), "--column", "foo"]) == 1
+    assert_one_error_line(capsys, "'t'")
 
 
 def test_cli_slope_skips_the_missing_cells_of_a_short_row(tmp_path, capsys):

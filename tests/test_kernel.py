@@ -4,8 +4,9 @@
 shared update-rule functions (``RULES``, ``step``, ``anchor_pull``,
 ``adapted_step_size``) and nothing of the round loop. ``reference_self_play``
 steps one per player and measures every round per player, on the product of
-the players' sets; ``run_self_play`` must reproduce its iterates bit for bit
-and its recorded rows to 1e-12. ``reference_play`` charges one learner's
+the players' sets. ``learners.dynamics``, driven as ``run_self_play`` drives
+it, must reproduce its iterates bit for bit, and ``run_self_play`` its
+recorded rows to 1e-12. ``reference_play`` charges one learner's
 phase points as online rounds, as ``learners.play`` must.
 """
 
@@ -34,6 +35,8 @@ from monolearn.learners import (
     play,
     step,
 )
+
+from conftest import kernel_run
 
 TAGS = sorted(RULES)
 
@@ -169,12 +172,12 @@ def close(a, b, rel=1e-12, floor=0.0):
 
 
 def assert_equivalent(config, floor=0.0):
-    config.keep_trajectory = True
     result = run_self_play(config)
     rows, bases, halves, grads, etas = reference_self_play(config)
-    traj = result.trajectory
-    for name, want, got in (("base", bases, traj.base[1:]), ("half", halves, traj.half[1:]),
-                            ("grad", grads, traj.grad_half[1:])):
+    *_, run = kernel_run(config)
+    for name, want, got in (("base", bases, [s[0] for s in run] + [run[-1][4]]),
+                            ("half", halves, [s[1] for s in run]),
+                            ("grad", grads, [s[2] for s in run])):
         assert len(want) == len(got)
         for k, (w, g) in enumerate(zip(want, got)):
             assert np.array_equal(w, g), f"{name} differs at round {k + 1}"
@@ -287,18 +290,6 @@ def test_mixed_tags_with_mid_run_latch_across_blocks_match_reference():
         T=2 * B + 3, stride=3, L=1.0, D=6.9e-4, eta=0.3))
     eta_2 = result.column("eta_2")
     assert eta_2[0] == 0.3 != eta_2[-1]
-
-
-@pytest.mark.parametrize("game, params", [("bilinear", {"dims": (2, 2)}),
-                                          ("random_linear_monotone", {"dims": (3, 2)})])
-def test_kept_and_dropped_trajectory_give_identical_records(game, params):
-    results = [run_self_play(ExperimentConfig(game=game, game_params=params, algo="aog",
-                                              T=2 * B + 9, stride=4, record_potential=True,
-                                              keep_trajectory=keep))
-               for keep in (True, False)]
-    assert results[0].trajectory is not None and results[1].trajectory is None
-    assert results[0].columns == results[1].columns
-    assert results[0].certificates == results[1].certificates
 
 
 def test_non_finite_gradient_mid_block_raises_and_leaves_no_csv(tmp_path, monkeypatch):

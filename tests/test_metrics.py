@@ -8,32 +8,30 @@ from monolearn.geometry import GeometryError, symmetric_box
 from monolearn.harness import ExperimentConfig, run_self_play
 from monolearn.metrics import (
     MetricError,
-    anchored_normal_element,
     best_response_gaps,
     csv_header,
     csv_row,
     dynamic_regret,
     measure_equilibrium,
-    potential,
     regret_rows,
     second_order_variation,
 )
 
+from conftest import kernel_run
+
 RNG = np.random.default_rng(31)
 
 
-def small_run(game_id="bilinear", T=50, x1=None, **game_params):
-    cfg = ExperimentConfig(
+def small_config(game_id="bilinear", T=50, x1=None, **game_params):
+    return ExperimentConfig(
         game=game_id,
         game_params=game_params,
         algo="aog",
         T=T,
         stride=1,
         record_potential=True,
-        keep_trajectory=True,
         x1=x1,
     )
-    return run_self_play(cfg)
 
 
 def test_measures_at_nash_are_zero():
@@ -184,51 +182,49 @@ def test_second_order_variation():
 
 
 def test_learner_variation_matches_metric():
-    result = small_run(T=60, dims=(1, 1))
-    traj = result.trajectory
-    s = slice(0, 1)
-    grads = [traj.grad_half[t][s] for t in range(1, traj.rounds + 1)]
+    cfg = small_config(T=60, dims=(1, 1))
+    grads = [g_half[0:1] for _, _, g_half, _, _, _ in kernel_run(cfg)[3]]
     want = second_order_variation(grads)
-    got = result.column("S_1")[-1]
+    got = run_self_play(cfg).column("S_1")[-1]
     assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-15)
 
 
 def test_potential_dual_path_recomputation():
-    result = small_run(T=30, dims=(1, 1))
-    game = result.game
-    traj = result.trajectory
+    cfg = small_config(T=30, dims=(1, 1))
+    result = run_self_play(cfg)
+    game, _, x1, steps = kernel_run(cfg)
     eta = result.eta[0]
     for t in (2, 3, 17):
-        wit = potential(traj, game, eta, t)
-        # independent re-derivation straight from the stored vectors
-        x1, x_prev, x_t = traj.x1, traj.base[t - 1], traj.base[t]
-        c = (x_prev - eta * traj.grad_half[t - 1] + (x1 - x_prev) / t - x_t) / eta
+        # independent re-derivation from the kernel's vectors
+        x_prev, _, g_prev = steps[t - 2][:3]
+        x_t = steps[t - 1][0]
+        c = (x_prev - eta * g_prev + (x1 - x_prev) / t - x_t) / eta
         v = game.gradient(x_t)
         r = eta * (v + c)
-        d = eta * (v - traj.grad_half[t - 1])
+        d = eta * (v - g_prev)
         p = t * (t + 1) / 2.0 * (float(r @ r) + float(d @ d)) + t * float(r @ (x_t - x1))
-        assert np.allclose(wit.c, c, atol=1e-15)
-        assert abs(wit.value - p) <= 1e-12 * max(1.0, abs(p))
         # and the runner's streaming series agrees
         idx = result.certificates["t"].index(t)
         assert abs(result.certificates["potential"][idx] - p) <= 1e-10 * max(1.0, abs(p))
 
 
 def test_potential_requires_second_round():
-    result = small_run(T=10, dims=(1, 1))
-    with pytest.raises(MetricError):
-        anchored_normal_element(result.trajectory, result.eta[0], 1)
+    result = run_self_play(small_config(T=10, dims=(1, 1)))
+    certs = result.certificates
+    assert certs["t"][:2] == [1, 2]
+    assert result.column("potential")[0] is None and certs["potential"][0] is None
+    assert certs["residual_norm"][0] is None and certs["drift_norm"][0] is None
+    assert all(p is not None for p in result.column("potential")[1:])
 
 
 def test_stationary_nash_run_is_flat():
-    result = small_run(T=20, dims=(1, 1), x1=[0.0, 0.0])
-    traj = result.trajectory
-    for t in range(1, 21):
-        assert np.array_equal(traj.base[t], np.zeros(2))
-        assert np.array_equal(traj.half[t], np.zeros(2))
-    wit = potential(traj, result.game, result.eta[0], 5)
-    assert np.array_equal(wit.c, np.zeros(2))
-    assert wit.value == 0.0
+    cfg = small_config(T=20, dims=(1, 1), x1=[0.0, 0.0])
+    for x_t, half, *_ in kernel_run(cfg)[3]:
+        assert np.array_equal(x_t, np.zeros(2))
+        assert np.array_equal(half, np.zeros(2))
+    result = run_self_play(cfg)
+    assert all(p == 0.0 for p in result.column("potential")[1:])
+    assert all(r == 0.0 for r in result.certificates["residual_norm"][1:])
     assert all(r_tan == 0.0 for r_tan in result.column("r_tan"))
 
 

@@ -15,6 +15,8 @@ from monolearn.verify import (
     run_eag_adversary,
 )
 
+from conftest import step_windows
+
 
 def test_identity_all_zero():
     zeros = [np.zeros(3) for _ in range(9)]
@@ -112,16 +114,17 @@ def test_identity_from_run_trace():
         algo="aog",
         T=40,
         record_potential=True,
-        keep_trajectory=True,
     )
-    result = run_self_play(cfg)
-    eta = result.eta[0]
-    for t in (2, 3, 10, 39):
-        inst = identity_instance_from_trace(result.trajectory, result.game, eta, t)
+    x1, eta, L, windows = step_windows(cfg, (2, 3, 10, 39))
+    for t, steps in windows.items():
+        inst = identity_instance_from_trace(x1, eta, L, t, steps)
         # the derived a4 must reproduce the actual next base iterate
-        assert np.linalg.norm(inst.a4 - result.trajectory.base[t + 1]) <= 1e-9
+        assert np.linalg.norm(inst.a4 - steps[2][0]) <= 1e-9
         _, _, rel = check_descent_identity(inst)
         assert rel <= 1e-9
+    assert sorted(windows) == [2, 3, 10, 39]
+    with pytest.raises(VerifyError, match="t >= 2"):
+        identity_instance_from_trace(x1, eta, L, 1, windows[2])
 
 
 def test_identity_degenerate_flag():
@@ -172,7 +175,6 @@ def test_sequence_bound_on_run_residuals():
         algo="aog",
         T=500,
         record_potential=True,
-        keep_trajectory=False,
     )
     result = run_self_play(cfg)
     certs = result.certificates
