@@ -224,9 +224,12 @@ class _BlockMeasure:
 
     When the potential is tracked, the pass also checks the certificate's
     hypothesis on every round t >= 2: the witness c_t lies in the normal
-    cone at x_t, that is ||P(x_t + c_t) - x_t|| <= ``WITNESS_TOL`` *
-    max(1, ||c_t||), with one projection of the block's rows. The first
-    round that fails raises :class:`HarnessError` naming it.
+    cone at x_t. The cone is closed under positive scaling, so the test
+    takes the step residual eta c_t, whose rounding is a few ulps of the points whatever the
+    game's scale: ||P(x_t + eta c_t) - x_t|| <= ``WITNESS_TOL`` * max(1,
+    ||x_{t-1}||, ||x_t||, ||x_1||, ||eta c_t||), with one projection of the
+    block's rows. The first round that fails raises :class:`HarnessError`
+    naming it.
     """
 
     def __init__(self, game, x1, T, stride, track_potential):
@@ -286,13 +289,15 @@ class _BlockMeasure:
             x_prev = _previous_rows(base, self.x_prev)
             eta = etas[0, 0]  # one common fixed step
             c = normal_element(x_prev, g_prev, base, self.x1, eta, ts)
-            miss = row_norms(self.joint._project(base + c) - base)
-            bad = np.flatnonzero((miss > WITNESS_TOL * np.maximum(1.0, row_norms(c)))
-                                 & (ts >= 2))  # c_t needs t >= 2
+            step = eta * c
+            miss = row_norms(self.joint._project(base + step) - base)
+            scale = np.max([row_norms(x_prev), row_norms(base), row_norms(step)], axis=0)
+            scale = np.maximum(scale, max(1.0, np.linalg.norm(self.x1)))
+            bad = np.flatnonzero((miss > WITNESS_TOL * scale) & (ts >= 2))  # c_t needs t >= 2
             if bad.size:
                 k = bad[0]
                 raise HarnessError(f"round {ts[k]}: the potential's witness c_t is not in "
-                                   f"the normal cone at x_t (||P(x_t + c_t) - x_t|| = "
+                                   f"the normal cone at x_t (||P(x_t + eta c_t) - x_t|| = "
                                    f"{miss[k]:.3e})")
             wit = anchored_potential(c, base_grad, g_prev, base, self.x1, eta, ts)
             pot = wit.value.tolist()
@@ -380,16 +385,23 @@ def _output_file(path):
         raise
 
 
+def _steps(config, game, players, x1):
+    """The self-play steps: :func:`learners.dynamics` over the joint set
+    from x1, with the checked oracle gradient, and V(x_t) in each step
+    when the config records the potential."""
+    return dynamics(players, game.joint_set, x1, partial(_oracle_gradient, game, game.dim),
+                    base_gradient=config.record_potential)
+
+
 def _self_play(config, game, players, x1):
-    """Self-play through :func:`learners.dynamics`: the oracle gives
-    the joint gradients, and each step's x_t, x_{t+1/2} and V(x_{t+1/2})
-    (and V(x_t) for the potential) go into the rows of three block buffers,
-    reused from block to block; a full block goes to the measurement pass.
-    The buffers are the only place the run's iterates reach."""
+    """Self-play over :func:`_steps`: each step's x_t, x_{t+1/2} and
+    V(x_{t+1/2}) (and V(x_t) for the potential) go into the rows of three
+    block buffers, reused from block to block; a full block goes to the
+    measurement pass. The buffers are the only place the run's iterates
+    reach."""
     dim, T = game.dim, config.T
     track_potential = config.record_potential
-    steps = dynamics(players, game.joint_set, x1, partial(_oracle_gradient, game, dim),
-                     base_gradient=track_potential)
+    steps = _steps(config, game, players, x1)
     etas = tuple(p.eta for p in players)
     adaptive = any(p.threshold is not None for p in players)
 

@@ -1,12 +1,10 @@
 import math
-from functools import partial
 
 import numpy as np
 import pytest
 
 from monolearn.games import make_game
-from monolearn.harness import ExperimentConfig, _build_learners, _oracle_gradient, run_self_play
-from monolearn.learners import dynamics
+from monolearn.harness import ExperimentConfig, _build_learners, _steps, run_self_play
 
 # The three bounded instances used by the rate-certificate acceptance runs.
 RATE_INSTANCES = {
@@ -29,15 +27,11 @@ def rate_runs():
 
 
 def kernel_steps(config):
-    """(game, players, x1, steps): the steps of :func:`learners.dynamics`
-    driven as ``harness._self_play`` drives it: the same players, start
-    point and oracle gradient, and base gradients when the config records
-    the potential."""
+    """(game, players, x1, steps): the steps ``harness._self_play`` runs,
+    from the same builders."""
     game = make_game(config.game, **config.game_params)
     players, _, x1 = _build_learners(config, game)
-    steps = dynamics(players, game.joint_set, x1, partial(_oracle_gradient, game, game.dim),
-                     base_gradient=config.record_potential)
-    return game, players, x1, steps
+    return game, players, x1, _steps(config, game, players, x1)
 
 
 def kernel_run(config):

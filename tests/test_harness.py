@@ -153,6 +153,18 @@ def test_measurement_pass_checks_the_potential_witness_membership():
         measure(moved)
 
 
+@pytest.mark.parametrize("params", [{"payoff_scale": 1e9}, {"box_radius": 1e9},
+                                    {"payoff_scale": 1e-9}, {"box_radius": 1e-9}])
+def test_witness_membership_check_holds_on_scaled_games(params):
+    # The witness c_t is a difference of points over eta; its rounding grows
+    # with the payoff scale and the box, and the check must not read it as a miss.
+    cfg = ExperimentConfig(game="bilinear", game_params={"dims": (2, 2), **params},
+                           algo="aog", T=1000, stride=100, record_potential=True)
+    potential = run_self_play(cfg).certificates["potential"]
+    assert len(potential) == cfg.T and potential[0] is None
+    assert all(np.isfinite(potential[1:]))
+
+
 def test_unbounded_run_reports_residual_only():
     cfg = ExperimentConfig(
         game="random_linear_monotone",
