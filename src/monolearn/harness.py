@@ -225,11 +225,11 @@ class _BlockMeasure:
     When the potential is tracked, the pass also checks the certificate's
     hypothesis on every round t >= 2: the witness c_t lies in the normal
     cone at x_t. The cone is closed under positive scaling, so the test
-    takes the step residual eta c_t, whose rounding is a few ulps of the points whatever the
-    game's scale: ||P(x_t + eta c_t) - x_t|| <= ``WITNESS_TOL`` * max(1,
-    ||x_{t-1}||, ||x_t||, ||x_1||, ||eta c_t||), with one projection of the
-    block's rows. The first round that fails raises :class:`HarnessError`
-    naming it.
+    takes the step residual eta c_t, whose rounding is a few ulps of the
+    points whatever the game's scale: ||P(x_t + eta c_t) - x_t|| <=
+    ``WITNESS_TOL`` * max(1, ||x_{t-1}||, ||x_t||, ||x_1||, ||eta c_t||),
+    with one projection of the block's rows. The first round that fails
+    raises :class:`HarnessError` naming it.
     """
 
     def __init__(self, game, x1, T, stride, track_potential):
