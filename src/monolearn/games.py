@@ -3,14 +3,14 @@
 A :class:`GameOracle` bundles the per-player feasible sets, the joint
 gradient operator ``V`` (stacking each player's own-action gradient), a
 Lipschitz bound ``L``, and, when available, per-player loss functions and
-exact best responses. Built-in instances cover the bilinear saddle game,
-a banded quadratic-bilinear min-max game, and a seeded random linear
-monotone operator. Each is affine, V(z) = M z + r, and passes ``(M, r)``,
-so monotonicity and the Lipschitz bound are certified exactly, in two tiers
-(:meth:`GameOracle.validate`): first the O(n^2) Gershgorin and Schur bounds,
-which ``bilinear`` and ``appendix_e`` meet exactly, and only if one fails,
-lambda_min((M + M^T)/2) and ||M||_2 from symmetric eigen-solves
-(:func:`spectral_norm`).
+exact best responses. Every operator is affine, V(z) = M z + r, given as
+``affine=(M, r)``: the one operator form. Built-in instances cover the
+bilinear saddle game, a banded quadratic-bilinear min-max game, and a
+seeded random linear monotone operator. Monotonicity and the Lipschitz
+bound are certified exactly, in two tiers (:meth:`GameOracle.validate`):
+first the O(n^2) Gershgorin and Schur bounds, which ``bilinear`` and
+``appendix_e`` meet exactly, and only if one fails, lambda_min((M + M^T)/2)
+and ||M||_2 from symmetric eigen-solves (:func:`spectral_norm`).
 """
 
 from __future__ import annotations
@@ -61,6 +61,19 @@ def spectral_norm(M):
     return math.ldexp(math.sqrt(np.linalg.eigvalsh(gram)[-1]), e)
 
 
+def game_param(key, value, least=None):
+    """``value`` of the builder parameter ``key``: a finite number > 0, or,
+    when ``least`` is given, an integer >= ``least``. Anything else, a bool
+    included, raises one :class:`GameError` that names the key."""
+    integer = least is not None
+    kind, want = ((numbers.Integral, f"an integer >= {least}") if integer
+                  else (numbers.Real, "a finite number > 0"))
+    if (isinstance(value, bool) or not isinstance(value, kind)
+            or not (value >= least if integer else 0 < value < math.inf)):
+        raise GameError(f"game_params: {key}: must be {want}, got {value!r}")
+    return value
+
+
 def player_slices(player_dims):
     start = 0
     for d in player_dims:
@@ -70,10 +83,10 @@ def player_slices(player_dims):
 
 @dataclass
 class GameOracle:
-    """Gradient oracle of a smooth monotone game.
+    """Gradient oracle of a smooth monotone game with V(z) = M z + r.
 
-    ``gradient_fn`` maps a flat joint action vector to the flat joint
-    gradient; for V(z) = M z + r, pass ``affine=(M, r)`` and the oracle sets
+    ``affine=(M, r)`` is the operator; the oracle derives ``gradient_fn``,
+    which maps a flat joint action vector to the flat joint gradient, from
     it. ``losses`` (optional) holds one callable per player, and
     ``best_response_fn`` (optional, needs ``losses``) maps ``(player, Z)``
     to the exact minimizers and minimum values. Both take ``(k, dim)`` rows
@@ -87,13 +100,12 @@ class GameOracle:
 
     player_sets: list
     lipschitz_bound: float
-    gradient_fn: object = None
+    affine: tuple
     losses: list = None
     best_response_fn: object = None
     name: str = "custom"
     start: np.ndarray = None
-    affine: tuple = None
-    metadata: dict = field(default_factory=dict)
+    gradient_fn: object = field(init=False, repr=False, compare=False)
     joint_set: FeasibleSet = field(init=False, repr=False, compare=False)
     player_dims: tuple = field(init=False, repr=False, compare=False)
     dim: int = field(init=False, repr=False, compare=False)
@@ -106,13 +118,8 @@ class GameOracle:
         self.player_dims = tuple(s.dim for s in self.player_sets)
         self.dim = sum(self.player_dims)
         self.joint_set = product(self.player_sets)
-        if self.affine is not None:
-            if self.gradient_fn is not None:
-                raise GameError("give affine=(M, r) or gradient_fn, not both")
-            M, r = self.affine
-            self.gradient_fn = lambda z: M @ z + r
-        elif self.gradient_fn is None:
-            raise GameError("need affine=(M, r) or gradient_fn")
+        M, r = self.affine
+        self.gradient_fn = lambda z: M @ z + r
         if self.best_response_fn is not None and self.losses is None:
             raise GameError("best_response_fn needs the players' losses")
         start = np.zeros(self.dim) if self.start is None else self.start
@@ -151,50 +158,34 @@ class GameOracle:
         action, value = self.best_response_fn(player, _as_vector(profile, self.dim)[None])
         return _as_vector(action, self.player_dims[player]), float(value[0])
 
-    def validate(self, seed=42, pairs=1000):
-        """Certify monotonicity and the Lipschitz bound: exactly for an affine
-        operator (monotone iff lambda_min((M + M^T)/2) >= 0, L >= ||M||_2),
-        else on ``pairs`` random feasible pairs.
+    def validate(self):
+        """Certify monotonicity and the Lipschitz bound exactly: monotone iff
+        lambda_min((M + M^T)/2) >= 0, and L >= ||M||_2.
 
-        The affine certificate has two tiers. First two O(n^2) sufficient
-        bounds: Gershgorin's lambda_min(S) >= min_i (S_ii - sum_{j!=i} |S_ij|)
-        on S = (M + M^T)/2, and Schur's ||M||_2 <= sqrt(||M||_1 ||M||_inf).
+        The certificate has two tiers. First two O(n^2) sufficient bounds:
+        Gershgorin's lambda_min(S) >= min_i (S_ii - sum_{j!=i} |S_ij|) on
+        S = (M + M^T)/2, and Schur's ||M||_2 <= sqrt(||M||_1 ||M||_inf).
         If both pass, no eigen-solve runs. Else lambda_min(S) comes from
         ``eigvalsh`` and ||M||_2 from :func:`spectral_norm`, and a failing
         value is reported.
         """
-        L = self.lipschitz_bound
-        if self.affine is not None:
-            M = self.affine[0]
-            floor, cap = -1e-10 * max(1.0, L), L + 1e-8
-            S = (M + M.T) / 2.0
-            d = np.diagonal(S)
-            gershgorin = (d + np.abs(d) - np.abs(S).sum(axis=1)).min()
-            absM = np.abs(M)
-            # two square roots, so the product cannot overflow
-            schur = math.sqrt(absM.sum(axis=0).max()) * math.sqrt(
-                absM.sum(axis=1).max())
-            if gershgorin >= floor and schur <= cap:
-                return self
-            low = float(np.linalg.eigvalsh(S)[0])
-            norm = spectral_norm(M)
-            if low < floor:
-                raise GameError(f"game {self.name!r} is not monotone: "
-                                f"lambda_min((M + M^T)/2) = {low!r}")
-            if norm > cap:
-                raise GameError(f"game {self.name!r}: ||M||_2 = {norm!r} > L = {L!r}")
+        L, M = self.lipschitz_bound, self.affine[0]
+        floor, cap = -1e-10 * max(1.0, L), L + 1e-8
+        S = (M + M.T) / 2.0
+        d = np.diagonal(S)
+        gershgorin = (d + np.abs(d) - np.abs(S).sum(axis=1)).min()
+        absM = np.abs(M)
+        # two square roots, so the product cannot overflow
+        schur = math.sqrt(absM.sum(axis=0).max()) * math.sqrt(absM.sum(axis=1).max())
+        if gershgorin >= floor and schur <= cap:
             return self
-        rng = np.random.default_rng(seed)
-        joint = self.joint_set
-        for _ in range(pairs):
-            x, y = joint.sample(rng), joint.sample(rng)
-            dx = x - y
-            dg = self.gradient_fn(x) - self.gradient_fn(y)
-            nx = float(np.linalg.norm(dx))
-            if float(dg @ dx) < -1e-10 * nx * nx:
-                raise GameError(f"game {self.name!r} failed the monotonicity probe")
-            if float(np.linalg.norm(dg)) > (L + 1e-8) * nx:
-                raise GameError(f"game {self.name!r} failed the Lipschitz probe")
+        low = float(np.linalg.eigvalsh(S)[0])
+        norm = spectral_norm(M)
+        if low < floor:
+            raise GameError(f"game {self.name!r} is not monotone: "
+                            f"lambda_min((M + M^T)/2) = {low!r}")
+        if norm > cap:
+            raise GameError(f"game {self.name!r}: ||M||_2 = {norm!r} > L = {L!r}")
         return self
 
 
@@ -206,14 +197,12 @@ def make_bilinear_saddle(payoff_scale=1.0, box_radius=1.0, dims=(1, 1)):
     Lipschitz constant ``scale``. The start point is halfway from the Nash
     point 0 to the upper corner, so runs actually have to converge.
     """
-    if payoff_scale <= 0 or box_radius <= 0:
-        raise GameError("scale and radius must be positive")
-    dims = list(dims)
-    if (len(dims) != 2 or dims[0] != dims[1]
-            or not all(isinstance(d, numbers.Integral) and not isinstance(d, bool) and d >= 1
-                       for d in dims)):
-        raise GameError(f"dims: the bilinear coupling <x, y> needs two equal integer "
-                        f"player dimensions >= 1, got {dims}")
+    game_param("payoff_scale", payoff_scale)
+    game_param("box_radius", box_radius)
+    dims = [game_param("dims", d, least=1) for d in dims]
+    if len(dims) != 2 or dims[0] != dims[1]:
+        raise GameError(f"dims: the bilinear coupling <x, y> needs two equal player "
+                        f"dimensions, got {dims}")
     dx, dy = dims
     s = float(payoff_scale)
     sets = [symmetric_box(box_radius, dx), symmetric_box(box_radius, dy)]
@@ -269,8 +258,8 @@ def make_appendix_e_instance(n=100, box_half_width=200.0):
     minimum exactly 0. A row or column of |M| sums to at most
     1/2 (of H or 0) + 1/2 (of A), so ||M||_1 = ||M||_inf <= 1 = L.
     """
-    if n < 2:
-        raise GameError("instance requires n >= 2")
+    game_param("n", n, least=2)
+    game_param("box_half_width", box_half_width)
     A = banded_coupling_matrix(n)
     b = np.full(n, 0.25)
     h = np.zeros(n)
@@ -290,7 +279,6 @@ def make_appendix_e_instance(n=100, box_half_width=200.0):
         best_response_fn=None,  # not exposed: mixed exact/upper-bound reporting is disallowed
         name="appendix_e",
         start=np.full(2 * n, 1.0 / n),
-        metadata={"A": A, "b": b, "h": h, "H": H},
     ).validate()
 
 
@@ -314,10 +302,9 @@ def make_random_linear_monotone(dims=(1, 1), skew_scale=1.0, psd_diag=0.1, seed=
     floating point too), so it is monotone iff ``psd_diag >= 0``; and
     L = ||M||_2, from :func:`spectral_norm`.
     """
-    dims = list(dims)
-    if not dims or any(d < 1 for d in dims):
-        raise GameError(f"dims: need at least one player, each of dimension >= 1, "
-                        f"got {dims}")
+    dims = [game_param("dims", d, least=1) for d in dims]
+    if not dims:
+        raise GameError("dims: need at least one player, got []")
     if not math.isfinite(skew_scale):
         raise GameError(f"skew_scale: must be finite, got {skew_scale!r}")
     if not (math.isfinite(psd_diag) and psd_diag >= 0):
@@ -335,7 +322,7 @@ def make_random_linear_monotone(dims=(1, 1), skew_scale=1.0, psd_diag=0.1, seed=
     if bounded is None:
         sets = [Unconstrained(d) for d in dims]
     else:
-        sets = [symmetric_box(bounded, d) for d in dims]
+        sets = [symmetric_box(game_param("bounded", bounded), d) for d in dims]
     return GameOracle(
         player_sets=sets,
         lipschitz_bound=spectral_norm(M),

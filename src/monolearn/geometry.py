@@ -102,10 +102,6 @@ class FeasibleSet:
         return self._linearized_gap(self._clean(_as_vector(point, self.dim)),
                                     _as_vector(grad, self.dim))
 
-    def sample(self, rng):
-        """Uniform-ish random feasible point (testing helper)."""
-        raise NotImplementedError
-
     # -- unchecked cores: finite vectors of the right size, feasible points;
     # all but _linearized_gap also take rows over a leading axis --
     def _project(self, p):
@@ -166,9 +162,6 @@ class Box(FeasibleSet):
         x = np.where(g < 0, self.upper, self.lower)
         return x, np.vecdot(x, g)
 
-    def sample(self, rng):
-        return rng.uniform(self.lower, self.upper)
-
 
 @dataclass(frozen=True)
 class Ball(FeasibleSet):
@@ -214,12 +207,6 @@ class Ball(FeasibleSet):
                      self.center)
         return x, np.vecdot(x, g)
 
-    def sample(self, rng):
-        d = rng.standard_normal(self.dim)
-        d /= np.linalg.norm(d)
-        r = self.radius * rng.uniform() ** (1.0 / self.dim)
-        return self.center + r * d
-
 
 @dataclass(frozen=True)
 class Unconstrained(FeasibleSet):
@@ -244,9 +231,6 @@ class Unconstrained(FeasibleSet):
 
     def _support_min(self, g):
         raise GeometryError("support minimization is unbounded")
-
-    def sample(self, rng):
-        return rng.standard_normal(self.dim)
 
 
 @dataclass(frozen=True)
@@ -291,9 +275,6 @@ class ProductSet(FeasibleSet):
             parts.append(x)
             total = total + v
         return np.concatenate(parts, axis=-1), total
-
-    def sample(self, rng):
-        return np.concatenate([f.sample(rng) for f in self.factors])
 
 
 def product(factors):

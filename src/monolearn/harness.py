@@ -268,7 +268,8 @@ class _BlockMeasure:
             sum_g = running_sums(self.sum_g, grad)
             extreg = external_regrets(self.joint, sum_gx[rec], sum_g[rec], slices)
             gap = np.maximum(gx[rec].sum(axis=1) - lows[rec].sum(axis=1), 0.0).tolist()
-            regret_incs = linearized_gaps(gx, lows)
+            if not game.has_best_response:
+                regret_incs = linearized_gaps(gx, lows)
             self.sum_gx, self.sum_g = sum_gx[-1], sum_g[-1]
         if game.has_best_response:
             regret_incs = best_response_gaps(game, half)
@@ -574,14 +575,13 @@ def _cmd_selfplay(args):
     return 0
 
 
-def build_single_learner(config, game, player=0):
-    """A lone learner on one player's action set, for adversarial runs; its
+def build_single_learner(config, game):
+    """A lone learner on player 0's action set, for adversarial runs; its
     default D is the diameter of that set."""
     tags, L, x1 = _learner_inputs(config, game)
-    fset = game.player_sets[player]
+    fset = game.player_sets[0]
     D = config.D if config.D is not None else fset.diameter()
-    return make_learner(tags[player], fset, x1[game.slices()[player]],
-                        eta=config.eta, L=L, D=D)
+    return make_learner(tags[0], fset, x1[:fset.dim], eta=config.eta, L=L, D=D)
 
 
 def _cmd_adversarial(args):
@@ -654,8 +654,12 @@ def _cmd_slope(args):
             cell = row.get(args.column)
             if cell is None or cell == "":  # a short row has None cells
                 continue
-            ts.append(float(row["t"]))
-            vals.append(float(cell))
+            for name, out in (("t", ts), (args.column, vals)):
+                try:
+                    out.append(float(row[name]))
+                except (TypeError, ValueError):
+                    raise ConfigError(f"trace: {args.trace} line {reader.line_num}: column "
+                                      f"{name!r} holds {row[name]!r}, not a number") from None
     window = (args.t_min, args.t_max if args.t_max is not None else float("inf"))
     fit = fit_loglog_slope(ts, vals, window)
     print(f"slope={fit.slope:.4f} intercept={fit.intercept:.4f} r2={fit.r2:.6f}")

@@ -26,6 +26,10 @@ def rate_runs():
     return {name: run_self_play(rate_config(name)) for name in RATE_INSTANCES}
 
 
+def box_points(box, rng, k):  # k uniform points of a Box, one per row
+    return rng.uniform(box.lower, box.upper, (k, box.dim))
+
+
 def kernel_steps(config):
     """(game, players, x1, steps): the steps ``harness._self_play`` runs,
     from the same builders."""

@@ -19,7 +19,18 @@ from monolearn.games import (
 )
 from monolearn.geometry import Ball, Box, ProductSet, Unconstrained, symmetric_box
 
+from conftest import box_points
+
 RNG = np.random.default_rng(777)
+
+
+def paper_appendix_e(n):
+    """A, b, h and H of the Appendix E instance from the paper's definitions:
+    the banded A, b = 1/4, h = e_n/4 and H = 2 A^T A."""
+    A = banded_coupling_matrix(n)
+    h = np.zeros(n)
+    h[-1] = 0.25
+    return A, np.full(n, 0.25), h, 2.0 * A.T @ A
 
 
 def central_difference_gradient(loss, z, step=1e-5):
@@ -50,8 +61,7 @@ def test_bilinear_gradient_example():
 
 def test_bilinear_zero_sum_losses():
     game = make_bilinear_saddle(2.0, 1.0, (2, 2))
-    for _ in range(20):
-        z = game.joint_set.sample(RNG)
+    for z in box_points(game.joint_set, RNG, 20):
         assert abs(game.loss(0, z) + game.loss(1, z)) <= 1e-12
 
 
@@ -83,8 +93,7 @@ def test_gradients_match_finite_differences():
     ]
     for game in cases:
         slices = game.slices()
-        for _ in range(10):
-            z = game.joint_set.sample(RNG)
+        for z in box_points(game.joint_set, RNG, 10):
             v = game.gradient(z)
             for i, s in enumerate(slices):
                 full = central_difference_gradient(lambda w: game.loss(i, w), z)
@@ -107,7 +116,9 @@ def test_banded_matrix_pattern():
 def test_banded_instance_norms_and_smoothness():
     for n in (2, 5, 20):
         game = make_appendix_e_instance(n, box_half_width=1.0)
-        A, H = game.metadata["A"], game.metadata["H"]
+        A, _, _, H = paper_appendix_e(n)
+        assert np.array_equal(game.affine[0][:n, :n], H)
+        assert np.array_equal(game.affine[0][n:, :n], A)
         assert power_iteration_norm(A) <= 0.5 + 1e-9
         assert power_iteration_norm(H) <= 0.5 + 1e-9
         assert np.allclose(H, H.T)
@@ -117,7 +128,7 @@ def test_banded_instance_norms_and_smoothness():
 
 def test_banded_instance_gradient_at_zero():
     game = make_appendix_e_instance(3, box_half_width=1.0)
-    h, b = game.metadata["h"], game.metadata["b"]
+    _, b, h, _ = paper_appendix_e(3)
     v = game.gradient(np.zeros(6))
     # player 1 sees -h; player 2's slice is the monotone-operator block
     # A x - b, which is -b at the origin
@@ -151,12 +162,9 @@ def test_joint_set_is_built_once_per_game():
     assert np.array_equal(joint.lower, np.full(8, -200.0))
     free = make_random_linear_monotone((2, 3)).joint_set
     assert isinstance(free, Unconstrained) and free.dim == 5
-    mixed = GameOracle([symmetric_box(1.0, 2), Ball(np.zeros(2), 1.0)], 1.0, lambda z: z)
+    mixed = GameOracle([symmetric_box(1.0, 2), Ball(np.zeros(2), 1.0)], 1.0,
+                       affine=(np.eye(4), np.zeros(4)))
     assert isinstance(mixed.joint_set, ProductSet)
-    # a box over concatenated bounds samples the same stream as the product
-    product = ProductSet(tuple(boxes.player_sets))
-    rng_a, rng_b = np.random.default_rng(1), np.random.default_rng(1)
-    assert np.array_equal(joint.sample(rng_a), product.sample(rng_b))
 
 
 @pytest.mark.parametrize("bounded", [None, 1.0])
@@ -215,26 +223,6 @@ def test_spectral_norm_rejects_non_finite_entries():
             spectral_norm(np.array([[1.0, bad], [0.0, 1.0]]))
 
 
-def test_validation_probes_pass_for_builtins():
-    make_bilinear_saddle(1.0, 1.0, (2, 2)).validate(pairs=200)
-    make_appendix_e_instance(10, box_half_width=2.0).validate(pairs=200)
-    make_random_linear_monotone((1, 1), bounded=1.0, seed=2).validate(pairs=200)
-
-
-def test_validation_rejects_non_monotone_operator():
-    from monolearn.games import GameOracle
-    from monolearn.geometry import symmetric_box
-
-    bad = GameOracle(
-        player_sets=[symmetric_box(1.0, 1)],
-        lipschitz_bound=1.0,
-        gradient_fn=lambda z: -z,
-        name="bad",
-    )
-    with pytest.raises(GameError):
-        bad.validate(pairs=50)
-
-
 def test_infeasible_profile_rejected():
     game = make_bilinear_saddle(1.0, 1.0, (1, 1))
     with pytest.raises(GameError):
@@ -262,7 +250,7 @@ def test_start_is_projected_onto_the_joint_set():
     game = make_random_linear_monotone((2, 1), bounded=0.5, seed=1)
     assert np.array_equal(game.start, np.full(3, 0.5))
     custom = GameOracle([symmetric_box(1.0, 2), Box(np.array([1.0]), np.array([2.0]))],
-                        1.0, lambda z: z)
+                        1.0, affine=(np.eye(3), np.zeros(3)))
     assert np.array_equal(custom.start, [0.0, 0.0, 1.0])
 
 
@@ -305,7 +293,7 @@ def test_appendix_e_certificate_is_exact(n):
     game = make_appendix_e_instance(n)
     assert_exact_certificate(game)
     M, r = game.affine
-    A, H, h, b = (game.metadata[k] for k in "AHhb")
+    A, b, h, H = paper_appendix_e(n)
     assert np.array_equal(M, np.block([[H, -A.T], [A, np.zeros((n, n))]]))
     assert np.array_equal(r, np.concatenate([-h, -b]))
 
@@ -329,8 +317,6 @@ def test_affine_validation_rejects_with_the_failing_value():
         GameOracle(box, 1.0, affine=(-np.eye(2), np.zeros(2))).validate()
     with pytest.raises(GameError, match=r"\|\|M\|\|_2 = 2\.0 > L = 1\.5"):
         GameOracle(box, 1.5, affine=(2.0 * np.eye(2), np.zeros(2))).validate()
-    with pytest.raises(GameError, match="not both"):
-        GameOracle(box, 1.0, lambda z: z, affine=(np.eye(2), np.zeros(2)))
 
 
 def test_builtin_builds_make_no_eigen_solve(monkeypatch):
@@ -394,19 +380,6 @@ def test_make_game_rejects_validate_key():
         make_game("bilinear", validate=False)
 
 
-def test_builtin_builds_do_not_sample(monkeypatch):
-    def refuse(self, rng):
-        raise AssertionError("a built-in game build sampled a random probe point")
-
-    monkeypatch.setattr(Box, "sample", refuse)
-    monkeypatch.setattr(Unconstrained, "sample", refuse)
-    make_game("bilinear", dims=(2, 2))
-    make_game("appendix_e", n=10)
-    make_game("appendix_d_toy")
-    make_game("random_linear_monotone", dims=(2, 2))
-    make_game("random_linear_monotone", dims=(2, 2), bounded=1.0)
-
-
 def same_bits(a, b):
     """Equal as float64 bit patterns: -0.0 and 0.0 differ, NaN equals itself."""
     a, b = np.atleast_1d(np.asarray(a, float)), np.atleast_1d(np.asarray(b, float))
@@ -421,7 +394,7 @@ def test_bilinear_gradient_and_best_responses_are_closed_forms(scale, d):
     # the closed forms.
     game = make_bilinear_saddle(scale, 1.0, (d, d))
     rng = np.random.default_rng(d)
-    Z = np.stack([game.joint_set.sample(rng) for _ in range(20)])
+    Z = box_points(game.joint_set, rng, 20)
     Z[:4, :d] = 0.0
     Z[2:6, d:] = 0.0
     rows = [(game.losses[i](Z), *game.best_response_fn(i, Z)) for i in range(2)]
@@ -443,12 +416,12 @@ def test_bilinear_gradient_and_best_responses_are_closed_forms(scale, d):
 
 def test_appendix_e_row_losses_match_the_formula():
     game = make_appendix_e_instance(5, box_half_width=2.0)
-    meta = game.metadata
-    Z = np.stack([game.joint_set.sample(RNG) for _ in range(7)])
+    A, b, h, H = paper_appendix_e(5)
+    Z = box_points(game.joint_set, RNG, 7)
     rows = [game.losses[i](Z) for i in range(2)]
     for k, z in enumerate(Z):
         x, y = z[:5], z[5:]
-        f = 0.5 * x @ meta["H"] @ x - meta["h"] @ x - (meta["A"] @ x - meta["b"]) @ y
+        f = 0.5 * x @ H @ x - h @ x - (A @ x - b) @ y
         assert math.isclose(rows[0][k], f, rel_tol=1e-12, abs_tol=1e-12)
         assert same_bits(rows[1][k], -rows[0][k])
         assert same_bits(rows[0][k], game.loss(0, z))
@@ -456,5 +429,5 @@ def test_appendix_e_row_losses_match_the_formula():
 
 def test_best_response_needs_losses():
     with pytest.raises(GameError, match="losses"):
-        GameOracle([symmetric_box(1.0, 1)], 1.0, lambda z: z,
+        GameOracle([symmetric_box(1.0, 1)], 1.0, affine=(np.eye(1), np.zeros(1)),
                    best_response_fn=lambda player, Z: (Z, Z[:, 0]))

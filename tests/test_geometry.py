@@ -233,7 +233,7 @@ def test_gap_matches_grid_oracle():
     for box in boxes:
         scale = box.diameter()
         for _ in range(50):
-            p = box.sample(RNG)
+            p = RNG.uniform(box.lower, box.upper)
             g = RNG.normal(scale=2.0, size=box.dim)
             got = box.linearized_gap(p, g)
             want = box_gap_oracle(box, p, g)
@@ -291,7 +291,7 @@ def test_box_batched_cores_equal_row_cores(case):
 
 @pytest.mark.parametrize("fset", [s for s in sample_sets() if s.is_bounded])
 def test_batched_cores_equal_row_cores_on_every_set(fset):
-    points = np.stack([fset.sample(RNG) for _ in range(6)])
+    points = np.stack([fset.project(RNG.normal(scale=0.5, size=fset.dim)) for _ in range(6)])
     points[0] = fset.project(points[0] * 50.0)  # a boundary point
     grads = RNG.normal(size=points.shape)
     grads[1] = 0.0

@@ -22,7 +22,7 @@ from monolearn.harness import (
     run_adversarial,
     run_self_play,
 )
-from monolearn.games import GameOracle, make_game
+from monolearn.games import make_game
 from monolearn.learners import make_learner, play
 from monolearn.geometry import symmetric_box
 from monolearn.metrics import csv_header
@@ -38,6 +38,7 @@ def write_config(tmp_path, name="cfg.json", **data):
 
 BILINEAR = dict(game="bilinear", game_params={"dims": [1, 1]}, algo="aog", T=200, stride=7)
 RANDOM_LINEAR = dict(game="random_linear_monotone", algo="aog", T=20)
+APPENDIX_E = dict(game="appendix_e", algo="aog", T=20)
 
 
 # -- configuration --------------------------------------------------------
@@ -209,8 +210,8 @@ def test_non_finite_base_gradient_aborts_with_round(monkeypatch):
 
 
 def test_wrong_size_gradient_aborts(monkeypatch):
-    sets = make_game("bilinear", dims=(1, 1)).player_sets
-    bad = GameOracle(sets, 1.0, lambda z: np.zeros(3))
+    bad = make_game("bilinear", dims=(1, 1))
+    bad.gradient_fn = lambda z: np.zeros(3)
     monkeypatch.setattr("monolearn.harness.make_game", lambda *a, **k: bad)
     with pytest.raises(HarnessError, match=r"round 1: .*shape"):
         run_self_play(ExperimentConfig(game="custom", T=5))
@@ -515,6 +516,16 @@ def assert_one_error_line(capsys, *needles):
     ({"game": "bilinear", "T": 20, "game_params": {"dims": [0, 0]}}, "dims:"),
     ({"game": "bilinear", "T": 20, "game_params": {"dims": [1]}}, "dims:"),
     ({"game": "bilinear", "T": 20, "keep_trajectory": True}, "keep_trajectory"),
+    ({**BILINEAR, "game_params": {"box_radius": float("nan")}}, "box_radius"),
+    ({**BILINEAR, "game_params": {"box_radius": float("inf")}}, "box_radius"),
+    ({**BILINEAR, "game_params": {"box_radius": True}}, "box_radius"),
+    ({**BILINEAR, "game_params": {"payoff_scale": float("nan")}}, "payoff_scale"),
+    ({**APPENDIX_E, "game_params": {"box_half_width": float("nan")}}, "box_half_width"),
+    ({**APPENDIX_E, "game_params": {"box_half_width": -1}}, "box_half_width"),
+    ({**APPENDIX_E, "game_params": {"box_half_width": True}}, "box_half_width"),
+    ({**APPENDIX_E, "game_params": {"n": True}}, "game_params: n:"),
+    ({**RANDOM_LINEAR, "game_params": {"bounded": -1.0}}, "bounded"),
+    ({**RANDOM_LINEAR, "game_params": {"dims": [True, 1]}}, "dims"),
 ])
 # a warning (numpy's overflow RuntimeWarning, say) would be a second stderr line
 @pytest.mark.filterwarnings("error")
@@ -566,6 +577,17 @@ def test_cli_slope_trace_without_t_column_exits_one(tmp_path, capsys):
     trace.write_text("x,foo\n1,2\n2,3\n")
     assert main(["slope", "--trace", str(trace), "--column", "foo"]) == 1
     assert_one_error_line(capsys, "'t'")
+
+
+@pytest.mark.parametrize("text, needle", [
+    ("t,r_tan\n1,0.5\nx,0.25\n", "'t'"),
+    ("t,r_tan\n1,0.5\n2,x\n", "'r_tan'"),
+])
+def test_cli_slope_non_numeric_cell_exits_one(tmp_path, capsys, text, needle):
+    trace = tmp_path / "trace.csv"
+    trace.write_text(text)
+    assert main(["slope", "--trace", str(trace)]) == 1
+    assert_one_error_line(capsys, str(trace), "line 3", needle)
 
 
 def test_cli_slope_skips_the_missing_cells_of_a_short_row(tmp_path, capsys):

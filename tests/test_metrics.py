@@ -17,7 +17,7 @@ from monolearn.metrics import (
     second_order_variation,
 )
 
-from conftest import kernel_run
+from conftest import box_points, kernel_run
 
 RNG = np.random.default_rng(31)
 
@@ -56,8 +56,7 @@ def test_measures_at_corner():
 def test_gap_ordering_chain():
     game = make_bilinear_saddle(1.0, 1.0, (2, 2))
     D = game.diameter()
-    for _ in range(100):
-        z = game.joint_set.sample(RNG)
+    for z in box_points(game.joint_set, RNG, 100):
         m = measure_equilibrium(game, z)
         assert m.tgap_exact <= m.gap + 1e-9
         assert m.gap <= D * m.r_tan + 1e-9
@@ -88,7 +87,7 @@ def test_dynamic_regret_examples():
 
 def test_dynamic_regret_fallback_is_linearized_gap():
     game = make_game("appendix_e", n=4, box_half_width=1.0)
-    z = game.joint_set.sample(RNG)
+    z = box_points(game.joint_set, RNG, 1)[0]
     res = dynamic_regret([z], game)
     assert not res.exact
     v = game.gradient(z)
@@ -124,7 +123,7 @@ def one_row_gaps(game, z):
 @pytest.mark.parametrize("d", [1, 3])
 def test_best_response_gaps_rows_equal_one_row_calls(d):
     game = make_bilinear_saddle(1.5, 1.0, (d, d))
-    Z = np.stack([game.joint_set.sample(RNG) for _ in range(9)])
+    Z = box_points(game.joint_set, RNG, 9)
     Z[0] = 0.0
     gaps = best_response_gaps(game, Z)
     assert gaps.shape == (9, 2)
@@ -136,7 +135,7 @@ def test_best_response_gaps_rows_equal_one_row_calls(d):
 
 def test_measure_equilibrium_exact_gap_is_the_one_row_sum():
     game = make_bilinear_saddle(3.0, 1.0, (2, 2))
-    for z in [game.joint_set.sample(RNG) for _ in range(20)] + [np.zeros(4)]:
+    for z in [*box_points(game.joint_set, RNG, 20), np.zeros(4)]:
         want = sum(one_row_gaps(game, z))
         got = measure_equilibrium(game, z).tgap_exact
         assert type(got) is float and got.hex() == want.hex()
