@@ -2,9 +2,11 @@
 
 A library plus experiment CLI for no-regret learning dynamics (gradient
 descent, optimistic gradient, extragradient and its anchored variant, and
-the anchored optimistic gradient with optional step-size adaptation),
-equilibrium-gap metrics, potential-function certificates, and numeric
-proposition checkers.
+the anchored optimistic gradient with optional step-size adaptation). One
+round loop makes every iterate; the self-play runner and the one online
+driver, :func:`play_rows`, drive it. The runners measure equilibrium gaps,
+regrets and the potential-function certificate with the row formulas of
+``metrics``, and numeric checkers test the proof's propositions.
 """
 
 from .games import (
@@ -29,12 +31,7 @@ from .harness import (
     run_adversarial,
     run_self_play,
 )
-from .learners import make_learner, play
-from .metrics import (
-    dynamic_regret,
-    measure_equilibrium,
-    second_order_variation,
-)
+from .learners import make_learner, play_rows
 from .verify import (
     IdentityInstance,
     check_descent_identity,
@@ -55,7 +52,6 @@ __all__ = [
     "Unconstrained",
     "check_descent_identity",
     "check_sequence_bound",
-    "dynamic_regret",
     "fit_loglog_slope",
     "load_config",
     "make_appendix_e_instance",
@@ -63,11 +59,9 @@ __all__ = [
     "make_game",
     "make_learner",
     "make_random_linear_monotone",
-    "measure_equilibrium",
-    "play",
+    "play_rows",
     "run_adversarial",
     "run_eag_adversary",
     "run_self_play",
-    "second_order_variation",
     "symmetric_box",
 ]

@@ -62,14 +62,19 @@ def spectral_norm(M):
 
 
 def game_param(key, value, least=None):
-    """``value`` of the builder parameter ``key``: a finite number > 0, or,
-    when ``least`` is given, an integer >= ``least``. Anything else, a bool
-    included, raises one :class:`GameError` that names the key."""
-    integer = least is not None
-    kind, want = ((numbers.Integral, f"an integer >= {least}") if integer
-                  else (numbers.Real, "a finite number > 0"))
-    if (isinstance(value, bool) or not isinstance(value, kind)
-            or not (value >= least if integer else 0 < value < math.inf)):
+    """``value`` of the builder parameter ``key``. The type of the lower
+    bound ``least`` picks the rule: None, a finite number > 0; a float, a
+    finite number >= ``least`` (any finite number at -inf); an int, an
+    integer >= ``least``. Anything else, a bool included, raises one
+    :class:`GameError` that names the key."""
+    if isinstance(least, int):
+        kind, want, ok = numbers.Integral, f"an integer >= {least}", lambda v: v >= least
+    elif least is None:
+        kind, want, ok = numbers.Real, "a finite number > 0", lambda v: 0 < v < math.inf
+    else:
+        kind, ok = numbers.Real, lambda v: math.isfinite(v) and v >= least
+        want = "a finite number" + (f" >= {least}" if least > -math.inf else "")
+    if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
         raise GameError(f"game_params: {key}: must be {want}, got {value!r}")
     return value
 
@@ -134,13 +139,6 @@ class GameOracle:
 
     def slices(self):
         return list(player_slices(self.player_dims))
-
-    def gradient(self, profile):
-        """Joint gradient V at a feasible profile (flat vector in, flat out)."""
-        x = _as_vector(profile, self.dim)
-        if not self.joint_set.contains(x):
-            raise GameError("profile is infeasible")
-        return _as_vector(self.gradient_fn(x), self.dim)
 
     def loss(self, player, profile):
         if self.losses is None:
@@ -305,12 +303,9 @@ def make_random_linear_monotone(dims=(1, 1), skew_scale=1.0, psd_diag=0.1, seed=
     dims = [game_param("dims", d, least=1) for d in dims]
     if not dims:
         raise GameError("dims: need at least one player, got []")
-    if not math.isfinite(skew_scale):
-        raise GameError(f"skew_scale: must be finite, got {skew_scale!r}")
-    if not (math.isfinite(psd_diag) and psd_diag >= 0):
-        raise GameError(f"psd_diag: must be finite and nonnegative for a monotone "
-                        f"operator, got {psd_diag!r}")
-    rng = np.random.default_rng(seed)
+    game_param("skew_scale", skew_scale, least=-math.inf)
+    game_param("psd_diag", psd_diag, least=0.0)
+    rng = np.random.default_rng(game_param("seed", seed, least=0))
     dim = sum(dims)
     B = rng.standard_normal((dim, dim))
     with np.errstate(over="ignore"):  # reported below, with the key to blame

@@ -14,16 +14,18 @@ of ``BLOCK_ROWS`` rows. After each block, the measurement pass computes
 every column of the block's rounds with whole-block array operations on
 the joint vectors, per player where a column is per player. The
 adversarial runner drives the same loop with one player through
-:func:`learners.play` and takes the external regret of every recorded
-round from the same row formulas, in one pass after the run. Validation
-happens at the boundary: the config (also after CLI overrides) and every
-gradient the oracle or adversary returns, checked for size and
-finiteness. The geometry cores the run calls do not re-check.
+:func:`learners.play_rows`, the one online driver, and takes the external
+regret of every recorded round from the same row formulas, in one pass
+over its arrays after the run. Validation happens at the boundary: the
+config (also after CLI overrides) and every gradient the oracle or
+adversary returns, checked for size and finiteness. The geometry cores
+the run calls do not re-check.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import numbers
@@ -137,10 +139,20 @@ class ExperimentConfig:
         return ExperimentConfig(**data)
 
 
+def _read_text(path):
+    """The text of the file at ``path``; bytes that are not UTF-8 raise one
+    :class:`ConfigError` that starts with the path."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
+
+
 def load_config(path):
     try:
-        with open(path) as fh:
-            data = json.load(fh)
+        data = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from None
     if not isinstance(data, dict):
@@ -484,13 +496,13 @@ class AdversarialResult:
 
 
 def run_adversarial(learner, adversary, T, record_at=None):
-    """Single-agent run over :func:`learners.play`: every played action is
-    charged, both phase points of eg/eag included. ``record_at`` lists rounds
-    at which the external regret of the play so far is recorded (the final
-    round is always included); the regret needs a bounded action set. Each
-    gradient is checked once, by ``play``, before the learner uses it; a
-    wrong-size or non-finite one raises :class:`HarnessError` naming its
-    round.
+    """Single-agent run over :func:`learners.play_rows`: every played
+    action is charged, both phase points of eg/eag included. ``record_at``
+    lists rounds at which the external regret of the play so far is recorded
+    (the final round is always included); the regret needs a bounded action
+    set. Each gradient is checked once, by ``play_rows``, before the learner
+    uses it; a wrong-size or non-finite one raises :class:`HarnessError`
+    naming its round.
     """
     if T < 1:
         raise ConfigError("T: need at least one round")
@@ -642,24 +654,23 @@ def _cmd_verify(args):
 def _cmd_slope(args):
     import csv as csv_lib
 
-    with open(args.trace) as fh:
-        reader = csv_lib.DictReader(fh)
-        if args.column not in (reader.fieldnames or ()):
-            raise ConfigError(f"column: unknown {args.column!r}; the trace has "
-                              f"{', '.join(reader.fieldnames or ())}")
-        if "t" not in reader.fieldnames:
-            raise ConfigError(f"trace: {args.trace} has no 't' column to fit against")
-        ts, vals = [], []
-        for row in reader:
-            cell = row.get(args.column)
-            if cell is None or cell == "":  # a short row has None cells
-                continue
-            for name, out in (("t", ts), (args.column, vals)):
-                try:
-                    out.append(float(row[name]))
-                except (TypeError, ValueError):
-                    raise ConfigError(f"trace: {args.trace} line {reader.line_num}: column "
-                                      f"{name!r} holds {row[name]!r}, not a number") from None
+    reader = csv_lib.DictReader(io.StringIO(_read_text(args.trace)))
+    if args.column not in (reader.fieldnames or ()):
+        raise ConfigError(f"column: unknown {args.column!r}; the trace has "
+                          f"{', '.join(reader.fieldnames or ())}")
+    if "t" not in reader.fieldnames:
+        raise ConfigError(f"trace: {args.trace} has no 't' column to fit against")
+    ts, vals = [], []
+    for row in reader:
+        cell = row.get(args.column)
+        if cell is None or cell == "":  # a short row has None cells
+            continue
+        for name, out in (("t", ts), (args.column, vals)):
+            try:
+                out.append(float(row[name]))
+            except (TypeError, ValueError):
+                raise ConfigError(f"trace: {args.trace} line {reader.line_num}: column "
+                                  f"{name!r} holds {row[name]!r}, not a number") from None
     window = (args.t_min, args.t_max if args.t_max is not None else float("inf"))
     fit = fit_loglog_slope(ts, vals, window)
     print(f"slope={fit.slope:.4f} intercept={fit.intercept:.4f} r2={fit.r2:.6f}")

@@ -8,9 +8,10 @@ anchored learners (``eag``, ``aog``, ``aog_adaptive``) share the weight
 1/(t+1). :func:`dynamics` is the one round loop: it runs the rules of
 several players on their joint vector, and every iterate in the package
 comes from it. The self-play runner (``harness``) feeds it the game
-oracle's gradients, and :func:`play` runs a single learner through it
-online against a gradient source, with the extragradient-style learners
-(``eg``, ``eag``) charging both phase points.
+oracle's gradients, and :func:`play_rows`, the one online driver, runs a
+single learner through it against a gradient source, writing each charged
+action and its checked gradient into arrays; the extragradient-style
+learners (``eg``, ``eag``) charge both phase points.
 
 Tags: ``gd``, ``og``, ``eg``, ``eag``, ``aog``, ``aog_adaptive``.
 """
@@ -229,14 +230,16 @@ def dynamics(players, feasible_set, x1, gradient, base_gradient=False):
         x, g_prev = x_next, g_half
 
 
-def play(learner, gradient_source, rounds):
-    """Drive a learner online for ``rounds`` rounds, yielding (t, action, g).
+def play_rows(learner, gradient_source, rounds):
+    """Drive a learner online for ``rounds`` rounds; rounds count from 1.
+    Returns (plays, grads), each (rounds, dim), with the action of round t
+    and its gradient in row t - 1.
 
     This is :func:`dynamics` with one player and ``gradient_source(t,
-    action)`` in place of the oracle; rounds count from 1. An eg/eag learner
-    plays both phase points, each charged as one round: its base iterate,
-    whose gradient it predicts with, and then its probe point. With an odd
-    ``rounds`` its run ends after a base iterate.
+    action)`` in place of the oracle. An eg/eag learner plays both phase
+    points, each charged as one round: its base iterate, whose gradient it
+    predicts with, and then its probe point. With an odd ``rounds`` its run
+    ends after a base iterate.
 
     This is the one check of an online gradient: each is checked for size
     and finiteness before the learner uses it, and a bad one raises
@@ -244,33 +247,25 @@ def play(learner, gradient_source, rounds):
     called again. A source that raises stops the run before its gradient is
     used.
     """
-    dim, t, charged = learner.set.dim, 0, []
+    dim, t = learner.set.dim, 0
+    plays, grads = np.empty((2, rounds, dim))
 
     def gradient(point, _step, _point):
         nonlocal t
         if t == rounds:  # an odd horizon's last probe point: never played
             return np.zeros(dim)
         t += 1
-        action = point.copy()
-        g = gradient_source(t, action)
+        # the source gets the charged row, never the loop's own iterate
+        plays[t - 1] = point
+        g = gradient_source(t, plays[t - 1])
         try:
             g = _as_vector(g, dim)
         except GeometryError as exc:
             raise GeometryError(f"round {t}: gradient from the source: {exc}") from None
-        charged.append((t, action, g))
+        grads[t - 1] = g
         return g
 
     steps = dynamics([learner], learner.set, learner.x1, gradient)
     while t < rounds:
         next(steps)
-        yield from charged
-        charged.clear()
-
-
-def play_rows(learner, gradient_source, rounds):
-    """:func:`play` written into arrays: (plays, grads), each (rounds, dim),
-    with the action of round t and its gradient in row t - 1."""
-    plays, grads = np.empty((2, rounds, learner.set.dim))
-    for t, action, g in play(learner, gradient_source, rounds):
-        plays[t - 1], grads[t - 1] = action, g
     return plays, grads

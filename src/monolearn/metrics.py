@@ -7,6 +7,8 @@ rows over a leading axis, and :func:`running_sums` turns per-round
 increments into cumulative columns in round order. The experiment runner
 measures blocks of rounds, and the adversarial runner whole runs, with the
 same functions, so a column has one formula whichever path computes it.
+The package keeps no second copy: the independent per-player reference
+measurements are the test suite's (``tests/test_kernel.py``).
 """
 
 from __future__ import annotations
@@ -15,12 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _as_vector
 from .games import GameError, GameOracle
-
-
-class MetricError(ValueError):
-    pass
 
 
 # -- per-round formulas over a leading row axis ------------------------------
@@ -73,24 +70,6 @@ def best_response_gaps(game: GameOracle, Z):
     return gaps
 
 
-@dataclass
-class EquilibriumMeasures:
-    r_tan: float
-    gap: float = None  # absent on unbounded sets
-    tgap_exact: float = None  # absent unless every player has an exact best response
-
-
-def measure_equilibrium(game: GameOracle, profile):
-    """Tangent residual, linearized gap, and (when available) exact total gap."""
-    x = game.joint_set.project(_as_vector(profile, game.dim))
-    v = game.gradient(x)
-    joint = game.joint_set
-    r_tan = joint.tangent_residual(x, v)
-    gap = joint.linearized_gap(x, v) if joint.is_bounded else None
-    tgap = sum(best_response_gaps(game, x[None])[0].tolist()) if game.has_best_response else None
-    return EquilibriumMeasures(r_tan=r_tan, gap=gap, tgap_exact=tgap)
-
-
 def external_regrets(feasible_set, sum_gx, sum_g, slices=None):
     """External regret against the best fixed comparator, from the running
     sums of <g, x> and of g: sum_gx - min over the set of <sum_g, x>, row by
@@ -105,40 +84,6 @@ def regret_rows(plays, grads, feasible_set, rows):
     indices, one or an array) of the (T, dim) arrays ``plays`` and ``grads``."""
     sum_gx = running_sums(0.0, np.vecdot(grads, plays))[rows]
     return external_regrets(feasible_set, sum_gx, running_sums(0.0, grads)[rows])
-
-
-@dataclass
-class DynamicRegretResult:
-    per_round: np.ndarray  # shape (T, N) nonnegative gap terms
-    exact: bool
-
-
-def dynamic_regret(profiles, game: GameOracle):
-    """Per-player dynamic regret terms along a sequence of played profiles.
-
-    Exact mode (every player has an exact best response): the term is the
-    player's loss minus its best-response value. Otherwise falls back to the
-    per-player linearized gap, an upper bound by convexity. Mixed reporting
-    is not done: one mode applies to all players of a run. In both modes a
-    profile is first snapped onto the joint set, or rejected if farther.
-    """
-    joint, dim = game.joint_set, game.dim
-    X = joint._clean(_as_vector(profiles, len(profiles) * dim).reshape(-1, dim))
-    if game.has_best_response:
-        return DynamicRegretResult(best_response_gaps(game, X), True)
-    G = np.array([game.gradient(x) for x in X]).reshape(X.shape)
-    return DynamicRegretResult(linearized_gaps(*regret_terms(joint, X, G, game.slices())), False)
-
-
-def second_order_variation(grads):
-    """sum_{t=2}^{T} ||g_t - g_{t-1}||^2 over a player's gradient sequence."""
-    grads = [np.asarray(g, dtype=float).reshape(-1) for g in grads]
-    if len({g.shape for g in grads}) > 1:
-        raise MetricError("gradient dimensions differ along the trace")
-    if len(grads) < 2:
-        return 0.0
-    g = np.stack(grads)
-    return float(running_sums(0.0, gradient_variation(g[1:], g[:-1]))[-1])
 
 
 def normal_element(x_prev, g_prev, x_t, x1, eta, t):

@@ -50,12 +50,6 @@ class IdentityInstance:
             raise VerifyError("identity requires q > 0")
         self.a4 = self.a2 - self.b3 + (self.a0 - self.a2) / (self.t + 1.0) - self.u4
 
-    @property
-    def degenerate_downstream(self):
-        """(1-4q)t - 4q <= 0: the identity still holds, but the downstream
-        sequence bound cannot use this instance."""
-        return (1.0 - 4.0 * self.q) * self.t - 4.0 * self.q <= 0.0
-
     @staticmethod
     def random(rng, dim, t, q, scale=1.0):
         vecs = [scale * rng.standard_normal(dim) for _ in range(9)]

@@ -33,7 +33,7 @@ from monolearn.harness import (
     make_adversary,
     run_self_play,
 )
-from monolearn.learners import make_learner, play
+from monolearn.learners import make_learner, play_rows
 from monolearn.verify import run_eag_adversary
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -129,8 +129,8 @@ def test_bilinear_stride1_potential_csv_bytes(tmp_path, d):
 def test_play_stream_bytes(tag):
     learner = make_learner(tag, symmetric_box(1.0, 3), [0.5, -0.25, 0.0], eta=0.2)
     adversary = make_adversary("random_box", 3, seed=4)
-    played = [(action, g) for _, action, g in play(learner, adversary, 1001)]
-    assert play_digest(played) == PLAY_SHA256[tag]
+    plays, grads = play_rows(learner, adversary, 1001)
+    assert play_digest(zip(plays, grads)) == PLAY_SHA256[tag]
 
 
 def test_mixed_tags_stride1_csv_bytes(tmp_path):

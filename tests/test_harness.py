@@ -23,7 +23,7 @@ from monolearn.harness import (
     run_self_play,
 )
 from monolearn.games import make_game
-from monolearn.learners import make_learner, play
+from monolearn.learners import make_learner, play_rows
 from monolearn.geometry import symmetric_box
 from monolearn.metrics import csv_header
 
@@ -271,11 +271,11 @@ def test_recorded_regrets_equal_a_per_round_accumulator(tag):
     T = 2 * 128 + 5
     res = run_adversarial(learner, make_adversary("random_box", 2, seed=4), T,
                           record_at=range(3, T, 7))
-    played = list(play(learner, make_adversary("random_box", 2, seed=4), T))
-    assert np.array_equal(res.plays, [a for _, a, _ in played])
-    assert np.array_equal(res.grads, [g for _, _, g in played])
+    plays, grads = play_rows(learner, make_adversary("random_box", 2, seed=4), T)
+    assert np.array_equal(res.plays, plays)
+    assert np.array_equal(res.grads, grads)
     sum_g, sum_gx, want = np.zeros(2), 0.0, {}
-    for t, action, g in played:
+    for t, action, g in zip(range(1, T + 1), plays, grads):
         sum_g += g
         sum_gx += float(g @ action)
         if t % 7 == 3 or t == T:
@@ -307,7 +307,7 @@ BAD_GRADIENTS = {"nan": [float("nan")], "inf": [float("inf")], "size": [0.5, 0.5
 @pytest.mark.parametrize("bad", sorted(BAD_GRADIENTS))
 @pytest.mark.parametrize("tag", ["aog_adaptive", "eag"])
 def test_adversary_gradient_checked_once_at_its_round(bad, tag):
-    # play's check is the only one: the bad gradient of round k stops the
+    # play_rows' check is the only one: the bad gradient of round k stops the
     # run before any later round is asked for, and the error names round k
     k = 7
     learner = make_learner(tag, symmetric_box(1.0, 1), np.zeros(1), eta=0.2, L=1.0, D=2.0)
@@ -526,6 +526,12 @@ def assert_one_error_line(capsys, *needles):
     ({**APPENDIX_E, "game_params": {"n": True}}, "game_params: n:"),
     ({**RANDOM_LINEAR, "game_params": {"bounded": -1.0}}, "bounded"),
     ({**RANDOM_LINEAR, "game_params": {"dims": [True, 1]}}, "dims"),
+    ({**RANDOM_LINEAR, "game_params": {"skew_scale": True}}, "game_params: skew_scale:"),
+    ({**RANDOM_LINEAR, "game_params": {"skew_scale": "x"}}, "game_params: skew_scale:"),
+    ({**RANDOM_LINEAR, "game_params": {"psd_diag": True}}, "game_params: psd_diag:"),
+    ({**RANDOM_LINEAR, "game_params": {"seed": True}}, "game_params: seed:"),
+    ({**RANDOM_LINEAR, "game_params": {"seed": -1}}, "game_params: seed:"),
+    ({**RANDOM_LINEAR, "game_params": {"seed": 1.5}}, "game_params: seed:"),
 ])
 # a warning (numpy's overflow RuntimeWarning, say) would be a second stderr line
 @pytest.mark.filterwarnings("error")
@@ -551,6 +557,15 @@ def test_cli_missing_files_exit_one(tmp_path, capsys, monkeypatch):
     assert main(["selfplay", "--config", cfg, "--out", out]) == 1
     assert_one_error_line(capsys, out)
     assert calls == []
+
+
+@pytest.mark.parametrize("args", [["selfplay", "--config"], ["adversarial", "--config"],
+                                  ["slope", "--trace"]])
+def test_cli_non_utf8_file_exits_one(tmp_path, capsys, args):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"\xff" + json.dumps(BILINEAR).encode())
+    assert main([*args, str(path)]) == 1
+    assert_one_error_line(capsys, f"{path}: not UTF-8 text")
 
 
 @pytest.mark.parametrize("args, needle", [

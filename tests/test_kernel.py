@@ -7,7 +7,7 @@ steps one per player and measures every round per player, on the product of
 the players' sets. ``learners.dynamics``, driven as ``run_self_play`` drives
 it, must reproduce its iterates bit for bit, and ``run_self_play`` its
 recorded rows to 1e-12. ``reference_play`` charges one learner's
-phase points as online rounds, as ``learners.play`` must.
+phase points as online rounds, as ``learners.play_rows`` must.
 """
 
 import math
@@ -32,7 +32,7 @@ from monolearn.learners import (
     adapted_step_size,
     anchor_pull,
     make_learner,
-    play,
+    play_rows,
     step,
 )
 
@@ -358,11 +358,11 @@ def test_play_matches_reference(tag, dim, T, seed, D):
 
     learner = make_learner(tag, Box(-np.ones(dim), 2.0 * np.ones(dim)),
                            rng.uniform(-1.0, 2.0, dim), eta=0.3, L=1.0, D=D)
-    got = list(play(learner, source, T))
+    plays, grads = play_rows(learner, source, T)
     assert calls == list(range(1, T + 1))
     want = reference_play(learner, source, T)
-    assert len(got) == len(want) == T
-    for (t, action, g), (t_ref, action_ref, g_ref) in zip(got, want):
+    assert len(plays) == len(grads) == len(want) == T
+    for t, action, g, (t_ref, action_ref, g_ref) in zip(range(1, T + 1), plays, grads, want):
         assert t == t_ref
         assert np.array_equal(action, action_ref), (tag, t)
         assert np.array_equal(g, g_ref), (tag, t)

@@ -9,9 +9,8 @@ from monolearn.learners import (
     default_step_size,
     dynamics,
     make_learner,
-    play,
+    play_rows,
 )
-from monolearn.metrics import second_order_variation
 
 RNG = np.random.default_rng(2024)
 
@@ -30,7 +29,7 @@ def test_first_anchored_proposal_is_start_point():
     box = symmetric_box(1.0, 2)
     x1 = np.array([0.3, -0.7])
     learner = make_learner("aog", box, x1, eta=0.2)
-    (_, action, _), = play(learner, lambda t, a: np.zeros(2), 1)
+    (action,), _ = play_rows(learner, lambda t, a: np.zeros(2), 1)
     assert np.array_equal(action, x1)
 
 
@@ -73,7 +72,7 @@ def test_adaptive_threshold_latch():
     grads = [1.0, -1.0, 1.0]
     steps = scripted_steps(learner, grads)
     assert steps[0][-1] == (eta0,)
-    S = second_order_variation(grads)
+    S = float(np.sum(np.diff(grads) ** 2))
     assert S > learner.threshold
     (eta,) = steps[-1][-1]
     assert eta != eta0
@@ -131,7 +130,9 @@ def test_adaptive_step_sizes_follow_each_players_variation():
         if tags[i] == "og":
             assert set(etas) == {eta0[i]}
             continue
-        S = [second_order_variation(grads[:t, s]) for t in range(1, len(out) + 1)]
+        # S after each round, summed in round order as the kernel sums it
+        d = np.diff(grads[:, s], axis=0)
+        S = np.concatenate([[0.0], np.cumsum(np.vecdot(d, d))]).tolist()
         latched = [S_t > players[i].threshold for S_t in S]
         first = latched.index(True)
         assert 10 < first < 150  # the latch trips mid-run
@@ -157,21 +158,22 @@ def test_extragradient_one_iteration():
     learner = make_learner("eg", Unconstrained(1), np.array([1.0]), eta=0.5)
     # V(x) = x: the base iterate 1, the probe point 1 - 0.5*1, then the next
     # base iterate 1 - 0.5*0.5
-    played = list(play(learner, lambda t, a: a.copy(), 3))
-    assert float(played[0][2][0]) == 1.0
-    assert math.isclose(float(played[1][1][0]), 0.5)
-    assert math.isclose(float(played[2][1][0]), 0.75)
+    plays, grads = play_rows(learner, lambda t, a: a.copy(), 3)
+    assert float(grads[0, 0]) == 1.0
+    assert math.isclose(float(plays[1, 0]), 0.5)
+    assert math.isclose(float(plays[2, 0]), 0.75)
 
 
 def test_two_phase_driver_plays_both_points():
     box = symmetric_box(1.0, 1)
     learner = make_learner("eag", box, np.zeros(1), eta=0.5)
-    played = list(play(learner, lambda t, a: np.array([1.0]), 6))
-    assert len(played) == 6
-    assert [t for t, _, _ in played] == [1, 2, 3, 4, 5, 6]
+    calls = []
+    plays, grads = play_rows(learner, lambda t, a: calls.append(t) or np.array([1.0]), 6)
+    assert plays.shape == grads.shape == (6, 1)
+    assert calls == [1, 2, 3, 4, 5, 6]
     # odd rounds replay the base iterate, even rounds the probe point
-    assert float(played[0][1][0]) == 0.0
-    assert float(played[1][1][0]) == -0.5 + (0.0 - 0.0) / 2.0
+    assert float(plays[0, 0]) == 0.0
+    assert float(plays[1, 0]) == -0.5 + (0.0 - 0.0) / 2.0
 
 
 def test_infeasible_start_rejected():
@@ -193,15 +195,14 @@ def test_deterministic_replay():
     def run():
         learner = make_learner("aog", symmetric_box(1.0, 2), np.array([0.5, 0.5]), eta=0.3)
         rng = np.random.default_rng(11)
-        return np.array([a for _, a, _ in play(learner, lambda t, a: rng.normal(size=2), 100)])
+        return play_rows(learner, lambda t, a: rng.normal(size=2), 100)[0]
 
     assert np.array_equal(run(), run())
 
 
 def test_every_run_of_a_learner_starts_at_x1():
     learner = make_learner("eag", symmetric_box(1.0, 2), np.array([0.5, -0.5]), eta=0.3)
-    runs = [[(t, a.tobytes(), g.tobytes())
-             for t, a, g in play(learner, lambda t, a: np.array([t, -1.0]) + a, 9)]
+    runs = [np.stack(play_rows(learner, lambda t, a: np.array([t, -1.0]) + a, 9))
             for _ in range(2)]
-    assert runs[0] == runs[1]
+    assert runs[0].tobytes() == runs[1].tobytes()
     assert np.array_equal(learner.x1, [0.5, -0.5])

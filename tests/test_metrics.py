@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from monolearn.games import GameError, GameOracle, make_bilinear_saddle, make_game
-from monolearn.geometry import GeometryError, symmetric_box
+from monolearn.geometry import symmetric_box
 from monolearn.harness import ExperimentConfig, run_self_play
 from monolearn.metrics import (
-    MetricError,
     best_response_gaps,
     csv_header,
     csv_row,
-    dynamic_regret,
-    measure_equilibrium,
+    gradient_variation,
+    linearized_gaps,
     regret_rows,
-    second_order_variation,
+    regret_terms,
+    running_sums,
 )
 
 from conftest import box_points, kernel_run
@@ -34,32 +34,50 @@ def small_config(game_id="bilinear", T=50, x1=None, **game_params):
     )
 
 
+def measures(game, z):
+    """(r_tan, linearized gap, exact total gap) at the profile z, from the
+    checked geometry methods and the exact oracle: the total gap is the
+    Python sum of the players' gaps, as the CSV's ``tgap_exact`` cell is."""
+    joint, v = game.joint_set, game.gradient_fn(z)
+    tgap = sum(best_response_gaps(game, z[None])[0].tolist())
+    return joint.tangent_residual(z, v), joint.linearized_gap(z, v), tgap
+
+
 def test_measures_at_nash_are_zero():
     game = make_bilinear_saddle(1.0, 1.0, (1, 1))
-    m = measure_equilibrium(game, np.zeros(2))
-    assert m.r_tan == 0.0
-    assert m.gap == 0.0
-    assert m.tgap_exact == 0.0
+    assert measures(game, np.zeros(2)) == (0.0, 0.0, 0.0)
 
 
 def test_measures_at_corner():
     game = make_bilinear_saddle(1.0, 1.0, (1, 1))
-    m = measure_equilibrium(game, np.array([1.0, 1.0]))
+    _, gap, _ = measures(game, np.array([1.0, 1.0]))
     # V(1,1) = (1,-1); realized value 0, support minimum -2 at (-1,1)
-    assert math.isclose(m.gap, 2.0, abs_tol=1e-12)
+    assert math.isclose(gap, 2.0, abs_tol=1e-12)
     corners = [np.array([sx, sy]) for sx in (-1, 1) for sy in (-1, 1)]
     v = np.array([1.0, -1.0])
     brute = max(float(v @ (np.array([1.0, 1.0]) - c)) for c in corners)
-    assert math.isclose(m.gap, brute, abs_tol=1e-12)
+    assert math.isclose(gap, brute, abs_tol=1e-12)
 
 
 def test_gap_ordering_chain():
     game = make_bilinear_saddle(1.0, 1.0, (2, 2))
     D = game.diameter()
     for z in box_points(game.joint_set, RNG, 100):
-        m = measure_equilibrium(game, z)
-        assert m.tgap_exact <= m.gap + 1e-9
-        assert m.gap <= D * m.r_tan + 1e-9
+        r_tan, gap, tgap = measures(game, z)
+        assert tgap <= gap + 1e-9
+        assert gap <= D * r_tan + 1e-9
+
+
+def test_gap_ordering_chain_on_every_rate_run_row(rate_runs):
+    # The block pass's own columns, row by row: the exact total gap is at
+    # most the linearized gap, which is at most D times the tangent residual.
+    for name in ("bilinear_1d", "bilinear_2d"):
+        result = rate_runs[name]
+        D = result.game.diameter()
+        rows = list(zip(*(result.column(c) for c in ("r_tan", "gap", "tgap_exact"))))
+        assert len(rows) == 10_000
+        for r_tan, gap, tgap in rows:
+            assert tgap <= gap + 1e-9 and gap <= D * r_tan + 1e-9, name
 
 
 def test_external_regret_examples():
@@ -76,44 +94,24 @@ def test_external_regret_examples():
 
 
 def test_dynamic_regret_examples():
+    # the per-round dynamic regret terms of an exact game: each player's
+    # loss minus its best-response value
     game = make_bilinear_saddle(1.0, 1.0, (1, 1))
-    res = dynamic_regret([np.array([1.0, 1.0])], game)
-    assert res.exact
-    assert math.isclose(res.per_round[0, 0], 2.0, abs_tol=1e-12)
-    at_nash = dynamic_regret([np.zeros(2)] * 4, game)
-    assert np.allclose(at_nash.per_round, 0.0)
-    assert np.array_equal(at_nash.per_round.sum(axis=0), [0.0, 0.0])
+    assert math.isclose(best_response_gaps(game, np.ones((1, 2)))[0, 0], 2.0, abs_tol=1e-12)
+    assert np.array_equal(best_response_gaps(game, np.zeros((4, 2))), np.zeros((4, 2)))
 
 
 def test_dynamic_regret_fallback_is_linearized_gap():
+    # without an exact best response, a round's term is each player's
+    # linearized gap, from one support pass of the joint set
     game = make_game("appendix_e", n=4, box_half_width=1.0)
-    z = box_points(game.joint_set, RNG, 1)[0]
-    res = dynamic_regret([z], game)
-    assert not res.exact
-    v = game.gradient(z)
-    for i, s in enumerate(game.slices()):
-        want = game.player_sets[i].linearized_gap(z[s], v[s])
-        assert math.isclose(res.per_round[0, i], want, abs_tol=1e-12)
-
-
-def test_dynamic_regret_fallback_checks_feasibility():
-    game = make_game("appendix_e", n=4, box_half_width=1.0)
-    with pytest.raises(GeometryError):
-        dynamic_regret([np.full(game.dim, 2.0)], game)
-    # a profile within the membership tolerance is measured on the set
-    on_set, near = np.ones(game.dim), np.full(game.dim, 1.0 + 1e-12)
-    assert np.array_equal(dynamic_regret([near], game).per_round,
-                          dynamic_regret([on_set], game).per_round)
-
-
-def test_dynamic_regret_exact_checks_feasibility():
-    game = make_bilinear_saddle()
-    with pytest.raises(GeometryError):
-        dynamic_regret([[2.0, 3.0]], game)
-    # a profile within the membership tolerance is measured on the set
-    on_set, near = np.ones(game.dim), np.full(game.dim, 1.0 + 1e-12)
-    assert np.array_equal(dynamic_regret([near], game).per_round,
-                          dynamic_regret([on_set], game).per_round)
+    Z = box_points(game.joint_set, RNG, 5)
+    G = np.array([game.gradient_fn(z) for z in Z])
+    got = linearized_gaps(*regret_terms(game.joint_set, Z, G, game.slices()))
+    for z, v, row in zip(Z, G, got):
+        for i, s in enumerate(game.slices()):
+            want = game.player_sets[i].linearized_gap(z[s], v[s])
+            assert math.isclose(row[i], want, abs_tol=1e-12)
 
 
 def one_row_gaps(game, z):
@@ -130,14 +128,13 @@ def test_best_response_gaps_rows_equal_one_row_calls(d):
     for row, z in zip(gaps, Z):
         want = np.array(one_row_gaps(game, z))
         assert np.array_equal(row.view(np.int64), want.view(np.int64))
-    assert np.array_equal(dynamic_regret(Z, game).per_round, gaps)
 
 
-def test_measure_equilibrium_exact_gap_is_the_one_row_sum():
+def test_exact_total_gap_is_the_one_row_sum():
     game = make_bilinear_saddle(3.0, 1.0, (2, 2))
     for z in [*box_points(game.joint_set, RNG, 20), np.zeros(4)]:
         want = sum(one_row_gaps(game, z))
-        got = measure_equilibrium(game, z).tgap_exact
+        got = measures(game, z)[2]
         assert type(got) is float and got.hex() == want.hex()
 
 
@@ -158,8 +155,6 @@ def test_best_response_gaps_reject_a_non_finite_row():
     Z = np.zeros((6, 2))
     with pytest.raises(GameError, match="finite"):
         best_response_gaps(game, Z)
-    with pytest.raises(GameError, match="finite"):
-        dynamic_regret(Z, game)
     assert best_response_gaps(game, Z[:3]).shape == (3, 2)
 
 
@@ -169,21 +164,24 @@ def test_exact_total_gap_of_negative_zeros_is_positive_zero():
     game = custom_exact_game(lambda Z: np.full(len(Z), -0.0), lambda Z: np.zeros(len(Z)))
     z = np.zeros(2)
     assert [g.hex() for g in best_response_gaps(game, z[None])[0]] == ["-0x0.0p+0"] * 2
-    assert measure_equilibrium(game, z).tgap_exact.hex() == "0x0.0p+0"
+    assert measures(game, z)[2].hex() == "0x0.0p+0"
 
 
 def test_second_order_variation():
-    assert second_order_variation([np.ones(2)] * 5) == 0.0
-    grads = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-    assert second_order_variation(grads) == 2.0
-    with pytest.raises(MetricError):
-        second_order_variation([np.zeros(1), np.zeros(2)])
+    # S = sum_{t>=2} ||g_t - g_{t-1}||^2: running sums of the increments
+    def S(grads):
+        g = np.array(grads, dtype=float)
+        return float(running_sums(0.0, gradient_variation(g[1:], g[:-1]))[-1])
+
+    assert S([np.ones(2)] * 5) == 0.0
+    assert S([[1.0, 0.0], [0.0, 1.0]]) == 2.0
+    assert S([[1.0, 0.0], [0.0, 1.0], [0.0, 3.0]]) == 6.0
 
 
 def test_learner_variation_matches_metric():
     cfg = small_config(T=60, dims=(1, 1))
-    grads = [g_half[0:1] for _, _, g_half, _, _, _ in kernel_run(cfg)[3]]
-    want = second_order_variation(grads)
+    g = np.array([g_half[0:1] for _, _, g_half, _, _, _ in kernel_run(cfg)[3]])
+    want = float(np.sum(np.diff(g, axis=0) ** 2))
     got = run_self_play(cfg).column("S_1")[-1]
     assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-15)
 
@@ -198,7 +196,7 @@ def test_potential_dual_path_recomputation():
         x_prev, _, g_prev = steps[t - 2][:3]
         x_t = steps[t - 1][0]
         c = (x_prev - eta * g_prev + (x1 - x_prev) / t - x_t) / eta
-        v = game.gradient(x_t)
+        v = game.gradient_fn(x_t)
         r = eta * (v + c)
         d = eta * (v - g_prev)
         p = t * (t + 1) / 2.0 * (float(r @ r) + float(d @ d)) + t * float(r @ (x_t - x1))

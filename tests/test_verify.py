@@ -127,10 +127,14 @@ def test_identity_from_run_trace():
         identity_instance_from_trace(x1, eta, L, 1, windows[2])
 
 
-def test_identity_degenerate_flag():
+def test_identity_holds_on_degenerate_instances():
+    # (1-4q)t - 4q <= 0 at t = 1, q = 0.2: the sequence bound cannot use
+    # such an instance, but the identity itself still holds
+    rng = np.random.default_rng(3)
+    for t, q in ((1.0, 0.2), (1.0, 0.25), (3.0, 0.24)):
+        assert (1.0 - 4.0 * q) * t - 4.0 * q <= 0.0
+        assert check_descent_identity(IdentityInstance.random(rng, 3, t, q))[2] <= 1e-9
     zeros = [np.zeros(1) for _ in range(9)]
-    assert IdentityInstance(*zeros, t=1.0, q=0.2).degenerate_downstream
-    assert not IdentityInstance(*zeros, t=10.0, q=0.01).degenerate_downstream
     with pytest.raises(VerifyError):
         IdentityInstance(*zeros, t=0.0, q=0.1)
     with pytest.raises(VerifyError):
