@@ -79,6 +79,15 @@ def game_param(key, value, least=None):
     return value
 
 
+def game_dims(dims):
+    """The builder parameter ``dims``: a non-empty list of integers >= 1;
+    anything else raises one :class:`GameError` that names ``dims``."""
+    if not isinstance(dims, (list, tuple)) or not dims:
+        raise GameError(f"game_params: dims: must be a non-empty list of integers >= 1, "
+                        f"got {dims!r}")
+    return [game_param("dims", d, least=1) for d in dims]
+
+
 def player_slices(player_dims):
     start = 0
     for d in player_dims:
@@ -90,11 +99,11 @@ def player_slices(player_dims):
 class GameOracle:
     """Gradient oracle of a smooth monotone game with V(z) = M z + r.
 
-    ``affine=(M, r)`` is the operator; the oracle derives ``gradient_fn``,
-    which maps a flat joint action vector to the flat joint gradient, from
-    it. ``losses`` (optional) holds one callable per player, and
-    ``best_response_fn`` (optional, needs ``losses``) maps ``(player, Z)``
-    to the exact minimizers and minimum values. Both take ``(k, dim)`` rows
+    ``affine=(M, r)``, a finite (dim, dim) M and (dim,) r, is the operator;
+    ``gradient_fn``, derived from it, maps a flat joint action vector to the
+    flat joint gradient. ``losses`` (optional) holds one callable per player,
+    and ``best_response_fn`` (optional, needs ``losses``) maps ``(player,
+    Z)`` to the exact minimizers and minimum values. Both take ``(k, dim)`` rows
     ``Z`` of joint profiles and return ``(k,)`` values, and the minimizers
     as ``(k, d_i)`` rows; :meth:`loss` and :meth:`best_response` are their
     checked one-profile forms. ``start`` is the default initial profile,
@@ -124,6 +133,11 @@ class GameOracle:
         self.dim = sum(self.player_dims)
         self.joint_set = product(self.player_sets)
         M, r = self.affine
+        n = self.dim
+        if np.shape(M) != (n, n) or np.shape(r) != (n,) or not (
+                np.isfinite(M).all() and np.isfinite(r).all()):
+            raise GameError(f"affine: need a finite ({n}, {n}) M and a finite ({n},) r, "
+                            f"got shapes {np.shape(M)} and {np.shape(r)}")
         self.gradient_fn = lambda z: M @ z + r
         if self.best_response_fn is not None and self.losses is None:
             raise GameError("best_response_fn needs the players' losses")
@@ -197,7 +211,7 @@ def make_bilinear_saddle(payoff_scale=1.0, box_radius=1.0, dims=(1, 1)):
     """
     game_param("payoff_scale", payoff_scale)
     game_param("box_radius", box_radius)
-    dims = [game_param("dims", d, least=1) for d in dims]
+    dims = game_dims(dims)
     if len(dims) != 2 or dims[0] != dims[1]:
         raise GameError(f"dims: the bilinear coupling <x, y> needs two equal player "
                         f"dimensions, got {dims}")
@@ -300,9 +314,7 @@ def make_random_linear_monotone(dims=(1, 1), skew_scale=1.0, psd_diag=0.1, seed=
     floating point too), so it is monotone iff ``psd_diag >= 0``; and
     L = ||M||_2, from :func:`spectral_norm`.
     """
-    dims = [game_param("dims", d, least=1) for d in dims]
-    if not dims:
-        raise GameError("dims: need at least one player, got []")
+    dims = game_dims(dims)
     game_param("skew_scale", skew_scale, least=-math.inf)
     game_param("psd_diag", psd_diag, least=0.0)
     rng = np.random.default_rng(game_param("seed", seed, least=0))

@@ -33,7 +33,6 @@ import os
 import sys
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
 
 import numpy as np
 
@@ -198,19 +197,18 @@ def _build_learners(config, game):
     return out, tags, np.concatenate([p.x1 for p in out])
 
 
-def _oracle_gradient(game, dim, z, t, point):
-    """The oracle's joint gradient at z, checked for size and finiteness.
-
-    This is the validation boundary of a round: everything the round loop
-    passes to the unchecked geometry cores is built from these values.
-    """
-    g = np.asarray(game.gradient_fn(z), dtype=float)
-    if g.shape != (dim,):
-        raise HarnessError(
-            f"round {t}: oracle gradient at the {point} has shape {g.shape}, "
-            f"expected ({dim},)"
-        )
+def _checked_gradient(g, shape, t, point):
+    """The oracle's joint gradient ``g`` at the ``point`` of round t, or one
+    row per round from round t on, checked for ``shape`` and finiteness; a
+    bad one raises :class:`HarnessError` naming the first bad round. This is
+    the validation boundary: everything the run hands to the unchecked
+    geometry cores is built from these values."""
+    g = np.asarray(g, dtype=float)
+    if g.shape != shape:
+        raise HarnessError(f"round {t}: oracle gradient at the {point} has shape {g.shape}, "
+                           f"expected {shape}")
     if not np.isfinite(g).all():
+        t += np.flatnonzero(~np.isfinite(g))[0] // shape[-1]
         raise HarnessError(f"round {t}: non-finite gradient from the oracle at the {point}")
     return g
 
@@ -234,7 +232,9 @@ class _BlockMeasure:
     block. Cumulative columns add their increments in round order, so every
     recorded row is exact whatever the stride.
 
-    When the potential is tracked, the pass also checks the certificate's
+    When the potential is tracked, the pass takes V(x_t) of all base rows
+    from one product, ``base @ M.T + r`` with ``(M, r) = game.affine``,
+    checked by :func:`_checked_gradient`, and checks the certificate's
     hypothesis on every round t >= 2: the witness c_t lies in the normal
     cone at x_t. The cone is closed under positive scaling, so the test
     takes the step residual eta c_t, whose rounding is a few ulps of the
@@ -260,11 +260,10 @@ class _BlockMeasure:
             if track_potential else None
         )
 
-    def __call__(self, t0, base, half, grad, etas, base_grad=None):
+    def __call__(self, t0, base, half, grad, etas):
         """Measure rounds t0, t0+1, ...: ``base``, ``half``, ``grad`` and
         ``etas`` hold x_t, x_{t+1/2}, V(x_{t+1/2}) and the players' step
-        sizes one row per round, and ``base_grad`` V(x_t) when the potential
-        is tracked."""
+        sizes, one row per round."""
         game, slices, N = self.game, self.slices, self.game.num_players
         n = len(grad)
         ts = np.arange(t0, t0 + n)
@@ -299,6 +298,8 @@ class _BlockMeasure:
         r_tan = self.joint._tangent_residual(half[at], grad[at]).tolist()
         dist_half = row_norms(half[at] - base[at]).tolist()
         if self.certs is not None:
+            M, r = game.affine
+            base_grad = _checked_gradient(base @ M.T + r, base.shape, t0, "base point")
             x_prev = _previous_rows(base, self.x_prev)
             eta = etas[0, 0]  # one common fixed step
             c = normal_element(x_prev, g_prev, base, self.x1, eta, ts)
@@ -398,46 +399,40 @@ def _output_file(path):
         raise
 
 
-def _steps(config, game, players, x1):
+def _steps(game, players, x1):
     """The self-play steps: :func:`learners.dynamics` over the joint set
-    from x1, with the checked oracle gradient, and V(x_t) in each step
-    when the config records the potential."""
-    return dynamics(players, game.joint_set, x1, partial(_oracle_gradient, game, game.dim),
-                    base_gradient=config.record_potential)
+    from x1, with the oracle's gradient checked by :func:`_checked_gradient`."""
+    shape = (game.dim,)
+    return dynamics(players, game.joint_set, x1,
+                    lambda z, t, point: _checked_gradient(game.gradient_fn(z), shape, t, point))
 
 
 def _self_play(config, game, players, x1):
     """Self-play over :func:`_steps`: each step's x_t, x_{t+1/2} and
-    V(x_{t+1/2}) (and V(x_t) for the potential) go into the rows of three
-    block buffers, reused from block to block; a full block goes to the
-    measurement pass. The buffers are the only place the run's iterates
-    reach."""
+    V(x_{t+1/2}) go into the rows of three block buffers, reused from block
+    to block; a full block goes to the measurement pass. The buffers are
+    the only place the run's iterates reach."""
     dim, T = game.dim, config.T
-    track_potential = config.record_potential
-    steps = _steps(config, game, players, x1)
+    steps = _steps(game, players, x1)
     etas = tuple(p.eta for p in players)
     adaptive = any(p.threshold is not None for p in players)
 
     rows = min(BLOCK_ROWS, T)
     block_base, block_half, block_grad = np.empty((3, rows, dim))
-    base_grads = np.empty((rows, dim)) if track_potential else None
     block_etas = np.tile(etas, (rows, 1))
-    measure = _BlockMeasure(game, x1, T, config.stride, track_potential)
+    measure = _BlockMeasure(game, x1, T, config.stride, config.record_potential)
 
     for t0 in range(1, T + 1, rows):
         n = min(rows, T + 1 - t0)
         # range first: zip stops before it asks the loop for a step too many
-        for k, (x, half, g_half, g_base, _, etas_next) in zip(range(n), steps):
+        for k, (x, half, g_half, etas_next) in zip(range(n), steps):
             block_base[k] = x
             block_half[k] = half
             block_grad[k] = g_half
-            if track_potential:
-                base_grads[k] = g_base
             if adaptive:
                 block_etas[k] = etas
             etas = etas_next
-        measure(t0, block_base[:n], block_half[:n], block_grad[:n], block_etas[:n],
-                base_grads[:n] if track_potential else None)
+        measure(t0, block_base[:n], block_half[:n], block_grad[:n], block_etas[:n])
 
     return RunResult(
         config=config,

@@ -92,7 +92,6 @@ class Learner:
     def __init__(self, tag, feasible_set: FeasibleSet, x1, eta, threshold=None):
         self.tag = tag
         self.predictor, self.anchored = RULES[tag]
-        self.needs_base_gradient = self.predictor == "base"
         self.set = feasible_set
         x1 = _as_vector(x1, feasible_set.dim)
         if not feasible_set.contains(x1):
@@ -176,28 +175,28 @@ def _joint_rule(players, dims, x1):
     return predict, lambda x, t: anchor_pull(x1, x, w * (1.0 / (t + 1.0)))
 
 
-def dynamics(players, feasible_set, x1, gradient, base_gradient=False):
+def dynamics(players, feasible_set, x1, gradient):
     """The round loop: every iterate of a run, self-play or online, comes
     from this generator.
 
     It advances the players' joint state from x1, their start points
     concatenated, on ``feasible_set``, the joint set. Step t asks
     ``gradient(z, t, point)`` for the joint gradient at the "base point" x_t
-    (when a player's predictor needs it, or with ``base_gradient``) and at
+    (only when a player's predictor is "base", as for eg and eag) and at
     the "played point" x_{t+1/2}, and yields the tuple
 
-        x_t, x_{t+1/2}, V(x_{t+1/2}), V(x_t) or None, x_{t+1}, etas
+        x_t, x_{t+1/2}, V(x_{t+1/2}), etas
 
     where ``etas`` are the players' step sizes for step t+1 (an adaptive
-    player's changes from the round its S passes its threshold). Yielded arrays
-    are never written to afterwards. A "last" predictor's first half step is
-    x1 exactly: its gradient estimate starts at zero, and the anchor
-    displacement vanishes at t = 1.
+    player's changes from the round its S passes its threshold); x_{t+1} is
+    the next step's x_t. Yielded arrays are never written to afterwards. A
+    "last" predictor's first half step is x1 exactly: its gradient estimate
+    starts at zero, and the anchor displacement vanishes at t = 1.
     """
     dims = [p.set.dim for p in players]
     slices = list(player_slices(dims))
     predict, pull_of = _joint_rule(players, dims, x1)
-    needs_base = base_gradient or any(p.needs_base_gradient for p in players)
+    needs_base = any(p.predictor == "base" for p in players)
     etas = [p.eta for p in players]
     eta = np.repeat(etas, dims)
     # (player, slice, threshold) of each adaptive player
@@ -226,7 +225,7 @@ def dynamics(players, feasible_set, x1, gradient, base_gradient=False):
                     etas[i], latched[i] = adapted_step_size(
                         etas[i], s_var[i], threshold, latched[i])
                     eta[s] = etas[i]
-        yield x, half, g_half, g_base, x_next, tuple(etas)
+        yield x, half, g_half, tuple(etas)
         x, g_prev = x_next, g_half
 
 

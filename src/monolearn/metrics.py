@@ -100,12 +100,11 @@ def normal_element(x_prev, g_prev, x_t, x1, eta, t):
 
 @dataclass
 class PotentialWitness:
-    """P_t and its parts: floats for one round, arrays for rows of rounds."""
+    """P_t and its squared norms: floats for one round, arrays for rows of rounds."""
 
     value: float
     sq_residual: float  # ||eta V + eta c||^2
     sq_drift: float  # ||eta V(x_t) - eta V(x_{t-1/2})||^2
-    cross: float  # t * <eta V + eta c, x_t - x_1>
 
 
 def anchored_potential(c, v_t, g_prev, x_t, x1, eta, t):
@@ -121,9 +120,8 @@ def anchored_potential(c, v_t, g_prev, x_t, x1, eta, t):
     drift = eta * (v_t - g_prev)
     sq_residual = np.vecdot(resid, resid)
     sq_drift = np.vecdot(drift, drift)
-    cross = t * np.vecdot(resid, x_t - x1)
-    value = t * (t + 1) / 2.0 * (sq_residual + sq_drift) + cross
-    return PotentialWitness(value, sq_residual, sq_drift, cross)
+    value = t * (t + 1) / 2.0 * (sq_residual + sq_drift) + t * np.vecdot(resid, x_t - x1)
+    return PotentialWitness(value, sq_residual, sq_drift)
 
 
 # -- CSV schema -----------------------------------------------------------

@@ -98,35 +98,31 @@ def check_descent_identity(inst: IdentityInstance):
     return lhs, rhs, rel
 
 
-def identity_instance_from_trace(x1, eta, L, t, steps):
-    """Substitute round t of a fixed-step anchored run into the identity.
+def identity_instance_from_trace(game, x1, eta, t, steps):
+    """Substitute round t of a fixed-step anchored run of ``game`` into the identity.
 
     ``steps`` are the three consecutive steps of rounds t-1, t and t+1 that
-    :func:`learners.dynamics` yields with ``base_gradient=True``; they hold
-    x_{t-1}, x_t, x_{t+1/2} and x_{t+1}, V at the half points, and V(x_t)
-    and V(x_{t+1}) as base gradients, so no oracle is called. Maps x_1 ->
-    a0, x_{t-1+k/2} -> a_k (k = 2, 3), eta V(x_{t-1+k/2}) -> b_k, eta c_t ->
-    u2, eta c_{t+1} -> u4, and q = (eta L)^2. The derived a4 reproduces
-    x_{t+1} exactly because u4 is defined from the same update.
+    :func:`learners.dynamics` yields: x_{t-1}, x_t, x_{t+1/2}, x_{t+1} and V
+    at the half points. V(x_t) and V(x_{t+1}) are ``game.gradient_fn`` there.
+    Maps x_1 -> a0, x_{t-1+k/2} -> a_k (k = 2, 3), eta V(x_{t-1+k/2}) -> b_k,
+    eta c_t -> u2, eta c_{t+1} -> u4, and q = (eta L)^2 with the game's L.
+    The derived a4 reproduces x_{t+1} exactly: u4 comes from the same update.
     """
     if t < 2:
         raise VerifyError("trace substitution needs t >= 2")
-    (x_prev, _, g_prev, _, _, _), (x_t, half, g_half, v_t, x_next, _), nxt = steps
-    v_next = nxt[3]
-    if v_t is None or v_next is None:
-        raise VerifyError("trace substitution needs steps with base gradients")
+    (x_prev, _, g_prev, _), (x_t, half, g_half, _), (x_next, *_) = steps
     return IdentityInstance(
         a0=x1,
         a2=x_t,
         a3=half,
         b1=eta * g_prev,
-        b2=eta * v_t,
+        b2=eta * game.gradient_fn(x_t),
         b3=eta * g_half,
-        b4=eta * v_next,
+        b4=eta * game.gradient_fn(x_next),
         u2=eta * normal_element(x_prev, g_prev, x_t, x1, eta, t),
         u4=eta * normal_element(x_t, g_half, x_next, x1, eta, t + 1),
         t=float(t),
-        q=(eta * L) ** 2,
+        q=(eta * game.lipschitz_bound) ** 2,
     )
 
 

@@ -35,7 +35,7 @@ def kernel_steps(config):
     from the same builders."""
     game = make_game(config.game, **config.game_params)
     players, _, x1 = _build_learners(config, game)
-    return game, players, x1, _steps(config, game, players, x1)
+    return game, players, x1, _steps(game, players, x1)
 
 
 def kernel_run(config):
@@ -45,7 +45,7 @@ def kernel_run(config):
 
 
 def step_windows(config, ts):
-    """(x1, eta, L, windows) of a fixed-step run: ``windows[t]`` holds the
+    """(game, x1, eta, windows) of a fixed-step run: ``windows[t]`` holds the
     steps of rounds t-1, t and t+1, the input of
     ``verify.identity_instance_from_trace``; no other step is kept."""
     game, players, x1, steps = kernel_steps(config)
@@ -55,7 +55,7 @@ def step_windows(config, ts):
         for centre in (t - 1, t, t + 1):
             if centre in wanted:
                 windows.setdefault(centre, []).append(step)
-    return x1, players[0].eta, game.lipschitz_bound, windows
+    return game, x1, players[0].eta, windows
 
 
 # Rounds of each rate run at which criterion 8 substitutes the trace.

@@ -251,9 +251,9 @@ def test_criterion_8_descent_identity(trace_windows):
                     worst = max(worst, rel)
                     count += 1
     trace_worst, trace_count = 0.0, 0
-    for x1, eta, L, windows in trace_windows.values():
+    for game, x1, eta, windows in trace_windows.values():
         for t, steps in windows.items():
-            inst = identity_instance_from_trace(x1, eta, L, t, steps)
+            inst = identity_instance_from_trace(game, x1, eta, t, steps)
             _, _, rel = check_descent_identity(inst)
             trace_worst = max(trace_worst, rel)
             trace_count += 1

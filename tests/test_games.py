@@ -305,6 +305,18 @@ def test_oracle_rejects_a_non_finite_or_non_positive_lipschitz_bound(L):
         GameOracle([symmetric_box(1.0, 2)], L, affine=(np.eye(2), np.zeros(2)))
 
 
+@pytest.mark.parametrize("M, r", [
+    (np.eye(3), np.zeros(3)),
+    (np.eye(2), np.zeros(3)),
+    (np.zeros(2), np.zeros(2)),
+    (np.array([[0.0, np.nan], [0.0, 0.0]]), np.zeros(2)),
+    (np.zeros((2, 2)), np.array([0.0, np.inf])),
+])
+def test_oracle_rejects_an_operator_of_the_wrong_shape_or_non_finite(M, r):
+    with pytest.raises(GameError, match=r"^affine: need a finite \(2, 2\) M and a finite \(2,\) r"):
+        GameOracle(player_sets=[symmetric_box(1.0, 1)] * 2, lipschitz_bound=1.0, affine=(M, r))
+
+
 def test_affine_validation_rejects_with_the_failing_value():
     box = [symmetric_box(1.0, 2)]
     with pytest.raises(GameError, match=r"not monotone: lambda_min\(\(M \+ M\^T\)/2\) = -1\.0"):

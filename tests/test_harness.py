@@ -138,11 +138,11 @@ def test_measurement_pass_checks_the_potential_witness_membership():
     cfg = ExperimentConfig(game="bilinear", game_params={"dims": (1, 1)}, algo="aog",
                            T=20, record_potential=True)
     game, players, x1, run = kernel_run(cfg)
-    base, half, grad, base_grad = (np.array([s[k] for s in run]) for k in (0, 1, 2, 3))
+    base, half, grad = (np.array([s[k] for s in run]) for k in (0, 1, 2))
     etas = np.tile([p.eta for p in players], (cfg.T, 1))
 
     def measure(base_rows):
-        _BlockMeasure(game, x1, cfg.T, 1, True)(1, base_rows, half, grad, etas, base_grad)
+        _BlockMeasure(game, x1, cfg.T, 1, True)(1, base_rows, half, grad, etas)
 
     measure(base)
     # round 8's base point moves off the run, strictly inside the box: c_8
@@ -206,6 +206,22 @@ def test_non_finite_base_gradient_aborts_with_round(monkeypatch):
     monkeypatch.setattr("monolearn.harness.make_game", lambda *a, **k: game)
     cfg = ExperimentConfig(game="bilinear", algo="eg", T=10)
     with pytest.raises(HarnessError, match=r"round 3: .*base point"):
+        run_self_play(cfg)
+
+
+def test_non_finite_potential_gradient_aborts_with_round(monkeypatch):
+    # The measurement pass takes the potential's V(x_t) from game.affine, which
+    # is replaced after the build: row 0 is 1e308 * -x_t[0] + 1.58e308, finite
+    # while -x_t[0] stays below 0.2177 (rounds 1 to 5 reach 0.2141) and inf at
+    # round 6 (0.2220), the second round of the second block of four. The
+    # squares of the finite rows overflow the first block's potential cells.
+    game = make_game("bilinear", dims=(1, 1))
+    game.affine = (np.array([[-1e308, 0.0], [0.0, 0.0]]), np.array([1.58e308, 0.0]))
+    monkeypatch.setattr("monolearn.harness.make_game", lambda *a, **k: game)
+    monkeypatch.setattr("monolearn.harness.BLOCK_ROWS", 4)
+    cfg = ExperimentConfig(game="bilinear", algo="aog", T=10, record_potential=True)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            HarnessError, match=r"^round 6: non-finite gradient from the oracle at the base point$"):
         run_self_play(cfg)
 
 
@@ -532,6 +548,14 @@ def assert_one_error_line(capsys, *needles):
     ({**RANDOM_LINEAR, "game_params": {"seed": True}}, "game_params: seed:"),
     ({**RANDOM_LINEAR, "game_params": {"seed": -1}}, "game_params: seed:"),
     ({**RANDOM_LINEAR, "game_params": {"seed": 1.5}}, "game_params: seed:"),
+    ({**BILINEAR, "game_params": {"dims": 5}}, "game_params: dims: must be a non-empty list"),
+    ({**BILINEAR, "game_params": {"dims": None}}, "game_params: dims: must be a non-empty list"),
+    ({**BILINEAR, "game_params": {"dims": "ab"}}, "game_params: dims: must be a non-empty list"),
+    ({**RANDOM_LINEAR, "game_params": {"dims": 5}}, "game_params: dims: must be a non-empty list"),
+    ({**RANDOM_LINEAR, "game_params": {"dims": None}},
+     "game_params: dims: must be a non-empty list"),
+    ({**RANDOM_LINEAR, "game_params": {"dims": "ab"}},
+     "game_params: dims: must be a non-empty list"),
 ])
 # a warning (numpy's overflow RuntimeWarning, say) would be a second stderr line
 @pytest.mark.filterwarnings("error")

@@ -36,7 +36,7 @@ from monolearn.learners import (
     step,
 )
 
-from conftest import kernel_run
+from conftest import kernel_steps
 
 TAGS = sorted(RULES)
 
@@ -174,10 +174,12 @@ def close(a, b, rel=1e-12, floor=0.0):
 def assert_equivalent(config, floor=0.0):
     result = run_self_play(config)
     rows, bases, halves, grads, etas = reference_self_play(config)
-    *_, run = kernel_run(config)
-    for name, want, got in (("base", bases, [s[0] for s in run] + [run[-1][4]]),
-                            ("half", halves, [s[1] for s in run]),
-                            ("grad", grads, [s[2] for s in run])):
+    # T + 1 steps: x_{T+1} is the base point of step T + 1
+    *_, steps = kernel_steps(config)
+    run = [s for _, s in zip(range(config.T + 1), steps)]
+    for name, want, got in (("base", bases, [s[0] for s in run]),
+                            ("half", halves, [s[1] for s in run[:-1]]),
+                            ("grad", grads, [s[2] for s in run[:-1]])):
         assert len(want) == len(got)
         for k, (w, g) in enumerate(zip(want, got)):
             assert np.array_equal(w, g), f"{name} differs at round {k + 1}"

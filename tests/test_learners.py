@@ -37,7 +37,7 @@ def test_anchored_half_step_arithmetic():
     # From x1 = 0, gradients 0 and -8 lead to x_3 = 0.8, and the gradient
     # 1 to x_4 = 0.8 - 0.1 + (0 - 0.8)/4 = 0.5; then at t = 4 with g_prev = 1:
     learner = make_learner("aog", symmetric_box(1.0, 1), np.zeros(1), eta=0.1)
-    *_, (x_4, half, _, _, _, _) = scripted_steps(learner, [0.0, -8.0, 1.0, 0.0])
+    *_, (x_4, half, _, _) = scripted_steps(learner, [0.0, -8.0, 1.0, 0.0])
     assert math.isclose(float(x_4[0]), 0.5, abs_tol=1e-15)
     # 0.5 - 0.1*1 + (0 - 0.5)/5 = 0.3
     assert math.isclose(float(half[0]), 0.3, abs_tol=1e-15)
@@ -46,13 +46,14 @@ def test_anchored_half_step_arithmetic():
 def test_plain_optimistic_half_step_arithmetic():
     # x_4 = 0.6 - 0.1 * 1 = 0.5 and g_prev = 1 at t = 4: no anchor term
     learner = make_learner("og", symmetric_box(1.0, 1), np.array([0.6]), eta=0.1)
-    *_, (_, half, _, _, _, _) = scripted_steps(learner, [0.0, 0.0, 1.0, 0.0])
+    *_, (_, half, _, _) = scripted_steps(learner, [0.0, 0.0, 1.0, 0.0])
     assert math.isclose(float(half[0]), 0.4, abs_tol=1e-15)
 
 
 def test_anchored_full_step_arithmetic():
     learner = make_learner("aog", Unconstrained(1), np.zeros(1), eta=0.1)
-    *_, (x_2, _, _, _, x_3, _) = scripted_steps(learner, [0.0, 1.0])
+    # x_3 is the base point of the step after x_2's
+    *_, (x_2, _, _, _), (x_3, *_) = scripted_steps(learner, [0.0, 1.0, 0.0])
     assert float(x_2[0]) == 0.0
     # 0 - 0.1*1 + (0 - 0)/3 = -0.1
     assert math.isclose(float(x_3[0]), -0.1, abs_tol=1e-15)
@@ -123,7 +124,7 @@ def test_adaptive_step_sizes_follow_each_players_variation():
     steps = dynamics(players, game.joint_set, x1,
                      lambda z, t, point: game.gradient_fn(z) + noise[t])
     out = [next(steps) for _ in range(200)]
-    grads = np.array([g_half for _, _, g_half, _, _, _ in out])
+    grads = np.array([g_half for _, _, g_half, _ in out])
     eta0 = [p.eta for p in players]
     for i, s in enumerate(game.slices()):
         etas = [etas[i] for *_, etas in out]
@@ -145,7 +146,8 @@ def test_half_and_full_steps_stay_close():
     learner = make_learner("aog", box, np.array([0.5, -0.5]), eta=0.2)
     grads = RNG.normal(size=(300, 2))
     g_prev = np.zeros(2)
-    for _, half, g, _, x_next, _ in scripted_steps(learner, grads):
+    steps = scripted_steps(learner, grads)
+    for (_, half, g, _), (x_next, *_) in zip(steps, steps[1:]):
         # both points come from the same prox center, so projection
         # non-expansiveness bounds their distance by eta * ||g - g_prev||
         gap = np.linalg.norm(half - x_next)

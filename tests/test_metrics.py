@@ -180,7 +180,7 @@ def test_second_order_variation():
 
 def test_learner_variation_matches_metric():
     cfg = small_config(T=60, dims=(1, 1))
-    g = np.array([g_half[0:1] for _, _, g_half, _, _, _ in kernel_run(cfg)[3]])
+    g = np.array([g_half[0:1] for _, _, g_half, _ in kernel_run(cfg)[3]])
     want = float(np.sum(np.diff(g, axis=0) ** 2))
     got = run_self_play(cfg).column("S_1")[-1]
     assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-15)

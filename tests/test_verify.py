@@ -115,16 +115,16 @@ def test_identity_from_run_trace():
         T=40,
         record_potential=True,
     )
-    x1, eta, L, windows = step_windows(cfg, (2, 3, 10, 39))
+    game, x1, eta, windows = step_windows(cfg, (2, 3, 10, 39))
     for t, steps in windows.items():
-        inst = identity_instance_from_trace(x1, eta, L, t, steps)
+        inst = identity_instance_from_trace(game, x1, eta, t, steps)
         # the derived a4 must reproduce the actual next base iterate
         assert np.linalg.norm(inst.a4 - steps[2][0]) <= 1e-9
         _, _, rel = check_descent_identity(inst)
         assert rel <= 1e-9
     assert sorted(windows) == [2, 3, 10, 39]
     with pytest.raises(VerifyError, match="t >= 2"):
-        identity_instance_from_trace(x1, eta, L, 1, windows[2])
+        identity_instance_from_trace(game, x1, eta, 1, windows[2])
 
 
 def test_identity_holds_on_degenerate_instances():
