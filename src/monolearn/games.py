@@ -104,12 +104,11 @@ class GameOracle:
     flat joint gradient. ``losses`` (optional) holds one callable per player,
     and ``best_response_fn`` (optional, needs ``losses``) maps ``(player,
     Z)`` to the exact minimizers and minimum values. Both take ``(k, dim)`` rows
-    ``Z`` of joint profiles and return ``(k,)`` values, and the minimizers
-    as ``(k, d_i)`` rows; :meth:`loss` and :meth:`best_response` are their
-    checked one-profile forms. ``start`` is the default initial profile,
-    projected onto the joint set (the projection of 0 when not given). The
-    joint set and the dimensions ``player_dims`` and ``dim`` are computed
-    once, at construction (see :func:`geometry.product`).
+    ``Z`` of feasible joint profiles, unchecked, and return ``(k,)`` values,
+    and the minimizers as ``(k, d_i)`` rows. ``start`` is the default initial
+    profile, checked and projected onto the joint set (the projection of 0
+    when not given). The joint set and the dimensions ``player_dims`` and
+    ``dim`` are computed once, at construction (see :func:`geometry.product`).
     """
 
     player_sets: list
@@ -142,7 +141,7 @@ class GameOracle:
         if self.best_response_fn is not None and self.losses is None:
             raise GameError("best_response_fn needs the players' losses")
         start = np.zeros(self.dim) if self.start is None else self.start
-        self.start = self.joint_set.project(start)
+        self.start = self.joint_set.project(_as_vector(start, self.dim))
 
     @property
     def num_players(self):
@@ -154,21 +153,9 @@ class GameOracle:
     def slices(self):
         return list(player_slices(self.player_dims))
 
-    def loss(self, player, profile):
-        if self.losses is None:
-            raise GameError(f"game {self.name!r} does not expose losses")
-        return float(self.losses[player](_as_vector(profile, self.dim)[None])[0])
-
     @property
     def has_best_response(self):
         return self.best_response_fn is not None
-
-    def best_response(self, player, profile):
-        """Exact (argmin, min) of player's loss over own actions, others fixed."""
-        if self.best_response_fn is None:
-            raise GameError(f"game {self.name!r} has no exact best response")
-        action, value = self.best_response_fn(player, _as_vector(profile, self.dim)[None])
-        return _as_vector(action, self.player_dims[player]), float(value[0])
 
     def validate(self):
         """Certify monotonicity and the Lipschitz bound exactly: monotone iff
@@ -222,11 +209,11 @@ def make_bilinear_saddle(payoff_scale=1.0, box_radius=1.0, dims=(1, 1)):
     r = np.zeros(2 * dx)
     blocks = [(M[:dx].T, r[:dx]), (M[dx:].T, r[dx:])]
 
-    def best_response(player, Z):
+    def best_response_rows(player, Z):
         # Each loss is <player's block of M z + r, own action>, linear in the
-        # own action. The rows are already checked: use the unchecked core.
+        # own action, so its minimum is the support minimum of that block.
         M_iT, r_i = blocks[player]
-        return sets[player]._support_min(Z @ M_iT + r_i)
+        return sets[player].support_min(Z @ M_iT + r_i)
 
     def f(Z):
         return s * np.vecdot(Z[:, :dx], Z[:, dx:])
@@ -236,7 +223,7 @@ def make_bilinear_saddle(payoff_scale=1.0, box_radius=1.0, dims=(1, 1)):
         lipschitz_bound=s,
         affine=(M, r),
         losses=[f, lambda Z: -f(Z)],
-        best_response_fn=best_response,
+        best_response_fn=best_response_rows,
         name="bilinear",
         start=np.full(dx + dy, 0.5 * float(box_radius)),
     ).validate()

@@ -2,15 +2,14 @@
 
 Supported sets: axis-aligned boxes, Euclidean balls, products of sets,
 and unconstrained space. All sets expose projection, the tangent residual
-(distance from a gradient to the negative normal cone), the linearized gap
-(support-function form), and the diameter. All norms are Euclidean.
+(distance from a gradient to the negative normal cone), support
+minimization, and the diameter. All norms are Euclidean.
 
-Each public method checks its input (finite entries, dimension, and for
-residual and gap a feasible point) and then calls an unchecked core of the
-same name with a leading underscore. The self-play harness calls the cores
-directly on vectors it built itself from finite, feasible values. The
-projection, residual and support-minimization cores also take ``(k, dim)``
-arrays and answer row by row, with the same rounding as one row at a time.
+Projection, residual and support minimization trust their input: finite
+vectors of the set's dimension, and for the residual a feasible point.
+Outside input is checked once, where it arrives, with :func:`_as_vector`
+and :meth:`FeasibleSet.contains`. All three also take ``(k, dim)`` arrays
+and answer row by row, with the same rounding as one row at a time.
 :func:`product` builds the joint set of several players: one ``Box`` for
 boxes, one ``Unconstrained`` for unconstrained factors, and a
 ``ProductSet`` only for mixed factors.
@@ -28,8 +27,7 @@ import numpy as np
 # projected iterates land on bounds exactly in real arithmetic but drift by ulps.
 REL_BOUND_TOL = 1e-9
 
-# Points within this distance of the set (after projection) are snapped onto it
-# before residual/gap evaluation; anything farther is rejected.
+# ``contains`` accepts points within this distance of their projection.
 MEMBERSHIP_TOL = 1e-9
 
 
@@ -58,12 +56,9 @@ class FeasibleSet:
 
     dim: int
 
-    def project(self, point):
-        return self._project(_as_vector(point, self.dim))
-
     def contains(self, point, tol=MEMBERSHIP_TOL):
         p = _as_vector(point, self.dim)
-        return float(np.linalg.norm(p - self._project(p))) <= tol
+        return float(np.linalg.norm(p - self.project(p))) <= tol
 
     def diameter(self):
         """Euclidean diameter, or ``math.inf`` for unbounded sets."""
@@ -73,49 +68,21 @@ class FeasibleSet:
     def is_bounded(self):
         return math.isfinite(self.diameter())
 
-    def _clean(self, p):
-        """Snap near-feasible points (unchecked core input) onto the set,
-        rejecting any farther than MEMBERSHIP_TOL."""
-        q = self._project(p)
-        if np.any(row_norms(p - q) > MEMBERSHIP_TOL):
-            raise GeometryError("point lies outside the feasible set")
-        return q
+    def project(self, p):
+        raise NotImplementedError
 
-    def tangent_residual(self, point, grad):
-        """min over c in the normal cone at ``point`` of ||grad + c||."""
-        return float(self._tangent_residual(self._clean(_as_vector(point, self.dim)),
-                                            _as_vector(grad, self.dim)))
+    def tangent_residual(self, p, g):
+        """min over c in the normal cone at the feasible ``p`` of ||g + c||."""
+        raise NotImplementedError
 
-    def support_min(self, grad):
-        """Return (argmin, min) of <grad, x> over the set.
+    def support_min(self, g):
+        """(argmin, min) of <g, x> over the set.
 
-        Ties are broken toward the componentwise-lowest feasible point so
-        downstream regret traces are deterministic.
+        Ties are broken toward the componentwise-lowest minimizer, so regret
+        traces are deterministic: a box takes its lower bound wherever
+        g_j = 0, and a ball its center at g = 0.
         """
-        x, value = self._support_min(_as_vector(grad, self.dim))
-        return x, float(value)
-
-    def linearized_gap(self, point, grad):
-        """<grad, point> - min over the set of <grad, x'>; requires boundedness."""
-        if not self.is_bounded:
-            raise GeometryError("linearized gap is undefined on unbounded sets")
-        return self._linearized_gap(self._clean(_as_vector(point, self.dim)),
-                                    _as_vector(grad, self.dim))
-
-    # -- unchecked cores: finite vectors of the right size, feasible points;
-    # all but _linearized_gap also take rows over a leading axis --
-    def _project(self, p):
         raise NotImplementedError
-
-    def _tangent_residual(self, p, g):
-        raise NotImplementedError
-
-    def _support_min(self, g):
-        raise NotImplementedError
-
-    def _linearized_gap(self, p, g):
-        _, low = self._support_min(g)
-        return max(float(p.dot(g)) - low, 0.0)
 
 
 @dataclass(frozen=True)
@@ -135,7 +102,7 @@ class Box(FeasibleSet):
     def dim(self):
         return self.lower.size
 
-    def _project(self, p):
+    def project(self, p):
         return np.minimum(np.maximum(p, self.lower), self.upper)
 
     def diameter(self):
@@ -147,7 +114,7 @@ class Box(FeasibleSet):
         return (REL_BOUND_TOL * np.maximum(1.0, np.abs(self.lower)),
                 REL_BOUND_TOL * np.maximum(1.0, np.abs(self.upper)))
 
-    def _tangent_residual(self, p, g):
+    def tangent_residual(self, p, g):
         # p is feasible, so p - lower and upper - p are the distances to the
         # bounds. Interior coordinate: the normal cone is {0}, contributes
         # |g_j|. At the lower bound the cone is (-inf, 0], so only g_j < 0
@@ -158,7 +125,7 @@ class Box(FeasibleSet):
         contrib = np.where(self.upper - p <= tol_hi, np.maximum(contrib, 0.0), contrib)
         return row_norms(contrib)
 
-    def _support_min(self, g):
+    def support_min(self, g):
         x = np.where(g < 0, self.upper, self.lower)
         return x, np.vecdot(x, g)
 
@@ -179,7 +146,7 @@ class Ball(FeasibleSet):
     def dim(self):
         return self.center.size
 
-    def _project(self, p):
+    def project(self, p):
         d = p - self.center
         r = row_norms(d)[..., None]
         return np.where(r <= self.radius, p,
@@ -188,7 +155,7 @@ class Ball(FeasibleSet):
     def diameter(self):
         return 2.0 * self.radius
 
-    def _tangent_residual(self, p, g):
+    def tangent_residual(self, p, g):
         d = p - self.center
         r = row_norms(d)[..., None]
         # The normal cone is nontrivial only on the boundary; at radius within
@@ -201,7 +168,7 @@ class Ball(FeasibleSet):
         lam = np.maximum(-np.vecdot(g, n_hat), 0.0)[..., None]
         return np.where(interior, row_norms(g), row_norms(g + lam * n_hat))
 
-    def _support_min(self, g):
+    def support_min(self, g):
         norm = row_norms(g)[..., None]
         x = np.where(norm > 0, self.center - self.radius * g / np.where(norm > 0, norm, 1.0),
                      self.center)
@@ -220,16 +187,16 @@ class Unconstrained(FeasibleSet):
     def dim(self):
         return self.dimension
 
-    def _project(self, p):
+    def project(self, p):
         return p
 
     def diameter(self):
         return math.inf
 
-    def _tangent_residual(self, p, g):
+    def tangent_residual(self, p, g):
         return row_norms(g)
 
-    def _support_min(self, g):
+    def support_min(self, g):
         raise GeometryError("support minimization is unbounded")
 
 
@@ -252,8 +219,8 @@ class ProductSet(FeasibleSet):
             yield f, slice(start, start + f.dim)
             start += f.dim
 
-    def _project(self, p):
-        return np.concatenate([f._project(p[..., s]) for f, s in self._slices()], axis=-1)
+    def project(self, p):
+        return np.concatenate([f.project(p[..., s]) for f, s in self._slices()], axis=-1)
 
     def diameter(self):
         sq = 0.0
@@ -264,14 +231,14 @@ class ProductSet(FeasibleSet):
             sq += d * d
         return math.sqrt(sq)
 
-    def _tangent_residual(self, p, g):
-        sq = sum(f._tangent_residual(p[..., s], g[..., s]) ** 2 for f, s in self._slices())
+    def tangent_residual(self, p, g):
+        sq = sum(f.tangent_residual(p[..., s], g[..., s]) ** 2 for f, s in self._slices())
         return np.sqrt(sq)
 
-    def _support_min(self, g):
+    def support_min(self, g):
         parts, total = [], 0.0
         for f, s in self._slices():
-            x, v = f._support_min(g[..., s])
+            x, v = f.support_min(g[..., s])
             parts.append(x)
             total = total + v
         return np.concatenate(parts, axis=-1), total

@@ -18,8 +18,8 @@ adversarial runner drives the same loop with one player through
 regret of every recorded round from the same row formulas, in one pass
 over its arrays after the run. Validation happens at the boundary: the
 config (also after CLI overrides) and every gradient the oracle or
-adversary returns, checked for size and finiteness. The geometry cores
-the run calls do not re-check.
+adversary returns, checked for size and finiteness, and each measured
+cell, checked for overflow. The geometry methods do not re-check.
 """
 
 from __future__ import annotations
@@ -202,7 +202,7 @@ def _checked_gradient(g, shape, t, point):
     row per round from round t on, checked for ``shape`` and finiteness; a
     bad one raises :class:`HarnessError` naming the first bad round. This is
     the validation boundary: everything the run hands to the unchecked
-    geometry cores is built from these values."""
+    geometry methods is built from these values."""
     g = np.asarray(g, dtype=float)
     if g.shape != shape:
         raise HarnessError(f"round {t}: oracle gradient at the {point} has shape {g.shape}, "
@@ -211,6 +211,14 @@ def _checked_gradient(g, shape, t, point):
         t += np.flatnonzero(~np.isfinite(g))[0] // shape[-1]
         raise HarnessError(f"round {t}: non-finite gradient from the oracle at the {point}")
     return g
+
+
+def _check_finite(ts, columns):
+    """Raise :class:`HarnessError` naming the first round of ``ts`` at which
+    one of ``columns`` (one row of cells per round, or None) is not finite."""
+    bad = ~np.isfinite(np.column_stack([c for c in columns if c is not None])).all(axis=1)
+    if bad.any():
+        raise HarnessError(f"round {ts[bad.argmax()]}: a measured value overflowed")
 
 
 def _previous_rows(rows, carry):
@@ -271,8 +279,8 @@ class _BlockMeasure:
         S = running_sums(self.S, gradient_variation(grad, g_prev, slices))
         rec = np.flatnonzero(((ts - 1) % self.stride == 0) | (ts == self.T))
 
-        extreg = dynreg = regret_incs = None
-        gap = tgap = pot = [None] * len(rec)
+        extreg = dynreg = regret_incs = gap = None
+        tgap = pot = [None] * len(rec)
         if self.bounded:
             gx, lows = regret_terms(self.joint, half, grad, slices)
             sum_gx = running_sums(self.sum_gx, gx)
@@ -295,7 +303,7 @@ class _BlockMeasure:
         # r_tan and dist_half on recorded rows, or on every row for the
         # per-round certificates.
         at = slice(None) if self.certs is not None else rec
-        r_tan = self.joint._tangent_residual(half[at], grad[at]).tolist()
+        r_tan = self.joint.tangent_residual(half[at], grad[at]).tolist()
         dist_half = row_norms(half[at] - base[at]).tolist()
         if self.certs is not None:
             M, r = game.affine
@@ -304,7 +312,7 @@ class _BlockMeasure:
             eta = etas[0, 0]  # one common fixed step
             c = normal_element(x_prev, g_prev, base, self.x1, eta, ts)
             step = eta * c
-            miss = row_norms(self.joint._project(base + step) - base)
+            miss = row_norms(self.joint.project(base + step) - base)
             scale = np.max([row_norms(x_prev), row_norms(base), row_norms(step)], axis=0)
             scale = np.maximum(scale, max(1.0, np.linalg.norm(self.x1)))
             bad = np.flatnonzero((miss > WITNESS_TOL * scale) & (ts >= 2))  # c_t needs t >= 2
@@ -327,10 +335,12 @@ class _BlockMeasure:
             r_tan, dist_half, pot = ([cells[k] for k in rec]
                                      for cells in (r_tan, dist_half, pot))
 
+        dist_anchor = row_norms(self.x1 - base[rec]).tolist()
+        _check_finite(ts[rec], (r_tan, gap, S[rec], extreg, dynreg, dist_half, dist_anchor))
         cols = self.columns
         cols["t"].extend(ts[rec].tolist())
         cols["r_tan"].extend(r_tan)
-        cols["gap"].extend(gap)
+        cols["gap"].extend([None] * len(rec) if gap is None else gap)
         cols["tgap_exact"].extend(tgap)
         cols["potential"].extend(pot)
         for name, table in (("eta", etas[rec]), ("S", S[rec]),
@@ -339,7 +349,7 @@ class _BlockMeasure:
             for i, cells in enumerate(per_player, 1):
                 cols[f"{name}_{i}"].extend(cells)
         cols["dist_half"].extend(dist_half)
-        cols["dist_anchor"].extend(row_norms(self.x1 - base[rec]).tolist())
+        cols["dist_anchor"].extend(dist_anchor)
         self.S = S[-1]
         self.x_prev, self.g_prev = base[-1].copy(), grad[-1].copy()
 
@@ -422,17 +432,20 @@ def _self_play(config, game, players, x1):
     block_etas = np.tile(etas, (rows, 1))
     measure = _BlockMeasure(game, x1, T, config.stride, config.record_potential)
 
-    for t0 in range(1, T + 1, rows):
-        n = min(rows, T + 1 - t0)
-        # range first: zip stops before it asks the loop for a step too many
-        for k, (x, half, g_half, etas_next) in zip(range(n), steps):
-            block_base[k] = x
-            block_half[k] = half
-            block_grad[k] = g_half
-            if adaptive:
-                block_etas[k] = etas
-            etas = etas_next
-        measure(t0, block_base[:n], block_half[:n], block_grad[:n], block_etas[:n])
+    with np.errstate(over="ignore"):  # the measurement pass reports overflow
+        for t0 in range(1, T + 1, rows):
+            n = min(rows, T + 1 - t0)
+            # range first: zip stops before it asks the loop for a step too many
+            for k, (x, half, g_half, etas_next) in zip(range(n), steps):
+                block_base[k] = x
+                block_half[k] = half
+                block_grad[k] = g_half
+                if adaptive:
+                    block_etas[k] = etas
+                etas = etas_next
+            measure(t0, block_base[:n], block_half[:n], block_grad[:n], block_etas[:n])
+    if config.record_potential:  # after the run: a bad V(x_t) is named, not its P_t
+        _check_finite(measure.columns["t"][1:], (measure.columns["potential"][1:],))
 
     return RunResult(
         config=config,

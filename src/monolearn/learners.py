@@ -63,7 +63,7 @@ def step(feasible_set, x, eta, g, pull=None):
     y = x - eta * g
     if pull is not None:
         y += pull
-    return feasible_set._project(y)
+    return feasible_set.project(y)
 
 
 def adapted_step_size(eta, S, threshold, latched):

@@ -51,7 +51,7 @@ def gradient_variation(g, g_prev, slices=None):
 def regret_terms(feasible_set, x, g, slices):
     """Per-player <g, x> and min over the player's set of <g, x'>, from one
     support pass of the joint set: the parts of regrets and linearized gaps."""
-    x_min, _ = feasible_set._support_min(g)
+    x_min, _ = feasible_set.support_min(g)
     return player_dots(g, x, slices), player_dots(x_min, g, slices)
 
 
@@ -75,7 +75,7 @@ def external_regrets(feasible_set, sum_gx, sum_g, slices=None):
     sums of <g, x> and of g: sum_gx - min over the set of <sum_g, x>, row by
     row. With ``slices``, per player, each against its own factor of the
     set; with None, one learner over the whole vector."""
-    x_min, low = feasible_set._support_min(sum_g)
+    x_min, low = feasible_set.support_min(sum_g)
     return sum_gx - (low if slices is None else player_dots(x_min, sum_g, slices))
 
 

@@ -23,6 +23,7 @@ from monolearn.harness import (
     run_self_play,
 )
 from monolearn.learners import make_learner
+from monolearn.metrics import linearized_gaps, regret_terms
 from monolearn.verify import (
     IdentityInstance,
     check_descent_identity,
@@ -276,8 +277,8 @@ def test_criterion_9_geometry_oracles():
             g = rng.normal(scale=2.0, size=box.dim)
             worst_res = max(worst_res, abs(box.tangent_residual(p, g)
                                            - box_residual_oracle(box, p, g)))
-            worst_gap = max(worst_gap, abs(box.linearized_gap(p, g)
-                                           - box_gap_oracle(box, p, g)))
+            gap = linearized_gaps(*regret_terms(box, p[None], g[None], [slice(None)]))[0, 0]
+            worst_gap = max(worst_gap, abs(gap - box_gap_oracle(box, p, g)))
     proj_ok = True
     for _ in range(1000):
         box = boxes[1]

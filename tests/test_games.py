@@ -17,7 +17,7 @@ from monolearn.games import (
     make_random_linear_monotone,
     spectral_norm,
 )
-from monolearn.geometry import Ball, Box, ProductSet, Unconstrained, symmetric_box
+from monolearn.geometry import Ball, Box, GeometryError, ProductSet, Unconstrained, symmetric_box
 
 from conftest import box_points
 
@@ -43,6 +43,18 @@ def central_difference_gradient(loss, z, step=1e-5):
     return g
 
 
+def loss_at(game, player, z):
+    """``player``'s loss at the one profile ``z``, from the row oracle."""
+    return float(game.losses[player](z[None])[0])
+
+
+def best_response_at(game, player, z):
+    """The exact (argmin, min) of ``player`` at the one profile ``z``, from
+    the row oracle."""
+    actions, values = game.best_response_fn(player, np.asarray(z, dtype=float)[None])
+    return actions[0], float(values[0])
+
+
 def power_iteration_norm(M, iters=500):
     v = np.ones(M.shape[1]) / math.sqrt(M.shape[1])
     G = M.T @ M
@@ -61,8 +73,8 @@ def test_bilinear_gradient_example():
 
 def test_bilinear_zero_sum_losses():
     game = make_bilinear_saddle(2.0, 1.0, (2, 2))
-    for z in box_points(game.joint_set, RNG, 20):
-        assert abs(game.loss(0, z) + game.loss(1, z)) <= 1e-12
+    Z = box_points(game.joint_set, RNG, 20)
+    assert np.all(np.abs(game.losses[0](Z) + game.losses[1](Z)) <= 1e-12)
 
 
 def test_bilinear_lipschitz_is_operator_norm():
@@ -77,12 +89,12 @@ def test_bilinear_lipschitz_is_operator_norm():
 
 def test_bilinear_best_responses():
     game = make_bilinear_saddle(1.0, 1.0, (1, 1))
-    a, v = game.best_response(0, np.array([0.0, 0.5]))
+    a, v = best_response_at(game, 0, [0.0, 0.5])
     assert np.array_equal(a, [-1.0]) and v == -0.5
-    a, v = game.best_response(0, np.array([0.0, -1.0]))
+    a, v = best_response_at(game, 0, [0.0, -1.0])
     assert np.array_equal(a, [1.0]) and v == -1.0
     # zero objective for player 2: tie broken to the lower bound
-    a, v = game.best_response(1, np.array([0.0, 0.3]))
+    a, v = best_response_at(game, 1, [0.0, 0.3])
     assert np.array_equal(a, [-1.0]) and v == 0.0
 
 
@@ -96,7 +108,7 @@ def test_gradients_match_finite_differences():
         for z in box_points(game.joint_set, RNG, 10):
             v = game.gradient_fn(z)
             for i, s in enumerate(slices):
-                full = central_difference_gradient(lambda w: game.loss(i, w), z)
+                full = central_difference_gradient(lambda w: loss_at(game, i, w), z)
                 got, want = v[s], full[s]
                 denom = max(1.0, float(np.linalg.norm(want)))
                 assert np.linalg.norm(got - want) <= 1e-5 * denom
@@ -229,6 +241,14 @@ def test_make_game_registry():
         make_game("nope")
     with pytest.raises(GameError):
         make_appendix_e_instance(1)
+
+
+@pytest.mark.parametrize("start", [[0.0, math.nan], [0.0, 0.0, 0.0]])
+def test_start_must_be_finite_and_of_the_joint_size(start):
+    # the oracle checks its start itself: projection does not check input
+    with pytest.raises(GeometryError):
+        GameOracle([symmetric_box(1.0, 1)] * 2, 1.0, affine=(np.eye(2), np.zeros(2)),
+                   start=start)
 
 
 def test_game_start_points():
@@ -396,8 +416,8 @@ def same_bits(a, b):
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_bilinear_gradient_and_best_responses_are_closed_forms(scale, d):
     # Profile rows, with exact zeros so ties and signed zeros are covered:
-    # the row forms equal the one-row wrappers bit for bit, and both equal
-    # the closed forms.
+    # the row forms on many rows equal them on one row bit for bit, and both
+    # equal the closed forms.
     game = make_bilinear_saddle(scale, 1.0, (d, d))
     rng = np.random.default_rng(d)
     Z = box_points(game.joint_set, rng, 20)
@@ -411,12 +431,12 @@ def test_bilinear_gradient_and_best_responses_are_closed_forms(scale, d):
         assert np.array_equal(game.gradient_fn(z), np.concatenate([scale * y, -scale * x]))
         for player, coeff in ((0, scale * y), (1, -scale * x)):
             losses, actions, values = rows[player]
-            action, value = game.best_response(player, z)
+            action, value = best_response_at(game, player, z)
             want = np.where(coeff < 0, 1.0, -1.0)
             assert np.array_equal(action, want) and same_bits(actions[k], action)
             assert value == float(want @ coeff) and same_bits(values[k], value)
             # the one-profile loss formula the row form replaced
-            assert same_bits(losses[k], game.loss(player, z))
+            assert same_bits(losses[k], loss_at(game, player, z))
             assert same_bits(losses[k], (1 - 2 * player) * scale * float(x @ y))
 
 
@@ -430,7 +450,7 @@ def test_appendix_e_row_losses_match_the_formula():
         f = 0.5 * x @ H @ x - h @ x - (A @ x - b) @ y
         assert math.isclose(rows[0][k], f, rel_tol=1e-12, abs_tol=1e-12)
         assert same_bits(rows[1][k], -rows[0][k])
-        assert same_bits(rows[0][k], game.loss(0, z))
+        assert same_bits(rows[0][k], loss_at(game, 0, z))
 
 
 def test_best_response_needs_losses():

@@ -39,6 +39,7 @@ def write_config(tmp_path, name="cfg.json", **data):
 BILINEAR = dict(game="bilinear", game_params={"dims": [1, 1]}, algo="aog", T=200, stride=7)
 RANDOM_LINEAR = dict(game="random_linear_monotone", algo="aog", T=20)
 APPENDIX_E = dict(game="appendix_e", algo="aog", T=20)
+HUGE_BILINEAR = dict(game="bilinear", T=20, game_params={"payoff_scale": 1e200})
 
 
 # -- configuration --------------------------------------------------------
@@ -104,9 +105,8 @@ def test_zero_sum_conservation_along_run():
     )
     result = run_self_play(cfg)
     game, _, _, run = kernel_run(cfg)
-    for t in result.column("t"):
-        z = run[t - 1][1]  # x_{t+1/2}
-        assert abs(game.loss(0, z) + game.loss(1, z)) <= 1e-10
+    Z = np.array([run[t - 1][1] for t in result.column("t")])  # x_{t+1/2}
+    assert np.all(np.abs(game.losses[0](Z) + game.losses[1](Z)) <= 1e-10)
     # the two per-player exact gap terms each upper-bound zero
     assert all(v >= -1e-12 for name in ("dynreg_1", "dynreg_2") for v in result.column(name))
 
@@ -556,6 +556,14 @@ def assert_one_error_line(capsys, *needles):
      "game_params: dims: must be a non-empty list"),
     ({**RANDOM_LINEAR, "game_params": {"dims": "ab"}},
      "game_params: dims: must be a non-empty list"),
+    # squares of the gradients overflow: the first round with a non-finite
+    # measured value, not a CSV of inf
+    (HUGE_BILINEAR, "round 1: a measured value overflowed"),
+    ({**HUGE_BILINEAR, "record_potential": True}, "round 1: a measured value overflowed"),
+    ({**HUGE_BILINEAR, "algo": "aog_adaptive"}, "round 1: a measured value overflowed"),
+    # the potential's squares overflow though every CSV measure is finite
+    ({"game": "bilinear", "T": 20, "eta": 1e160, "record_potential": True},
+     "round 2: a measured value overflowed"),
 ])
 # a warning (numpy's overflow RuntimeWarning, say) would be a second stderr line
 @pytest.mark.filterwarnings("error")

@@ -93,6 +93,13 @@ def reference_self_play(config):
     sum_gx, dynreg = [0.0] * N, [0.0] * N
     rows, bases, halves, grads = [], [], [], []
     prev_base = prev_g = None
+
+    def lin_gap(fset, p, g):  # <g, p> - min over the set of <g, x>, clipped at 0
+        return max(float(p @ g) - float(fset.support_min(g)[1]), 0.0)
+
+    def exact_gap(i, z):  # player i's loss minus its best-response value at z
+        return float(game.losses[i](z[None])[0] - game.best_response_fn(i, z[None])[1][0])
+
     for t in range(1, config.T + 1):
         base = np.concatenate([p.x for p in players])
         g_base = game.gradient_fn(base) if needs_base else None
@@ -105,9 +112,9 @@ def reference_self_play(config):
             sum_g[i] += gi
             sum_gx[i] += float(gi @ half[s])
             if exact:
-                dynreg[i] += game.loss(i, half) - game.best_response(i, half)[1]
+                dynreg[i] += exact_gap(i, half)
             elif bounded:
-                dynreg[i] += game.player_sets[i].linearized_gap(half[s], gi)
+                dynreg[i] += lin_gap(game.player_sets[i], half[s], gi)
             p.update(gi)
         pot = None
         if config.record_potential and t >= 2:
@@ -119,10 +126,9 @@ def reference_self_play(config):
         if t in recorded:
             row = dict(
                 t=t,
-                r_tan=joint.tangent_residual(half, g_half),
-                gap=joint.linearized_gap(half, g_half) if bounded else None,
-                tgap_exact=sum(game.loss(i, half) - game.best_response(i, half)[1]
-                               for i in range(N)) if exact else None,
+                r_tan=float(joint.tangent_residual(half, g_half)),
+                gap=lin_gap(joint, half, g_half) if bounded else None,
+                tgap_exact=sum(exact_gap(i, half) for i in range(N)) if exact else None,
                 potential=pot,
                 dist_half=float(np.linalg.norm(half - base)),
                 dist_anchor=float(np.linalg.norm(x1 - base)),
@@ -131,7 +137,7 @@ def reference_self_play(config):
                 row[f"eta_{i + 1}"] = etas[i]
                 row[f"S_{i + 1}"] = p.S
                 row[f"extreg_{i + 1}"] = (
-                    sum_gx[i] - game.player_sets[i].support_min(sum_g[i])[1]
+                    sum_gx[i] - float(game.player_sets[i].support_min(sum_g[i])[1])
                     if bounded else None)
                 row[f"dynreg_{i + 1}"] = dynreg[i] if bounded or exact else None
             rows.append(row)

@@ -179,8 +179,11 @@ def test_two_phase_driver_plays_both_points():
 
 
 def test_infeasible_start_rejected():
-    with pytest.raises(GeometryError):
-        make_learner("gd", symmetric_box(1.0, 1), np.array([2.0]), eta=0.1)
+    # x1 is checked once, by the learner: outside the set, of the wrong size
+    # or not finite (projection does not check its input)
+    for x1 in ([2.0, 0.0], [0.0, 0.0, 0.0], [0.0, np.nan]):
+        with pytest.raises(GeometryError):
+            make_learner("gd", symmetric_box(1.0, 2), np.array(x1), eta=0.1)
 
 
 def test_make_learner_argument_validation():

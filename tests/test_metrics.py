@@ -36,11 +36,13 @@ def small_config(game_id="bilinear", T=50, x1=None, **game_params):
 
 def measures(game, z):
     """(r_tan, linearized gap, exact total gap) at the profile z, from the
-    checked geometry methods and the exact oracle: the total gap is the
-    Python sum of the players' gaps, as the CSV's ``tgap_exact`` cell is."""
+    row formulas on one row: the linearized gap treats the joint set as one
+    player, and the total gap is the Python sum of the players' gaps, as the
+    CSV's ``tgap_exact`` cell is."""
     joint, v = game.joint_set, game.gradient_fn(z)
+    gap = linearized_gaps(*regret_terms(joint, z[None], v[None], [slice(None)]))[0, 0]
     tgap = sum(best_response_gaps(game, z[None])[0].tolist())
-    return joint.tangent_residual(z, v), joint.linearized_gap(z, v), tgap
+    return float(joint.tangent_residual(z, v)), float(gap), tgap
 
 
 def test_measures_at_nash_are_zero():
@@ -103,19 +105,23 @@ def test_dynamic_regret_examples():
 
 def test_dynamic_regret_fallback_is_linearized_gap():
     # without an exact best response, a round's term is each player's
-    # linearized gap, from one support pass of the joint set
+    # linearized gap, from one support pass of the joint set: the same as
+    # <g_i, z_i> - min over the player's own set of <g_i, x>, clipped at 0
     game = make_game("appendix_e", n=4, box_half_width=1.0)
     Z = box_points(game.joint_set, RNG, 5)
     G = np.array([game.gradient_fn(z) for z in Z])
     got = linearized_gaps(*regret_terms(game.joint_set, Z, G, game.slices()))
     for z, v, row in zip(Z, G, got):
         for i, s in enumerate(game.slices()):
-            want = game.player_sets[i].linearized_gap(z[s], v[s])
+            want = max(float(z[s] @ v[s]) - game.player_sets[i].support_min(v[s])[1], 0.0)
             assert math.isclose(row[i], want, abs_tol=1e-12)
 
 
 def one_row_gaps(game, z):
-    return [game.loss(i, z) - game.best_response(i, z)[1] for i in range(game.num_players)]
+    """Each player's loss minus best-response value, from the row oracle on
+    the one row z."""
+    return [float(game.losses[i](z[None])[0] - game.best_response_fn(i, z[None])[1][0])
+            for i in range(game.num_players)]
 
 
 @pytest.mark.parametrize("d", [1, 3])
