@@ -88,6 +88,16 @@ def game_dims(dims):
     return [game_param("dims", d, least=1) for d in dims]
 
 
+def game_boxes(key, half_width, dims):
+    """One symmetric box of half-width ``half_width`` per player dimension in
+    ``dims``, for :func:`game_param` ``key``; an inf joint diameter (only a
+    box past 1e300 can have one, so only such a box is built to check) raises too."""
+    w, n = game_param(key, half_width), sum(dims)
+    if w * math.sqrt(n) > 1e300 and not math.isfinite(symmetric_box(w, n).diameter()):
+        raise GameError(f"game_params: {key}: {half_width!r} gives a box of inf diameter")
+    return [symmetric_box(half_width, d) for d in dims]
+
+
 def player_slices(player_dims):
     start = 0
     for d in player_dims:
@@ -197,14 +207,13 @@ def make_bilinear_saddle(payoff_scale=1.0, box_radius=1.0, dims=(1, 1)):
     point 0 to the upper corner, so runs actually have to converge.
     """
     game_param("payoff_scale", payoff_scale)
-    game_param("box_radius", box_radius)
     dims = game_dims(dims)
     if len(dims) != 2 or dims[0] != dims[1]:
         raise GameError(f"dims: the bilinear coupling <x, y> needs two equal player "
                         f"dimensions, got {dims}")
     dx, dy = dims
     s = float(payoff_scale)
-    sets = [symmetric_box(box_radius, dx), symmetric_box(box_radius, dy)]
+    sets = game_boxes("box_radius", box_radius, dims)
     M = s * np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(dx))
     r = np.zeros(2 * dx)
     blocks = [(M[:dx].T, r[:dx]), (M[dx:].T, r[dx:])]
@@ -258,13 +267,12 @@ def make_appendix_e_instance(n=100, box_half_width=200.0):
     1/2 (of H or 0) + 1/2 (of A), so ||M||_1 = ||M||_inf <= 1 = L.
     """
     game_param("n", n, least=2)
-    game_param("box_half_width", box_half_width)
+    sets = game_boxes("box_half_width", box_half_width, [n, n])
     A = banded_coupling_matrix(n)
     b = np.full(n, 0.25)
     h = np.zeros(n)
     h[n - 1] = 0.25
     H = 2.0 * A.T @ A
-    sets = [symmetric_box(box_half_width, n), symmetric_box(box_half_width, n)]
 
     def f(Z):
         X, Y = Z[:, :n], Z[:, n:]
@@ -313,10 +321,8 @@ def make_random_linear_monotone(dims=(1, 1), skew_scale=1.0, psd_diag=0.1, seed=
     if not (math.isfinite(M.max()) and math.isfinite(M.min())):
         raise GameError(f"skew_scale: {skew_scale!r} overflows the operator matrix")
     r = rng.standard_normal(dim)
-    if bounded is None:
-        sets = [Unconstrained(d) for d in dims]
-    else:
-        sets = [symmetric_box(game_param("bounded", bounded), d) for d in dims]
+    sets = ([Unconstrained(d) for d in dims] if bounded is None
+            else game_boxes("bounded", bounded, dims))
     return GameOracle(
         player_sets=sets,
         lipschitz_bound=spectral_norm(M),

@@ -106,7 +106,11 @@ class Box(FeasibleSet):
         return np.minimum(np.maximum(p, self.lower), self.upper)
 
     def diameter(self):
-        return float(np.linalg.norm(self.upper - self.lower))
+        # scaled by 2^-e as in games.spectral_norm: exact, and no square overflows
+        with np.errstate(over="ignore"):
+            width = self.upper - self.lower
+            e = math.frexp(width.max(initial=0.0))[1]
+            return float(np.ldexp(np.linalg.norm(np.ldexp(width, -e)), e))
 
     @cached_property
     def _bound_tol(self):

@@ -12,14 +12,15 @@ which this module runs in two ways. Self-play feeds it the oracle's joint
 gradient and writes each round's points and gradients into a block
 of ``BLOCK_ROWS`` rows. After each block, the measurement pass computes
 every column of the block's rounds with whole-block array operations on
-the joint vectors, per player where a column is per player. The
-adversarial runner drives the same loop with one player through
-:func:`learners.play_rows`, the one online driver, and takes the external
-regret of every recorded round from the same row formulas, in one pass
-over its arrays after the run. Validation happens at the boundary: the
-config (also after CLI overrides) and every gradient the oracle or
-adversary returns, checked for size and finiteness, and each measured
-cell, checked for overflow. The geometry methods do not re-check.
+the joint vectors, per player where a column is per player, into the one
+table of the run: the CSV columns that ``run_self_play`` returns and
+``emit_csv`` writes. The adversarial runner drives the same loop with one
+player through :func:`learners.play_rows`, the one online driver, and
+takes the external regret of every recorded round from the same row
+formulas, in one pass over its arrays after the run. Validation happens
+at the boundary: the config (also after CLI overrides) and every gradient
+the oracle or adversary returns, checked for size and finiteness, and
+each measured cell, checked for overflow. Geometry methods do not re-check.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import verify as verify_mod
-from .games import GameOracle, make_game
+from .games import make_game
 from .geometry import GeometryError, row_norms
 from .learners import dynamics, make_learner, play_rows
 from .metrics import (
@@ -159,20 +160,6 @@ def load_config(path):
     return ExperimentConfig.from_dict(data)
 
 
-@dataclass
-class RunResult:
-    config: ExperimentConfig
-    game: GameOracle
-    columns: dict  # CSV column name -> its cells, one per recorded round, in header order
-    eta: list  # final per-player step sizes
-    certificates: dict = None  # per-round series when potential tracking is on
-
-    def column(self, name):
-        """The cells of CSV column ``name``, one per recorded round; None
-        marks an empty cell."""
-        return self.columns[name]
-
-
 def _learner_inputs(config, game):
     """The per-player tags, L and joint start x1 of a run: the config's,
     else the game's."""
@@ -228,17 +215,18 @@ def _previous_rows(rows, carry):
 
 
 class _BlockMeasure:
-    """The measurement pass: every CSV column and certificate of a block of
-    rounds, from the block's iterates and the state carried from the block
-    before (previous base point and gradient, and the running sums). The
-    recorded rows, rounds 1, 1 + stride, 1 + 2 stride, ... and T, go into
-    ``columns``, a dict from each name of :func:`metrics.csv_header`, in
-    header order, to that column's cells.
+    """The measurement pass: every CSV column of a block of rounds, from the
+    block's iterates and the state carried from the block before (previous
+    base point and gradient, and the running sums). The recorded rows,
+    rounds 1, 1 + stride, 1 + 2 stride, ... and T, go into ``columns``, a
+    dict from each name of :func:`metrics.csv_header`, in header order, to
+    that column's cells.
 
     Each column comes from the per-round formulas in :mod:`metrics`, on all
     rows of the block at once, with one exact-oracle call per player per
     block. Cumulative columns add their increments in round order, so every
-    recorded row is exact whatever the stride.
+    recorded row is exact whatever the stride. The rest, P_t included, are
+    computed on the recorded rows only.
 
     When the potential is tracked, the pass takes V(x_t) of all base rows
     from one product, ``base @ M.T + r`` with ``(M, r) = game.affine``,
@@ -254,6 +242,7 @@ class _BlockMeasure:
 
     def __init__(self, game, x1, T, stride, track_potential):
         self.game, self.x1, self.T, self.stride = game, x1, T, stride
+        self.track_potential = track_potential
         self.joint = game.joint_set
         self.slices = game.slices()
         self.bounded = self.joint.is_bounded
@@ -262,11 +251,6 @@ class _BlockMeasure:
         self.S, self.sum_gx, self.dynreg = np.zeros(N), np.zeros(N), np.zeros(N)
         self.sum_g = np.zeros(game.dim)
         self.columns = {name: [] for name in csv_header(N).split(",")}
-        self.certs = (
-            {"t": [], "potential": [], "residual_norm": [], "drift_norm": [],
-             "r_tan_half": [], "dist_half": []}
-            if track_potential else None
-        )
 
     def __call__(self, t0, base, half, grad, etas):
         """Measure rounds t0, t0+1, ...: ``base``, ``half``, ``grad`` and
@@ -300,12 +284,7 @@ class _BlockMeasure:
             self.dynreg = dynreg[-1]
             dynreg = dynreg[rec]
 
-        # r_tan and dist_half on recorded rows, or on every row for the
-        # per-round certificates.
-        at = slice(None) if self.certs is not None else rec
-        r_tan = self.joint.tangent_residual(half[at], grad[at]).tolist()
-        dist_half = row_norms(half[at] - base[at]).tolist()
-        if self.certs is not None:
+        if self.track_potential:
             M, r = game.affine
             base_grad = _checked_gradient(base @ M.T + r, base.shape, t0, "base point")
             x_prev = _previous_rows(base, self.x_prev)
@@ -321,20 +300,13 @@ class _BlockMeasure:
                 raise HarnessError(f"round {ts[k]}: the potential's witness c_t is not in "
                                    f"the normal cone at x_t (||P(x_t + eta c_t) - x_t|| = "
                                    f"{miss[k]:.3e})")
-            wit = anchored_potential(c, base_grad, g_prev, base, self.x1, eta, ts)
-            pot = wit.value.tolist()
-            res, drift = np.sqrt(wit.sq_residual).tolist(), np.sqrt(wit.sq_drift).tolist()
-            if t0 == 1:  # P_t needs t >= 2
-                pot[0] = res[0] = drift[0] = None
-            self.certs["t"].extend(ts.tolist())
-            self.certs["potential"].extend(pot)
-            self.certs["residual_norm"].extend(res)
-            self.certs["drift_norm"].extend(drift)
-            self.certs["r_tan_half"].extend(r_tan)
-            self.certs["dist_half"].extend(dist_half)
-            r_tan, dist_half, pot = ([cells[k] for k in rec]
-                                     for cells in (r_tan, dist_half, pot))
+            pot = anchored_potential(c[rec], base_grad[rec], g_prev[rec], base[rec],
+                                     self.x1, eta, ts[rec]).tolist()
+            if t0 == 1:  # round 1 is always recorded, and P_t needs t >= 2
+                pot[0] = None
 
+        r_tan = self.joint.tangent_residual(half[rec], grad[rec]).tolist()
+        dist_half = row_norms(half[rec] - base[rec]).tolist()
         dist_anchor = row_norms(self.x1 - base[rec]).tolist()
         _check_finite(ts[rec], (r_tan, gap, S[rec], extreg, dynreg, dist_half, dist_anchor))
         cols = self.columns
@@ -355,7 +327,8 @@ class _BlockMeasure:
 
 
 def run_self_play(config: ExperimentConfig):
-    """Run one synchronous self-play experiment and collect metric rows.
+    """Run one synchronous self-play experiment; return its table, a dict from
+    each CSV column name, in header order, to its cells (None: an empty cell).
 
     With ``config.out`` the CSV is written through :func:`_output_file`,
     opened before the first round.
@@ -371,12 +344,11 @@ def run_self_play(config: ExperimentConfig):
             "record_potential: potential tracking assumes every player runs "
             "fixed-step aog with a common step size"
         )
-    if not config.out:
-        return _self_play(config, game, players, x1)
-    with _output_file(config.out) as fh:
-        result = _self_play(config, game, players, x1)
-        emit_csv(result, fh)
-    return result
+    with _output_file(config.out) if config.out else nullcontext() as fh:
+        columns = _self_play(config, game, players, x1)
+        if fh is not None:
+            emit_csv(columns, fh)
+    return columns
 
 
 @contextmanager
@@ -432,7 +404,7 @@ def _self_play(config, game, players, x1):
     block_etas = np.tile(etas, (rows, 1))
     measure = _BlockMeasure(game, x1, T, config.stride, config.record_potential)
 
-    with np.errstate(over="ignore"):  # the measurement pass reports overflow
+    with np.errstate(over="ignore", invalid="ignore"):  # the measurement pass reports
         for t0 in range(1, T + 1, rows):
             n = min(rows, T + 1 - t0)
             # range first: zip stops before it asks the loop for a step too many
@@ -446,14 +418,7 @@ def _self_play(config, game, players, x1):
             measure(t0, block_base[:n], block_half[:n], block_grad[:n], block_etas[:n])
     if config.record_potential:  # after the run: a bad V(x_t) is named, not its P_t
         _check_finite(measure.columns["t"][1:], (measure.columns["potential"][1:],))
-
-    return RunResult(
-        config=config,
-        game=game,
-        columns=measure.columns,
-        eta=list(etas),
-        certificates=measure.certs,
-    )
+    return measure.columns
 
 
 # -- adversarial runs -----------------------------------------------------
@@ -565,10 +530,9 @@ def fit_loglog_slope(ts, values, window=None):
 # -- CSV ------------------------------------------------------------------
 
 
-def emit_csv(result: RunResult, fh):
-    """Write the run's CSV to the open text file ``fh``: the header from the
-    column names, then one line per recorded round."""
-    columns = result.columns
+def emit_csv(columns, fh):
+    """Write the table ``columns`` (name -> cells, all of one length, else
+    ValueError) as CSV to the open text file ``fh``, header line first."""
     lines = [",".join(columns)]
     lines.extend(csv_row(cells) for cells in zip(*columns.values(), strict=True))
     fh.write("\n".join(lines) + "\n")
@@ -589,8 +553,8 @@ def _apply_overrides(config, args):
 
 def _cmd_selfplay(args):
     config = _apply_overrides(load_config(args.config), args)
-    result = run_self_play(config)
-    t, r_tan, gap = (result.column(name)[-1] for name in ("t", "r_tan", "gap"))
+    columns = run_self_play(config)
+    t, r_tan, gap = (columns[name][-1] for name in ("t", "r_tan", "gap"))
     print(f"T={t} r_tan={r_tan:.6g}" + (f" gap={gap:.6g}" if gap is not None else ""))
     return 0
 
@@ -612,9 +576,7 @@ def _cmd_adversarial(args):
     with _output_file(config.out) if config.out else nullcontext() as fh:
         result = run_adversarial(learner, adversary, config.T)
         if fh is not None:
-            fh.write("t,regret\n")
-            for t in sorted(result.regret_at):
-                fh.write(csv_row((t, result.regret_at[t])) + "\n")
+            emit_csv({"t": [*result.regret_at], "regret": [*result.regret_at.values()]}, fh)
     print(f"T={config.T} regret={result.final_regret:.6g}")
     return 0
 

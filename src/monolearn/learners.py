@@ -134,6 +134,8 @@ def make_learner(tag, feasible_set, x1, eta=None, L=None, D=None):
         if L is None:
             raise ValueError(f"{tag} needs eta or L")
         eta = default_step_size(tag, L)
+        if not eta > 0:
+            raise ValueError(f"eta: the default step size of {tag} is 0 at L = {L!r}; give eta")
     return Learner(tag, feasible_set, x1, eta, threshold)
 
 

@@ -13,8 +13,6 @@ measurements are the test suite's (``tests/test_kernel.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .games import GameError, GameOracle
@@ -98,15 +96,6 @@ def normal_element(x_prev, g_prev, x_t, x1, eta, t):
     return (x_prev - eta * g_prev + (x1 - x_prev) / t - x_t) / eta
 
 
-@dataclass
-class PotentialWitness:
-    """P_t and its squared norms: floats for one round, arrays for rows of rounds."""
-
-    value: float
-    sq_residual: float  # ||eta V + eta c||^2
-    sq_drift: float  # ||eta V(x_t) - eta V(x_{t-1/2})||^2
-
-
 def anchored_potential(c, v_t, g_prev, x_t, x1, eta, t):
     """Anchored potential at round t >= 2 from c_t, V(x_t) and g_prev = V(x_{t-1/2}):
 
@@ -114,14 +103,12 @@ def anchored_potential(c, v_t, g_prev, x_t, x1, eta, t):
                           + ||eta V(x_t) - eta V(x_{t-1/2})||^2)
               + t * <eta V(x_t) + eta c_t, x_t - x_1>.
 
-    Rows over a leading axis take one round ``t`` each.
+    Returns P_t alone; rows over a leading axis take one round ``t`` each.
     """
     resid = eta * (v_t + c)
     drift = eta * (v_t - g_prev)
-    sq_residual = np.vecdot(resid, resid)
-    sq_drift = np.vecdot(drift, drift)
-    value = t * (t + 1) / 2.0 * (sq_residual + sq_drift) + t * np.vecdot(resid, x_t - x1)
-    return PotentialWitness(value, sq_residual, sq_drift)
+    return (t * (t + 1) / 2.0 * (np.vecdot(resid, resid) + np.vecdot(drift, drift))
+            + t * np.vecdot(resid, x_t - x1))
 
 
 # -- CSV schema -----------------------------------------------------------

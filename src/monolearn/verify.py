@@ -74,8 +74,8 @@ def check_descent_identity(inst: IdentityInstance):
     u2, u4 = inst.u2, inst.u4
     ip = lambda x, y: float(x @ y)
 
-    p_now = float(anchored_potential(u2, b2, b1, a2, a0, 1.0, t).value)
-    p_next = float(anchored_potential(u4, b4, b3, a4, a0, 1.0, t + 1.0).value)
+    p_now = float(anchored_potential(u2, b2, b1, a2, a0, 1.0, t))
+    p_next = float(anchored_potential(u4, b4, b3, a4, a0, 1.0, t + 1.0))
     lhs = (
         p_now
         - p_next

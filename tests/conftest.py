@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from monolearn.games import make_game
+from monolearn.geometry import row_norms
 from monolearn.harness import ExperimentConfig, _build_learners, _steps, run_self_play
+from monolearn.metrics import anchored_potential, normal_element
 
 # The three bounded instances used by the rate-certificate acceptance runs.
 RATE_INSTANCES = {
@@ -23,6 +25,7 @@ def rate_config(name):
 
 @pytest.fixture(scope="session")
 def rate_runs():
+    """The column table of each rate run."""
     return {name: run_self_play(rate_config(name)) for name in RATE_INSTANCES}
 
 
@@ -44,18 +47,39 @@ def kernel_run(config):
     return game, players, x1, [step for _, step in zip(range(config.T), steps)]
 
 
-def step_windows(config, ts):
-    """(game, x1, eta, windows) of a fixed-step run: ``windows[t]`` holds the
-    steps of rounds t-1, t and t+1, the input of
-    ``verify.identity_instance_from_trace``; no other step is kept."""
-    game, players, x1, steps = kernel_steps(config)
-    wanted = {int(t) for t in ts}
-    windows, last = {}, max(wanted) + 1
-    for t, step in zip(range(1, last + 1), steps):
-        for centre in (t - 1, t, t + 1):
-            if centre in wanted:
-                windows.setdefault(centre, []).append(step)
-    return game, x1, players[0].eta, windows
+def replay_potential(config, columns):
+    """(game, x1, eta, run, residual, drift) of a fixed-step anchored run at
+    stride 1: ``run`` is its :func:`kernel_run` steps, and ``residual`` and
+    ``drift`` hold ||eta (V(x_t) + c_t)|| and ||eta (V(x_t) - V(x_{t-1/2}))||
+    of rounds 2..T. They are replayed from the steps through
+    ``metrics.normal_element``, and the P_t that ``metrics.anchored_potential``
+    takes from them must equal the run's ``potential`` column, ``columns``,
+    to rel 1e-12."""
+    game, players, x1, run = kernel_run(config)
+    eta = players[0].eta
+    ts = np.arange(2, config.T + 1)
+    base = np.array([step[0] for step in run])
+    x_prev, x_t = base[:-1], base[1:]
+    g_prev = np.array([step[2] for step in run[:-1]])
+    c = normal_element(x_prev, g_prev, x_t, x1, eta, ts)
+    v_t = np.array([game.gradient_fn(x) for x in x_t])
+    potential = anchored_potential(c, v_t, g_prev, x_t, x1, eta, ts)
+    assert columns["t"] == list(range(1, config.T + 1)) and columns["potential"][0] is None
+    np.testing.assert_allclose(columns["potential"][1:], potential, rtol=1e-12, atol=0.0)
+    return game, x1, eta, run, row_norms(eta * (v_t + c)), row_norms(eta * (v_t - g_prev))
+
+
+@pytest.fixture(scope="session")
+def rate_replays(rate_runs):
+    """:func:`replay_potential` of each rate run."""
+    return {name: replay_potential(rate_config(name), columns)
+            for name, columns in rate_runs.items()}
+
+
+def trace_window(run, t):
+    """The steps of rounds t-1, t and t+1 of a :func:`kernel_run` list, the
+    input of ``verify.identity_instance_from_trace``."""
+    return run[t - 2:t + 1]
 
 
 # Rounds of each rate run at which criterion 8 substitutes the trace.
@@ -63,21 +87,22 @@ TRACE_ROUNDS = np.linspace(2, 10_000 - 1, 34, dtype=int)
 
 
 @pytest.fixture(scope="session")
-def trace_windows():
+def trace_windows(rate_replays):
     """Criterion 8's step windows of the three rate instances."""
-    return {name: step_windows(rate_config(name), TRACE_ROUNDS) for name in RATE_INSTANCES}
+    return {name: (game, x1, eta, {int(t): trace_window(run, t) for t in TRACE_ROUNDS})
+            for name, (game, x1, eta, run, *_) in rate_replays.items()}
 
 
-def run_eta(result):
-    """Common fixed step size of a self-play run."""
-    etas = set(result.eta)
+def run_eta(columns):
+    """Common fixed step size of a self-play run's table."""
+    etas = {e for name, cells in columns.items() if name.startswith("eta_") for e in cells}
     assert len(etas) == 1
     return etas.pop()
 
 
-def theory_constants(result):
-    game = result.game
-    L = game.lipschitz_bound
+def theory_constants(config):
+    """L and the finite diameter D of the game of ``config``."""
+    game = make_game(config.game, **config.game_params)
     D = game.diameter()
     assert math.isfinite(D)
-    return L, D
+    return game.lipschitz_bound, D

@@ -31,7 +31,7 @@ from monolearn.verify import (
     run_eag_adversary,
 )
 
-from conftest import run_eta, theory_constants
+from conftest import rate_config, run_eta, theory_constants
 from test_geometry import box_gap_oracle, box_residual_oracle
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -88,8 +88,8 @@ def adversarial_csvs(tmp_path_factory):
 def adaptive_runs(rate_runs):
     """Algorithm-1 self-play on the criterion-1 instances."""
     runs = {}
-    for name, rate in rate_runs.items():
-        cfg = rate.config
+    for name in rate_runs:
+        cfg = rate_config(name)
         adaptive_cfg = type(cfg)(
             game=cfg.game,
             game_params=cfg.game_params,
@@ -113,12 +113,12 @@ def adaptive_regret_over_root_t(adversary_name, horizons, seed=3):
 
 def test_criterion_1_last_iterate_rate_certificate(rate_runs):
     worst = ("", 0.0)
-    for name, result in rate_runs.items():
-        L, D = theory_constants(result)
-        eta = run_eta(result)
+    for name, columns in rate_runs.items():
+        L, D = theory_constants(rate_config(name))
+        eta = run_eta(columns)
         assert math.isclose(eta, 1.0 / (math.sqrt(6.0) * L))
-        certs = result.certificates
-        for t, r in zip(certs["t"], certs["r_tan_half"]):
+        assert columns["t"] == list(range(1, 10_001))  # stride 1: every round
+        for t, r in zip(columns["t"], columns["r_tan"]):
             if t < 2:
                 continue
             bound = 55.0 * D / (eta * t)
@@ -129,29 +129,29 @@ def test_criterion_1_last_iterate_rate_certificate(rate_runs):
                     f"(tightest ratio {worst[1]:.3f} at {worst[0]})")
 
 
-def test_criterion_2_lemma_certificates(rate_runs):
-    for name, result in rate_runs.items():
-        L, D = theory_constants(result)
-        eta = run_eta(result)
+def test_criterion_2_lemma_bounds(rate_runs, rate_replays):
+    for name, columns in rate_runs.items():
+        L, D = theory_constants(rate_config(name))
+        eta = run_eta(columns)
         q = (eta * L) ** 2
         coeff = 3.0 * q / (2.0 * (1.0 - 4.0 * q))
-        certs = result.certificates
+        *_, residual_norm, drift_norm = rate_replays[name]
         prev_pot = None
-        for i, t in enumerate(certs["t"]):
-            dist = certs["dist_half"][i]
+        for i, t in enumerate(columns["t"]):
+            dist = columns["dist_half"][i]
             assert dist <= 27.0 * D / t, f"{name}: half-step distance at t={t}"
             if t < 2:
                 continue
-            # stored norms carry the eta factor
-            resid = certs["residual_norm"][i] / eta
-            drift = certs["drift_norm"][i] / eta
+            # the replayed norms carry the eta factor; row i - 1 is round t
+            resid = residual_norm[i - 1] / eta
+            drift = drift_norm[i - 1] / eta
             assert resid <= 13.0 * D / (eta * t), f"{name}: residual at t={t}"
             assert drift <= 13.0 * D / (eta * t), f"{name}: drift at t={t}"
-            pot = certs["potential"][i]
+            pot = columns["potential"][i]
             if t == 2:
                 assert pot <= 9.0 * D * D, f"{name}: P_2 = {pot} > 9 D^2"
             if prev_pot is not None:
-                allowed = prev_pot + coeff * certs["residual_norm"][i] ** 2
+                allowed = prev_pot + coeff * residual_norm[i - 1] ** 2
                 tol = 1e-8 * max(1.0, abs(prev_pot))
                 assert pot <= allowed + tol, f"{name}: potential ascent at t={t}"
             prev_pot = pot
@@ -165,32 +165,32 @@ def test_criterion_3_rate_separation(shipped_runs):
 
     fits = {}
     for tag, result in (("aog", aog), ("og", og), ("full", full)):
-        fits[tag] = fit_loglog_slope(result.column("t"), result.column("r_tan"),
-                                     window=(100, result.config.T))
+        fits[tag] = fit_loglog_slope(result["t"], result["r_tan"],
+                                     window=(100, result["t"][-1]))
     ok = (
         -1.15 <= fits["aog"].slope <= -0.85
         and -0.65 <= fits["og"].slope <= -0.35
         and -1.15 <= fits["full"].slope <= -0.85
-        and aog.column("r_tan")[-1] < og.column("r_tan")[-1]
+        and aog["r_tan"][-1] < og["r_tan"][-1]
         and full_secs < 600.0
     )
     report(3, ok,
            f"slopes aog={fits['aog'].slope:.3f} og={fits['og'].slope:.3f} "
-           f"full={fits['full'].slope:.3f}; final r_tan aog={aog.column('r_tan')[-1]:.4g} "
-           f"< og={og.column('r_tan')[-1]:.4g}; full run {full_secs:.0f}s")
+           f"full={fits['full'].slope:.3f}; final r_tan aog={aog['r_tan'][-1]:.4g} "
+           f"< og={og['r_tan'][-1]:.4g}; full run {full_secs:.0f}s")
 
 
 def test_criterion_4_adaptive_step_never_trips(adaptive_runs):
     margins = []
     for name, result in adaptive_runs.items():
-        L, D = theory_constants(result)
+        L, D = theory_constants(rate_config(name))
         threshold = 4500.0 * math.pi * D * D * L * L
         eta0 = 1.0 / (3.0 * L)
         s_max = 0.0
-        for i in range(1, result.game.num_players + 1):
-            S, eta = result.column(f"S_{i}"), result.column(f"eta_{i}")
+        for i in (1, 2):
+            S, eta = result[f"S_{i}"], result[f"eta_{i}"]
             s_max = max(s_max, max(S))
-            for t, s, e in zip(result.column("t"), S, eta):
+            for t, s, e in zip(result["t"], S, eta):
                 assert s <= threshold, f"{name}: S_{i} tripped at t={t}"
                 assert e == eta0, f"{name}: eta_{i} moved at t={t}"
         margins.append(f"{name}: S_max/threshold={s_max / threshold:.2e}")
@@ -228,7 +228,7 @@ def test_criterion_7_dynamic_regret_log_growth(rate_runs):
     for name in ("bilinear_1d", "bilinear_2d"):
         result = rate_runs[name]
         for player in range(2):
-            dynreg = dict(zip(result.column("t"), result.column(f"dynreg_{player + 1}")))
+            dynreg = dict(zip(result["t"], result[f"dynreg_{player + 1}"]))
             d2, d3, d4 = dynreg[100], dynreg[1000], dynreg[10000]
             lhs = d4 - d3
             rhs = 1.2 * (math.log(1e4) - math.log(1e3)) / (
@@ -311,7 +311,7 @@ def test_criterion_10_unbounded_domain_rate():
     z_star = np.linalg.solve(M, -r)  # psd_diag > 0: M is nonsingular
     H = max(eta * r1, float(np.linalg.norm(x1 - z_star)))
     worst = 0.0
-    for t, r_tan in zip(result.column("t"), result.column("r_tan")):
+    for t, r_tan in zip(result["t"], result["r_tan"]):
         if t < 2:
             continue
         bound = 1430.0 * H / (eta * t)

@@ -192,8 +192,8 @@ def test_random_linear_odd_skew_game_builds_and_plays(seed, bounded):
     assert game.validate() is game
     result = run_self_play(ExperimentConfig(game="random_linear_monotone", game_params=params,
                                             algo="aog", T=50, stride=1))
-    assert result.column("t") == list(range(1, 51))
-    assert all(math.isfinite(v) for v in result.column("r_tan"))
+    assert result["t"] == list(range(1, 51))
+    assert all(math.isfinite(v) for v in result["r_tan"])
 
 
 # Random square matrices (n = 1..40), the zero matrix, rank-1 matrices and
@@ -274,7 +274,7 @@ def test_bounded_random_linear_runs_from_game_start():
     cfg = ExperimentConfig(game="random_linear_monotone",
                            game_params={"dims": (2, 2), "bounded": 0.5}, T=50, stride=10)
     result = run_self_play(cfg)
-    assert result.column("gap")[-1] is not None
+    assert result["gap"][-1] is not None
 
 
 def test_make_game_rejects_unknown_params():

@@ -315,6 +315,23 @@ def test_diameters():
     assert not prod.is_bounded
 
 
+@pytest.mark.filterwarnings("error")
+def test_box_diameter_scales_past_the_range_of_squares():
+    # the widths' squares underflow or overflow; the scaled norm does not
+    for w in (1e-300, 1e-200, 1e200, 1e300):
+        assert math.isclose(symmetric_box(w, 3).diameter(), 2.0 * w * math.sqrt(3.0),
+                            rel_tol=1e-15)
+    # a width, or only the norm, past the float range: inf, with no warning
+    assert symmetric_box(1e308, 3).diameter() == math.inf
+    assert symmetric_box(0.6e308, 3).diameter() == math.inf
+    # in the normal range the scaling is exact: the plain norm, bit for bit
+    rng = np.random.default_rng(8)
+    for d in (1, 2, 7, 40):
+        lower = rng.normal(size=d) * 10.0 ** rng.integers(-50, 50, d)
+        upper = lower + np.abs(rng.normal(size=d)) * 10.0 ** rng.integers(-50, 50, d)
+        assert Box(lower, upper).diameter() == float(np.linalg.norm(upper - lower))
+
+
 def test_product_diameter_is_root_sum_square():
     prod = ProductSet((symmetric_box(1.0, 2), Ball(np.zeros(2), 5.0)))
     assert math.isclose(prod.diameter(), math.sqrt(8.0 + 100.0))

@@ -1,7 +1,6 @@
 import io
 import json
 import os
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -92,7 +91,7 @@ def test_recorded_rounds_follow_stride():
     cfg = ExperimentConfig(**{**BILINEAR, "game_params": {"dims": (1, 1)}})
     result = run_self_play(cfg)
     want = sorted(set(range(1, 201, 7)) | {200})
-    assert result.column("t") == want
+    assert result["t"] == want
 
 
 def test_zero_sum_conservation_along_run():
@@ -105,10 +104,10 @@ def test_zero_sum_conservation_along_run():
     )
     result = run_self_play(cfg)
     game, _, _, run = kernel_run(cfg)
-    Z = np.array([run[t - 1][1] for t in result.column("t")])  # x_{t+1/2}
+    Z = np.array([run[t - 1][1] for t in result["t"]])  # x_{t+1/2}
     assert np.all(np.abs(game.losses[0](Z) + game.losses[1](Z)) <= 1e-10)
     # the two per-player exact gap terms each upper-bound zero
-    assert all(v >= -1e-12 for name in ("dynreg_1", "dynreg_2") for v in result.column(name))
+    assert all(v >= -1e-12 for name in ("dynreg_1", "dynreg_2") for v in result[name])
 
 
 def test_heterogeneous_algos_supported():
@@ -119,7 +118,7 @@ def test_heterogeneous_algos_supported():
         T=100,
     )
     result = run_self_play(cfg)
-    assert len(result.column("t")) == 100
+    assert len(result["t"]) == 100
 
 
 def test_potential_tracking_requires_uniform_fixed_step():
@@ -160,8 +159,8 @@ def test_witness_membership_check_holds_on_scaled_games(params):
     # The witness c_t is a difference of points over eta; its rounding grows
     # with the payoff scale and the box, and the check must not read it as a miss.
     cfg = ExperimentConfig(game="bilinear", game_params={"dims": (2, 2), **params},
-                           algo="aog", T=1000, stride=100, record_potential=True)
-    potential = run_self_play(cfg).certificates["potential"]
+                           algo="aog", T=1000, stride=1, record_potential=True)
+    potential = run_self_play(cfg)["potential"]
     assert len(potential) == cfg.T and potential[0] is None
     assert all(np.isfinite(potential[1:]))
 
@@ -175,10 +174,22 @@ def test_unbounded_run_reports_residual_only():
         stride=10,
     )
     result = run_self_play(cfg)
-    last = {name: cells[-1] for name, cells in result.columns.items()}
+    last = {name: cells[-1] for name, cells in result.items()}
     assert last["gap"] is None
     assert (last["extreg_1"], last["extreg_2"]) == (None, None)
     assert last["r_tan"] >= 0.0
+
+
+@pytest.mark.parametrize("config", [
+    dict(APPENDIX_E, game_params={"n": 4, "box_half_width": 1e200}),
+    dict(BILINEAR, algo="aog_adaptive", game_params={"box_radius": 1e-200}),
+])
+@pytest.mark.filterwarnings("error")
+def test_extreme_box_widths_run_as_bounded_games(config):
+    # The squares of the widths overflow or underflow, but the diameters are
+    # finite and positive: the game is bounded and its gap columns are written.
+    columns = run_self_play(ExperimentConfig(**config))
+    assert all(columns[name][-1] is not None for name in ("gap", "extreg_1", "dynreg_2"))
 
 
 def test_two_phase_learners_in_self_play():
@@ -189,7 +200,7 @@ def test_two_phase_learners_in_self_play():
         T=100,
     )
     result = run_self_play(cfg)
-    assert result.column("r_tan")[-1] < 1.0
+    assert result["r_tan"][-1] < 1.0
 
 
 def test_non_finite_base_gradient_aborts_with_round(monkeypatch):
@@ -242,17 +253,17 @@ def test_wrong_size_gradient_aborts(monkeypatch):
 def test_columns_follow_the_header_and_match_the_csv(tmp_path, config):
     out = tmp_path / "run.csv"
     result = run_self_play(ExperimentConfig(**config, out=str(out)))
-    header = csv_header(result.game.num_players).split(",")
-    assert list(result.columns) == header
+    header = csv_header(2).split(",")
+    assert list(result) == header
     lines = out.read_text().splitlines()
     assert lines[0].split(",") == header
     for name, cells in zip(header, zip(*(line.split(",") for line in lines[1:])), strict=True):
         parse = int if name == "t" else float
-        assert result.column(name) == [None if c == "" else parse(c) for c in cells], name
+        assert result[name] == [None if c == "" else parse(c) for c in cells], name
     # a column of another length is not written
-    short = {**result.columns, "dist_anchor": result.column("dist_anchor")[:-1]}
+    short = {**result, "dist_anchor": result["dist_anchor"][:-1]}
     with pytest.raises(ValueError):
-        emit_csv(replace(result, columns=short), io.StringIO())
+        emit_csv(short, io.StringIO())
 
 
 def test_bad_x1_dimension_rejected():
@@ -564,6 +575,17 @@ def assert_one_error_line(capsys, *needles):
     # the potential's squares overflow though every CSV measure is finite
     ({"game": "bilinear", "T": 20, "eta": 1e160, "record_potential": True},
      "round 2: a measured value overflowed"),
+    # a box whose diameter is past the float range: one error naming the key
+    ({**BILINEAR, "game_params": {"box_radius": 1e308}}, "game_params: box_radius:"),
+    ({**APPENDIX_E, "game_params": {"n": 4, "box_half_width": 1e308}},
+     "game_params: box_half_width:"),
+    ({**RANDOM_LINEAR, "game_params": {"bounded": 1e308}}, "game_params: bounded:"),
+    # a finite diameter, but the losses overflow: inf - inf gives no warning
+    ({**BILINEAR, "game_params": {"box_radius": 1e200}},
+     "non-finite or misshaped exact best-response gaps"),
+    # 1/(sqrt(6) L) rounds to 0
+    ({"game": "bilinear", "T": 20, "game_params": {"payoff_scale": 1.7e308}},
+     "eta: the default step size of aog is 0 at L = 1.7e+308"),
 ])
 # a warning (numpy's overflow RuntimeWarning, say) would be a second stderr line
 @pytest.mark.filterwarnings("error")

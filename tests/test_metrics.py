@@ -17,7 +17,7 @@ from monolearn.metrics import (
     running_sums,
 )
 
-from conftest import box_points, kernel_run
+from conftest import box_points, kernel_run, rate_config, replay_potential, theory_constants
 
 RNG = np.random.default_rng(31)
 
@@ -74,9 +74,8 @@ def test_gap_ordering_chain_on_every_rate_run_row(rate_runs):
     # The block pass's own columns, row by row: the exact total gap is at
     # most the linearized gap, which is at most D times the tangent residual.
     for name in ("bilinear_1d", "bilinear_2d"):
-        result = rate_runs[name]
-        D = result.game.diameter()
-        rows = list(zip(*(result.column(c) for c in ("r_tan", "gap", "tgap_exact"))))
+        _, D = theory_constants(rate_config(name))
+        rows = list(zip(*(rate_runs[name][c] for c in ("r_tan", "gap", "tgap_exact"))))
         assert len(rows) == 10_000
         for r_tan, gap, tgap in rows:
             assert tgap <= gap + 1e-9 and gap <= D * r_tan + 1e-9, name
@@ -188,15 +187,15 @@ def test_learner_variation_matches_metric():
     cfg = small_config(T=60, dims=(1, 1))
     g = np.array([g_half[0:1] for _, _, g_half, _ in kernel_run(cfg)[3]])
     want = float(np.sum(np.diff(g, axis=0) ** 2))
-    got = run_self_play(cfg).column("S_1")[-1]
+    got = run_self_play(cfg)["S_1"][-1]
     assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-15)
 
 
 def test_potential_dual_path_recomputation():
     cfg = small_config(T=30, dims=(1, 1))
-    result = run_self_play(cfg)
-    game, _, x1, steps = kernel_run(cfg)
-    eta = result.eta[0]
+    potential = run_self_play(cfg)["potential"]  # stride 1: row t - 1 is round t
+    game, players, x1, steps = kernel_run(cfg)
+    eta = players[0].eta
     for t in (2, 3, 17):
         # independent re-derivation from the kernel's vectors
         x_prev, _, g_prev = steps[t - 2][:3]
@@ -206,18 +205,15 @@ def test_potential_dual_path_recomputation():
         r = eta * (v + c)
         d = eta * (v - g_prev)
         p = t * (t + 1) / 2.0 * (float(r @ r) + float(d @ d)) + t * float(r @ (x_t - x1))
-        # and the runner's streaming series agrees
-        idx = result.certificates["t"].index(t)
-        assert abs(result.certificates["potential"][idx] - p) <= 1e-10 * max(1.0, abs(p))
+        # and the runner's column agrees
+        assert abs(potential[t - 1] - p) <= 1e-10 * max(1.0, abs(p))
 
 
 def test_potential_requires_second_round():
-    result = run_self_play(small_config(T=10, dims=(1, 1)))
-    certs = result.certificates
-    assert certs["t"][:2] == [1, 2]
-    assert result.column("potential")[0] is None and certs["potential"][0] is None
-    assert certs["residual_norm"][0] is None and certs["drift_norm"][0] is None
-    assert all(p is not None for p in result.column("potential")[1:])
+    columns = run_self_play(small_config(T=10, dims=(1, 1)))
+    assert columns["t"][:2] == [1, 2]
+    assert columns["potential"][0] is None
+    assert all(p is not None for p in columns["potential"][1:])
 
 
 def test_stationary_nash_run_is_flat():
@@ -225,10 +221,11 @@ def test_stationary_nash_run_is_flat():
     for x_t, half, *_ in kernel_run(cfg)[3]:
         assert np.array_equal(x_t, np.zeros(2))
         assert np.array_equal(half, np.zeros(2))
-    result = run_self_play(cfg)
-    assert all(p == 0.0 for p in result.column("potential")[1:])
-    assert all(r == 0.0 for r in result.certificates["residual_norm"][1:])
-    assert all(r_tan == 0.0 for r_tan in result.column("r_tan"))
+    columns = run_self_play(cfg)
+    assert all(p == 0.0 for p in columns["potential"][1:])
+    *_, residual_norm, _ = replay_potential(cfg, columns)
+    assert all(r == 0.0 for r in residual_norm)
+    assert all(r_tan == 0.0 for r_tan in columns["r_tan"])
 
 
 def test_csv_header_matches_schema():

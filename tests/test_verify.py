@@ -15,7 +15,7 @@ from monolearn.verify import (
     run_eag_adversary,
 )
 
-from conftest import step_windows
+from conftest import kernel_run, replay_potential, trace_window
 
 
 def test_identity_all_zero():
@@ -115,14 +115,15 @@ def test_identity_from_run_trace():
         T=40,
         record_potential=True,
     )
-    game, x1, eta, windows = step_windows(cfg, (2, 3, 10, 39))
+    game, players, x1, run = kernel_run(cfg)
+    eta = players[0].eta
+    windows = {t: trace_window(run, t) for t in (2, 3, 10, 39)}
     for t, steps in windows.items():
         inst = identity_instance_from_trace(game, x1, eta, t, steps)
         # the derived a4 must reproduce the actual next base iterate
         assert np.linalg.norm(inst.a4 - steps[2][0]) <= 1e-9
         _, _, rel = check_descent_identity(inst)
         assert rel <= 1e-9
-    assert sorted(windows) == [2, 3, 10, 39]
     with pytest.raises(VerifyError, match="t >= 2"):
         identity_instance_from_trace(game, x1, eta, 1, windows[2])
 
@@ -180,14 +181,9 @@ def test_sequence_bound_on_run_residuals():
         T=500,
         record_potential=True,
     )
-    result = run_self_play(cfg)
-    certs = result.certificates
-    D = result.game.diameter()
-    a = [
-        r * r + 2.0 * d * d
-        for t, r, d in zip(certs["t"], certs["residual_norm"], certs["drift_norm"])
-        if t >= 2
-    ]
+    game, *_, residual_norm, drift_norm = replay_potential(cfg, run_self_play(cfg))
+    D = game.diameter()
+    a = [r * r + 2.0 * d * d for r, d in zip(residual_norm, drift_norm)]  # rounds 2..T
     report = check_sequence_bound(a, c1=10.0 * D * D, p=0.25, rel_tol=1e-9)
     assert bool(report)
 
