@@ -43,8 +43,8 @@ def spectral_norm(M):
     [1/2, 1), and the result is scaled back by 2^e. A power-of-two scaling
     rounds nothing in the normal range, and the Gram matrix of the scaled
     copy neither overflows nor underflows for entries from 1e-300 to 1e300.
-    The zero matrix has norm 0; a matrix with a non-finite entry raises
-    :class:`GameError`.
+    The zero matrix has norm 0, and a norm past the float range is inf; a
+    matrix with a non-finite entry raises :class:`GameError`.
     """
     peak = max(float(M.max(initial=0.0)), -float(M.min(initial=0.0)))
     if not math.isfinite(peak):
@@ -58,7 +58,10 @@ def spectral_norm(M):
     S = np.ldexp(M, -e)
     np.matmul(S.T, S, out=gram)
     del S
-    return math.ldexp(math.sqrt(np.linalg.eigvalsh(gram)[-1]), e)
+    try:
+        return math.ldexp(math.sqrt(np.linalg.eigvalsh(gram)[-1]), e)
+    except OverflowError:
+        return math.inf
 
 
 def game_param(key, value, least=None):
@@ -273,17 +276,11 @@ def make_appendix_e_instance(n=100, box_half_width=200.0):
     h = np.zeros(n)
     h[n - 1] = 0.25
     H = 2.0 * A.T @ A
-
-    def f(Z):
-        X, Y = Z[:, :n], Z[:, n:]
-        return np.vecdot(0.5 * X @ H, X) - X @ h - np.vecdot(X @ A.T - b, Y)
-
     return GameOracle(
         player_sets=sets,
         lipschitz_bound=1.0,
         affine=(np.block([[H, -A.T], [A, np.zeros((n, n))]]), np.concatenate([-h, -b])),
-        losses=[f, lambda Z: -f(Z)],
-        best_response_fn=None,  # not exposed: mixed exact/upper-bound reporting is disallowed
+        # no losses or exact best responses: the gap columns are linearized
         name="appendix_e",
         start=np.full(2 * n, 1.0 / n),
     ).validate()
@@ -319,13 +316,17 @@ def make_random_linear_monotone(dims=(1, 1), skew_scale=1.0, psd_diag=0.1, seed=
         M = skew_scale * (B - B.T) / 2.0 + psd_diag * np.eye(dim)
     del B  # freed before spectral_norm forms its Gram matrix: peak memory
     if not (math.isfinite(M.max()) and math.isfinite(M.min())):
-        raise GameError(f"skew_scale: {skew_scale!r} overflows the operator matrix")
+        raise GameError(f"game_params: skew_scale: {skew_scale!r} overflows the operator matrix")
+    L = spectral_norm(M)
+    if not math.isfinite(L):
+        raise GameError(f"game_params: skew_scale: {skew_scale!r} gives ||M||_2 past the "
+                        f"float range")
     r = rng.standard_normal(dim)
     sets = ([Unconstrained(d) for d in dims] if bounded is None
             else game_boxes("bounded", bounded, dims))
     return GameOracle(
         player_sets=sets,
-        lipschitz_bound=spectral_norm(M),
+        lipschitz_bound=L,
         affine=(M, r),
         name="random_linear_monotone",
         start=np.ones(dim),

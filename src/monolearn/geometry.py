@@ -40,6 +40,16 @@ def row_norms(v):
     return np.sqrt(np.vecdot(v, v))
 
 
+def scaled_row_norms(v):
+    """:func:`row_norms` with no overflow or underflow in the squares: each
+    row is scaled by the power of two 2^-e that brings its largest |entry|
+    into [1/2, 1), and its norm is scaled back by 2^e. A power-of-two scaling
+    rounds nothing in the normal range; a norm past the float range is inf
+    (with numpy's overflow warning)."""
+    e = np.frexp(np.abs(v).max(axis=-1, initial=0.0))[1]
+    return np.ldexp(row_norms(np.ldexp(v, -e[..., None])), e)
+
+
 def _as_vector(x, dim=None):
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
@@ -106,11 +116,8 @@ class Box(FeasibleSet):
         return np.minimum(np.maximum(p, self.lower), self.upper)
 
     def diameter(self):
-        # scaled by 2^-e as in games.spectral_norm: exact, and no square overflows
         with np.errstate(over="ignore"):
-            width = self.upper - self.lower
-            e = math.frexp(width.max(initial=0.0))[1]
-            return float(np.ldexp(np.linalg.norm(np.ldexp(width, -e)), e))
+            return float(scaled_row_norms(self.upper - self.lower))
 
     @cached_property
     def _bound_tol(self):

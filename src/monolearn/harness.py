@@ -7,20 +7,24 @@ gradient variation) are accumulated every round even when only strided
 snapshots are written, so recorded rows are exact.
 
 Players are built and validated through ``make_learner``, one per player.
-Every iterate comes from the one round loop, :func:`learners.dynamics`,
-which this module runs in two ways. Self-play feeds it the oracle's joint
-gradient and writes each round's points and gradients into a block
-of ``BLOCK_ROWS`` rows. After each block, the measurement pass computes
-every column of the block's rounds with whole-block array operations on
-the joint vectors, per player where a column is per player, into the one
-table of the run: the CSV columns that ``run_self_play`` returns and
-``emit_csv`` writes. The adversarial runner drives the same loop with one
-player through :func:`learners.play_rows`, the one online driver, and
-takes the external regret of every recorded round from the same row
-formulas, in one pass over its arrays after the run. Validation happens
-at the boundary: the config (also after CLI overrides) and every gradient
-the oracle or adversary returns, checked for size and finiteness, and
-each measured cell, checked for overflow. Geometry methods do not re-check.
+Every iterate comes from the one round loop, the block kernel of
+:func:`learners.dynamics`, which this module runs in two ways. Self-play
+hands it the oracle's joint gradient, and the kernel writes each round's
+points and gradients straight into the rows of a block, of
+:func:`block_rows` rounds: more rounds for smaller games. After each
+block, the measurement pass computes every column of the block's rounds
+with whole-block array operations on the joint vectors, per player where
+a column is per player, into the one table of the run: the CSV columns
+that ``run_self_play`` returns and ``emit_csv`` writes. The adversarial
+runner drives the same kernel with one player through
+:func:`learners.play_rows`, the one online driver, and takes the external
+regret of every recorded round from the same row formulas, in one pass
+over its arrays after the run. Validation happens at the boundary: the
+config (also after CLI overrides); the oracle's gradients, checked for
+shape on the first call and for finiteness once per block, before the
+block is measured; every adversary gradient, checked for size and
+finiteness before the learner uses it; and each measured cell, checked
+for overflow. Geometry methods do not re-check.
 """
 
 from __future__ import annotations
@@ -39,13 +43,14 @@ import numpy as np
 
 from . import verify as verify_mod
 from .games import make_game
-from .geometry import GeometryError, row_norms
+from .geometry import GeometryError, row_norms, scaled_row_norms
 from .learners import dynamics, make_learner, play_rows
 from .metrics import (
     anchored_potential,
     best_response_gaps,
+    csv_cells,
     csv_header,
-    csv_row,
+    csv_row,  # unused here; the benchmark's outside-in tracer looks it up by name
     external_regrets,
     gradient_variation,
     linearized_gaps,
@@ -56,9 +61,13 @@ from .metrics import (
 )
 
 DEFAULT_SLOPE_T_MIN = 100
-# Rounds per measurement block: at 256 coordinates a block's buffers take
-# about 1 MiB, so the measurement pass reads them from cache.
+# Rounds per measurement block: at least BLOCK_ROWS, and ROW_BUDGET floats
+# per buffer (see block_rows). Small games get long blocks, over which the
+# measurement pass spreads its fixed per-block calls; from 32 coordinates
+# on, a block is BLOCK_ROWS rounds, and at 256 its buffers take about
+# 1 MiB, so the measurement pass reads them from cache.
 BLOCK_ROWS = 128
+ROW_BUDGET = 4096
 # Membership tolerance for the normal-cone witness c_t of the potential.
 WITNESS_TOL = 1e-9
 
@@ -184,20 +193,40 @@ def _build_learners(config, game):
     return out, tags, np.concatenate([p.x1 for p in out])
 
 
-def _checked_gradient(g, shape, t, point):
-    """The oracle's joint gradient ``g`` at the ``point`` of round t, or one
-    row per round from round t on, checked for ``shape`` and finiteness; a
-    bad one raises :class:`HarnessError` naming the first bad round. This is
-    the validation boundary: everything the run hands to the unchecked
-    geometry methods is built from these values."""
-    g = np.asarray(g, dtype=float)
-    if g.shape != shape:
-        raise HarnessError(f"round {t}: oracle gradient at the {point} has shape {g.shape}, "
-                           f"expected {shape}")
-    if not np.isfinite(g).all():
-        t += np.flatnonzero(~np.isfinite(g))[0] // shape[-1]
-        raise HarnessError(f"round {t}: non-finite gradient from the oracle at the {point}")
-    return g
+def _first_call_checked(gradient_fn, dim, point):
+    """``gradient_fn`` with its first value checked for shape (dim,): the one
+    shape check of the oracle, whose first call is at the ``point`` of round
+    1. A wrong shape raises :class:`HarnessError`; later values go to the
+    rows unchecked."""
+    checked = False
+
+    def gradient(z):
+        nonlocal checked
+        g = gradient_fn(z)
+        if not checked:
+            checked = True
+            if np.shape(g) != (dim,):
+                raise HarnessError(f"round 1: oracle gradient at the {point} has shape "
+                                   f"{np.shape(g)}, expected {(dim,)}")
+        return g
+
+    return gradient
+
+
+def _check_gradients(t0, base_grad, grad):
+    """Raise :class:`HarnessError` naming the first round, from round t0 on,
+    and point whose oracle gradient row is not finite: ``base_grad`` (or
+    None) holds V(x_t) and ``grad`` V(x_{t+1/2}), one row per round, and a
+    round's base point comes before its played point. This is the
+    validation boundary of the oracle: everything the run hands to the
+    unchecked geometry methods is built from these rows."""
+    bad = ~np.isfinite(grad).all(axis=1)
+    bad_base = np.zeros_like(bad) if base_grad is None else ~np.isfinite(base_grad).all(axis=1)
+    bad |= bad_base
+    if bad.any():
+        k = bad.argmax()
+        point = "base point" if bad_base[k] else "played point"
+        raise HarnessError(f"round {t0 + k}: non-finite gradient from the oracle at the {point}")
 
 
 def _check_finite(ts, columns):
@@ -230,13 +259,15 @@ class _BlockMeasure:
 
     When the potential is tracked, the pass takes V(x_t) of all base rows
     from one product, ``base @ M.T + r`` with ``(M, r) = game.affine``,
-    checked by :func:`_checked_gradient`, and checks the certificate's
+    checked by :func:`_check_gradients`, and checks the certificate's
     hypothesis on every round t >= 2: the witness c_t lies in the normal
     cone at x_t. The cone is closed under positive scaling, so the test
     takes the step residual eta c_t, whose rounding is a few ulps of the
     points whatever the game's scale: ||P(x_t + eta c_t) - x_t|| <=
     ``WITNESS_TOL`` * max(1, ||x_{t-1}||, ||x_t||, ||x_1||, ||eta c_t||),
-    with one projection of the block's rows. The first round that fails
+    with one projection of the block's rows. The norms are
+    :func:`geometry.scaled_row_norms`, so the test keeps its signal when
+    their squares pass the float range. The first round that fails
     raises :class:`HarnessError` naming it.
     """
 
@@ -263,22 +294,25 @@ class _BlockMeasure:
         S = running_sums(self.S, gradient_variation(grad, g_prev, slices))
         rec = np.flatnonzero(((ts - 1) % self.stride == 0) | (ts == self.T))
 
-        extreg = dynreg = regret_incs = gap = None
-        tgap = pot = [None] * len(rec)
+        extreg = dynreg = regret_incs = gap = tgap = None
+        pot = [None] * len(rec)
         if self.bounded:
             gx, lows = regret_terms(self.joint, half, grad, slices)
             sum_gx = running_sums(self.sum_gx, gx)
             sum_g = running_sums(self.sum_g, grad)
             extreg = external_regrets(self.joint, sum_gx[rec], sum_g[rec], slices)
-            gap = np.maximum(gx[rec].sum(axis=1) - lows[rec].sum(axis=1), 0.0).tolist()
+            gap = np.maximum(gx[rec].sum(axis=1) - lows[rec].sum(axis=1), 0.0)
             if not game.has_best_response:
                 regret_incs = linearized_gaps(gx, lows)
             self.sum_gx, self.sum_g = sum_gx[-1], sum_g[-1]
         if game.has_best_response:
             regret_incs = best_response_gaps(game, half)
-            # Python's sum adds the players' gaps left to right; numpy's
-            # pairwise sum would regroup them from 8 players on
-            tgap = [sum(row) for row in regret_incs[rec].tolist()]
+            # Python's sum of each row, as the CSV has always had it: the
+            # players' gaps added left to right to 0 (numpy's pairwise sum
+            # would regroup them from 8 players on, and 0 + -0.0 is 0.0)
+            tgap = 0.0
+            for i in range(N):
+                tgap = tgap + regret_incs[rec, i]
         if regret_incs is not None:
             dynreg = running_sums(self.dynreg, regret_incs)
             self.dynreg = dynreg[-1]
@@ -286,14 +320,17 @@ class _BlockMeasure:
 
         if self.track_potential:
             M, r = game.affine
-            base_grad = _checked_gradient(base @ M.T + r, base.shape, t0, "base point")
+            base_grad = base @ M.T + r
+            _check_gradients(t0, base_grad, grad)
             x_prev = _previous_rows(base, self.x_prev)
             eta = etas[0, 0]  # one common fixed step
             c = normal_element(x_prev, g_prev, base, self.x1, eta, ts)
             step = eta * c
-            miss = row_norms(self.joint.project(base + step) - base)
-            scale = np.max([row_norms(x_prev), row_norms(base), row_norms(step)], axis=0)
-            scale = np.maximum(scale, max(1.0, np.linalg.norm(self.x1)))
+            # power-of-two scaled norms: a square past the float range must
+            # not make the tolerance inf
+            miss = scaled_row_norms(self.joint.project(base + step) - base)
+            scale = scaled_row_norms(np.stack([x_prev, base, step])).max(axis=0)
+            scale = np.maximum(scale, max(1.0, scaled_row_norms(self.x1)))
             bad = np.flatnonzero((miss > WITNESS_TOL * scale) & (ts >= 2))  # c_t needs t >= 2
             if bad.size:
                 k = bad[0]
@@ -305,23 +342,22 @@ class _BlockMeasure:
             if t0 == 1:  # round 1 is always recorded, and P_t needs t >= 2
                 pot[0] = None
 
-        r_tan = self.joint.tangent_residual(half[rec], grad[rec]).tolist()
-        dist_half = row_norms(half[rec] - base[rec]).tolist()
-        dist_anchor = row_norms(self.x1 - base[rec]).tolist()
-        _check_finite(ts[rec], (r_tan, gap, S[rec], extreg, dynreg, dist_half, dist_anchor))
+        r_tan = self.joint.tangent_residual(half[rec], grad[rec])
+        dist_half = row_norms(half[rec] - base[rec])
+        dist_anchor = row_norms(self.x1 - base[rec])
+        _check_finite(ts[rec], (r_tan, gap, tgap, S[rec], extreg, dynreg, dist_half,
+                                dist_anchor))
         cols = self.columns
-        cols["t"].extend(ts[rec].tolist())
-        cols["r_tan"].extend(r_tan)
-        cols["gap"].extend([None] * len(rec) if gap is None else gap)
-        cols["tgap_exact"].extend(tgap)
         cols["potential"].extend(pot)
+        for name, cells in (("t", ts[rec]), ("r_tan", r_tan), ("gap", gap),
+                            ("tgap_exact", tgap), ("dist_half", dist_half),
+                            ("dist_anchor", dist_anchor)):
+            cols[name].extend([None] * len(rec) if cells is None else cells.tolist())
         for name, table in (("eta", etas[rec]), ("S", S[rec]),
                             ("extreg", extreg), ("dynreg", dynreg)):
             per_player = [[None] * len(rec)] * N if table is None else table.T.tolist()
             for i, cells in enumerate(per_player, 1):
                 cols[f"{name}_{i}"].extend(cells)
-        cols["dist_half"].extend(dist_half)
-        cols["dist_anchor"].extend(dist_anchor)
         self.S = S[-1]
         self.x_prev, self.g_prev = base[-1].copy(), grad[-1].copy()
 
@@ -381,41 +417,42 @@ def _output_file(path):
         raise
 
 
-def _steps(game, players, x1):
-    """The self-play steps: :func:`learners.dynamics` over the joint set
-    from x1, with the oracle's gradient checked by :func:`_checked_gradient`."""
-    shape = (game.dim,)
-    return dynamics(players, game.joint_set, x1,
-                    lambda z, t, point: _checked_gradient(game.gradient_fn(z), shape, t, point))
+def block_rows(dim):
+    """Rounds per measurement block of a game of joint dimension ``dim``: as
+    many as fit ``ROW_BUDGET`` floats in one (rounds, dim) buffer, and never
+    fewer than ``BLOCK_ROWS``."""
+    return max(BLOCK_ROWS, ROW_BUDGET // dim)
 
 
 def _self_play(config, game, players, x1):
-    """Self-play over :func:`_steps`: each step's x_t, x_{t+1/2} and
-    V(x_{t+1/2}) go into the rows of three block buffers, reused from block
-    to block; a full block goes to the measurement pass. The buffers are
-    the only place the run's iterates reach."""
+    """Self-play through the :func:`learners.dynamics` kernel: it writes
+    each round's x_t, x_{t+1/2} and V(x_{t+1/2}) (and V(x_t) for a "base"
+    predictor, and the step sizes when a player is adaptive) into the rows
+    of block buffers, reused from block to block. A full block has its
+    gradient rows checked by :func:`_check_gradients` and goes to the
+    measurement pass. The buffers are the only place the run's iterates
+    reach."""
     dim, T = game.dim, config.T
-    steps = _steps(game, players, x1)
-    etas = tuple(p.eta for p in players)
-    adaptive = any(p.threshold is not None for p in players)
-
-    rows = min(BLOCK_ROWS, T)
+    rows = min(block_rows(dim), T)
+    needs_base = any(p.predictor == "base" for p in players)
     block_base, block_half, block_grad = np.empty((3, rows, dim))
-    block_etas = np.tile(etas, (rows, 1))
+    block_base_grad = np.empty((rows, dim)) if needs_base else None
+    block_etas = np.tile([p.eta for p in players], (rows, 1))
+    advance = dynamics(players, game.joint_set, x1)
     measure = _BlockMeasure(game, x1, T, config.stride, config.record_potential)
+    oracle = game.gradient_fn
+    gradient = _first_call_checked(oracle, dim, "base point" if needs_base else "played point")
 
-    with np.errstate(over="ignore", invalid="ignore"):  # the measurement pass reports
+    with np.errstate(over="ignore", invalid="ignore"):  # the block checks report
         for t0 in range(1, T + 1, rows):
             n = min(rows, T + 1 - t0)
-            # range first: zip stops before it asks the loop for a step too many
-            for k, (x, half, g_half, etas_next) in zip(range(n), steps):
-                block_base[k] = x
-                block_half[k] = half
-                block_grad[k] = g_half
-                if adaptive:
-                    block_etas[k] = etas
-                etas = etas_next
-            measure(t0, block_base[:n], block_half[:n], block_grad[:n], block_etas[:n])
+            base, half, grad, etas = (a[:n] for a in (block_base, block_half, block_grad,
+                                                      block_etas))
+            base_grad = None if block_base_grad is None else block_base_grad[:n]
+            advance(gradient, base, half, grad, base_grad, etas)
+            gradient = oracle
+            _check_gradients(t0, base_grad, grad)
+            measure(t0, base, half, grad, etas)
     if config.record_potential:  # after the run: a bad V(x_t) is named, not its P_t
         _check_finite(measure.columns["t"][1:], (measure.columns["potential"][1:],))
     return measure.columns
@@ -532,9 +569,10 @@ def fit_loglog_slope(ts, values, window=None):
 
 def emit_csv(columns, fh):
     """Write the table ``columns`` (name -> cells, all of one length, else
-    ValueError) as CSV to the open text file ``fh``, header line first."""
-    lines = [",".join(columns)]
-    lines.extend(csv_row(cells) for cells in zip(*columns.values(), strict=True))
+    ValueError) as CSV to the open text file ``fh``, header line first. The
+    cells are formatted a column at a time, by :func:`metrics.csv_cells`."""
+    text = [csv_cells(cells) for cells in columns.values()]
+    lines = [",".join(columns), *map(",".join, zip(*text, strict=True))]
     fh.write("\n".join(lines) + "\n")
 
 

@@ -5,13 +5,14 @@ state; the tag picks the predictor and whether the player is anchored from
 :data:`RULES`, and every step is :func:`step` with the one anchor term
 :func:`anchor_pull` and the latch of :func:`adapted_step_size`. The
 anchored learners (``eag``, ``aog``, ``aog_adaptive``) share the weight
-1/(t+1). :func:`dynamics` is the one round loop: it runs the rules of
-several players on their joint vector, and every iterate in the package
-comes from it. The self-play runner (``harness``) feeds it the game
-oracle's gradients, and :func:`play_rows`, the one online driver, runs a
-single learner through it against a gradient source, writing each charged
-action and its checked gradient into arrays; the extragradient-style
-learners (``eg``, ``eag``) charge both phase points.
+1/(t+1). :func:`dynamics` is the one round loop, a block kernel: it runs
+the rules of several players on their joint vector and writes each
+round's points and gradients into the caller's rows, and every iterate in
+the package comes from it. The self-play runner (``harness``) feeds it
+the game oracle's gradients, and :func:`play_rows`, the one online
+driver, runs a single learner through it against a gradient source, into
+the arrays of each charged action and its checked gradient; the
+extragradient-style learners (``eg``, ``eag``) charge both phase points.
 
 Tags: ``gd``, ``og``, ``eg``, ``eag``, ``aog``, ``aog_adaptive``.
 """
@@ -54,13 +55,14 @@ def anchor_pull(x1, x, weight):
     return (x1 - x) * weight
 
 
-def step(feasible_set, x, eta, g, pull=None):
-    """One projected step P(x - eta * g + pull) on finite, sized vectors.
+def step(feasible_set, x, move, pull=None):
+    """One projected step P(x - move + pull) on finite, sized vectors.
 
-    ``eta`` is a scalar or a per-coordinate vector; ``pull`` is the anchor
-    term from :func:`anchor_pull`, or None for no anchor.
+    ``move`` is the gradient term eta * g of the step, with ``eta`` a scalar
+    or a per-coordinate vector; ``pull`` is the anchor term from
+    :func:`anchor_pull`, or None for no anchor.
     """
-    y = x - eta * g
+    y = x - move
     if pull is not None:
         y += pull
     return feasible_set.project(y)
@@ -142,13 +144,16 @@ def make_learner(tag, feasible_set, x1, eta=None, L=None, D=None):
 # -- the round loop ------------------------------------------------------------
 
 
-def _joint_rule(players, dims, x1):
+def _joint_rule(players, dims):
     """Lay the players' update rule out over the joint vector.
 
-    Returns ``predict(g_prev, g_base)``, the half-step predictor (None when
-    every player plays its base iterate), and ``pull(x, t)``, the anchor term
-    of round t (None when no player is anchored). Both follow each player's
-    (predictor, anchored) from ``RULES``, coordinate by coordinate.
+    Returns ``predict(move_prev, move_base)``, the gradient term of the half
+    step from the last round's term eta * V(x_{t-1/2}) and this round's
+    eta * V(x_t) (None when every player plays its base iterate), and the
+    anchor mask: None when no player is anchored, else the weight of the
+    anchor term per coordinate, 1.0 when every player is anchored. Both
+    follow each player's (predictor, anchored) from ``RULES``, coordinate
+    by coordinate.
     """
     preds = {p.predictor for p in players}
 
@@ -156,79 +161,99 @@ def _joint_rule(players, dims, x1):
         return np.repeat([bool(test(p)) for p in players], dims)
 
     if preds == {"none"}:
-        predict = lambda g_prev, g_base: None
+        predict = lambda move_prev, move_base: None
     elif preds == {"last"}:
-        predict = lambda g_prev, g_base: g_prev
+        predict = lambda move_prev, move_base: move_prev
     elif preds == {"base"}:
-        predict = lambda g_prev, g_base: g_base
+        predict = lambda move_prev, move_base: move_base
     else:
         use_base = mask(lambda p: p.predictor == "base")
         use_none = mask(lambda p: p.predictor == "none")
 
-        def predict(g_prev, g_base):
-            g_hat = g_prev if g_base is None else np.where(use_base, g_base, g_prev)
-            return np.where(use_none, 0.0, g_hat)
+        def predict(move_prev, move_base):
+            move = move_prev if move_base is None else np.where(use_base, move_base, move_prev)
+            return np.where(use_none, 0.0, move)
 
     anchored = [p.anchored for p in players]
     if not any(anchored):
-        return predict, lambda x, t: None
-    # weight 1/(t+1) on anchored coordinates, 0 on the rest
-    w = 1.0 if all(anchored) else np.repeat(anchored, dims).astype(float)
-    return predict, lambda x, t: anchor_pull(x1, x, w * (1.0 / (t + 1.0)))
+        return predict, None
+    return predict, 1.0 if all(anchored) else np.repeat(anchored, dims).astype(float)
 
 
-def dynamics(players, feasible_set, x1, gradient):
+def dynamics(players, feasible_set, x1):
     """The round loop: every iterate of a run, self-play or online, comes
-    from this generator.
+    from the block kernel this returns.
 
-    It advances the players' joint state from x1, their start points
-    concatenated, on ``feasible_set``, the joint set. Step t asks
-    ``gradient(z, t, point)`` for the joint gradient at the "base point" x_t
-    (only when a player's predictor is "base", as for eg and eag) and at
-    the "played point" x_{t+1/2}, and yields the tuple
-
-        x_t, x_{t+1/2}, V(x_{t+1/2}), etas
-
-    where ``etas`` are the players' step sizes for step t+1 (an adaptive
-    player's changes from the round its S passes its threshold); x_{t+1} is
-    the next step's x_t. Yielded arrays are never written to afterwards. A
-    "last" predictor's first half step is x1 exactly: its gradient estimate
-    starts at zero, and the anchor displacement vanishes at t = 1.
+    The kernel advances the players' joint state from x1, their start
+    points concatenated, on ``feasible_set``, the joint set, and keeps it
+    from call to call. ``advance(gradient, base, half, grad, base_grad=None,
+    etas=None)`` runs the next ``len(base)`` rounds and writes round t's
+    x_t, x_{t+1/2} and V(x_{t+1/2}) into the next row of ``base``, ``half``
+    and ``grad``. ``gradient(z)`` is the joint gradient at a row ``z``: at
+    the "base point" x_t, into ``base_grad``, only when a player's predictor
+    is "base" (as for eg and eag), and then at the "played point"
+    x_{t+1/2}. When a player is adaptive, ``etas`` gets the players' step
+    sizes of each round; it is not written otherwise. x_{t+1} is the next
+    round's x_t. ``gradient`` is called with the written row, never with
+    the kernel's own iterate, and is not checked here: each caller checks
+    what it trusts less. A "last" predictor's first half step is x1 exactly:
+    its gradient estimate starts at zero, and the anchor displacement
+    vanishes at t = 1.
     """
     dims = [p.set.dim for p in players]
     slices = list(player_slices(dims))
-    predict, pull_of = _joint_rule(players, dims, x1)
+    predict, anchor_mask = _joint_rule(players, dims)
     needs_base = any(p.predictor == "base" for p in players)
-    etas = [p.eta for p in players]
-    eta = np.repeat(etas, dims)
+    etas_now = np.array([p.eta for p in players])
+    eta = np.repeat(etas_now, dims)
     # (player, slice, threshold) of each adaptive player
     adaptive = [(i, slices[i], p.threshold) for i, p in enumerate(players)
                 if p.threshold is not None]
     latched, s_var = [False] * len(players), [0.0] * len(players)
-    x, g_prev, g_base = x1, np.zeros(x1.size), None
-    t = 0
-    while True:
-        t += 1
-        if needs_base:
-            g_base = gradient(x, t, "base point")
-        pull = pull_of(x, t)
-        g_hat = predict(g_prev, g_base)
-        half = x if g_hat is None else step(feasible_set, x, eta, g_hat, pull)
-        g_half = gradient(half, t, "played point")
-        x_next = step(feasible_set, x, eta, g_half, pull)
-        if adaptive and t >= 2:
-            d = g_half - g_prev
-            for i, s, threshold in adaptive:
-                # player i's increment of S: the np.vecdot of its slice that
-                # metrics.player_dots takes, so S is the measured S bit for bit
-                s_var[i] += np.vecdot(d[s], d[s])
-                # eta can move only once S passes the threshold
-                if latched[i] or s_var[i] > threshold:
-                    etas[i], latched[i] = adapted_step_size(
-                        etas[i], s_var[i], threshold, latched[i])
-                    eta[s] = etas[i]
-        yield x, half, g_half, tuple(etas)
-        x, g_prev = x_next, g_half
+    # the step's gradient term eta * V(x_{t-1/2}) of the last round, with
+    # this round's eta: a "last" predictor's half step reuses it
+    x, g_prev, move_prev, t = x1, np.zeros(x1.size), np.zeros(x1.size), 0
+
+    def advance(gradient, base, half, grad, base_grad=None, etas=None):
+        nonlocal x, g_prev, move_prev, t
+        write_etas = bool(adaptive) and etas is not None
+        # each round's anchor weight 1/(t+1), on the anchored coordinates
+        weights = None if anchor_mask is None else (
+            anchor_mask * (1.0 / (np.arange(t + 1, t + len(base) + 1) + 1.0))[:, None])
+        pull = move_base = None
+        for k in range(len(base)):
+            t += 1
+            base[k] = x
+            if write_etas:
+                etas[k] = etas_now
+            if needs_base:
+                g_base = gradient(base[k])
+                base_grad[k] = g_base
+                move_base = eta * g_base
+            if weights is not None:
+                pull = anchor_pull(x1, x, weights[k])
+            move_hat = predict(move_prev, move_base)
+            half[k] = x if move_hat is None else step(feasible_set, x, move_hat, pull)
+            g = gradient(half[k])
+            grad[k] = g
+            move_prev = eta * g
+            x = step(feasible_set, x, move_prev, pull)
+            if adaptive and t >= 2:
+                d = g - g_prev
+                for i, s, threshold in adaptive:
+                    # player i's increment of S: the np.vecdot of its slice that
+                    # metrics.player_dots takes, so S is the measured S bit for bit
+                    s_var[i] += np.vecdot(d[s], d[s])
+                    # eta can move only once S passes the threshold
+                    if latched[i] or s_var[i] > threshold:
+                        etas_now[i], latched[i] = adapted_step_size(
+                            etas_now[i], s_var[i], threshold, latched[i])
+                        eta[s] = etas_now[i]
+                if any(latched):  # the next round predicts with the new eta
+                    move_prev = eta * g
+            g_prev = g
+
+    return advance
 
 
 def play_rows(learner, gradient_source, rounds):
@@ -236,11 +261,12 @@ def play_rows(learner, gradient_source, rounds):
     Returns (plays, grads), each (rounds, dim), with the action of round t
     and its gradient in row t - 1.
 
-    This is :func:`dynamics` with one player and ``gradient_source(t,
-    action)`` in place of the oracle. An eg/eag learner plays both phase
-    points, each charged as one round: its base iterate, whose gradient it
-    predicts with, and then its probe point. With an odd ``rounds`` its run
-    ends after a base iterate.
+    This is the :func:`dynamics` kernel with one player and
+    ``gradient_source(t, action)`` in place of the oracle, writing straight
+    into the two arrays. An eg/eag learner plays both phase points, each
+    charged as one round: its base iterate, whose gradient it predicts
+    with, and then its probe point. With an odd ``rounds`` its run ends
+    after a base iterate.
 
     This is the one check of an online gradient: each is checked for size
     and finiteness before the learner uses it, and a bad one raises
@@ -249,24 +275,25 @@ def play_rows(learner, gradient_source, rounds):
     used.
     """
     dim, t = learner.set.dim, 0
-    plays, grads = np.empty((2, rounds, dim))
+    two_phase = learner.predictor == "base"
+    steps = -(-rounds // 2) if two_phase else rounds
+    plays, grads = np.empty((2, steps * (1 + two_phase), dim))
 
-    def gradient(point, _step, _point):
+    def gradient(point):
         nonlocal t
         if t == rounds:  # an odd horizon's last probe point: never played
             return np.zeros(dim)
         t += 1
-        # the source gets the charged row, never the loop's own iterate
-        plays[t - 1] = point
-        g = gradient_source(t, plays[t - 1])
+        # ``point`` is the charged row of ``plays``
+        g = gradient_source(t, point)
         try:
-            g = _as_vector(g, dim)
+            return _as_vector(g, dim)
         except GeometryError as exc:
             raise GeometryError(f"round {t}: gradient from the source: {exc}") from None
-        grads[t - 1] = g
-        return g
 
-    steps = dynamics([learner], learner.set, learner.x1, gradient)
-    while t < rounds:
-        next(steps)
-    return plays, grads
+    advance = dynamics([learner], learner.set, learner.x1)
+    if two_phase:
+        advance(gradient, plays[0::2], plays[1::2], grads[1::2], base_grad=grads[0::2])
+    else:  # x_t is not played: the kernel writes it first, and x_{t+1/2} over it
+        advance(gradient, plays, plays, grads)
+    return plays[:rounds], grads[:rounds]

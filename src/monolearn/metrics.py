@@ -60,11 +60,14 @@ def linearized_gaps(gx, lows):
 
 def best_response_gaps(game: GameOracle, Z):
     """Per-player loss minus exact best-response value at the feasible
-    profile rows ``Z`` (k, dim): shape (k, N), one oracle call per player."""
+    profile rows ``Z`` (k, dim): shape (k, N), one oracle call per player.
+    A misshaped result raises :class:`GameError`; the values are not checked
+    here, since the runner checks every measured cell for overflow."""
     gaps = np.stack([game.losses[i](Z) - game.best_response_fn(i, Z)[1]
                      for i in range(game.num_players)], axis=-1)
-    if gaps.shape != (len(Z), game.num_players) or not np.isfinite(gaps).all():
-        raise GameError(f"game {game.name!r}: non-finite or misshaped exact best-response gaps")
+    if gaps.shape != (len(Z), game.num_players):
+        raise GameError(f"game {game.name!r}: misshaped exact best-response gaps: shape "
+                        f"{gaps.shape}, expected {(len(Z), game.num_players)}")
     return gaps
 
 
@@ -123,7 +126,19 @@ def csv_header(num_players):
                      "dist_half", "dist_anchor"])
 
 
+def csv_cells(cells):
+    """The CSV text of each of ``cells``, Python ints and floats: ``repr``
+    round-trips a float exactly, and None is an empty cell. Cells that all
+    hold one nonzero float, as the column of a fixed step size does, share
+    one ``repr``: equal nonzero floats have equal bits."""
+    first = cells[0] if len(cells) else None
+    if isinstance(first, float) and first != 0.0 and all(v == first for v in cells):
+        return [repr(first)] * len(cells)
+    if None in cells:
+        return ["" if v is None else repr(v) for v in cells]
+    return list(map(repr, cells))
+
+
 def csv_row(cells):
-    """One CSV line from a row's cells, Python ints and floats: ``repr``
-    round-trips a float exactly, and None is an empty cell."""
-    return ",".join(["" if v is None else repr(v) for v in cells])
+    """One CSV line from a row's cells (see :func:`csv_cells`)."""
+    return ",".join(csv_cells(cells))

@@ -101,9 +101,9 @@ def check_descent_identity(inst: IdentityInstance):
 def identity_instance_from_trace(game, x1, eta, t, steps):
     """Substitute round t of a fixed-step anchored run of ``game`` into the identity.
 
-    ``steps`` are the three consecutive steps of rounds t-1, t and t+1 that
-    :func:`learners.dynamics` yields: x_{t-1}, x_t, x_{t+1/2}, x_{t+1} and V
-    at the half points. V(x_t) and V(x_{t+1}) are ``game.gradient_fn`` there.
+    ``steps`` are rounds t-1, t and t+1 of the :func:`learners.dynamics`
+    kernel, each as (x_t, x_{t+1/2}, V(x_{t+1/2}), step sizes): x_{t-1},
+    x_t, x_{t+1/2}, x_{t+1} and V at the half points. V(x_t) and V(x_{t+1}) are ``game.gradient_fn`` there.
     Maps x_1 -> a0, x_{t-1+k/2} -> a_k (k = 2, 3), eta V(x_{t-1+k/2}) -> b_k,
     eta c_t -> u2, eta c_{t+1} -> u4, and q = (eta L)^2 with the game's L.
     The derived a4 reproduces x_{t+1} exactly: u4 comes from the same update.

@@ -5,7 +5,8 @@ import pytest
 
 from monolearn.games import make_game
 from monolearn.geometry import row_norms
-from monolearn.harness import ExperimentConfig, _build_learners, _steps, run_self_play
+from monolearn.harness import ExperimentConfig, _build_learners, run_self_play
+from monolearn.learners import dynamics
 from monolearn.metrics import anchored_potential, normal_element
 
 # The three bounded instances used by the rate-certificate acceptance runs.
@@ -33,18 +34,25 @@ def box_points(box, rng, k):  # k uniform points of a Box, one per row
     return rng.uniform(box.lower, box.upper, (k, box.dim))
 
 
-def kernel_steps(config):
-    """(game, players, x1, steps): the steps ``harness._self_play`` runs,
-    from the same builders."""
+def run_kernel(players, feasible_set, x1, gradient, rounds):
+    """(base, half, grad, etas): the rows of ``rounds`` rounds of the
+    ``learners.dynamics`` kernel, in one call. ``etas`` starts as the
+    players' step sizes, tiled, as in ``harness._self_play``."""
+    base, half, grad, base_grad = np.empty((4, rounds, x1.size))
+    etas = np.tile([p.eta for p in players], (rounds, 1))
+    dynamics(players, feasible_set, x1)(gradient, base, half, grad, base_grad, etas)
+    return base, half, grad, etas
+
+
+def kernel_run(config, rounds=None):
+    """(game, players, x1, steps): the kernel that ``harness._self_play``
+    runs, from the same builders, on the bare oracle. ``steps`` lists
+    (x_t, x_{t+1/2}, V(x_{t+1/2}), step sizes of round t) for rounds
+    1..``rounds`` (default T)."""
     game = make_game(config.game, **config.game_params)
     players, _, x1 = _build_learners(config, game)
-    return game, players, x1, _steps(game, players, x1)
-
-
-def kernel_run(config):
-    """:func:`kernel_steps` with the steps of rounds 1..T in a list."""
-    game, players, x1, steps = kernel_steps(config)
-    return game, players, x1, [step for _, step in zip(range(config.T), steps)]
+    rows = run_kernel(players, game.joint_set, x1, game.gradient_fn, rounds or config.T)
+    return game, players, x1, list(zip(*rows))
 
 
 def replay_potential(config, columns):

@@ -98,17 +98,29 @@ def test_bilinear_best_responses():
     assert np.array_equal(a, [-1.0]) and v == 0.0
 
 
+def appendix_e_loss(n, player, z):
+    """``player``'s loss at the profile ``z`` of the Appendix E game, from
+    the paper's f(x, y) = x'Hx/2 - h'x - <Ax - b, y>: player 1 minimizes f,
+    player 2 maximizes it."""
+    A, b, h, H = paper_appendix_e(n)
+    x, y = z[:n], z[n:]
+    f = 0.5 * x @ H @ x - h @ x - (A @ x - b) @ y
+    return f if player == 0 else -f
+
+
 def test_gradients_match_finite_differences():
     cases = [
-        make_bilinear_saddle(1.5, 1.0, (2, 2)),
-        make_appendix_e_instance(4, box_half_width=5.0),
+        (make_bilinear_saddle(1.5, 1.0, (2, 2)), None),
+        (make_appendix_e_instance(4, box_half_width=5.0), 4),
     ]
-    for game in cases:
+    for game, n in cases:
         slices = game.slices()
         for z in box_points(game.joint_set, RNG, 10):
             v = game.gradient_fn(z)
             for i, s in enumerate(slices):
-                full = central_difference_gradient(lambda w: loss_at(game, i, w), z)
+                loss = (lambda w: loss_at(game, i, w)) if n is None else (
+                    lambda w: appendix_e_loss(n, i, w))
+                full = central_difference_gradient(loss, z)
                 got, want = v[s], full[s]
                 denom = max(1.0, float(np.linalg.norm(want)))
                 assert np.linalg.norm(got - want) <= 1e-5 * denom
@@ -438,19 +450,6 @@ def test_bilinear_gradient_and_best_responses_are_closed_forms(scale, d):
             # the one-profile loss formula the row form replaced
             assert same_bits(losses[k], loss_at(game, player, z))
             assert same_bits(losses[k], (1 - 2 * player) * scale * float(x @ y))
-
-
-def test_appendix_e_row_losses_match_the_formula():
-    game = make_appendix_e_instance(5, box_half_width=2.0)
-    A, b, h, H = paper_appendix_e(5)
-    Z = box_points(game.joint_set, RNG, 7)
-    rows = [game.losses[i](Z) for i in range(2)]
-    for k, z in enumerate(Z):
-        x, y = z[:5], z[5:]
-        f = 0.5 * x @ H @ x - h @ x - (A @ x - b) @ y
-        assert math.isclose(rows[0][k], f, rel_tol=1e-12, abs_tol=1e-12)
-        assert same_bits(rows[1][k], -rows[0][k])
-        assert same_bits(rows[0][k], loss_at(game, 0, z))
 
 
 def test_best_response_needs_losses():

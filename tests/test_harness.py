@@ -165,6 +165,21 @@ def test_witness_membership_check_holds_on_scaled_games(params):
     assert all(np.isfinite(potential[1:]))
 
 
+def test_witness_check_reports_a_miss_when_the_squares_overflow(monkeypatch):
+    # eta = 1e160 on an unbounded game, and a witness moved by 1e40 per
+    # coordinate at round 2, where the true c_2 is 0: ||eta c_t|| ~ 1.4e200
+    # is finite but its square is not, and the miss is as large. A tolerance
+    # scaled by an overflowed square would be inf and pass the miss.
+    from monolearn import harness
+
+    normal_element = harness.normal_element
+    monkeypatch.setattr(harness, "normal_element", lambda *a: normal_element(*a) + 1e40)
+    cfg = ExperimentConfig(game="random_linear_monotone", game_params={"dims": (1, 1)},
+                           algo="aog", eta=1e160, T=2, record_potential=True)
+    with pytest.raises(HarnessError, match=r"^round 2: .*normal cone .*= 1\.414e\+200\)$"):
+        run_self_play(cfg)
+
+
 def test_unbounded_run_reports_residual_only():
     cfg = ExperimentConfig(
         game="random_linear_monotone",
@@ -218,6 +233,28 @@ def test_non_finite_base_gradient_aborts_with_round(monkeypatch):
     cfg = ExperimentConfig(game="bilinear", algo="eg", T=10)
     with pytest.raises(HarnessError, match=r"round 3: .*base point"):
         run_self_play(cfg)
+
+
+def test_inf_base_gradient_clipped_on_a_box_aborts_with_round(monkeypatch):
+    # An inf base gradient at round 4 sends eg's half step to a corner of the
+    # box: a finite point, with a finite played gradient. The block's check
+    # of the base gradient rows still names the round and the point.
+    game = make_game("bilinear", dims=(1, 1))
+    grad, calls = game.gradient_fn, []
+
+    def gradient_fn(z):
+        calls.append(z.copy())
+        g = grad(z)
+        return np.full_like(g, np.inf) if len(calls) == 7 else g
+
+    game.gradient_fn = gradient_fn
+    monkeypatch.setattr("monolearn.harness.make_game", lambda *a, **k: game)
+    with pytest.raises(HarnessError, match=r"^round 4: non-finite gradient from the oracle "
+                                           r"at the base point$"):
+        run_self_play(ExperimentConfig(game="bilinear", algo="eg", T=10))
+    # round 4's played point is a finite corner, and every later point is finite
+    assert np.array_equal(np.abs(calls[7]), [1.0, 1.0])
+    assert np.isfinite(calls).all()
 
 
 def test_non_finite_potential_gradient_aborts_with_round(monkeypatch):
@@ -580,12 +617,21 @@ def assert_one_error_line(capsys, *needles):
     ({**APPENDIX_E, "game_params": {"n": 4, "box_half_width": 1e308}},
      "game_params: box_half_width:"),
     ({**RANDOM_LINEAR, "game_params": {"bounded": 1e308}}, "game_params: bounded:"),
-    # a finite diameter, but the losses overflow: inf - inf gives no warning
+    # a finite diameter, but the losses overflow: inf - inf gives no warning,
+    # and the block's finite check names the round of the exact gap
     ({**BILINEAR, "game_params": {"box_radius": 1e200}},
-     "non-finite or misshaped exact best-response gaps"),
+     "round 1: a measured value overflowed"),
     # 1/(sqrt(6) L) rounds to 0
     ({"game": "bilinear", "T": 20, "game_params": {"payoff_scale": 1.7e308}},
      "eta: the default step size of aog is 0 at L = 1.7e+308"),
+    # a finite M whose ||M||_2 is past the float range: one error naming the key
+    ({"game": "random_linear_monotone", "T": 20,
+      "game_params": {"dims": [50, 50], "skew_scale": 2e307}}, "game_params: skew_scale:"),
+    # the base gradient of round 1 overflows and eta 1e-300 keeps the half
+    # step finite: the per-block check names the round and the point
+    ({"game": "random_linear_monotone", "T": 20, "algo": "eg", "eta": 1e-300,
+      "game_params": {"dims": [50, 50], "skew_scale": 1e307}},
+     "round 1: non-finite gradient from the oracle at the base point"),
 ])
 # a warning (numpy's overflow RuntimeWarning, say) would be a second stderr line
 @pytest.mark.filterwarnings("error")

@@ -4,8 +4,9 @@
 shared update-rule functions (``RULES``, ``step``, ``anchor_pull``,
 ``adapted_step_size``) and nothing of the round loop. ``reference_self_play``
 steps one per player and measures every round per player, on the product of
-the players' sets. ``learners.dynamics``, driven as ``run_self_play`` drives
-it, must reproduce its iterates bit for bit, and ``run_self_play`` its
+the players' sets. The ``learners.dynamics`` kernel, on the oracle that
+``run_self_play`` hands it, must reproduce its iterates bit for bit, and
+``run_self_play`` its
 recorded rows to 1e-12. ``reference_play`` charges one learner's
 phase points as online rounds, as ``learners.play_rows`` must.
 """
@@ -24,6 +25,7 @@ from monolearn.harness import (
     ExperimentConfig,
     HarnessError,
     _build_learners,
+    block_rows,
     run_self_play,
 )
 from monolearn.learners import (
@@ -36,7 +38,7 @@ from monolearn.learners import (
     step,
 )
 
-from conftest import kernel_steps
+from conftest import kernel_run
 
 TAGS = sorted(RULES)
 
@@ -61,10 +63,10 @@ class RefPlayer:
         if self.predictor == "none":
             return self.x.copy()
         g_hat = self.g_prev if self.predictor == "last" else g_base
-        return step(self.rule.set, self.x, self.eta, g_hat, self.pull())
+        return step(self.rule.set, self.x, self.eta * g_hat, self.pull())
 
     def update(self, g):
-        x_next = step(self.rule.set, self.x, self.eta, g, self.pull())
+        x_next = step(self.rule.set, self.x, self.eta * g, self.pull())
         if self.t >= 2:
             d = g - self.g_prev
             self.S += float(d @ d)
@@ -180,9 +182,8 @@ def close(a, b, rel=1e-12, floor=0.0):
 def assert_equivalent(config, floor=0.0):
     result = run_self_play(config)
     rows, bases, halves, grads, etas = reference_self_play(config)
-    # T + 1 steps: x_{T+1} is the base point of step T + 1
-    *_, steps = kernel_steps(config)
-    run = [s for _, s in zip(range(config.T + 1), steps)]
+    # T + 1 rounds: x_{T+1} is the base point of round T + 1
+    *_, run = kernel_run(config, config.T + 1)
     for name, want, got in (("base", bases, [s[0] for s in run]),
                             ("half", halves, [s[1] for s in run[:-1]]),
                             ("grad", grads, [s[2] for s in run[:-1]])):
@@ -190,7 +191,7 @@ def assert_equivalent(config, floor=0.0):
         for k, (w, g) in enumerate(zip(want, got)):
             assert np.array_equal(w, g), f"{name} differs at round {k + 1}"
     # the step sizes after round T, which no CSV row holds
-    assert list(run[config.T - 1][3]) == etas
+    assert list(run[config.T][3]) == etas
     ts = result["t"]
     assert ts == [row["t"] for row in rows]
     assert sorted(result) == sorted(rows[0])
@@ -244,12 +245,23 @@ def test_adaptive_switch_mid_run_matches_reference():
 
 
 # -- block boundaries of the measurement pass ----------------------------------
+# A run's blocks are block_rows(dim) rounds: 1024 at dimension 4 and 409 at
+# dimension 10. The tests whose parameters name rounds of B = BLOCK_ROWS
+# take the block_budget fixture, which sets the budget to 0, so that
+# block_rows gives BLOCK_ROWS at every dimension; the rest take the real
+# row count from block_rows.
 
 B = BLOCK_ROWS
 
 
+@pytest.fixture
+def block_budget(monkeypatch):
+    monkeypatch.setattr("monolearn.harness.ROW_BUDGET", 0)
+    assert block_rows(4) == block_rows(10) == B
+
+
 @pytest.mark.parametrize("T", [2 * B - 1, 2 * B, 2 * B + 1])
-def test_horizon_around_block_multiples_matches_reference(T):
+def test_horizon_around_block_multiples_matches_reference(T, block_budget):
     result = assert_equivalent(ExperimentConfig(game="bilinear", game_params={"dims": (2, 2)},
                                                 algo="aog", T=T, record_potential=True))
     assert result["t"] == list(range(1, T + 1))
@@ -260,14 +272,15 @@ def test_horizon_around_block_multiples_matches_reference(T):
 @pytest.mark.parametrize("game, params", [("appendix_e", {"n": 5}),
                                           ("bilinear", {"dims": (2, 2)})])
 def test_stride_longer_than_a_block_matches_reference(game, params):
-    # Rounds B+1..2B and 3B+1..4B form blocks without a recorded row.
+    # Rounds R+1..2R and 3R+1..4R form blocks without a recorded row.
+    R = block_rows(make_game(game, **params).dim)
     result = assert_equivalent(ExperimentConfig(game=game, game_params=params, algo="aog",
-                                                eta=0.3, T=5 * B + 3, stride=2 * B + 1))
-    assert result["t"] == [1, 2 * B + 2, 4 * B + 3, 5 * B + 3]
+                                                eta=0.3, T=5 * R + 3, stride=2 * R + 1))
+    assert result["t"] == [1, 2 * R + 2, 4 * R + 3, 5 * R + 3]
 
 
 @pytest.mark.parametrize("latch_round", [B, B + 1, B + B // 2])
-def test_adaptive_switch_at_block_positions_matches_reference(latch_round):
+def test_adaptive_switch_at_block_positions_matches_reference(latch_round, block_budget):
     # Both players share one threshold. It sits halfway between the larger
     # player S of a fixed-step run at latch_round - 1 and at latch_round, so
     # the first latch trips on latch_round and the adapted step is first
@@ -290,7 +303,7 @@ def test_adaptive_switch_at_block_positions_matches_reference(latch_round):
         assert etas[latch_round][i] == 1.0 / math.sqrt(1.0 + S[latch_round - 1])
 
 
-def test_mixed_tags_with_mid_run_latch_across_blocks_match_reference():
+def test_mixed_tags_with_mid_run_latch_across_blocks_match_reference(block_budget):
     # With this D the aog_adaptive player first plays its adapted step at
     # round 148, inside the second block.
     result = assert_equivalent(ExperimentConfig(
@@ -303,28 +316,33 @@ def test_mixed_tags_with_mid_run_latch_across_blocks_match_reference():
 def test_non_finite_gradient_mid_block_raises_and_leaves_no_csv(tmp_path, monkeypatch):
     game = make_game("bilinear", dims=(1, 1))
     grad, calls = game.gradient_fn, []
+    R = block_rows(game.dim)
 
     def gradient_fn(z):
         calls.append(z)
         # aog calls the oracle once per round
-        return np.array([np.nan, 0.0]) if len(calls) == B + 17 else grad(z)
+        return np.array([np.nan, 0.0]) if len(calls) == R + 17 else grad(z)
 
     game.gradient_fn = gradient_fn
     monkeypatch.setattr("monolearn.harness.make_game", lambda *a, **k: game)
     out = tmp_path / "run.csv"
-    with pytest.raises(HarnessError, match=rf"round {B + 17}: non-finite"):
-        run_self_play(ExperimentConfig(game="bilinear", T=3 * B, out=str(out)))
+    with pytest.raises(HarnessError, match=rf"^round {R + 17}: non-finite gradient from the "
+                                           rf"oracle at the played point$"):
+        run_self_play(ExperimentConfig(game="bilinear", T=3 * R, out=str(out)))
     assert list(tmp_path.iterdir()) == []
+    # the block is checked before it is measured: the oracle ran to its end
+    assert len(calls) == 2 * R
 
 
 @pytest.mark.parametrize("game, params", [("bilinear", {"dims": (2, 2)}),
                                           ("appendix_e", {"n": 5})])
 def test_strided_rows_equal_stride_one_rows(game, params):
+    R = block_rows(make_game(game, **params).dim)
     runs = [run_self_play(ExperimentConfig(game=game, game_params=params, algo="aog",
-                                           eta=0.3, T=2 * B + 7, stride=stride))
-            for stride in (1, B // 3)]
+                                           eta=0.3, T=2 * R + 7, stride=stride))
+            for stride in (1, R // 3)]
     every, strided = runs
-    assert every["t"] == list(range(1, 2 * B + 8))
+    assert every["t"] == list(range(1, 2 * R + 8))
     for name, cells in strided.items():
         assert cells == [every[name][t - 1] for t in strided["t"]], name
 
@@ -335,7 +353,8 @@ def test_strided_rows_equal_stride_one_rows(game, params):
 @settings(max_examples=25, deadline=None)
 @given(tags=st.lists(st.sampled_from(TAGS), min_size=1, max_size=3), data=st.data())
 def test_random_tag_mixes_match_reference(tags, data):
-    # A small D puts the adaptive latch inside the run; T straddles a block.
+    # A small D puts the adaptive latch inside the run; T straddles the
+    # first block of the game's block_rows rounds.
     # Iterates must match bit for bit. A column that cancels to zero, such
     # as the gap of a profile at a corner of the box, keeps a few ulps of
     # its O(1) terms, and the per-player and joint sums order them
@@ -343,10 +362,11 @@ def test_random_tag_mixes_match_reference(tags, data):
     dims = data.draw(st.lists(st.integers(1, 3), min_size=len(tags), max_size=len(tags)))
     params = {"dims": dims, "seed": data.draw(st.integers(0, 2**16)),
               "bounded": data.draw(st.sampled_from([None, 0.5, 2.0]))}
+    R = block_rows(sum(dims))
     assert_equivalent(ExperimentConfig(
         game="random_linear_monotone", game_params=params, algo=tags,
-        T=data.draw(st.integers(B - 2, B + 2)),
-        stride=data.draw(st.sampled_from([1, 7, B + 1])),
+        T=data.draw(st.integers(R - 2, R + 2)),
+        stride=data.draw(st.sampled_from([1, 7, R + 1])),
         D=data.draw(st.sampled_from([1e-3, 1e-2, 30.0]))), floor=1e-12)
 
 

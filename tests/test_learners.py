@@ -7,22 +7,22 @@ from monolearn.games import make_game
 from monolearn.geometry import GeometryError, Unconstrained, symmetric_box
 from monolearn.learners import (
     default_step_size,
-    dynamics,
     make_learner,
     play_rows,
 )
+
+from conftest import run_kernel
 
 RNG = np.random.default_rng(2024)
 
 
 def scripted_steps(learner, grads):
-    """The round loop's per-step output for one learner: the played point
-    of step t gets the gradient ``grads[t - 1]``, the base point V(x) = x."""
-    def gradient(z, t, point):
-        return z.copy() if point == "base point" else np.atleast_1d(grads[t - 1])
-
-    steps = dynamics([learner], learner.set, learner.x1, gradient)
-    return [next(steps) for _ in grads]
+    """The kernel's rows for one learner without a base predictor, as
+    (x_t, x_{t+1/2}, V(x_{t+1/2}), step sizes of round t) per round: the
+    played point of round t gets the gradient ``grads[t - 1]``."""
+    played = (np.atleast_1d(g) for g in grads)
+    rows = run_kernel([learner], learner.set, learner.x1, lambda z: next(played), len(grads))
+    return list(zip(*rows))
 
 
 def test_first_anchored_proposal_is_start_point():
@@ -71,17 +71,16 @@ def test_adaptive_threshold_latch():
     eta0 = learner.eta
     # threshold 4500*pi*D^2*L^2 ~ 1.41e-3; a gradient swing of 2 trips it
     grads = [1.0, -1.0, 1.0]
-    steps = scripted_steps(learner, grads)
-    assert steps[0][-1] == (eta0,)
+    # the step sizes of rounds 1..5: round t + 1 plays the one set after round t
+    etas = [float(row[-1][0]) for row in scripted_steps(learner, grads + [1.0, 0.0])]
+    assert etas[:2] == [eta0, eta0]
     S = float(np.sum(np.diff(grads) ** 2))
     assert S > learner.threshold
-    (eta,) = steps[-1][-1]
-    assert eta != eta0
-    assert math.isclose(eta, 1.0 / math.sqrt(1.0 + S))
-    # latched: even a quiet round keeps the adaptive branch active
-    (eta,) = scripted_steps(learner, grads + [1.0])[-1][-1]
-    assert eta != eta0
-    assert math.isclose(eta, 1.0 / math.sqrt(1.0 + S))
+    assert etas[3] != eta0
+    assert math.isclose(etas[3], 1.0 / math.sqrt(1.0 + S))
+    # latched: even a quiet round (round 4) keeps the adaptive branch active
+    assert etas[4] != eta0
+    assert math.isclose(etas[4], 1.0 / math.sqrt(1.0 + S))
 
 
 def hair_trigger_adaptive():
@@ -93,17 +92,17 @@ def hair_trigger_adaptive():
 
 def test_adaptive_stays_constant_under_constant_gradients():
     learner = hair_trigger_adaptive()
-    etas = [etas for *_, etas in scripted_steps(learner, [0.7] * 50)]
+    etas = [float(etas[0]) for *_, etas in scripted_steps(learner, [0.7] * 50)]
     assert 0.0 < learner.threshold < 1e-295
     # S == 0.0 after every round: the latch never trips
-    assert set(etas) == {(learner.eta,)}
-    assert math.isclose(etas[-1][0], 1.0 / 3.0)
+    assert set(etas) == {learner.eta}
+    assert math.isclose(etas[-1], 1.0 / 3.0)
 
 
 def test_variation_sum_skips_first_round():
     learner = hair_trigger_adaptive()
     # t = 1: not counted against g_prev = 0, so S == 0.0 after it
-    (first,), (second,) = (etas for *_, etas in scripted_steps(learner, [5.0, 4.0]))
+    _, (first,), (second,) = (etas for *_, etas in scripted_steps(learner, [5.0, 4.0, 0.0]))
     assert first == learner.eta
     # then S = (4 - 5)^2 = 1, read back from eta = 1/sqrt(1+S)
     assert math.isclose(1.0 / second**2 - 1.0, 1.0)
@@ -116,18 +115,19 @@ def test_adaptive_step_sizes_follow_each_players_variation():
     # second-order variation of the player's own gradient slice: bit for
     # bit, as the measurement pass's S column computes it.
     game = make_game("random_linear_monotone", dims=(1, 3, 2), bounded=1.0, seed=5)
-    noise = 0.3 * np.random.default_rng(1).standard_normal((201, game.dim))
+    noise = 0.3 * np.random.default_rng(1).standard_normal((202, game.dim))
     tags = ["aog_adaptive", "og", "aog_adaptive"]
     players = [make_learner(tag, fset, game.start[s], L=1.0, D=0.03)
                for tag, fset, s in zip(tags, game.player_sets, game.slices())]
     x1 = np.concatenate([p.x1 for p in players])
-    steps = dynamics(players, game.joint_set, x1,
-                     lambda z, t, point: game.gradient_fn(z) + noise[t])
-    out = [next(steps) for _ in range(200)]
-    grads = np.array([g_half for _, _, g_half, _ in out])
+    rounds = iter(range(1, 202))
+    _, _, grads, etas_rows = run_kernel(players, game.joint_set, x1,
+                                        lambda z: game.gradient_fn(z) + noise[next(rounds)], 201)
+    grads = grads[:200]
     eta0 = [p.eta for p in players]
     for i, s in enumerate(game.slices()):
-        etas = [etas[i] for *_, etas in out]
+        # the step sizes set after rounds 1..200, played in rounds 2..201
+        etas = etas_rows[1:, i].tolist()
         if tags[i] == "og":
             assert set(etas) == {eta0[i]}
             continue

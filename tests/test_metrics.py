@@ -5,9 +5,10 @@ import pytest
 
 from monolearn.games import GameError, GameOracle, make_bilinear_saddle, make_game
 from monolearn.geometry import symmetric_box
-from monolearn.harness import ExperimentConfig, run_self_play
+from monolearn.harness import ExperimentConfig, HarnessError, run_self_play
 from monolearn.metrics import (
     best_response_gaps,
+    csv_cells,
     csv_header,
     csv_row,
     gradient_variation,
@@ -81,6 +82,23 @@ def test_gap_ordering_chain_on_every_rate_run_row(rate_runs):
             assert tgap <= gap + 1e-9 and gap <= D * r_tan + 1e-9, name
 
 
+@pytest.mark.parametrize("game, params", [
+    ("bilinear", {"dims": (1, 1)}),
+    ("appendix_e", {"n": 5}),
+    ("random_linear_monotone", {"dims": (2, 3), "bounded": 1.0, "seed": 3}),
+])
+def test_gap_is_at_most_diameter_times_tangent_residual(game, params):
+    # Both columns are taken at x_{t+1/2} with V = V(x_{t+1/2}): for c in
+    # the normal cone there and y in the set, <V, x - y> <= <V + c, x - y>
+    # <= ||V + c|| D, and r_tan is the least ||V + c||.
+    config = ExperimentConfig(game=game, game_params=params, algo="aog", T=400)
+    D = make_game(game, **params).diameter()
+    columns = run_self_play(config)
+    assert columns["t"] == list(range(1, 401))
+    for r_tan, gap in zip(columns["r_tan"], columns["gap"], strict=True):
+        assert gap <= D * r_tan * (1.0 + 1e-9) + 1e-12
+
+
 def test_external_regret_examples():
     box = symmetric_box(1.0, 1)
     plays = np.zeros((3, 1))
@@ -152,15 +170,22 @@ def custom_exact_game(losses, values):
                       best_response_fn=lambda player, Z: (-np.ones((len(Z), 1)), values(Z)))
 
 
-def test_best_response_gaps_reject_a_non_finite_row():
+def test_best_response_gaps_reject_a_non_finite_row(monkeypatch):
+    # The gaps pass through the run's block check, which names the round of
+    # the first non-finite row: the fourth row of the first block.
     def values(Z):
         return np.where(np.arange(len(Z)) == 3, np.nan, -1.0)
 
     game = custom_exact_game(lambda Z: Z[:, 0] * Z[:, 1], values)
-    Z = np.zeros((6, 2))
-    with pytest.raises(GameError, match="finite"):
-        best_response_gaps(game, Z)
-    assert best_response_gaps(game, Z[:3]).shape == (3, 2)
+    assert np.isnan(best_response_gaps(game, np.zeros((6, 2)))[3]).all()
+    monkeypatch.setattr("monolearn.harness.make_game", lambda *a, **k: game)
+    with pytest.raises(HarnessError, match="^round 4: a measured value overflowed$"):
+        run_self_play(ExperimentConfig(game="custom", T=20))
+    # a misshaped result is the oracle's error
+    game.losses = [lambda Z: np.zeros((len(Z), 2))] * 2
+    game.best_response_fn = lambda player, Z: (Z[:, :1], np.zeros((len(Z), 2)))
+    with pytest.raises(GameError, match="misshaped"):
+        best_response_gaps(game, np.zeros((6, 2)))
 
 
 def test_exact_total_gap_of_negative_zeros_is_positive_zero():
@@ -243,3 +268,8 @@ def test_csv_row_formatting():
     # repr round-trips floats exactly
     third = 1.0 / 3.0
     assert float(csv_row((third,))) == third
+    # a column of one repeated float is formatted once; zeros keep their sign
+    assert csv_cells([third] * 3) == [repr(third)] * 3
+    assert csv_cells([0.0, -0.0, 0.0]) == ["0.0", "-0.0", "0.0"]
+    assert csv_cells([2.0, 2.0, None]) == ["2.0", "2.0", ""]
+    assert csv_cells([]) == []
