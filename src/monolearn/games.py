@@ -32,7 +32,7 @@ from .geometry import (
 
 
 class GameError(ValueError):
-    pass
+    """Bad input, named in its message; ``harness.ConfigError`` is this class."""
 
 
 def spectral_norm(M):
@@ -64,21 +64,41 @@ def spectral_norm(M):
         return math.inf
 
 
-def game_param(key, value, least=None):
-    """``value`` of the builder parameter ``key``. The type of the lower
-    bound ``least`` picks the rule: None, a finite number > 0; a float, a
-    finite number >= ``least`` (any finite number at -inf); an int, an
-    integer >= ``least``. Anything else, a bool included, raises one
-    :class:`GameError` that names the key."""
-    if isinstance(least, int):
-        kind, want, ok = numbers.Integral, f"an integer >= {least}", lambda v: v >= least
-    elif least is None:
-        kind, want, ok = numbers.Real, "a finite number > 0", lambda v: 0 < v < math.inf
+def check_param(key, value, least=None, vector=False):
+    """``value``, checked by the one rule for every number a user passes: a
+    config key, CLI flag, game parameter or learner argument ``key``. Else
+    one :class:`GameError`, ``<key>: must be <rule>, got <value>``. The type
+    of ``least`` picks the rule: an int, an integer in [least, 2**63); None,
+    a finite number > 0; a float, a finite number >= ``least`` (any at -inf).
+    A real is converted to float first, so one past the float range is
+    refused, and a bool is no number. With ``vector``, ``value`` is a list
+    (or 1-d array) of finite numbers, checked as one array, and ``least`` is
+    not read."""
+    if vector:
+        want = "a list of finite numbers"
+        # numpy reads a list of numbers as ints or floats, and one with an
+        # integer from 2**64 on, or with no number, as objects or text
+        try:
+            v = np.asarray(value)
+        except ValueError:  # ragged nested lists
+            v = np.asarray(None)
+        ok = (v.ndim == 1 and v.dtype.kind in "iuf" and bool not in map(type, value)
+              and bool(np.isfinite(v).all()))
+    elif isinstance(least, int):
+        want = f"an integer in [{least}, 2**63)"
+        ok = (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+              and least <= value < 2**63)
     else:
-        kind, ok = numbers.Real, lambda v: math.isfinite(v) and v >= least
-        want = "a finite number" + (f" >= {least}" if least > -math.inf else "")
-    if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
-        raise GameError(f"game_params: {key}: must be {want}, got {value!r}")
+        want = "a finite number" + (" > 0" if least is None
+                                    else f" >= {least}" if least > -math.inf else "")
+        try:
+            v = (float(value) if isinstance(value, numbers.Real)
+                 and not isinstance(value, bool) else math.nan)
+        except OverflowError:
+            v = math.nan
+        ok = math.isfinite(v) and (v > 0 if least is None else v >= least)
+    if not ok:
+        raise GameError(f"{key}: must be {want}, got {value!r}")
     return value
 
 
@@ -88,16 +108,18 @@ def game_dims(dims):
     if not isinstance(dims, (list, tuple)) or not dims:
         raise GameError(f"game_params: dims: must be a non-empty list of integers >= 1, "
                         f"got {dims!r}")
-    return [game_param("dims", d, least=1) for d in dims]
+    return [check_param("game_params: dims", d, 1) for d in dims]
 
 
 def game_boxes(key, half_width, dims):
     """One symmetric box of half-width ``half_width`` per player dimension in
-    ``dims``, for :func:`game_param` ``key``; an inf joint diameter (only a
-    box past 1e300 can have one, so only such a box is built to check) raises too."""
-    w, n = game_param(key, half_width), sum(dims)
+    ``dims``, for the builder parameter ``key``; an inf joint diameter (only
+    a box past 1e300 can have one, so only such a box is built to check)
+    raises too."""
+    key = f"game_params: {key}"
+    w, n = check_param(key, half_width), sum(dims)
     if w * math.sqrt(n) > 1e300 and not math.isfinite(symmetric_box(w, n).diameter()):
-        raise GameError(f"game_params: {key}: {half_width!r} gives a box of inf diameter")
+        raise GameError(f"{key}: {half_width!r} gives a box of inf diameter")
     return [symmetric_box(half_width, d) for d in dims]
 
 
@@ -209,7 +231,7 @@ def make_bilinear_saddle(payoff_scale=1.0, box_radius=1.0, dims=(1, 1)):
     Lipschitz constant ``scale``. The start point is halfway from the Nash
     point 0 to the upper corner, so runs actually have to converge.
     """
-    game_param("payoff_scale", payoff_scale)
+    check_param("game_params: payoff_scale", payoff_scale)
     dims = game_dims(dims)
     if len(dims) != 2 or dims[0] != dims[1]:
         raise GameError(f"dims: the bilinear coupling <x, y> needs two equal player "
@@ -269,7 +291,7 @@ def make_appendix_e_instance(n=100, box_half_width=200.0):
     minimum exactly 0. A row or column of |M| sums to at most
     1/2 (of H or 0) + 1/2 (of A), so ||M||_1 = ||M||_inf <= 1 = L.
     """
-    game_param("n", n, least=2)
+    check_param("game_params: n", n, 2)
     sets = game_boxes("box_half_width", box_half_width, [n, n])
     A = banded_coupling_matrix(n)
     b = np.full(n, 0.25)
@@ -307,9 +329,9 @@ def make_random_linear_monotone(dims=(1, 1), skew_scale=1.0, psd_diag=0.1, seed=
     L = ||M||_2, from :func:`spectral_norm`.
     """
     dims = game_dims(dims)
-    game_param("skew_scale", skew_scale, least=-math.inf)
-    game_param("psd_diag", psd_diag, least=0.0)
-    rng = np.random.default_rng(game_param("seed", seed, least=0))
+    check_param("game_params: skew_scale", skew_scale, -math.inf)
+    check_param("game_params: psd_diag", psd_diag, 0.0)
+    rng = np.random.default_rng(check_param("game_params: seed", seed, 0))
     dim = sum(dims)
     B = rng.standard_normal((dim, dim))
     with np.errstate(over="ignore"):  # reported below, with the key to blame
@@ -354,7 +376,4 @@ def make_game(game_id, **params):
     if unknown:
         raise GameError(f"game_params: unknown keys {unknown} for {game_id!r}; "
                         f"known: {sorted(known)}")
-    try:
-        return builder(**params)
-    except TypeError as exc:  # a game_params value of the wrong type
-        raise GameError(f"game_params: {exc}") from None
+    return builder(**params)

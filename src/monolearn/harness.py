@@ -20,11 +20,11 @@ runner drives the same kernel with one player through
 :func:`learners.play_rows`, the one online driver, and takes the external
 regret of every recorded round from the same row formulas, in one pass
 over its arrays after the run. Validation happens at the boundary: the
-config (also after CLI overrides); the oracle's gradients, checked for
-shape on the first call and for finiteness once per block, before the
-block is measured; every adversary gradient, checked for size and
-finiteness before the learner uses it; and each measured cell, checked
-for overflow. Geometry methods do not re-check.
+config (also after CLI overrides), every number by :func:`games.check_param`;
+the oracle's gradients, checked for shape on the first call and for
+finiteness once per block, before the block is measured; every adversary
+gradient, checked for size and finiteness before the learner uses it; and
+each measured cell, checked for overflow. Geometry methods do not re-check.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import argparse
 import io
 import json
 import math
-import numbers
 import os
 import sys
 from contextlib import contextmanager, nullcontext, suppress
@@ -42,7 +41,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import verify as verify_mod
-from .games import make_game
+from .games import GameError, check_param, make_game
 from .geometry import GeometryError, row_norms, scaled_row_norms
 from .learners import dynamics, make_learner, play_rows
 from .metrics import (
@@ -72,8 +71,7 @@ ROW_BUDGET = 4096
 WITNESS_TOL = 1e-9
 
 
-class ConfigError(ValueError):
-    pass
+ConfigError = GameError  # the one bad-input error class, which games.check_param raises
 
 
 class HarnessError(RuntimeError):
@@ -102,19 +100,8 @@ class ExperimentConfig:
         tags = [self.algo] if isinstance(self.algo, str) else self.algo
         if not isinstance(tags, (list, tuple)) or not all(isinstance(t, str) for t in tags):
             raise ConfigError(f"algo: must be a tag or a list of tags, got {self.algo!r}")
-        if self.x1 is not None and (
-                not isinstance(self.x1, (list, tuple, np.ndarray))
-                or not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-                           for v in self.x1)):
-            raise ConfigError(f"x1: must be a list of numbers, got {self.x1!r}")
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigError(f"out: must be a file path string, got {self.out!r}")
-        for name in ("T", "stride", "seed"):
-            value = getattr(self, name)
-            if name == "seed" and value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name}: must be an integer, got {value!r}")
         if not isinstance(self.record_potential, bool):
             raise ConfigError(f"record_potential: must be true or false, "
                               f"got {self.record_potential!r}")
@@ -123,16 +110,13 @@ class ExperimentConfig:
                               f"runs keep no iterates, only the measured rows")
         if not isinstance(self.game_params, dict):
             raise ConfigError(f"game_params: must be an object, got {self.game_params!r}")
-        if self.T < 2:
-            raise ConfigError("T: horizon must be at least 2")
-        if self.stride < 1:
-            raise ConfigError("stride: must be at least 1")
-        for name in ("eta", "L", "D"):
-            value = getattr(self, name)
-            if value is not None and (isinstance(value, bool)
-                                      or not isinstance(value, numbers.Real)
-                                      or not (math.isfinite(value) and value > 0)):
-                raise ConfigError(f"{name}: must be a finite positive number, got {value!r}")
+        check_param("T", self.T, 2)
+        check_param("stride", self.stride, 1)
+        for name, least in (("seed", 0), ("eta", None), ("L", None), ("D", None)):
+            if getattr(self, name) is not None:
+                check_param(name, getattr(self, name), least)
+        if self.x1 is not None:
+            check_param("x1", self.x1, vector=True)
 
     @staticmethod
     def from_dict(data):
@@ -143,8 +127,8 @@ class ExperimentConfig:
         if "game" not in data or "T" not in data:
             raise ConfigError("config requires at least 'game' and 'T'")
         # a given seed must be an integer: null does not read as "unset" here
-        if "seed" in data and data["seed"] is None:
-            raise ConfigError("seed: must be an integer, got None")
+        if "seed" in data:
+            check_param("seed", data["seed"], 0)
         return ExperimentConfig(**data)
 
 
@@ -169,25 +153,25 @@ def load_config(path):
     return ExperimentConfig.from_dict(data)
 
 
-def _learner_inputs(config, game):
-    """The per-player tags, L and joint start x1 of a run: the config's,
-    else the game's."""
+def _learner_inputs(config, game, fset):
+    """The per-player tags, L, D and joint start x1 of a run: the config's,
+    else the game's; D defaults to the diameter of ``fset``, and an
+    unbounded ``fset`` gives no D."""
     tags = config.algo
     if isinstance(tags, str):
         tags = [tags] * game.num_players
     if len(tags) != game.num_players:
         raise ConfigError("algo: need one tag per player")
     L = config.L if config.L is not None else game.lipschitz_bound
+    D = config.D if config.D is not None else fset.diameter()
     x1 = np.asarray(config.x1, dtype=float) if config.x1 is not None else game.start
     if x1.size != game.dim:
         raise ConfigError(f"x1: expected dimension {game.dim}, got {x1.size}")
-    return tags, L, x1
+    return tags, L, D if math.isfinite(D) else None, x1
 
 
 def _build_learners(config, game):
-    tags, L, x1 = _learner_inputs(config, game)
-    D = config.D if config.D is not None else game.diameter()
-    D = D if math.isfinite(D) else None  # an unbounded game has no default D
+    tags, L, D, x1 = _learner_inputs(config, game, game.joint_set)
     out = [make_learner(tag, fset, x1[s], eta=config.eta, L=L, D=D)
            for tag, fset, s in zip(tags, game.player_sets, game.slices())]
     return out, tags, np.concatenate([p.x1 for p in out])
@@ -514,8 +498,7 @@ def run_adversarial(learner, adversary, T, record_at=None):
     uses it; a wrong-size or non-finite one raises :class:`HarnessError`
     naming its round.
     """
-    if T < 1:
-        raise ConfigError("T: need at least one round")
+    check_param("T", T, 1)
     fset = learner.set
     if not fset.is_bounded:
         raise ConfigError("adversarial runs need a bounded action set: the "
@@ -600,9 +583,8 @@ def _cmd_selfplay(args):
 def build_single_learner(config, game):
     """A lone learner on player 0's action set, for adversarial runs; its
     default D is the diameter of that set."""
-    tags, L, x1 = _learner_inputs(config, game)
     fset = game.player_sets[0]
-    D = config.D if config.D is not None else fset.diameter()
+    tags, L, D, x1 = _learner_inputs(config, game, fset)
     return make_learner(tags[0], fset, x1[:fset.dim], eta=config.eta, L=L, D=D)
 
 
@@ -612,7 +594,8 @@ def _cmd_adversarial(args):
     learner = build_single_learner(config, game)
     adversary = make_adversary(args.adversary, game.player_dims[0], seed=config.seed or 0)
     with _output_file(config.out) if config.out else nullcontext() as fh:
-        result = run_adversarial(learner, adversary, config.T)
+        result = run_adversarial(learner, adversary, config.T,
+                                 record_at=range(1, config.T + 1, config.stride))
         if fh is not None:
             emit_csv({"t": [*result.regret_at], "regret": [*result.regret_at.values()]}, fh)
     print(f"T={config.T} regret={result.final_regret:.6g}")
@@ -628,10 +611,8 @@ def _cmd_verify(args):
     unknown = sorted(set(checks) - set(VERIFY_CHECKS))
     if unknown:
         raise ConfigError(f"checks: unknown {unknown}; known: {', '.join(VERIFY_CHECKS)}")
-    T = 1000 if args.T is None else args.T
-    if T < 1:
-        raise ConfigError("T: need at least one round")
-    rng = np.random.default_rng(args.seed)
+    T = check_param("T", 1000 if args.T is None else args.T, 1)
+    rng = np.random.default_rng(check_param("seed", args.seed, 0))
     if "identity" in checks:
         worst = 0.0
         for d in (1, 2, 5, 20):

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .games import player_slices
+from .games import check_param, player_slices
 from .geometry import FeasibleSet, GeometryError, _as_vector
 
 # Step-size adaptation switches to 1/sqrt(1+S) once the accumulated
@@ -99,9 +99,7 @@ class Learner:
         if not feasible_set.contains(x1):
             raise GeometryError("initial point is infeasible")
         self.x1 = feasible_set.project(x1)
-        if not (eta > 0):
-            raise ValueError("step size must be positive")
-        self.eta = float(eta)
+        self.eta = float(check_param("eta", eta))
         self.threshold = threshold
 
 
@@ -122,20 +120,20 @@ def make_learner(tag, feasible_set, x1, eta=None, L=None, D=None):
     """Instantiate a learner by tag.
 
     ``eta`` overrides the default step size. ``aog_adaptive`` requires both
-    ``L`` and ``D``; the others require ``eta`` or ``L``.
-    """
+    ``L`` and ``D``; the others require ``eta`` or ``L``. Each one used is
+    checked by :func:`games.check_param`."""
     if tag not in RULES:
         raise ValueError(f"unknown algorithm tag {tag!r}; known: {sorted(RULES)}")
     threshold = None
     if tag == "aog_adaptive":
-        if L is None or D is None or not (L > 0 and D > 0):
-            raise ValueError("adaptation needs positive L and D")
-        L, D = float(L), float(D)
+        if L is None or D is None:
+            raise ValueError("adaptation needs L and D")
+        L, D = float(check_param("L", L)), float(check_param("D", D))
         threshold = ADAPTATION_FACTOR * D * D * L * L
     if eta is None:
         if L is None:
             raise ValueError(f"{tag} needs eta or L")
-        eta = default_step_size(tag, L)
+        eta = default_step_size(tag, check_param("L", L))
         if not eta > 0:
             raise ValueError(f"eta: the default step size of {tag} is 0 at L = {L!r}; give eta")
     return Learner(tag, feasible_set, x1, eta, threshold)

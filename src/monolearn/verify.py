@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import learners
+from .games import check_param
 from .geometry import symmetric_box
 from .metrics import anchored_potential, normal_element, regret_rows
 
@@ -190,8 +191,7 @@ def run_eag_adversary(T, eta):
     The play trace is a (T, 2, 1) array whose row t - 1 is the action of
     round t and its gradient, so it iterates as (action, g) pairs.
     """
-    if T < 1:
-        raise VerifyError("need at least one round")
+    check_param("T", T, 1)
     box = symmetric_box(1.0, 1)
     learner = learners.make_learner("eag", box, np.zeros(1), eta=eta)
     plays, grads = learners.play_rows(learner, alternating_adversary, T)

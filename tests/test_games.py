@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -399,8 +399,13 @@ def far_from(value, threshold):
 
 @settings(max_examples=300, deadline=None)
 @given(certificate_cases())
+@example((np.array([[5e-324]]), 0.0))
 def test_affine_validation_agrees_with_the_eigen_certificate(case):
     M, L = case
+    if not L > 0:  # the drawn factor times a subnormal ||M||_2 underflows to 0
+        with pytest.raises(GameError, match="Lipschitz bound must be finite and positive"):
+            GameOracle([Unconstrained(M.shape[0])], L, affine=(M, np.zeros(M.shape[0])))
+        return
     low = float(np.linalg.eigvalsh((M + M.T) / 2.0)[0])
     norm = spectral_norm(M)
     floor, cap = -1e-10 * max(1.0, L), L + 1e-8

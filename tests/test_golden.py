@@ -4,7 +4,9 @@ The online digests were taken from the per-round learner protocol that the
 one round loop replaced: the ``monolearn adversarial`` CSV of the shipped
 toy config against each scripted adversary, and ``run_eag_adversary``'s
 plays and regret. Any change to an online iterate, gradient or regret
-changes them.
+changes them. The adversarial CSV digests were retaken when the command
+began to record every ``stride``-th round (the toy config's stride is 1)
+instead of round T alone; each new CSV's last row is the old one's.
 
 The self-play digests were taken from the measurement pass that evaluated
 exact best responses and losses one profile at a time: the CSV of the
@@ -40,9 +42,9 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 CONFIG = CONFIGS / "adversarial_toy.json"
 
 ADVERSARIAL_CSV_SHA256 = {
-    "appendix_d": "ed9754028f3e9c4ecb36880e7871cf9290620aca0c0f7c22b105dd44f27fdf7c",
-    "random_box": "6a8f93aa75432a91ecf7e155a913cd26190c3bf68fd5d401dfb945efb1367567",
-    "zero": "a40fd14a1bb375ea9b3ede57907e49b948bbaa5ee7e24ba1e0e2f51ebb6dc3a0",
+    "appendix_d": "ad37d2a33a07b12e1aab06c270966c2cbd31da4f5acff1da61fd1df049cdd9cd",
+    "random_box": "5a699f653bc830661d77620135fee6e787c1b0e6713a5164aae55f9a39764e39",
+    "zero": "499771e605833a81f16d88a9cfb7e8d59b7b99a6dce8e488fc863975a72e440a",
 }
 
 EAG_SHA256 = {

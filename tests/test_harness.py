@@ -39,6 +39,8 @@ BILINEAR = dict(game="bilinear", game_params={"dims": [1, 1]}, algo="aog", T=200
 RANDOM_LINEAR = dict(game="random_linear_monotone", algo="aog", T=20)
 APPENDIX_E = dict(game="appendix_e", algo="aog", T=20)
 HUGE_BILINEAR = dict(game="bilinear", T=20, game_params={"payoff_scale": 1e200})
+# an integer past the float range (and past int64): every number is refused by name
+BIG = 10**400
 
 
 # -- configuration --------------------------------------------------------
@@ -495,7 +497,8 @@ def test_cli_bad_config_exits_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value, field", [("--T", "0", "T"), ("--T", "1", "T"),
-                                               ("--stride", "0", "stride")])
+                                               ("--stride", "0", "stride"),
+                                               ("--stride", str(10**23), "stride")])
 def test_cli_overrides_are_validated(capsys, flag, value, field):
     cfg = str(Path(__file__).resolve().parent.parent / "configs" / "bilinear_selfplay.json")
     assert main(["selfplay", "--config", cfg, flag, value]) == 1
@@ -632,6 +635,28 @@ def assert_one_error_line(capsys, *needles):
     ({"game": "random_linear_monotone", "T": 20, "algo": "eg", "eta": 1e-300,
       "game_params": {"dims": [50, 50], "skew_scale": 1e307}},
      "round 1: non-finite gradient from the oracle at the base point"),
+    # a number past the float range, or an integer past int64, is refused by
+    # the one rule of games.check_param, which names the key
+    ({**BILINEAR, "game_params": {"box_radius": BIG}}, "game_params: box_radius:"),
+    ({**BILINEAR, "game_params": {"payoff_scale": BIG}}, "game_params: payoff_scale:"),
+    ({**APPENDIX_E, "game_params": {"box_half_width": BIG}}, "game_params: box_half_width:"),
+    ({**APPENDIX_E, "game_params": {"n": BIG}}, "game_params: n:"),
+    ({**RANDOM_LINEAR, "game_params": {"bounded": BIG}}, "game_params: bounded:"),
+    ({**RANDOM_LINEAR, "game_params": {"skew_scale": BIG}}, "game_params: skew_scale:"),
+    ({**RANDOM_LINEAR, "game_params": {"psd_diag": BIG}}, "game_params: psd_diag:"),
+    ({**RANDOM_LINEAR, "game_params": {"dims": [BIG, 1]}}, "game_params: dims:"),
+    ({**BILINEAR, "game_params": {"dims": [BIG, BIG]}}, "game_params: dims:"),
+    ({**BILINEAR, "eta": BIG}, "eta:"),
+    ({**BILINEAR, "L": BIG}, "L:"),
+    ({**BILINEAR, "D": BIG}, "D:"),
+    ({**BILINEAR, "x1": [BIG, 0.0]}, "x1:"),
+    ({**BILINEAR, "stride": BIG}, "stride:"),
+    ({**BILINEAR, "stride": 2**63}, "stride:"),
+    ({**BILINEAR, "x1": [float("nan"), 0.0]}, "x1:"),
+    # only x1 takes a list; a bool is no number, in a list too
+    ({**BILINEAR, "eta": [0.3]}, "eta:"),
+    ({**BILINEAR, "x1": [True, 0.0]}, "x1:"),
+    ({**BILINEAR, "x1": [[0.0], [0.0, 1.0]]}, "x1:"),
 ])
 # a warning (numpy's overflow RuntimeWarning, say) would be a second stderr line
 @pytest.mark.filterwarnings("error")
@@ -659,6 +684,7 @@ def test_cli_missing_files_exit_one(tmp_path, capsys, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("args", [["selfplay", "--config"], ["adversarial", "--config"],
                                   ["slope", "--trace"]])
 def test_cli_non_utf8_file_exits_one(tmp_path, capsys, args):
@@ -673,7 +699,9 @@ def test_cli_non_utf8_file_exits_one(tmp_path, capsys, args):
     (["--T", "-3", "--checks", "eag_regret"], "T:"),
     (["--checks", "bogus"], "identity, sequence, eag_regret"),
     (["--checks", "identity,nope"], "nope"),
+    (["--seed", "-1"], "seed:"),
 ])
+@pytest.mark.filterwarnings("error")
 def test_cli_verify_rejects_bad_arguments(capsys, args, needle):
     assert main(["verify", *args]) == 1
     assert_one_error_line(capsys, needle)
@@ -687,6 +715,7 @@ def test_cli_slope_unknown_column_exits_one(tmp_path, capsys):
     assert_one_error_line(capsys, "'r_tna'", "t, r_tan, gap")
 
 
+@pytest.mark.filterwarnings("error")
 def test_cli_slope_trace_without_t_column_exits_one(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     trace.write_text("x,foo\n1,2\n2,3\n")
@@ -694,6 +723,7 @@ def test_cli_slope_trace_without_t_column_exits_one(tmp_path, capsys):
     assert_one_error_line(capsys, "'t'")
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("text, needle", [
     ("t,r_tan\n1,0.5\nx,0.25\n", "'t'"),
     ("t,r_tan\n1,0.5\n2,x\n", "'r_tan'"),
@@ -726,6 +756,13 @@ def test_cli_adversarial_bad_x1_length_exits_one(tmp_path, capsys, x1):
     cfg = write_config(tmp_path, **{**ADVERSARIAL, "x1": x1})
     assert main(["adversarial", "--config", cfg]) == 1
     assert_one_error_line(capsys, "x1: ", f"got {len(x1)}")
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_adversarial_negative_seed_exits_one(tmp_path, capsys):
+    cfg = write_config(tmp_path, **ADVERSARIAL)
+    assert main(["adversarial", "--config", cfg, "--seed", "-1"]) == 1
+    assert_one_error_line(capsys, "seed: ", "-1")
 
 
 def test_cli_adversarial_bad_algo_exits_one(tmp_path, capsys):

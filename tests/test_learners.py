@@ -194,6 +194,14 @@ def test_make_learner_argument_validation():
         make_learner("og", box, np.zeros(1))  # neither eta nor L
     with pytest.raises(ValueError):
         make_learner("aog_adaptive", box, np.zeros(1), L=1.0, D=None)
+    # eta, L and D pass the one rule for numbers: finite and > 0
+    for bad in (math.inf, math.nan, 0.0, 10**400):
+        with pytest.raises(ValueError, match="^eta: "):
+            make_learner("gd", box, np.zeros(1), eta=bad)
+        with pytest.raises(ValueError, match="^L: "):
+            make_learner("aog", box, np.zeros(1), L=bad)
+        with pytest.raises(ValueError, match="^D: "):
+            make_learner("aog_adaptive", box, np.zeros(1), L=1.0, D=bad)
 
 
 def test_deterministic_replay():
