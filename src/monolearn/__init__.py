@@ -4,9 +4,11 @@ A library plus experiment CLI for no-regret learning dynamics (gradient
 descent, optimistic gradient, extragradient and its anchored variant, and
 the anchored optimistic gradient with optional step-size adaptation). One
 round loop makes every iterate; the self-play runner and the one online
-driver, :func:`play_rows`, drive it. The runners measure equilibrium gaps,
-regrets and the potential-function certificate with the row formulas of
-``metrics``, and numeric checkers test the proof's propositions.
+driver, :func:`play_rows`, drive it. An :class:`Oblivious` gradient
+source hands the online driver every round's gradient before round 1.
+The runners measure equilibrium gaps, regrets and the potential-function
+certificate with the row formulas of ``metrics``, and numeric checkers
+test the proof's propositions.
 """
 
 from .games import (
@@ -31,7 +33,7 @@ from .harness import (
     run_adversarial,
     run_self_play,
 )
-from .learners import make_learner, play_rows
+from .learners import Oblivious, make_learner, play_rows
 from .verify import (
     IdentityInstance,
     check_descent_identity,
@@ -48,6 +50,7 @@ __all__ = [
     "FeasibleSet",
     "GameOracle",
     "IdentityInstance",
+    "Oblivious",
     "ProductSet",
     "Unconstrained",
     "check_descent_identity",

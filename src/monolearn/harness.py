@@ -23,8 +23,9 @@ over its arrays after the run. Validation happens at the boundary: the
 config (also after CLI overrides), every number by :func:`games.check_param`;
 the oracle's gradients, checked for shape on the first call and for
 finiteness once per block, before the block is measured; every adversary
-gradient, checked for size and finiteness before the learner uses it; and
-each measured cell, checked for overflow. Geometry methods do not re-check.
+gradient, checked for size and finiteness before the learner uses it, once
+per run for an oblivious adversary and once per call for an adaptive one;
+and each measured cell, checked for overflow. Geometry methods do not re-check.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 from . import verify as verify_mod
 from .games import GameError, check_param, make_game
 from .geometry import GeometryError, row_norms, scaled_row_norms
-from .learners import dynamics, make_learner, play_rows
+from .learners import Oblivious, dynamics, make_learner, play_rows
 from .metrics import (
     anchored_potential,
     best_response_gaps,
@@ -446,36 +447,32 @@ def _self_play(config, game, players, x1):
 
 
 def make_adversary(name, dim, seed=0):
-    """Scripted gradient sources addressable by id.
+    """Scripted gradient sources addressable by id, each an oblivious
+    :class:`learners.Oblivious` of width ``dim``: ``play_rows`` has it fill
+    every round's gradient before round 1 and checks them once.
 
     ``random_box`` plays gradients drawn uniformly from [-1, 1]^dim by
-    ``default_rng(seed)``. It draws them ``BLOCK_ROWS`` rounds at a time and
-    hands out one row per round, so its stream is the rows of one
-    ``uniform(-1, 1, (T, dim))`` draw, and each row is returned once.
+    ``default_rng(seed)``. It draws them ``BLOCK_ROWS`` rounds at a time
+    into the rows it fills, so its stream is the rows of one
+    ``uniform(-1, 1, (T, dim))`` draw; a second fill continues the stream.
+    ``appendix_d`` is :data:`verify.ALTERNATING`, and ``zero`` plays zeros.
     """
     if name == "appendix_d":
         if dim != 1:
             raise ConfigError("the alternating adversary is one-dimensional")
-        return verify_mod.alternating_adversary
+        return verify_mod.ALTERNATING
     if name == "random_box":
-        return _random_box(np.random.default_rng(seed), dim)
+        rng = np.random.default_rng(seed)
+
+        def fill(rows):
+            for i in range(0, len(rows), BLOCK_ROWS):
+                block = rows[i:i + BLOCK_ROWS]
+                block[:] = rng.uniform(-1.0, 1.0, block.shape)
+
+        return Oblivious(dim, fill)
     if name == "zero":
-        return lambda t, action: np.zeros(dim)
+        return Oblivious(dim, lambda rows: rows.fill(0.0))
     raise ConfigError(f"unknown adversary {name!r}")
-
-
-def _random_box(rng, dim):
-    rows = iter(())
-
-    def adversary(t, action):
-        nonlocal rows
-        row = next(rows, None)
-        if row is None:
-            rows = iter(rng.uniform(-1.0, 1.0, (BLOCK_ROWS, dim)))
-            row = next(rows)
-        return row
-
-    return adversary
 
 
 @dataclass
@@ -494,9 +491,10 @@ def run_adversarial(learner, adversary, T, record_at=None):
     action is charged, both phase points of eg/eag included. ``record_at``
     lists rounds at which the external regret of the play so far is recorded
     (the final round is always included); the regret needs a bounded action
-    set. Each gradient is checked once, by ``play_rows``, before the learner
-    uses it; a wrong-size or non-finite one raises :class:`HarnessError`
-    naming its round.
+    set. The gradients are checked by ``play_rows`` before the learner uses
+    them: an oblivious adversary's once per run, an adaptive callable's
+    once per call; a wrong-size or non-finite one raises
+    :class:`HarnessError` naming its round.
     """
     check_param("T", T, 1)
     fset = learner.set

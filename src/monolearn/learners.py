@@ -13,6 +13,9 @@ the game oracle's gradients, and :func:`play_rows`, the one online
 driver, runs a single learner through it against a gradient source, into
 the arrays of each charged action and its checked gradient; the
 extragradient-style learners (``eg``, ``eag``) charge both phase points.
+An :class:`Oblivious` source writes all its gradients before round 1 and
+is checked once per run; an adaptive source, a callable of the round and
+the action, is called and checked once per round.
 
 Tags: ``gd``, ``og``, ``eg``, ``eag``, ``aog``, ``aog_adaptive``.
 """
@@ -20,6 +23,8 @@ Tags: ``gd``, ``og``, ``eg``, ``eag``, ``aog``, ``aog_adaptive``.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -194,9 +199,11 @@ def dynamics(players, feasible_set, x1):
     sizes of each round; it is not written otherwise. x_{t+1} is the next
     round's x_t. ``gradient`` is called with the written row, never with
     the kernel's own iterate, and is not checked here: each caller checks
-    what it trusts less. A "last" predictor's first half step is x1 exactly:
-    its gradient estimate starts at zero, and the anchor displacement
-    vanishes at t = 1.
+    what it trusts less. With ``gradient`` None the gradients are already
+    in ``grad`` (and ``base_grad``), and the kernel reads row k where it
+    would call ``gradient``. A "last" predictor's first half step is x1
+    exactly: its gradient estimate starts at zero, and the anchor
+    displacement vanishes at t = 1.
     """
     dims = [p.set.dim for p in players]
     slices = list(player_slices(dims))
@@ -225,15 +232,19 @@ def dynamics(players, feasible_set, x1):
             if write_etas:
                 etas[k] = etas_now
             if needs_base:
-                g_base = gradient(base[k])
-                base_grad[k] = g_base
+                if gradient is None:
+                    g_base = base_grad[k]
+                else:
+                    g_base = base_grad[k] = gradient(base[k])
                 move_base = eta * g_base
             if weights is not None:
                 pull = anchor_pull(x1, x, weights[k])
             move_hat = predict(move_prev, move_base)
             half[k] = x if move_hat is None else step(feasible_set, x, move_hat, pull)
-            g = gradient(half[k])
-            grad[k] = g
+            if gradient is None:
+                g = grad[k]
+            else:
+                g = grad[k] = gradient(half[k])
             move_prev = eta * g
             x = step(feasible_set, x, move_prev, pull)
             if adaptive and t >= 2:
@@ -254,40 +265,80 @@ def dynamics(players, feasible_set, x1):
     return advance
 
 
+class Oblivious(NamedTuple):
+    """An oblivious gradient source of width ``dim``: its gradient at round t
+    ignores the action, so ``fill(rows)`` writes the gradients of rounds
+    1..T into the (T, dim) array ``rows``, round t's in row t - 1."""
+
+    dim: int
+    fill: Callable
+
+
+def _fill_checked(source, rows):
+    """Fill ``rows`` from the oblivious ``source``, then check every row once
+    for size and finiteness; the first bad round is named."""
+    dim = rows.shape[1]
+    if source.dim != dim:  # every row has the source's width
+        raise GeometryError("round 1: gradient from the source: "
+                            f"expected dimension {dim}, got {source.dim}")
+    source.fill(rows)
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise GeometryError(f"round {bad[0] + 1}: gradient from the source: "
+                            "vector has non-finite entries")
+
+
 def play_rows(learner, gradient_source, rounds):
     """Drive a learner online for ``rounds`` rounds; rounds count from 1.
     Returns (plays, grads), each (rounds, dim), with the action of round t
     and its gradient in row t - 1.
 
-    This is the :func:`dynamics` kernel with one player and
-    ``gradient_source(t, action)`` in place of the oracle, writing straight
-    into the two arrays. An eg/eag learner plays both phase points, each
-    charged as one round: its base iterate, whose gradient it predicts
-    with, and then its probe point. With an odd ``rounds`` its run ends
-    after a base iterate.
+    This is the :func:`dynamics` kernel with one player and the source's
+    gradients in place of the oracle, writing straight into the two
+    arrays. An eg/eag learner plays both phase points, each charged as one
+    round: its base iterate, whose gradient it predicts with, and then its
+    probe point. With an odd ``rounds`` its run ends after a base iterate,
+    and the probe point after it is charged a zero gradient.
 
-    This is the one check of an online gradient: each is checked for size
-    and finiteness before the learner uses it, and a bad one raises
-    :class:`GeometryError` naming its round, after which the source is not
-    called again. A source that raises stops the run before its gradient is
-    used.
+    This is the one check of an online gradient, in one of two forms. An
+    :class:`Oblivious` source fills all ``rounds`` rows once, before round
+    1; the rows are checked once, for size and finiteness, and the kernel
+    then reads them with no per-round call or check. Any other source is
+    adaptive, a callable ``gradient_source(t, action)``: it is called once
+    a round, and each gradient is checked before the learner uses it.
+    Either way a bad gradient raises :class:`GeometryError` naming its
+    round before the learner uses it, and an adaptive source is not called
+    again. A source that raises stops the run before its gradient is
+    used. A ``rounds`` too large to allocate the arrays for is one
+    :class:`GeometryError` naming T.
     """
-    dim, t = learner.set.dim, 0
+    dim = learner.set.dim
     two_phase = learner.predictor == "base"
     steps = -(-rounds // 2) if two_phase else rounds
-    plays, grads = np.empty((2, steps * (1 + two_phase), dim))
+    try:
+        plays, grads = np.empty((2, steps * (1 + two_phase), dim))
+    except (ValueError, MemoryError):  # numpy's "array is too big", or no memory
+        raise GeometryError(f"T: {rounds} rounds of dimension {dim} are too many "
+                            "to allocate") from None
 
-    def gradient(point):
-        nonlocal t
-        if t == rounds:  # an odd horizon's last probe point: never played
-            return np.zeros(dim)
-        t += 1
-        # ``point`` is the charged row of ``plays``
-        g = gradient_source(t, point)
-        try:
-            return _as_vector(g, dim)
-        except GeometryError as exc:
-            raise GeometryError(f"round {t}: gradient from the source: {exc}") from None
+    if isinstance(gradient_source, Oblivious):
+        gradient = None
+        _fill_checked(gradient_source, grads[:rounds])
+        grads[rounds:] = 0.0  # an odd horizon's last probe point: never played
+    else:
+        t = 0
+
+        def gradient(point):
+            nonlocal t
+            if t == rounds:  # an odd horizon's last probe point: never played
+                return np.zeros(dim)
+            t += 1
+            # ``point`` is the charged row of ``plays``
+            g = gradient_source(t, point)
+            try:
+                return _as_vector(g, dim)
+            except GeometryError as exc:
+                raise GeometryError(f"round {t}: gradient from the source: {exc}") from None
 
     advance = dynamics([learner], learner.set, learner.x1)
     if two_phase:

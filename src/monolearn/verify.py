@@ -175,10 +175,14 @@ def check_sequence_bound(a, c1, p, rel_tol=REL_TOL):
     return SequenceBoundReport(hyp_ok, con_ok, hyp_slack, con_slack)
 
 
-def alternating_adversary(t, action):
-    """Scripted opponent of the 1x1 bilinear toy game: plays 1 on odd
-    rounds and 0 on even rounds, so the learner's gradient is that value."""
-    return np.array([1.0 if t % 2 == 1 else 0.0])
+def _alternate(rows):
+    rows[0::2] = 1.0
+    rows[1::2] = 0.0
+
+
+# Scripted opponent of the 1x1 bilinear toy game: plays 1 on odd rounds and
+# 0 on even rounds, so the learner's gradient is that value.
+ALTERNATING = learners.Oblivious(1, _alternate)
 
 
 def run_eag_adversary(T, eta):
@@ -194,7 +198,7 @@ def run_eag_adversary(T, eta):
     check_param("T", T, 1)
     box = symmetric_box(1.0, 1)
     learner = learners.make_learner("eag", box, np.zeros(1), eta=eta)
-    plays, grads = learners.play_rows(learner, alternating_adversary, T)
+    plays, grads = learners.play_rows(learner, ALTERNATING, T)
     want = np.where(np.arange(1, T + 1) % 2 == 1, 0.0, max(-eta, -1.0))
     off = np.flatnonzero(np.abs(plays[:, 0] - want) > 1e-12)
     if off.size:

@@ -22,7 +22,7 @@ from monolearn.harness import (
     run_self_play,
 )
 from monolearn.games import make_game
-from monolearn.learners import make_learner, play_rows
+from monolearn.learners import Oblivious, make_learner, play_rows
 from monolearn.geometry import symmetric_box
 from monolearn.metrics import csv_header
 
@@ -385,18 +385,68 @@ def test_adversary_gradient_checked_once_at_its_round(bad, tag):
 
 @pytest.mark.parametrize("dim", [1, 3])
 def test_random_box_stream_is_one_uniform_draw(dim):
-    # drawn BLOCK_ROWS rows at a time: two refills and a partial last block
+    # filled BLOCK_ROWS rows at a time: two refills and a partial last block
     T = 2 * BLOCK_ROWS + 5
-    want = np.random.default_rng(11).uniform(-1.0, 1.0, (T, dim))
+    want = np.random.default_rng(11).uniform(-1.0, 1.0, (2 * T, dim))
     adversary = make_adversary("random_box", dim, seed=11)
-    got = [adversary(t, np.zeros(dim)) for t in range(1, T + 1)]
-    assert np.array_equal(got, want)  # each row is still as it was returned
-    # a learner that writes to its gradient changes no later one
-    adversary = make_adversary("random_box", dim, seed=11)
-    for t in range(1, T + 1):
-        g = adversary(t, np.zeros(dim))
-        assert g.shape == (dim,) and np.array_equal(g, want[t - 1])
-        g[:] = 7.0
+    assert adversary.dim == dim
+    rows = np.empty((T, dim))
+    adversary.fill(rows)
+    assert np.array_equal(rows, want[:T])
+    # a second fill continues the stream
+    adversary.fill(rows)
+    assert np.array_equal(rows, want[T:])
+
+
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+@pytest.mark.parametrize("tag", ["aog_adaptive", "eag"])
+def test_oblivious_gradients_checked_once_before_round_one(monkeypatch, bad, tag):
+    # the rows are asked for once, and a bad one stops the run, naming its
+    # round, before the kernel is built
+    k, fills, kernels = 7, [], []
+
+    def fill(rows):
+        fills.append(len(rows))
+        rows[:] = 0.0
+        rows[k - 1] = BAD_GRADIENTS[bad]
+
+    monkeypatch.setattr("monolearn.learners.dynamics", lambda *a: kernels.append(a))
+    learner = make_learner(tag, symmetric_box(1.0, 1), np.zeros(1), eta=0.2, L=1.0, D=2.0)
+    with pytest.raises(HarnessError, match=f"^round {k}: gradient from the source: vector "
+                                           "has non-finite entries$"):
+        run_adversarial(learner, Oblivious(1, fill), 20)
+    assert fills == [20]
+    assert kernels == []
+
+
+def test_oblivious_source_of_the_wrong_width_is_never_filled():
+    # the width is the source's, so every round's gradient has it: round 1
+    # is named, and no row is asked for
+    fills = []
+    learner = make_learner("og", symmetric_box(1.0, 1), np.zeros(1), eta=0.2)
+    with pytest.raises(HarnessError, match="^round 1: gradient from the source: "
+                                           "expected dimension 1, got 2$"):
+        run_adversarial(learner, Oblivious(2, fills.append), 20)
+    assert fills == []
+
+
+def test_odd_eag_horizon_fills_T_rows_and_charges_zero_to_the_probe():
+    T = 2 * BLOCK_ROWS + 5
+    adversary, fills = make_adversary("random_box", 2, seed=3), []
+
+    def fill(rows):
+        fills.append(len(rows))
+        adversary.fill(rows)
+
+    learner = make_learner("eag", symmetric_box(1.0, 2), np.zeros(2), eta=0.3)
+    plays, grads = play_rows(learner, Oblivious(2, fill), T)
+    assert fills == [T]
+    assert len(plays) == len(grads) == T
+    # grads are the first T gradient rows of the kernel's (plays, grads)
+    # arrays; the row after them is the unplayed probe point's
+    kernel_rows = grads.base
+    assert kernel_rows.shape == (2, T + 1, 2)
+    assert np.array_equal(kernel_rows[1, T], [0.0, 0.0])
 
 
 def test_unbounded_adversarial_run_rejected_before_first_round():
@@ -831,6 +881,17 @@ def test_cli_adversarial_failed_run_keeps_earlier_csv(tmp_path, capsys, monkeypa
     assert_one_error_line(capsys, "round 3")
     assert out.read_bytes() == earlier
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "regret.csv"]
+
+
+@pytest.mark.parametrize("command", ["adversarial", "verify"])
+def test_cli_T_too_large_to_allocate_exits_one(tmp_path, capsys, command):
+    # 2**62 rounds pass check_param, but their arrays have more bytes than
+    # numpy can size, so nothing is allocated
+    T = 2**62
+    argv = (["adversarial", "--config", write_config(tmp_path, **ADVERSARIAL)]
+            if command == "adversarial" else ["verify", "--checks", "eag_regret"])
+    assert main([*argv, "--T", str(T)]) == 1
+    assert_one_error_line(capsys, f"error: T: {T} rounds of dimension 1 are too many")
 
 
 @pytest.mark.parametrize("bad", sorted(BAD_GRADIENTS))

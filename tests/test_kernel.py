@@ -19,13 +19,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monolearn.games import make_game
-from monolearn.geometry import Box, ProductSet
+from monolearn.geometry import Box, ProductSet, symmetric_box
 from monolearn.harness import (
     BLOCK_ROWS,
     ExperimentConfig,
     HarnessError,
     _build_learners,
     block_rows,
+    make_adversary,
     run_self_play,
 )
 from monolearn.learners import (
@@ -394,3 +395,18 @@ def test_play_matches_reference(tag, dim, T, seed, D):
         assert t == t_ref
         assert np.array_equal(action, action_ref), (tag, t)
         assert np.array_equal(g, g_ref), (tag, t)
+
+
+@pytest.mark.parametrize("T", [2 * BLOCK_ROWS + 5, 2 * BLOCK_ROWS + 6])
+@pytest.mark.parametrize("tag", TAGS)
+def test_oblivious_rows_match_the_adaptive_call_path(tag, T):
+    # play_rows reads an oblivious source's filled rows in the kernel; a
+    # callable that returns the same rows goes through the per-round call
+    # path. D = 0.1 latches aog_adaptive's step size inside the run.
+    rows = np.empty((T, 2))
+    make_adversary("random_box", 2, seed=5).fill(rows)
+    learner = make_learner(tag, symmetric_box(1.0, 2), [0.5, -0.5], eta=0.3, L=1.0, D=0.1)
+    filled = play_rows(learner, make_adversary("random_box", 2, seed=5), T)
+    called = play_rows(learner, lambda t, action: rows[t - 1].copy(), T)
+    for got, want in zip(filled, called, strict=True):
+        assert got.tobytes() == want.tobytes()
