@@ -18,6 +18,7 @@ from __future__ import annotations
 import inspect
 import math
 import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,6 +110,19 @@ def game_dims(dims):
         raise GameError(f"game_params: dims: must be a non-empty list of integers >= 1, "
                         f"got {dims!r}")
     return [check_param("game_params: dims", d, 1) for d in dims]
+
+
+@contextmanager
+def sized_by(key, value):
+    """Run a builder's first allocation sized by its parameter ``key``:
+    numpy's refusal to size an array (its ValueError "array is too big"), or
+    no memory for one, is one :class:`GameError` naming ``key``."""
+    try:
+        yield
+    except GameError:
+        raise
+    except (ValueError, MemoryError):
+        raise GameError(f"game_params: {key}: {value!r} is too large to allocate") from None
 
 
 def game_boxes(key, half_width, dims):
@@ -238,7 +252,8 @@ def make_bilinear_saddle(payoff_scale=1.0, box_radius=1.0, dims=(1, 1)):
                         f"dimensions, got {dims}")
     dx, dy = dims
     s = float(payoff_scale)
-    sets = game_boxes("box_radius", box_radius, dims)
+    with sized_by("dims", dims):
+        sets = game_boxes("box_radius", box_radius, dims)
     M = s * np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(dx))
     r = np.zeros(2 * dx)
     blocks = [(M[:dx].T, r[:dx]), (M[dx:].T, r[dx:])]
@@ -292,7 +307,8 @@ def make_appendix_e_instance(n=100, box_half_width=200.0):
     1/2 (of H or 0) + 1/2 (of A), so ||M||_1 = ||M||_inf <= 1 = L.
     """
     check_param("game_params: n", n, 2)
-    sets = game_boxes("box_half_width", box_half_width, [n, n])
+    with sized_by("n", n):
+        sets = game_boxes("box_half_width", box_half_width, [n, n])
     A = banded_coupling_matrix(n)
     b = np.full(n, 0.25)
     h = np.zeros(n)
@@ -333,7 +349,8 @@ def make_random_linear_monotone(dims=(1, 1), skew_scale=1.0, psd_diag=0.1, seed=
     check_param("game_params: psd_diag", psd_diag, 0.0)
     rng = np.random.default_rng(check_param("game_params: seed", seed, 0))
     dim = sum(dims)
-    B = rng.standard_normal((dim, dim))
+    with sized_by("dims", dims):
+        B = rng.standard_normal((dim, dim))
     with np.errstate(over="ignore"):  # reported below, with the key to blame
         M = skew_scale * (B - B.T) / 2.0 + psd_diag * np.eye(dim)
     del B  # freed before spectral_norm forms its Gram matrix: peak memory

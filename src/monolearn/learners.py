@@ -15,7 +15,10 @@ the arrays of each charged action and its checked gradient; the
 extragradient-style learners (``eg``, ``eag``) charge both phase points.
 An :class:`Oblivious` source writes all its gradients before round 1 and
 is checked once per run; an adaptive source, a callable of the round and
-the action, is called and checked once per round.
+the action, is called and checked once per round. A joint state of one
+coordinate on a box or unconstrained (a one-dimensional online run) runs
+the kernel on Python floats, with the same IEEE double operations in the
+same order as the array loop, so the two write the same bytes.
 
 Tags: ``gd``, ``og``, ``eg``, ``eag``, ``aog``, ``aog_adaptive``.
 """
@@ -29,11 +32,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .games import check_param, player_slices
-from .geometry import FeasibleSet, GeometryError, _as_vector
+from .geometry import Box, FeasibleSet, GeometryError, Unconstrained, _as_vector
 
 # Step-size adaptation switches to 1/sqrt(1+S) once the accumulated
 # second-order gradient variation S exceeds ADAPTATION_FACTOR * D^2 * L^2.
 ADAPTATION_FACTOR = 4500.0 * math.pi
+
+# Rounds of a one-coordinate run that move between the caller's rows and
+# Python floats at a time: a bounded list per chunk, not one per run.
+SCALAR_CHUNK = 2048
 
 
 # -- the update rule ---------------------------------------------------------
@@ -204,7 +211,14 @@ def dynamics(players, feasible_set, x1):
     would call ``gradient``. A "last" predictor's first half step is x1
     exactly: its gradient estimate starts at zero, and the anchor
     displacement vanishes at t = 1.
+
+    A joint state of one coordinate on a :class:`Box` or
+    :class:`Unconstrained` set runs on Python floats (:func:`_scalar_dynamics`),
+    every other state on arrays; both do the same IEEE double operations
+    in the same order, so their rows are the same bytes.
     """
+    if x1.size == 1 and isinstance(feasible_set, (Box, Unconstrained)):
+        return _scalar_dynamics(players[0], feasible_set, x1)
     dims = [p.set.dim for p in players]
     slices = list(player_slices(dims))
     predict, anchor_mask = _joint_rule(players, dims)
@@ -261,6 +275,93 @@ def dynamics(players, feasible_set, x1):
                 if any(latched):  # the next round predicts with the new eta
                     move_prev = eta * g
             g_prev = g
+
+    return advance
+
+
+def _scalar_dynamics(player, feasible_set, x1):
+    """:func:`dynamics`' kernel for one player of one coordinate on a Box or
+    Unconstrained set, with the same ``advance`` contract. x, x1, eta, the
+    step terms, the last gradient and S are Python floats, and each is
+    computed by the operations of the array loop, in its order: the anchor
+    weight 1/(t+1), (x1 - x) * w, (x - move) + pull, eta * g, the S
+    increment d * d (np.vecdot of one entry) and :func:`adapted_step_size`.
+    A box projects by min(hi, max(lo, y)), which returns the bound on a tie
+    as numpy's minimum and maximum return their second argument, so signed
+    zeros match. y is never NaN there while the gradients are finite (x is
+    in the box, the pull is finite and a step term at worst infinite), and
+    every caller stops a run at its first non-finite gradient.
+    Unconstrained is the identity.
+
+    Rows move in chunks of ``SCALAR_CHUNK`` rounds: a read gradient chunk is
+    one ``tolist()``, and the chunk's points are one slice assignment at
+    its end. A callable ``gradient`` still gets the row written for it.
+    """
+    use_base, use_last = player.predictor == "base", player.predictor == "last"
+    anchored, threshold = player.anchored, player.threshold
+    box = isinstance(feasible_set, Box)
+    if box:
+        lo, hi = float(feasible_set.lower[0]), float(feasible_set.upper[0])
+    x1 = float(x1[0])
+    x, eta, g_prev, move_prev, t, S, latched = x1, player.eta, 0.0, 0.0, 0, 0.0, False
+
+    def advance(gradient, base, half, grad, base_grad=None, etas=None):
+        nonlocal x, eta, g_prev, move_prev, t, S, latched
+        write_etas = threshold is not None and etas is not None
+        for start in range(0, len(base), SCALAR_CHUNK):
+            end = min(start + SCALAR_CHUNK, len(base))
+            if gradient is None:
+                gs = grad[start:end, 0].tolist()
+                g_bases = base_grad[start:end, 0].tolist() if use_base else None
+            xs, hs, es = [], [], []
+            for i in range(end - start):
+                k = start + i
+                t += 1
+                xs.append(x)
+                if write_etas:
+                    es.append(eta)
+                move_hat = move_prev if use_last else None
+                if use_base:
+                    if gradient is None:
+                        g_base = g_bases[i]
+                    else:
+                        base[k] = x
+                        base_grad[k] = gradient(base[k])
+                        g_base = float(base_grad[k, 0])
+                    move_hat = eta * g_base
+                if anchored:
+                    pull = (x1 - x) * (1.0 / (t + 1.0))
+                h = x
+                if move_hat is not None:
+                    h = x - move_hat
+                    if anchored:
+                        h += pull
+                    if box:
+                        h = min(hi, max(lo, h))
+                hs.append(h)
+                if gradient is None:
+                    g = gs[i]
+                else:
+                    half[k] = h
+                    grad[k] = gradient(half[k])
+                    g = float(grad[k, 0])
+                move_prev = eta * g
+                x -= move_prev
+                if anchored:
+                    x += pull
+                if box:
+                    x = min(hi, max(lo, x))
+                if threshold is not None and t >= 2:
+                    d = g - g_prev
+                    S += d * d
+                    if latched or S > threshold:  # the next round predicts with the new eta
+                        eta, latched = adapted_step_size(eta, S, threshold, latched)
+                        move_prev = eta * g
+                g_prev = g
+            base[start:end, 0] = xs  # before ``half``: the two may be one array
+            half[start:end, 0] = hs
+            if write_etas:
+                etas[start:end, 0] = es
 
     return advance
 

@@ -20,6 +20,12 @@ actions and gradients of ``gd``, ``og``, ``eg`` and ``aog`` against the
 seeded ``random_box`` adversary, and the stride-1 CSV of an ``og`` player
 beside an ``aog`` player, whose anchor is laid out per coordinate. Only
 ``eag`` moved when the two anchor forms became one.
+
+The one-coordinate digests were taken from the array round loop, before
+one-coordinate runs moved to Python floats: the play streams of all six
+tags against ``random_box``, and the adversarial CSV of the shipped toy
+config at its full horizon, over which ``aog_adaptive``'s step size
+latches (at round 84,695).
 """
 
 import hashlib
@@ -47,6 +53,9 @@ ADVERSARIAL_CSV_SHA256 = {
     "zero": "499771e605833a81f16d88a9cfb7e8d59b7b99a6dce8e488fc863975a72e440a",
 }
 
+# the toy config's CSV against random_box at the config's own T = 100000
+ADVERSARIAL_FULL_CSV_SHA256 = "7dc70932e7d881dd8790b14523f14e9631107f51f3b431195ebd3a16ab69d30c"
+
 EAG_SHA256 = {
     1: "5afcd4bfe60bd6f023a7f8032dcd9297419f9da77637bcabf83b02249a116a1a",
     2: "5ee1bdba78d3f8313f7bcd0a1fa007f119c0b5d4e3792b82406801f80fcf91c9",
@@ -68,6 +77,20 @@ PLAY_SHA256 = {
     "og": "9baba7e8ffcb9ca2a6f23c56227283e777e4987487d321cfbf65e9eac43ed1b3",
     "eg": "caa4c99e2afde26a8c9a31b3274fe82f2336b0efb8618c3128766247d761a71a",
     "aog": "58b7138e10692fe9e300b9d4915982e7dcb5bd1a12d59fd2edaa07a887817208",
+}
+
+# (tag, T) -> digest of a one-coordinate play stream against random_box
+# (seed 4). D = 0.1 latches aog_adaptive's step size mid-run; T = 1001 and
+# 4097 are odd horizons, so an eg/eag run ends on an unplayed probe point.
+PLAY_1D_SHA256 = {
+    ("gd", 1001): "e0ccd92c37d4d27e54f0cf79fc29b288b4d3346be8a75c1a9cfbdbc72b6a5fe0",
+    ("og", 1001): "8e9e4b600e7715829b27b7ed24499d58628821341b87344d0bf5a908a1d145c2",
+    ("eg", 1001): "d6a2ff302487cb1db46124baf77a5d4ce44475ae9f80791554928e8aa2fa90cc",
+    ("eag", 1001): "b0c52cab03d9591135236ed61351fe592c68596746c64f6f0ded6a1c6e0ce2ab",
+    ("aog", 1001): "f7b3a4d3e70e10699bb68522c1af5255783d5baa940984c57e4c6917eb8f15b6",
+    ("aog_adaptive", 1001): "dbbe07b2e657fd9d22d46158dfe677281cbf708fa13b8cf28fb9906e2c607bb7",
+    ("eg", 4097): "96a838c038bd3cdc032c84ba8c1ac4dd37c5cdde52a39bb12490f2cc03826c84",
+    ("eag", 4097): "7986ef1df0ccac46823c0253923ec5fe400e170c2ce8226bf49def682d1f5f8d",
 }
 
 # stride-1 appendix_e (n=5) run of 2 * BLOCK_ROWS + 5 rounds, tags og and aog
@@ -99,6 +122,14 @@ def test_adversarial_csv_bytes(tmp_path, capsys, adversary):
                  "--T", "2001", "--out", str(out)]) == 0
     capsys.readouterr()
     assert sha256_of(out) == ADVERSARIAL_CSV_SHA256[adversary]
+
+
+def test_adversarial_csv_bytes_at_the_config_horizon(tmp_path, capsys):
+    out = tmp_path / "regret.csv"
+    assert main(["adversarial", "--config", str(CONFIG), "--adversary", "random_box",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "T=100000 regret=125.968\n"
+    assert sha256_of(out) == ADVERSARIAL_FULL_CSV_SHA256
 
 
 @pytest.mark.parametrize("T", sorted(EAG_SHA256))
@@ -133,6 +164,13 @@ def test_play_stream_bytes(tag):
     adversary = make_adversary("random_box", 3, seed=4)
     plays, grads = play_rows(learner, adversary, 1001)
     assert play_digest(zip(plays, grads)) == PLAY_SHA256[tag]
+
+
+@pytest.mark.parametrize("tag, T", sorted(PLAY_1D_SHA256))
+def test_one_coordinate_play_stream_bytes(tag, T):
+    learner = make_learner(tag, symmetric_box(1.0, 1), [0.5], eta=0.2, L=1.0, D=0.1)
+    plays, grads = play_rows(learner, make_adversary("random_box", 1, seed=4), T)
+    assert play_digest(zip(plays, grads)) == PLAY_1D_SHA256[tag, T]
 
 
 def test_mixed_tags_stride1_csv_bytes(tmp_path):

@@ -707,6 +707,14 @@ def assert_one_error_line(capsys, *needles):
     ({**BILINEAR, "eta": [0.3]}, "eta:"),
     ({**BILINEAR, "x1": [True, 0.0]}, "x1:"),
     ({**BILINEAR, "x1": [[0.0], [0.0, 1.0]]}, "x1:"),
+    # in the range of the rule, but numpy refuses to size the arrays (2**62
+    # floats are past its byte limit, so nothing is allocated)
+    ({**RANDOM_LINEAR, "game_params": {"dims": [2**62, 1]}},
+     "game_params: dims: [4611686018427387904, 1] is too large to allocate"),
+    ({**APPENDIX_E, "game_params": {"n": 2**62}},
+     "game_params: n: 4611686018427387904 is too large to allocate"),
+    ({**BILINEAR, "game_params": {"dims": [2**62, 2**62]}},
+     "game_params: dims: [4611686018427387904, 4611686018427387904] is too large"),
 ])
 # a warning (numpy's overflow RuntimeWarning, say) would be a second stderr line
 @pytest.mark.filterwarnings("error")

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monolearn.games import make_game
-from monolearn.geometry import Box, ProductSet, symmetric_box
+from monolearn.geometry import Ball, Box, ProductSet, Unconstrained, symmetric_box
 from monolearn.harness import (
     BLOCK_ROWS,
     ExperimentConfig,
@@ -232,6 +232,17 @@ def test_unbounded_random_linear_matches_reference():
                                            algo=tag, T=200, stride=9))
 
 
+@pytest.mark.parametrize("bounded", [None, 1.0])
+@pytest.mark.parametrize("tag", TAGS)
+def test_one_coordinate_self_play_matches_reference(tag, bounded):
+    # one player of one coordinate: the kernel runs on Python floats. D =
+    # 1e-4 latches aog_adaptive's step size in the first recorded rows of
+    # the unconstrained game.
+    assert_equivalent(ExperimentConfig(game="random_linear_monotone",
+                                       game_params={"dims": [1], "seed": 2, "bounded": bounded},
+                                       algo=tag, T=300, stride=7, L=1.0, D=1e-4))
+
+
 def test_adaptive_switch_mid_run_matches_reference():
     # L * D small enough that each player's variation threshold trips
     # partway through the run, at a different round per player.
@@ -371,11 +382,24 @@ def test_random_tag_mixes_match_reference(tags, data):
         D=data.draw(st.sampled_from([1e-3, 1e-2, 30.0]))), floor=1e-12)
 
 
+# Action sets of the online reference runs. A one-coordinate Box or
+# Unconstrained set runs the kernel on Python floats; a Ball, and every
+# set of two or more coordinates, on arrays.
+ONLINE_SETS = {
+    "box": lambda dim: Box(-np.ones(dim), 2.0 * np.ones(dim)),
+    "unconstrained": lambda dim: Unconstrained(dim),
+    "ball": lambda dim: Ball(np.full(dim, 0.5), 1.5),
+}
+
+
 @pytest.mark.parametrize("tag", TAGS)
-@settings(max_examples=15, deadline=None)
-@given(dim=st.integers(1, 3), T=st.integers(1, 2 * B + 3), seed=st.integers(0, 2**16),
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(sorted(ONLINE_SETS)), dim=st.integers(1, 3),
+       T=st.integers(1, 2 * B + 3), seed=st.integers(0, 2**16),
        D=st.sampled_from([1e-3, 1e-2, 2.0]))
-def test_play_matches_reference(tag, dim, T, seed, D):
+def test_play_matches_reference(tag, kind, dim, T, seed, D):
+    if kind != "box":
+        dim = 1
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((dim, dim))
     b = rng.standard_normal((T + 1, dim))
@@ -385,9 +409,12 @@ def test_play_matches_reference(tag, dim, T, seed, D):
         calls.append(t)
         return A @ action + b[t]
 
-    learner = make_learner(tag, Box(-np.ones(dim), 2.0 * np.ones(dim)),
-                           rng.uniform(-1.0, 2.0, dim), eta=0.3, L=1.0, D=D)
-    plays, grads = play_rows(learner, source, T)
+    learner = make_learner(tag, ONLINE_SETS[kind](dim), rng.uniform(-1.0, 2.0, dim),
+                           eta=0.3, L=1.0, D=D)
+    # chunks of 64 rounds: a float run crosses chunk boundaries
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("monolearn.learners.SCALAR_CHUNK", 64)
+        plays, grads = play_rows(learner, source, T)
     assert calls == list(range(1, T + 1))
     want = reference_play(learner, source, T)
     assert len(plays) == len(grads) == len(want) == T
@@ -397,16 +424,45 @@ def test_play_matches_reference(tag, dim, T, seed, D):
         assert np.array_equal(g, g_ref), (tag, t)
 
 
-@pytest.mark.parametrize("T", [2 * BLOCK_ROWS + 5, 2 * BLOCK_ROWS + 6])
+@pytest.mark.parametrize("T, dim", [
+    pytest.param(T, dim, id=f"dim1-{T}" if dim == 1 else str(T))
+    for dim in (2, 1) for T in (2 * BLOCK_ROWS + 5, 2 * BLOCK_ROWS + 6)])
 @pytest.mark.parametrize("tag", TAGS)
-def test_oblivious_rows_match_the_adaptive_call_path(tag, T):
+def test_oblivious_rows_match_the_adaptive_call_path(tag, dim, T, monkeypatch):
     # play_rows reads an oblivious source's filled rows in the kernel; a
     # callable that returns the same rows goes through the per-round call
-    # path. D = 0.1 latches aog_adaptive's step size inside the run.
-    rows = np.empty((T, 2))
-    make_adversary("random_box", 2, seed=5).fill(rows)
-    learner = make_learner(tag, symmetric_box(1.0, 2), [0.5, -0.5], eta=0.3, L=1.0, D=0.1)
-    filled = play_rows(learner, make_adversary("random_box", 2, seed=5), T)
+    # path. D = 0.1 latches aog_adaptive's step size inside the run. At
+    # dim 1 both run on floats, in chunks of 100 rounds.
+    monkeypatch.setattr("monolearn.learners.SCALAR_CHUNK", 100)
+    rows = np.empty((T, dim))
+    make_adversary("random_box", dim, seed=5).fill(rows)
+    learner = make_learner(tag, symmetric_box(1.0, dim), [0.5, -0.5][:dim], eta=0.3,
+                           L=1.0, D=0.1)
+    filled = play_rows(learner, make_adversary("random_box", dim, seed=5), T)
     called = play_rows(learner, lambda t, action: rows[t - 1].copy(), T)
     for got, want in zip(filled, called, strict=True):
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("tag", TAGS)
+@pytest.mark.parametrize("fset", [Box([-1.0], [2.0]), Box([-0.0], [0.0]), Box([0.0], [-0.0]),
+                                  Box([0.0], [1.0]), Box([-1.0], [-0.0]), Unconstrained(1)],
+                         ids=["box", "zero_box", "flipped_zero_box", "zero_lower", "zero_upper",
+                              "unconstrained"])
+def test_float_kernel_matches_the_array_loop(tag, fset):
+    # A one-coordinate Box or Unconstrained set runs on floats; the same set
+    # as the one factor of a ProductSet runs the array loop. Gradients of
+    # +-0, and bounds at +-0, make projection ties whose result is a signed
+    # zero; gradients of +-1e308 drive an unconstrained run to inf and NaN.
+    T = 2 * BLOCK_ROWS + 7
+    rng = np.random.default_rng(3)
+    big = 1e308 if isinstance(fset, Unconstrained) else 1.0
+    rows = rng.choice([-big, -1.0, -0.0, 0.0, 0.25, big], size=(T, 1))
+    runs = []
+    for joint in (fset, ProductSet((fset,))):
+        learner = make_learner(tag, joint, [0.0], eta=0.5, L=1.0, D=0.1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            runs.append(play_rows(learner, lambda t, action: rows[t - 1].copy(), T))
+    (plays, grads), (want_plays, want_grads) = runs
+    assert plays.tobytes() == want_plays.tobytes()
+    assert grads.tobytes() == want_grads.tobytes()
