@@ -431,29 +431,40 @@ def test_play_matches_reference(tag, kind, dim, T, seed, D):
 def test_oblivious_rows_match_the_adaptive_call_path(tag, dim, T, monkeypatch):
     # play_rows reads an oblivious source's filled rows in the kernel; a
     # callable that returns the same rows goes through the per-round call
-    # path. D = 0.1 latches aog_adaptive's step size inside the run. At
-    # dim 1 both run on floats, in chunks of 100 rounds.
+    # path, whether it returns a fresh array each round or one array that
+    # it overwrites. D = 0.1 latches aog_adaptive's step size inside the
+    # run, so its S must read each round's gradient by value. At dim 1 all
+    # run on floats, in chunks of 100 rounds.
     monkeypatch.setattr("monolearn.learners.SCALAR_CHUNK", 100)
     rows = np.empty((T, dim))
     make_adversary("random_box", dim, seed=5).fill(rows)
+    buffer = np.empty(dim)
+
+    def reused(t, action):
+        buffer[:] = rows[t - 1]
+        return buffer
+
     learner = make_learner(tag, symmetric_box(1.0, dim), [0.5, -0.5][:dim], eta=0.3,
                            L=1.0, D=0.1)
     filled = play_rows(learner, make_adversary("random_box", dim, seed=5), T)
-    called = play_rows(learner, lambda t, action: rows[t - 1].copy(), T)
-    for got, want in zip(filled, called, strict=True):
-        assert got.tobytes() == want.tobytes()
+    for source in (lambda t, action: rows[t - 1].copy(), reused):
+        called = play_rows(learner, source, T)
+        for got, want in zip(filled, called, strict=True):
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("tag", TAGS)
 @pytest.mark.parametrize("fset", [Box([-1.0], [2.0]), Box([-0.0], [0.0]), Box([0.0], [-0.0]),
-                                  Box([0.0], [1.0]), Box([-1.0], [-0.0]), Unconstrained(1)],
-                         ids=["box", "zero_box", "flipped_zero_box", "zero_lower", "zero_upper",
-                              "unconstrained"])
+                                  Box([0.0], [1.0]), Box([-0.0], [1.0]), Box([-1.0], [-0.0]),
+                                  Unconstrained(1)],
+                         ids=["box", "zero_box", "flipped_zero_box", "zero_lower",
+                              "minus_zero_lower", "zero_upper", "unconstrained"])
 def test_float_kernel_matches_the_array_loop(tag, fset):
     # A one-coordinate Box or Unconstrained set runs on floats; the same set
     # as the one factor of a ProductSet runs the array loop. Gradients of
     # +-0, and bounds at +-0, make projection ties whose result is a signed
-    # zero; gradients of +-1e308 drive an unconstrained run to inf and NaN.
+    # zero (a point of +0 at a lower bound of -0 projects to -0); gradients
+    # of +-1e308 drive an unconstrained run to inf and NaN.
     T = 2 * BLOCK_ROWS + 7
     rng = np.random.default_rng(3)
     big = 1e308 if isinstance(fset, Unconstrained) else 1.0
