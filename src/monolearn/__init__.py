@@ -8,7 +8,8 @@ driver, :func:`play_rows`, drive it. An :class:`Oblivious` gradient
 source hands the online driver every round's gradient before round 1.
 The runners measure equilibrium gaps, regrets and the potential-function
 certificate with the row formulas of ``metrics``, and numeric checkers
-test the proof's propositions.
+test the proof's propositions. The package raises its own errors as one
+class, :class:`MonolearnError`, a ValueError.
 """
 
 from .games import (
@@ -22,6 +23,7 @@ from .geometry import (
     Ball,
     Box,
     FeasibleSet,
+    MonolearnError,
     ProductSet,
     Unconstrained,
     symmetric_box,
@@ -50,6 +52,7 @@ __all__ = [
     "FeasibleSet",
     "GameOracle",
     "IdentityInstance",
+    "MonolearnError",
     "Oblivious",
     "ProductSet",
     "Unconstrained",

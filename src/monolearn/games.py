@@ -25,15 +25,12 @@ import numpy as np
 
 from .geometry import (
     FeasibleSet,
+    MonolearnError,
     Unconstrained,
     _as_vector,
     product,
     symmetric_box,
 )
-
-
-class GameError(ValueError):
-    """Bad input, named in its message; ``harness.ConfigError`` is this class."""
 
 
 def spectral_norm(M):
@@ -45,11 +42,11 @@ def spectral_norm(M):
     rounds nothing in the normal range, and the Gram matrix of the scaled
     copy neither overflows nor underflows for entries from 1e-300 to 1e300.
     The zero matrix has norm 0, and a norm past the float range is inf; a
-    matrix with a non-finite entry raises :class:`GameError`.
+    matrix with a non-finite entry raises :class:`MonolearnError`.
     """
     peak = max(float(M.max(initial=0.0)), -float(M.min(initial=0.0)))
     if not math.isfinite(peak):
-        raise GameError(f"operator matrix has a non-finite entry (max |M| = {peak!r})")
+        raise MonolearnError(f"operator matrix has a non-finite entry (max |M| = {peak!r})")
     if peak == 0.0:
         return 0.0
     e = math.frexp(peak)[1]
@@ -68,9 +65,10 @@ def spectral_norm(M):
 def check_param(key, value, least=None, vector=False):
     """``value``, checked by the one rule for every number a user passes: a
     config key, CLI flag, game parameter or learner argument ``key``. Else
-    one :class:`GameError`, ``<key>: must be <rule>, got <value>``. The type
-    of ``least`` picks the rule: an int, an integer in [least, 2**63); None,
-    a finite number > 0; a float, a finite number >= ``least`` (any at -inf).
+    one :class:`MonolearnError`, ``<key>: must be <rule>, got <value>``. The
+    type of ``least`` picks the rule: an int, an integer in [least, 2**63);
+    None, a finite number > 0; a float, a finite number >= ``least`` (any at
+    -inf).
     A real is converted to float first, so one past the float range is
     refused, and a bool is no number. With ``vector``, ``value`` is a list
     (or 1-d array) of finite numbers, checked as one array, and ``least`` is
@@ -99,16 +97,16 @@ def check_param(key, value, least=None, vector=False):
             v = math.nan
         ok = math.isfinite(v) and (v > 0 if least is None else v >= least)
     if not ok:
-        raise GameError(f"{key}: must be {want}, got {value!r}")
+        raise MonolearnError(f"{key}: must be {want}, got {value!r}")
     return value
 
 
 def game_dims(dims):
     """The builder parameter ``dims``: a non-empty list of integers >= 1;
-    anything else raises one :class:`GameError` that names ``dims``."""
+    anything else raises one :class:`MonolearnError` that names ``dims``."""
     if not isinstance(dims, (list, tuple)) or not dims:
-        raise GameError(f"game_params: dims: must be a non-empty list of integers >= 1, "
-                        f"got {dims!r}")
+        raise MonolearnError(f"game_params: dims: must be a non-empty list of integers >= 1, "
+                             f"got {dims!r}")
     return [check_param("game_params: dims", d, 1) for d in dims]
 
 
@@ -116,13 +114,13 @@ def game_dims(dims):
 def sized_by(key, value):
     """Run a builder's first allocation sized by its parameter ``key``:
     numpy's refusal to size an array (its ValueError "array is too big"), or
-    no memory for one, is one :class:`GameError` naming ``key``."""
+    no memory for one, is one :class:`MonolearnError` naming ``key``."""
     try:
         yield
-    except GameError:
+    except MonolearnError:
         raise
     except (ValueError, MemoryError):
-        raise GameError(f"game_params: {key}: {value!r} is too large to allocate") from None
+        raise MonolearnError(f"game_params: {key}: {value!r} is too large to allocate") from None
 
 
 def game_boxes(key, half_width, dims):
@@ -133,7 +131,7 @@ def game_boxes(key, half_width, dims):
     key = f"game_params: {key}"
     w, n = check_param(key, half_width), sum(dims)
     if w * math.sqrt(n) > 1e300 and not math.isfinite(symmetric_box(w, n).diameter()):
-        raise GameError(f"{key}: {half_width!r} gives a box of inf diameter")
+        raise MonolearnError(f"{key}: {half_width!r} gives a box of inf diameter")
     return [symmetric_box(half_width, d) for d in dims]
 
 
@@ -173,9 +171,7 @@ class GameOracle:
     dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.lipschitz_bound) and self.lipschitz_bound > 0):
-            raise GameError(f"Lipschitz bound must be finite and positive, "
-                            f"got {self.lipschitz_bound!r}")
+        check_param("lipschitz_bound", self.lipschitz_bound)
         self.player_sets = list(self.player_sets)
         self.player_dims = tuple(s.dim for s in self.player_sets)
         self.dim = sum(self.player_dims)
@@ -184,11 +180,11 @@ class GameOracle:
         n = self.dim
         if np.shape(M) != (n, n) or np.shape(r) != (n,) or not (
                 np.isfinite(M).all() and np.isfinite(r).all()):
-            raise GameError(f"affine: need a finite ({n}, {n}) M and a finite ({n},) r, "
-                            f"got shapes {np.shape(M)} and {np.shape(r)}")
+            raise MonolearnError(f"affine: need a finite ({n}, {n}) M and a finite ({n},) r, "
+                                 f"got shapes {np.shape(M)} and {np.shape(r)}")
         self.gradient_fn = lambda z: M @ z + r
         if self.best_response_fn is not None and self.losses is None:
-            raise GameError("best_response_fn needs the players' losses")
+            raise MonolearnError("best_response_fn needs the players' losses")
         start = np.zeros(self.dim) if self.start is None else self.start
         self.start = self.joint_set.project(_as_vector(start, self.dim))
 
@@ -230,10 +226,10 @@ class GameOracle:
         low = float(np.linalg.eigvalsh(S)[0])
         norm = spectral_norm(M)
         if low < floor:
-            raise GameError(f"game {self.name!r} is not monotone: "
-                            f"lambda_min((M + M^T)/2) = {low!r}")
+            raise MonolearnError(f"game {self.name!r} is not monotone: "
+                                 f"lambda_min((M + M^T)/2) = {low!r}")
         if norm > cap:
-            raise GameError(f"game {self.name!r}: ||M||_2 = {norm!r} > L = {L!r}")
+            raise MonolearnError(f"game {self.name!r}: ||M||_2 = {norm!r} > L = {L!r}")
         return self
 
 
@@ -248,8 +244,8 @@ def make_bilinear_saddle(payoff_scale=1.0, box_radius=1.0, dims=(1, 1)):
     check_param("game_params: payoff_scale", payoff_scale)
     dims = game_dims(dims)
     if len(dims) != 2 or dims[0] != dims[1]:
-        raise GameError(f"dims: the bilinear coupling <x, y> needs two equal player "
-                        f"dimensions, got {dims}")
+        raise MonolearnError(f"dims: the bilinear coupling <x, y> needs two equal player "
+                             f"dimensions, got {dims}")
     dx, dy = dims
     s = float(payoff_scale)
     with sized_by("dims", dims):
@@ -282,7 +278,7 @@ def banded_coupling_matrix(n):
     """1/4 times the anti-diagonal band: row 0 has +1 in the last column,
     row i >= 1 has -1 at column n-1-i and +1 at column n-i."""
     if n < 2:
-        raise GameError("band matrix needs n >= 2")
+        raise MonolearnError("band matrix needs n >= 2")
     A = np.zeros((n, n))
     A[0, n - 1] = 1.0
     for i in range(1, n):
@@ -355,11 +351,12 @@ def make_random_linear_monotone(dims=(1, 1), skew_scale=1.0, psd_diag=0.1, seed=
         M = skew_scale * (B - B.T) / 2.0 + psd_diag * np.eye(dim)
     del B  # freed before spectral_norm forms its Gram matrix: peak memory
     if not (math.isfinite(M.max()) and math.isfinite(M.min())):
-        raise GameError(f"game_params: skew_scale: {skew_scale!r} overflows the operator matrix")
+        raise MonolearnError(f"game_params: skew_scale: {skew_scale!r} overflows the "
+                             f"operator matrix")
     L = spectral_norm(M)
     if not math.isfinite(L):
-        raise GameError(f"game_params: skew_scale: {skew_scale!r} gives ||M||_2 past the "
-                        f"float range")
+        raise MonolearnError(f"game_params: skew_scale: {skew_scale!r} gives ||M||_2 past the "
+                             f"float range")
     r = rng.standard_normal(dim)
     sets = ([Unconstrained(d) for d in dims] if bounded is None
             else game_boxes("bounded", bounded, dims))
@@ -385,12 +382,12 @@ def make_game(game_id, **params):
     try:
         builder = GAME_BUILDERS[game_id]
     except KeyError:
-        raise GameError(
+        raise MonolearnError(
             f"unknown game id {game_id!r}; known: {sorted(GAME_BUILDERS)}"
         ) from None
     known = inspect.signature(builder).parameters
     unknown = sorted(set(params) - set(known))
     if unknown:
-        raise GameError(f"game_params: unknown keys {unknown} for {game_id!r}; "
-                        f"known: {sorted(known)}")
+        raise MonolearnError(f"game_params: unknown keys {unknown} for {game_id!r}; "
+                             f"known: {sorted(known)}")
     return builder(**params)

@@ -31,8 +31,9 @@ REL_BOUND_TOL = 1e-9
 MEMBERSHIP_TOL = 1e-9
 
 
-class GeometryError(ValueError):
-    """Invalid geometric input (dimension mismatch, infeasible point, ...)."""
+class MonolearnError(ValueError):
+    """The package's one error class: bad input, or a run that its input
+    makes fail, named in the message."""
 
 
 def row_norms(v):
@@ -55,9 +56,9 @@ def _as_vector(x, dim=None):
     if v.ndim != 1:
         v = v.reshape(-1)
     if not np.isfinite(v).all():
-        raise GeometryError("vector has non-finite entries")
+        raise MonolearnError("vector has non-finite entries")
     if dim is not None and v.size != dim:
-        raise GeometryError(f"expected dimension {dim}, got {v.size}")
+        raise MonolearnError(f"expected dimension {dim}, got {v.size}")
     return v
 
 
@@ -104,7 +105,7 @@ class Box(FeasibleSet):
         lo = _as_vector(self.lower)
         hi = _as_vector(self.upper, lo.size)
         if np.any(lo > hi):
-            raise GeometryError("box requires lower <= upper componentwise")
+            raise MonolearnError("box requires lower <= upper componentwise")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
@@ -149,7 +150,7 @@ class Ball(FeasibleSet):
     def __post_init__(self):
         c = _as_vector(self.center)
         if not (self.radius > 0):
-            raise GeometryError("ball radius must be positive")
+            raise MonolearnError("ball radius must be positive")
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", float(self.radius))
 
@@ -192,7 +193,7 @@ class Unconstrained(FeasibleSet):
 
     def __post_init__(self):
         if self.dimension < 1:
-            raise GeometryError("dimension must be positive")
+            raise MonolearnError("dimension must be positive")
 
     @property
     def dim(self):
@@ -208,7 +209,7 @@ class Unconstrained(FeasibleSet):
         return row_norms(g)
 
     def support_min(self, g):
-        raise GeometryError("support minimization is unbounded")
+        raise MonolearnError("support minimization is unbounded")
 
 
 @dataclass(frozen=True)
@@ -218,7 +219,7 @@ class ProductSet(FeasibleSet):
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
         if not self.factors:
-            raise GeometryError("product of zero sets")
+            raise MonolearnError("product of zero sets")
 
     @property
     def dim(self):

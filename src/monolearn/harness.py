@@ -42,8 +42,8 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import verify as verify_mod
-from .games import GameError, check_param, make_game
-from .geometry import GeometryError, row_norms, scaled_row_norms
+from .games import check_param, make_game
+from .geometry import MonolearnError, row_norms, scaled_row_norms
 from .learners import Oblivious, dynamics, make_learner, play_rows
 from .metrics import (
     anchored_potential,
@@ -72,13 +72,6 @@ ROW_BUDGET = 4096
 WITNESS_TOL = 1e-9
 
 
-ConfigError = GameError  # the one bad-input error class, which games.check_param raises
-
-
-class HarnessError(RuntimeError):
-    pass
-
-
 @dataclass
 class ExperimentConfig:
     game: str
@@ -97,20 +90,21 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not isinstance(self.game, str):
-            raise ConfigError(f"game: must be a game id string, got {self.game!r}")
+            raise MonolearnError(f"game: must be a game id string, got {self.game!r}")
         tags = [self.algo] if isinstance(self.algo, str) else self.algo
         if not isinstance(tags, (list, tuple)) or not all(isinstance(t, str) for t in tags):
-            raise ConfigError(f"algo: must be a tag or a list of tags, got {self.algo!r}")
+            raise MonolearnError(f"algo: must be a tag or a list of tags, got {self.algo!r}")
         if self.out is not None and not isinstance(self.out, str):
-            raise ConfigError(f"out: must be a file path string, got {self.out!r}")
+            raise MonolearnError(f"out: must be a file path string, got {self.out!r}")
         if not isinstance(self.record_potential, bool):
-            raise ConfigError(f"record_potential: must be true or false, "
-                              f"got {self.record_potential!r}")
+            raise MonolearnError(f"record_potential: must be true or false, "
+                                 f"got {self.record_potential!r}")
         if self.keep_trajectory is not False:
-            raise ConfigError(f"keep_trajectory: must be false, got {self.keep_trajectory!r}; "
-                              f"runs keep no iterates, only the measured rows")
+            raise MonolearnError(f"keep_trajectory: must be false, got "
+                                 f"{self.keep_trajectory!r}; runs keep no iterates, "
+                                 f"only the measured rows")
         if not isinstance(self.game_params, dict):
-            raise ConfigError(f"game_params: must be an object, got {self.game_params!r}")
+            raise MonolearnError(f"game_params: must be an object, got {self.game_params!r}")
         check_param("T", self.T, 2)
         check_param("stride", self.stride, 1)
         for name, least in (("seed", 0), ("eta", None), ("L", None), ("D", None)):
@@ -124,9 +118,9 @@ class ExperimentConfig:
         known = {f.name for f in fields(ExperimentConfig)}
         unknown = set(data) - known
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise MonolearnError(f"unknown config keys: {sorted(unknown)}")
         if "game" not in data or "T" not in data:
-            raise ConfigError("config requires at least 'game' and 'T'")
+            raise MonolearnError("config requires at least 'game' and 'T'")
         # a given seed must be an integer: null does not read as "unset" here
         if "seed" in data:
             check_param("seed", data["seed"], 0)
@@ -135,22 +129,22 @@ class ExperimentConfig:
 
 def _read_text(path):
     """The text of the file at ``path``; bytes that are not UTF-8 raise one
-    :class:`ConfigError` that starts with the path."""
+    :class:`MonolearnError` that starts with the path."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError:
-        raise ConfigError(f"{path}: not UTF-8 text") from None
+        raise MonolearnError(f"{path}: not UTF-8 text") from None
 
 
 def load_config(path):
     try:
         data = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+        raise MonolearnError(f"{path}: line {exc.lineno}: {exc.msg}") from None
     if not isinstance(data, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
+        raise MonolearnError(f"{path}: config must be a JSON object")
     return ExperimentConfig.from_dict(data)
 
 
@@ -162,12 +156,12 @@ def _learner_inputs(config, game, fset):
     if isinstance(tags, str):
         tags = [tags] * game.num_players
     if len(tags) != game.num_players:
-        raise ConfigError("algo: need one tag per player")
+        raise MonolearnError("algo: need one tag per player")
     L = config.L if config.L is not None else game.lipschitz_bound
     D = config.D if config.D is not None else fset.diameter()
     x1 = np.asarray(config.x1, dtype=float) if config.x1 is not None else game.start
     if x1.size != game.dim:
-        raise ConfigError(f"x1: expected dimension {game.dim}, got {x1.size}")
+        raise MonolearnError(f"x1: expected dimension {game.dim}, got {x1.size}")
     return tags, L, D if math.isfinite(D) else None, x1
 
 
@@ -181,7 +175,7 @@ def _build_learners(config, game):
 def _first_call_checked(gradient_fn, dim, point):
     """``gradient_fn`` with its first value checked for shape (dim,): the one
     shape check of the oracle, whose first call is at the ``point`` of round
-    1. A wrong shape raises :class:`HarnessError`; later values go to the
+    1. A wrong shape raises :class:`MonolearnError`; later values go to the
     rows unchecked."""
     checked = False
 
@@ -191,15 +185,15 @@ def _first_call_checked(gradient_fn, dim, point):
         if not checked:
             checked = True
             if np.shape(g) != (dim,):
-                raise HarnessError(f"round 1: oracle gradient at the {point} has shape "
-                                   f"{np.shape(g)}, expected {(dim,)}")
+                raise MonolearnError(f"round 1: oracle gradient at the {point} has shape "
+                                     f"{np.shape(g)}, expected {(dim,)}")
         return g
 
     return gradient
 
 
 def _check_gradients(t0, base_grad, grad):
-    """Raise :class:`HarnessError` naming the first round, from round t0 on,
+    """Raise :class:`MonolearnError` naming the first round, from round t0 on,
     and point whose oracle gradient row is not finite: ``base_grad`` (or
     None) holds V(x_t) and ``grad`` V(x_{t+1/2}), one row per round, and a
     round's base point comes before its played point. This is the
@@ -211,15 +205,16 @@ def _check_gradients(t0, base_grad, grad):
     if bad.any():
         k = bad.argmax()
         point = "base point" if bad_base[k] else "played point"
-        raise HarnessError(f"round {t0 + k}: non-finite gradient from the oracle at the {point}")
+        raise MonolearnError(f"round {t0 + k}: non-finite gradient from the oracle at the "
+                             f"{point}")
 
 
 def _check_finite(ts, columns):
-    """Raise :class:`HarnessError` naming the first round of ``ts`` at which
+    """Raise :class:`MonolearnError` naming the first round of ``ts`` at which
     one of ``columns`` (one row of cells per round, or None) is not finite."""
     bad = ~np.isfinite(np.column_stack([c for c in columns if c is not None])).all(axis=1)
     if bad.any():
-        raise HarnessError(f"round {ts[bad.argmax()]}: a measured value overflowed")
+        raise MonolearnError(f"round {ts[bad.argmax()]}: a measured value overflowed")
 
 
 def _previous_rows(rows, carry):
@@ -253,7 +248,7 @@ class _BlockMeasure:
     with one projection of the block's rows. The norms are
     :func:`geometry.scaled_row_norms`, so the test keeps its signal when
     their squares pass the float range. The first round that fails
-    raises :class:`HarnessError` naming it.
+    raises :class:`MonolearnError` naming it.
     """
 
     def __init__(self, game, x1, T, stride, track_potential):
@@ -319,9 +314,9 @@ class _BlockMeasure:
             bad = np.flatnonzero((miss > WITNESS_TOL * scale) & (ts >= 2))  # c_t needs t >= 2
             if bad.size:
                 k = bad[0]
-                raise HarnessError(f"round {ts[k]}: the potential's witness c_t is not in "
-                                   f"the normal cone at x_t (||P(x_t + eta c_t) - x_t|| = "
-                                   f"{miss[k]:.3e})")
+                raise MonolearnError(f"round {ts[k]}: the potential's witness c_t is not in "
+                                     f"the normal cone at x_t (||P(x_t + eta c_t) - x_t|| = "
+                                     f"{miss[k]:.3e})")
             pot = anchored_potential(c[rec], base_grad[rec], g_prev[rec], base[rec],
                                      self.x1, eta, ts[rec]).tolist()
             if t0 == 1:  # round 1 is always recorded, and P_t needs t >= 2
@@ -355,13 +350,13 @@ def run_self_play(config: ExperimentConfig):
     opened before the first round.
     """
     if config.seed is not None:
-        raise ConfigError(f"seed: self-play is deterministic and reads no seed, "
-                          f"got {config.seed!r}; only adversarial runs take one")
+        raise MonolearnError(f"seed: self-play is deterministic and reads no seed, "
+                             f"got {config.seed!r}; only adversarial runs take one")
     game = make_game(config.game, **config.game_params)
     players, tags, x1 = _build_learners(config, game)
     if config.record_potential and (
             any(t != "aog" for t in tags) or len({p.eta for p in players}) != 1):
-        raise ConfigError(
+        raise MonolearnError(
             "record_potential: potential tracking assumes every player runs "
             "fixed-step aog with a common step size"
         )
@@ -459,7 +454,7 @@ def make_adversary(name, dim, seed=0):
     """
     if name == "appendix_d":
         if dim != 1:
-            raise ConfigError("the alternating adversary is one-dimensional")
+            raise MonolearnError("the alternating adversary is one-dimensional")
         return verify_mod.ALTERNATING
     if name == "random_box":
         rng = np.random.default_rng(seed)
@@ -472,7 +467,7 @@ def make_adversary(name, dim, seed=0):
         return Oblivious(dim, fill)
     if name == "zero":
         return Oblivious(dim, lambda rows: rows.fill(0.0))
-    raise ConfigError(f"unknown adversary {name!r}")
+    raise MonolearnError(f"unknown adversary {name!r}")
 
 
 @dataclass
@@ -494,17 +489,14 @@ def run_adversarial(learner, adversary, T, record_at=None):
     set. The gradients are checked by ``play_rows`` before the learner uses
     them: an oblivious adversary's once per run, an adaptive callable's
     once per call; a wrong-size or non-finite one raises
-    :class:`HarnessError` naming its round.
+    :class:`MonolearnError` naming its round.
     """
     check_param("T", T, 1)
     fset = learner.set
     if not fset.is_bounded:
-        raise ConfigError("adversarial runs need a bounded action set: the "
-                          "external-regret comparator is unbounded")
-    try:
-        plays, grads = play_rows(learner, adversary, T)
-    except GeometryError as exc:
-        raise HarnessError(str(exc)) from None
+        raise MonolearnError("adversarial runs need a bounded action set: the "
+                             "external-regret comparator is unbounded")
+    plays, grads = play_rows(learner, adversary, T)
     wanted = set(record_at or ()) | {T}
     rounds = [t for t in range(1, T + 1) if t in wanted]
     regrets = regret_rows(plays, grads, fset, np.subtract(rounds, 1))
@@ -532,11 +524,11 @@ def fit_loglog_slope(ts, values, window=None):
     ts = np.asarray(ts, dtype=float)
     values = np.asarray(values, dtype=float)
     if ts.shape != values.shape:
-        raise HarnessError("t and value columns must align")
+        raise MonolearnError("t and value columns must align")
     t_min, t_max = window if window is not None else (DEFAULT_SLOPE_T_MIN, float("inf"))
     mask = (ts >= t_min) & (ts <= t_max) & (values > 0)
     if int(mask.sum()) < 10:
-        raise HarnessError("fewer than 10 usable rows in the fit window")
+        raise MonolearnError("fewer than 10 usable rows in the fit window")
     x, y = np.log(ts[mask]), np.log(values[mask])
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
@@ -608,7 +600,7 @@ def _cmd_verify(args):
     checks = args.checks.split(",") if args.checks else list(VERIFY_CHECKS)
     unknown = sorted(set(checks) - set(VERIFY_CHECKS))
     if unknown:
-        raise ConfigError(f"checks: unknown {unknown}; known: {', '.join(VERIFY_CHECKS)}")
+        raise MonolearnError(f"checks: unknown {unknown}; known: {', '.join(VERIFY_CHECKS)}")
     T = check_param("T", 1000 if args.T is None else args.T, 1)
     rng = np.random.default_rng(check_param("seed", args.seed, 0))
     if "identity" in checks:
@@ -643,10 +635,10 @@ def _cmd_slope(args):
 
     reader = csv_lib.DictReader(io.StringIO(_read_text(args.trace)))
     if args.column not in (reader.fieldnames or ()):
-        raise ConfigError(f"column: unknown {args.column!r}; the trace has "
-                          f"{', '.join(reader.fieldnames or ())}")
+        raise MonolearnError(f"column: unknown {args.column!r}; the trace has "
+                             f"{', '.join(reader.fieldnames or ())}")
     if "t" not in reader.fieldnames:
-        raise ConfigError(f"trace: {args.trace} has no 't' column to fit against")
+        raise MonolearnError(f"trace: {args.trace} has no 't' column to fit against")
     ts, vals = [], []
     for row in reader:
         cell = row.get(args.column)
@@ -656,8 +648,8 @@ def _cmd_slope(args):
             try:
                 out.append(float(row[name]))
             except (TypeError, ValueError):
-                raise ConfigError(f"trace: {args.trace} line {reader.line_num}: column "
-                                  f"{name!r} holds {row[name]!r}, not a number") from None
+                raise MonolearnError(f"trace: {args.trace} line {reader.line_num}: column "
+                                     f"{name!r} holds {row[name]!r}, not a number") from None
     window = (args.t_min, args.t_max if args.t_max is not None else float("inf"))
     fit = fit_loglog_slope(ts, vals, window)
     print(f"slope={fit.slope:.4f} intercept={fit.intercept:.4f} r2={fit.r2:.6f}")
@@ -710,7 +702,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, HarnessError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

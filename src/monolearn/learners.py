@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .games import check_param, player_slices
-from .geometry import Box, FeasibleSet, GeometryError, Unconstrained, _as_vector
+from .geometry import Box, FeasibleSet, MonolearnError, Unconstrained, _as_vector
 
 # Step-size adaptation switches to 1/sqrt(1+S) once the accumulated
 # second-order gradient variation S exceeds ADAPTATION_FACTOR * D^2 * L^2.
@@ -110,7 +110,7 @@ class Learner:
         self.set = feasible_set
         x1 = _as_vector(x1, feasible_set.dim)
         if not feasible_set.contains(x1):
-            raise GeometryError("initial point is infeasible")
+            raise MonolearnError("initial point is infeasible")
         self.x1 = feasible_set.project(x1)
         self.eta = float(check_param("eta", eta))
         self.threshold = threshold
@@ -136,19 +136,20 @@ def make_learner(tag, feasible_set, x1, eta=None, L=None, D=None):
     ``L`` and ``D``; the others require ``eta`` or ``L``. Each one used is
     checked by :func:`games.check_param`."""
     if tag not in RULES:
-        raise ValueError(f"unknown algorithm tag {tag!r}; known: {sorted(RULES)}")
+        raise MonolearnError(f"unknown algorithm tag {tag!r}; known: {sorted(RULES)}")
     threshold = None
     if tag == "aog_adaptive":
         if L is None or D is None:
-            raise ValueError("adaptation needs L and D")
+            raise MonolearnError("adaptation needs L and D")
         L, D = float(check_param("L", L)), float(check_param("D", D))
         threshold = ADAPTATION_FACTOR * D * D * L * L
     if eta is None:
         if L is None:
-            raise ValueError(f"{tag} needs eta or L")
+            raise MonolearnError(f"{tag} needs eta or L")
         eta = default_step_size(tag, check_param("L", L))
         if not eta > 0:
-            raise ValueError(f"eta: the default step size of {tag} is 0 at L = {L!r}; give eta")
+            raise MonolearnError(f"eta: the default step size of {tag} is 0 at L = {L!r}; "
+                                 f"give eta")
     return Learner(tag, feasible_set, x1, eta, threshold)
 
 
@@ -392,13 +393,13 @@ def _fill_checked(source, rows):
     for size and finiteness; the first bad round is named."""
     dim = rows.shape[1]
     if source.dim != dim:  # every row has the source's width
-        raise GeometryError("round 1: gradient from the source: "
-                            f"expected dimension {dim}, got {source.dim}")
+        raise MonolearnError("round 1: gradient from the source: "
+                             f"expected dimension {dim}, got {source.dim}")
     source.fill(rows)
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if bad.size:
-        raise GeometryError(f"round {bad[0] + 1}: gradient from the source: "
-                            "vector has non-finite entries")
+        raise MonolearnError(f"round {bad[0] + 1}: gradient from the source: "
+                             "vector has non-finite entries")
 
 
 def play_rows(learner, gradient_source, rounds):
@@ -419,11 +420,11 @@ def play_rows(learner, gradient_source, rounds):
     then reads them with no per-round call or check. Any other source is
     adaptive, a callable ``gradient_source(t, action)``: it is called once
     a round, and each gradient is checked before the learner uses it.
-    Either way a bad gradient raises :class:`GeometryError` naming its
+    Either way a bad gradient raises :class:`MonolearnError` naming its
     round before the learner uses it, and an adaptive source is not called
     again. A source that raises stops the run before its gradient is
     used. A ``rounds`` too large to allocate the arrays for is one
-    :class:`GeometryError` naming T.
+    :class:`MonolearnError` naming T.
     """
     dim = learner.set.dim
     two_phase = learner.predictor == "base"
@@ -431,8 +432,8 @@ def play_rows(learner, gradient_source, rounds):
     try:
         plays, grads = np.empty((2, steps * (1 + two_phase), dim))
     except (ValueError, MemoryError):  # numpy's "array is too big", or no memory
-        raise GeometryError(f"T: {rounds} rounds of dimension {dim} are too many "
-                            "to allocate") from None
+        raise MonolearnError(f"T: {rounds} rounds of dimension {dim} are too many "
+                             "to allocate") from None
 
     if isinstance(gradient_source, Oblivious):
         gradient = None
@@ -450,8 +451,8 @@ def play_rows(learner, gradient_source, rounds):
             g = gradient_source(t, point)
             try:
                 return _as_vector(g, dim)
-            except GeometryError as exc:
-                raise GeometryError(f"round {t}: gradient from the source: {exc}") from None
+            except MonolearnError as exc:
+                raise MonolearnError(f"round {t}: gradient from the source: {exc}") from None
 
     advance = dynamics([learner], learner.set, learner.x1)
     if two_phase:

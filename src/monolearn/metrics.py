@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .games import GameError, GameOracle
+from .games import GameOracle
+from .geometry import MonolearnError
 
 
 # -- per-round formulas over a leading row axis ------------------------------
@@ -61,13 +62,13 @@ def linearized_gaps(gx, lows):
 def best_response_gaps(game: GameOracle, Z):
     """Per-player loss minus exact best-response value at the feasible
     profile rows ``Z`` (k, dim): shape (k, N), one oracle call per player.
-    A misshaped result raises :class:`GameError`; the values are not checked
-    here, since the runner checks every measured cell for overflow."""
+    A misshaped result raises :class:`MonolearnError`; the values are not
+    checked here, since the runner checks every measured cell for overflow."""
     gaps = np.stack([game.losses[i](Z) - game.best_response_fn(i, Z)[1]
                      for i in range(game.num_players)], axis=-1)
     if gaps.shape != (len(Z), game.num_players):
-        raise GameError(f"game {game.name!r}: misshaped exact best-response gaps: shape "
-                        f"{gaps.shape}, expected {(len(Z), game.num_players)}")
+        raise MonolearnError(f"game {game.name!r}: misshaped exact best-response gaps: shape "
+                             f"{gaps.shape}, expected {(len(Z), game.num_players)}")
     return gaps
 
 

@@ -13,15 +13,11 @@ import numpy as np
 
 from . import learners
 from .games import check_param
-from .geometry import symmetric_box
+from .geometry import MonolearnError, symmetric_box
 from .metrics import anchored_potential, normal_element, regret_rows
 
 REL_TOL = 1e-9
 ABS_FLOOR = 1e-12
-
-
-class VerifyError(ValueError):
-    pass
 
 
 @dataclass
@@ -45,10 +41,8 @@ class IdentityInstance:
     q: float
 
     def __post_init__(self):
-        if self.t < 1:
-            raise VerifyError("identity requires t >= 1")
-        if self.q <= 0:
-            raise VerifyError("identity requires q > 0")
+        check_param("t", self.t, 1.0)
+        check_param("q", self.q)
         self.a4 = self.a2 - self.b3 + (self.a0 - self.a2) / (self.t + 1.0) - self.u4
 
     @staticmethod
@@ -110,7 +104,7 @@ def identity_instance_from_trace(game, x1, eta, t, steps):
     The derived a4 reproduces x_{t+1} exactly: u4 comes from the same update.
     """
     if t < 2:
-        raise VerifyError("trace substitution needs t >= 2")
+        raise MonolearnError("trace substitution needs t >= 2")
     (x_prev, _, g_prev, _), (x_t, half, g_half, _), (x_next, *_) = steps
     return IdentityInstance(
         a0=x1,
@@ -144,15 +138,17 @@ def check_sequence_bound(a, c1, p, rel_tol=REL_TOL):
     ``a`` is indexed from k = 2. Hypothesis: (k^2/4) a_k <= C1 +
     p/(1-p) * sum_{t=2}^{k-1} a_t for all k. Conclusion: a_k <=
     4 C1 / ((1-3p) k^2). Both checks are reported separately so a
-    hypothesis failure is distinguishable from a bound violation.
+    hypothesis failure is distinguishable from a bound violation. ``a`` and
+    ``c1`` must be finite and non-negative and ``p`` in (0, 1/3), each
+    checked by :func:`games.check_param` first: a NaN would compare False
+    and read as a pass.
     """
-    if not (0.0 < p < 1.0 / 3.0):
-        raise VerifyError("p must lie in (0, 1/3)")
-    if c1 < 0:
-        raise VerifyError("C1 must be nonnegative")
-    a = [float(v) for v in a]
+    if not check_param("p", p) < 1.0 / 3.0:
+        raise MonolearnError("p must lie in (0, 1/3)")
+    check_param("c1", c1, 0.0)
+    a = [float(v) for v in check_param("a", a, vector=True)]
     if any(v < 0 for v in a):
-        raise VerifyError("sequence entries must be nonnegative")
+        raise MonolearnError("sequence entries must be nonnegative")
     ratio = p / (1.0 - p)
     bound_c = 4.0 * c1 / (1.0 - 3.0 * p)
     partial = 0.0
@@ -202,6 +198,6 @@ def run_eag_adversary(T, eta):
     want = np.where(np.arange(1, T + 1) % 2 == 1, 0.0, max(-eta, -1.0))
     off = np.flatnonzero(np.abs(plays[:, 0] - want) > 1e-12)
     if off.size:
-        raise VerifyError(f"unexpected iterate at round {off[0] + 1}")
+        raise MonolearnError(f"unexpected iterate at round {off[0] + 1}")
     regret = float(regret_rows(plays, grads, box, -1))
     return regret, np.stack((plays, grads), axis=1)

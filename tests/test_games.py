@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from monolearn.games import (
-    GameError,
     GameOracle,
     banded_coupling_matrix,
     make_appendix_d_toy,
@@ -17,7 +16,7 @@ from monolearn.games import (
     make_random_linear_monotone,
     spectral_norm,
 )
-from monolearn.geometry import Ball, Box, GeometryError, ProductSet, Unconstrained, symmetric_box
+from monolearn.geometry import Ball, Box, MonolearnError, ProductSet, Unconstrained, symmetric_box
 
 from conftest import box_points
 
@@ -173,7 +172,7 @@ def test_random_linear_rejects_negative_diagonal():
     # The symmetric part of M is exactly psd_diag * I, so psd_diag < 0 is
     # non-monotone; it is rejected bounded or not.
     for bounded in (None, 1.0):
-        with pytest.raises(GameError, match="psd_diag"):
+        with pytest.raises(MonolearnError, match="psd_diag"):
             make_random_linear_monotone((2, 2), psd_diag=-1.0, bounded=bounded)
     M = make_random_linear_monotone((2, 2), psd_diag=0.25, seed=3).affine[0]
     assert np.array_equal((M + M.T) / 2.0, 0.25 * np.eye(4))
@@ -243,22 +242,22 @@ def test_spectral_norm_matches_svd(M):
 
 def test_spectral_norm_rejects_non_finite_entries():
     for bad in (np.inf, -np.inf, np.nan):
-        with pytest.raises(GameError, match="non-finite"):
+        with pytest.raises(MonolearnError, match="non-finite"):
             spectral_norm(np.array([[1.0, bad], [0.0, 1.0]]))
 
 
 def test_make_game_registry():
     assert make_game("appendix_d_toy").name == "appendix_d_toy"
-    with pytest.raises(GameError):
+    with pytest.raises(MonolearnError):
         make_game("nope")
-    with pytest.raises(GameError):
+    with pytest.raises(MonolearnError):
         make_appendix_e_instance(1)
 
 
 @pytest.mark.parametrize("start", [[0.0, math.nan], [0.0, 0.0, 0.0]])
 def test_start_must_be_finite_and_of_the_joint_size(start):
     # the oracle checks its start itself: projection does not check input
-    with pytest.raises(GeometryError):
+    with pytest.raises(MonolearnError):
         GameOracle([symmetric_box(1.0, 1)] * 2, 1.0, affine=(np.eye(2), np.zeros(2)),
                    start=start)
 
@@ -290,7 +289,7 @@ def test_bounded_random_linear_runs_from_game_start():
 
 
 def test_make_game_rejects_unknown_params():
-    with pytest.raises(GameError, match="bogus"):
+    with pytest.raises(MonolearnError, match="bogus"):
         make_game("bilinear", bogus=1)
 
 
@@ -333,7 +332,8 @@ def test_random_linear_certificate_is_exact(bounded):
 
 @pytest.mark.parametrize("L", [0.0, -1.0, math.nan, math.inf])
 def test_oracle_rejects_a_non_finite_or_non_positive_lipschitz_bound(L):
-    with pytest.raises(GameError, match="Lipschitz bound must be finite and positive"):
+    with pytest.raises(MonolearnError,
+                       match="^lipschitz_bound: must be a finite number > 0, got "):
         GameOracle([symmetric_box(1.0, 2)], L, affine=(np.eye(2), np.zeros(2)))
 
 
@@ -345,15 +345,17 @@ def test_oracle_rejects_a_non_finite_or_non_positive_lipschitz_bound(L):
     (np.zeros((2, 2)), np.array([0.0, np.inf])),
 ])
 def test_oracle_rejects_an_operator_of_the_wrong_shape_or_non_finite(M, r):
-    with pytest.raises(GameError, match=r"^affine: need a finite \(2, 2\) M and a finite \(2,\) r"):
+    with pytest.raises(MonolearnError,
+                       match=r"^affine: need a finite \(2, 2\) M and a finite \(2,\) r"):
         GameOracle(player_sets=[symmetric_box(1.0, 1)] * 2, lipschitz_bound=1.0, affine=(M, r))
 
 
 def test_affine_validation_rejects_with_the_failing_value():
     box = [symmetric_box(1.0, 2)]
-    with pytest.raises(GameError, match=r"not monotone: lambda_min\(\(M \+ M\^T\)/2\) = -1\.0"):
+    with pytest.raises(MonolearnError,
+                       match=r"not monotone: lambda_min\(\(M \+ M\^T\)/2\) = -1\.0"):
         GameOracle(box, 1.0, affine=(-np.eye(2), np.zeros(2))).validate()
-    with pytest.raises(GameError, match=r"\|\|M\|\|_2 = 2\.0 > L = 1\.5"):
+    with pytest.raises(MonolearnError, match=r"\|\|M\|\|_2 = 2\.0 > L = 1\.5"):
         GameOracle(box, 1.5, affine=(2.0 * np.eye(2), np.zeros(2))).validate()
 
 
@@ -403,7 +405,8 @@ def far_from(value, threshold):
 def test_affine_validation_agrees_with_the_eigen_certificate(case):
     M, L = case
     if not L > 0:  # the drawn factor times a subnormal ||M||_2 underflows to 0
-        with pytest.raises(GameError, match="Lipschitz bound must be finite and positive"):
+        with pytest.raises(MonolearnError,
+                           match="^lipschitz_bound: must be a finite number > 0, got "):
             GameOracle([Unconstrained(M.shape[0])], L, affine=(M, np.zeros(M.shape[0])))
         return
     low = float(np.linalg.eigvalsh((M + M.T) / 2.0)[0])
@@ -414,12 +417,12 @@ def test_affine_validation_agrees_with_the_eigen_certificate(case):
     if low >= floor and norm <= cap:
         assert game.validate() is game
     else:
-        with pytest.raises(GameError):
+        with pytest.raises(MonolearnError):
             game.validate()
 
 
 def test_make_game_rejects_validate_key():
-    with pytest.raises(GameError, match="validate"):
+    with pytest.raises(MonolearnError, match="validate"):
         make_game("bilinear", validate=False)
 
 
@@ -458,6 +461,6 @@ def test_bilinear_gradient_and_best_responses_are_closed_forms(scale, d):
 
 
 def test_best_response_needs_losses():
-    with pytest.raises(GameError, match="losses"):
+    with pytest.raises(MonolearnError, match="losses"):
         GameOracle([symmetric_box(1.0, 1)], 1.0, affine=(np.eye(1), np.zeros(1)),
                    best_response_fn=lambda player, Z: (Z, Z[:, 0]))

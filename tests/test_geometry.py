@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from monolearn.geometry import (
     Ball,
     Box,
-    GeometryError,
+    MonolearnError,
     ProductSet,
     Unconstrained,
     symmetric_box,
@@ -240,7 +240,7 @@ def test_gap_matches_grid_oracle():
 
 def test_gap_on_unbounded_set_rejected():
     # the comparator of the gap, min over the set of <g, x>, is unbounded
-    with pytest.raises(GeometryError):
+    with pytest.raises(MonolearnError):
         Unconstrained(2).support_min(np.array([1.0, 0.0]))
 
 
@@ -338,7 +338,7 @@ def test_product_diameter_is_root_sum_square():
 
 
 def test_degenerate_box():
-    with pytest.raises(GeometryError):
+    with pytest.raises(MonolearnError):
         Box([1.0], [0.0])
-    with pytest.raises(GeometryError):
+    with pytest.raises(MonolearnError):
         Ball(np.zeros(2), 0.0)

@@ -8,9 +8,7 @@ import pytest
 
 from monolearn.harness import (
     BLOCK_ROWS,
-    ConfigError,
     ExperimentConfig,
-    HarnessError,
     _BlockMeasure,
     build_single_learner,
     emit_csv,
@@ -23,7 +21,7 @@ from monolearn.harness import (
 )
 from monolearn.games import make_game
 from monolearn.learners import Oblivious, make_learner, play_rows
-from monolearn.geometry import symmetric_box
+from monolearn.geometry import MonolearnError, symmetric_box
 from monolearn.metrics import csv_header
 
 from conftest import kernel_run
@@ -54,35 +52,35 @@ def test_config_round_trip(tmp_path):
 
 def test_config_rejects_unknown_keys(tmp_path):
     path = write_config(tmp_path, **BILINEAR, bogus=1)
-    with pytest.raises(ConfigError, match="bogus"):
+    with pytest.raises(MonolearnError, match="bogus"):
         load_config(path)
 
 
 def test_config_requires_core_fields(tmp_path):
     path = write_config(tmp_path, game="bilinear")
-    with pytest.raises(ConfigError, match="T"):
+    with pytest.raises(MonolearnError, match="T"):
         load_config(path)
 
 
 def test_keep_trajectory_is_accepted_only_as_false():
     assert ExperimentConfig(game="bilinear", T=20, keep_trajectory=False).keep_trajectory is False
-    with pytest.raises(ConfigError, match="keep_trajectory"):
+    with pytest.raises(MonolearnError, match="keep_trajectory"):
         ExperimentConfig(game="bilinear", T=20, keep_trajectory=True)
 
 
 def test_config_field_validation():
-    with pytest.raises(ConfigError, match="T"):
+    with pytest.raises(MonolearnError, match="T"):
         ExperimentConfig(game="bilinear", T=1)
-    with pytest.raises(ConfigError, match="stride"):
+    with pytest.raises(MonolearnError, match="stride"):
         ExperimentConfig(game="bilinear", T=10, stride=0)
-    with pytest.raises(ConfigError, match="eta"):
+    with pytest.raises(MonolearnError, match="eta"):
         ExperimentConfig(game="bilinear", T=10, eta=-0.1)
 
 
 def test_config_parse_error_has_line_context(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"game": "bilinear",\n  "T": }')
-    with pytest.raises(ConfigError, match="line 2"):
+    with pytest.raises(MonolearnError, match="line 2"):
         load_config(str(path))
 
 
@@ -131,7 +129,7 @@ def test_potential_tracking_requires_uniform_fixed_step():
         T=50,
         record_potential=True,
     )
-    with pytest.raises(ConfigError, match="record_potential"):
+    with pytest.raises(MonolearnError, match="record_potential"):
         run_self_play(cfg)
 
 
@@ -151,7 +149,7 @@ def test_measurement_pass_checks_the_potential_witness_membership():
     moved = base.copy()
     assert np.all(np.abs(moved[7]) < 1.0 - 1e-2)
     moved[7] += 1e-3
-    with pytest.raises(HarnessError, match="^round 8: .*normal cone"):
+    with pytest.raises(MonolearnError, match="^round 8: .*normal cone"):
         measure(moved)
 
 
@@ -178,7 +176,7 @@ def test_witness_check_reports_a_miss_when_the_squares_overflow(monkeypatch):
     monkeypatch.setattr(harness, "normal_element", lambda *a: normal_element(*a) + 1e40)
     cfg = ExperimentConfig(game="random_linear_monotone", game_params={"dims": (1, 1)},
                            algo="aog", eta=1e160, T=2, record_potential=True)
-    with pytest.raises(HarnessError, match=r"^round 2: .*normal cone .*= 1\.414e\+200\)$"):
+    with pytest.raises(MonolearnError, match=r"^round 2: .*normal cone .*= 1\.414e\+200\)$"):
         run_self_play(cfg)
 
 
@@ -233,7 +231,7 @@ def test_non_finite_base_gradient_aborts_with_round(monkeypatch):
     game.gradient_fn = gradient_fn
     monkeypatch.setattr("monolearn.harness.make_game", lambda *a, **k: game)
     cfg = ExperimentConfig(game="bilinear", algo="eg", T=10)
-    with pytest.raises(HarnessError, match=r"round 3: .*base point"):
+    with pytest.raises(MonolearnError, match=r"round 3: .*base point"):
         run_self_play(cfg)
 
 
@@ -251,7 +249,7 @@ def test_inf_base_gradient_clipped_on_a_box_aborts_with_round(monkeypatch):
 
     game.gradient_fn = gradient_fn
     monkeypatch.setattr("monolearn.harness.make_game", lambda *a, **k: game)
-    with pytest.raises(HarnessError, match=r"^round 4: non-finite gradient from the oracle "
+    with pytest.raises(MonolearnError, match=r"^round 4: non-finite gradient from the oracle "
                                            r"at the base point$"):
         run_self_play(ExperimentConfig(game="bilinear", algo="eg", T=10))
     # round 4's played point is a finite corner, and every later point is finite
@@ -271,7 +269,7 @@ def test_non_finite_potential_gradient_aborts_with_round(monkeypatch):
     monkeypatch.setattr("monolearn.harness.BLOCK_ROWS", 4)
     cfg = ExperimentConfig(game="bilinear", algo="aog", T=10, record_potential=True)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            HarnessError, match=r"^round 6: non-finite gradient from the oracle at the base point$"):
+            MonolearnError, match=r"^round 6: non-finite gradient from the oracle at the base point$"):
         run_self_play(cfg)
 
 
@@ -279,7 +277,7 @@ def test_wrong_size_gradient_aborts(monkeypatch):
     bad = make_game("bilinear", dims=(1, 1))
     bad.gradient_fn = lambda z: np.zeros(3)
     monkeypatch.setattr("monolearn.harness.make_game", lambda *a, **k: bad)
-    with pytest.raises(HarnessError, match=r"round 1: .*shape"):
+    with pytest.raises(MonolearnError, match=r"round 1: .*shape"):
         run_self_play(ExperimentConfig(game="custom", T=5))
 
 
@@ -309,7 +307,7 @@ def test_bad_x1_dimension_rejected():
     cfg = ExperimentConfig(
         game="bilinear", game_params={"dims": (1, 1)}, T=10, x1=[0.0, 0.0, 0.0]
     )
-    with pytest.raises(ConfigError, match="x1"):
+    with pytest.raises(MonolearnError, match="x1"):
         run_self_play(cfg)
 
 
@@ -351,7 +349,7 @@ def test_recorded_regrets_equal_a_per_round_accumulator(tag):
 
 def test_adversary_non_finite_gradient_aborts():
     learner = make_learner("og", symmetric_box(1.0, 1), np.zeros(1), eta=0.2)
-    with pytest.raises(HarnessError):
+    with pytest.raises(MonolearnError):
         run_adversarial(learner, lambda t, a: np.array([float("nan")]), 5)
 
 
@@ -378,7 +376,7 @@ def test_adversary_gradient_checked_once_at_its_round(bad, tag):
     k = 7
     learner = make_learner(tag, symmetric_box(1.0, 1), np.zeros(1), eta=0.2, L=1.0, D=2.0)
     adversary, calls = bad_at(k, BAD_GRADIENTS[bad])
-    with pytest.raises(HarnessError, match=f"^round {k}: "):
+    with pytest.raises(MonolearnError, match=f"^round {k}: "):
         run_adversarial(learner, adversary, 20)
     assert calls == list(range(1, k + 1))
 
@@ -412,7 +410,7 @@ def test_oblivious_gradients_checked_once_before_round_one(monkeypatch, bad, tag
 
     monkeypatch.setattr("monolearn.learners.dynamics", lambda *a: kernels.append(a))
     learner = make_learner(tag, symmetric_box(1.0, 1), np.zeros(1), eta=0.2, L=1.0, D=2.0)
-    with pytest.raises(HarnessError, match=f"^round {k}: gradient from the source: vector "
+    with pytest.raises(MonolearnError, match=f"^round {k}: gradient from the source: vector "
                                            "has non-finite entries$"):
         run_adversarial(learner, Oblivious(1, fill), 20)
     assert fills == [20]
@@ -424,7 +422,7 @@ def test_oblivious_source_of_the_wrong_width_is_never_filled():
     # is named, and no row is asked for
     fills = []
     learner = make_learner("og", symmetric_box(1.0, 1), np.zeros(1), eta=0.2)
-    with pytest.raises(HarnessError, match="^round 1: gradient from the source: "
+    with pytest.raises(MonolearnError, match="^round 1: gradient from the source: "
                                            "expected dimension 1, got 2$"):
         run_adversarial(learner, Oblivious(2, fills.append), 20)
     assert fills == []
@@ -458,7 +456,7 @@ def test_unbounded_adversarial_run_rejected_before_first_round():
         calls.append(t)
         return np.zeros(2)
 
-    with pytest.raises(ConfigError, match="bounded"):
+    with pytest.raises(MonolearnError, match="bounded"):
         run_adversarial(learner, adversary, 10)
     assert calls == []
 
@@ -493,7 +491,7 @@ def test_slope_fit_drops_nonpositive_rows():
 
 
 def test_slope_fit_needs_enough_rows():
-    with pytest.raises(HarnessError):
+    with pytest.raises(MonolearnError):
         fit_loglog_slope(np.arange(1, 6), np.ones(5), window=(1, 5))
 
 
@@ -518,7 +516,7 @@ def test_failed_run_keeps_earlier_csv(tmp_path, monkeypatch):
     out = tmp_path / "run.csv"
     out.write_text("earlier\n")
     # from (-1, -1) the first oracle call is at x1 itself
-    with pytest.raises(HarnessError, match="round 1: non-finite"):
+    with pytest.raises(MonolearnError, match="round 1: non-finite"):
         run_self_play(ExperimentConfig(game="bilinear", T=50, x1=[-1.0, -1.0], out=str(out)))
     assert out.read_text() == "earlier\n"
     assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
@@ -837,7 +835,7 @@ def test_cli_selfplay_config_seed_exits_one(tmp_path, capsys, seed):
     assert main(["selfplay", "--config", cfg, "--out", str(out)]) == 1
     assert_one_error_line(capsys, "seed: ", repr(seed))
     assert not out.exists()
-    with pytest.raises(ConfigError, match="^seed: "):
+    with pytest.raises(MonolearnError, match="^seed: "):
         run_self_play(ExperimentConfig(**BILINEAR, seed=seed))
 
 
@@ -882,7 +880,7 @@ def test_cli_adversarial_failed_run_keeps_earlier_csv(tmp_path, capsys, monkeypa
     assert earlier.startswith(b"t,regret\n")
 
     def fail(*args, **kwargs):
-        raise HarnessError("round 3: adversary produced a non-finite gradient")
+        raise MonolearnError("round 3: adversary produced a non-finite gradient")
 
     monkeypatch.setattr("monolearn.harness.run_adversarial", fail)
     assert main(["adversarial", "--config", cfg, "--out", str(out)]) == 1

@@ -19,11 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monolearn.games import make_game
-from monolearn.geometry import Ball, Box, ProductSet, Unconstrained, symmetric_box
+from monolearn.geometry import Ball, Box, MonolearnError, ProductSet, Unconstrained, symmetric_box
 from monolearn.harness import (
     BLOCK_ROWS,
     ExperimentConfig,
-    HarnessError,
     _build_learners,
     block_rows,
     make_adversary,
@@ -338,7 +337,7 @@ def test_non_finite_gradient_mid_block_raises_and_leaves_no_csv(tmp_path, monkey
     game.gradient_fn = gradient_fn
     monkeypatch.setattr("monolearn.harness.make_game", lambda *a, **k: game)
     out = tmp_path / "run.csv"
-    with pytest.raises(HarnessError, match=rf"^round {R + 17}: non-finite gradient from the "
+    with pytest.raises(MonolearnError, match=rf"^round {R + 17}: non-finite gradient from the "
                                            rf"oracle at the played point$"):
         run_self_play(ExperimentConfig(game="bilinear", T=3 * R, out=str(out)))
     assert list(tmp_path.iterdir()) == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from monolearn.games import make_game
-from monolearn.geometry import GeometryError, Unconstrained, symmetric_box
+from monolearn.geometry import MonolearnError, Unconstrained, symmetric_box
 from monolearn.learners import (
     default_step_size,
     make_learner,
@@ -182,7 +182,7 @@ def test_infeasible_start_rejected():
     # x1 is checked once, by the learner: outside the set, of the wrong size
     # or not finite (projection does not check its input)
     for x1 in ([2.0, 0.0], [0.0, 0.0, 0.0], [0.0, np.nan]):
-        with pytest.raises(GeometryError):
+        with pytest.raises(MonolearnError):
             make_learner("gd", symmetric_box(1.0, 2), np.array(x1), eta=0.1)
 
 

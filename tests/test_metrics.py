@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from monolearn.games import GameError, GameOracle, make_bilinear_saddle, make_game
-from monolearn.geometry import symmetric_box
-from monolearn.harness import ExperimentConfig, HarnessError, run_self_play
+from monolearn.games import GameOracle, make_bilinear_saddle, make_game
+from monolearn.geometry import MonolearnError, symmetric_box
+from monolearn.harness import ExperimentConfig, run_self_play
 from monolearn.metrics import (
     best_response_gaps,
     csv_cells,
@@ -179,12 +179,12 @@ def test_best_response_gaps_reject_a_non_finite_row(monkeypatch):
     game = custom_exact_game(lambda Z: Z[:, 0] * Z[:, 1], values)
     assert np.isnan(best_response_gaps(game, np.zeros((6, 2)))[3]).all()
     monkeypatch.setattr("monolearn.harness.make_game", lambda *a, **k: game)
-    with pytest.raises(HarnessError, match="^round 4: a measured value overflowed$"):
+    with pytest.raises(MonolearnError, match="^round 4: a measured value overflowed$"):
         run_self_play(ExperimentConfig(game="custom", T=20))
     # a misshaped result is the oracle's error
     game.losses = [lambda Z: np.zeros((len(Z), 2))] * 2
     game.best_response_fn = lambda player, Z: (Z[:, :1], np.zeros((len(Z), 2)))
-    with pytest.raises(GameError, match="misshaped"):
+    with pytest.raises(MonolearnError, match="misshaped"):
         best_response_gaps(game, np.zeros((6, 2)))
 
 

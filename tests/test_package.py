@@ -1,9 +1,15 @@
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import monolearn
+from monolearn import MonolearnError, make_learner, symmetric_box
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -12,6 +18,21 @@ def test_every_exported_name_resolves():
     missing = [name for name in monolearn.__all__ if not hasattr(monolearn, name)]
     assert missing == []
     assert len(set(monolearn.__all__)) == len(monolearn.__all__)
+
+
+def test_monolearn_error_is_the_one_exception_class():
+    modules = [importlib.import_module(f"monolearn.{m.name}")
+               for m in pkgutil.iter_modules(monolearn.__path__)]
+    defined = {obj for module in modules for obj in vars(module).values()
+               if isinstance(obj, type) and issubclass(obj, BaseException)
+               and obj.__module__.startswith("monolearn")}
+    assert defined == {MonolearnError}
+    assert issubclass(MonolearnError, ValueError)
+    box, x1 = symmetric_box(1.0, 1), np.zeros(1)
+    with pytest.raises(MonolearnError, match="^unknown algorithm tag 'nope'"):
+        make_learner("nope", box, x1, eta=0.1)
+    with pytest.raises(MonolearnError, match="^adaptation needs L and D$"):
+        make_learner("aog_adaptive", box, x1, L=1.0)
 
 
 def test_python_dash_m_monolearn_runs_the_cli():

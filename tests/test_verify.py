@@ -5,10 +5,9 @@ import pytest
 
 from monolearn.harness import ExperimentConfig, run_self_play
 from monolearn.learners import make_learner
-from monolearn.geometry import symmetric_box
+from monolearn.geometry import MonolearnError, symmetric_box
 from monolearn.verify import (
     IdentityInstance,
-    VerifyError,
     check_descent_identity,
     check_sequence_bound,
     identity_instance_from_trace,
@@ -124,7 +123,7 @@ def test_identity_from_run_trace():
         assert np.linalg.norm(inst.a4 - steps[2][0]) <= 1e-9
         _, _, rel = check_descent_identity(inst)
         assert rel <= 1e-9
-    with pytest.raises(VerifyError, match="t >= 2"):
+    with pytest.raises(MonolearnError, match="t >= 2"):
         identity_instance_from_trace(game, x1, eta, 1, windows[2])
 
 
@@ -136,9 +135,9 @@ def test_identity_holds_on_degenerate_instances():
         assert (1.0 - 4.0 * q) * t - 4.0 * q <= 0.0
         assert check_descent_identity(IdentityInstance.random(rng, 3, t, q))[2] <= 1e-9
     zeros = [np.zeros(1) for _ in range(9)]
-    with pytest.raises(VerifyError):
+    with pytest.raises(MonolearnError):
         IdentityInstance(*zeros, t=0.0, q=0.1)
-    with pytest.raises(VerifyError):
+    with pytest.raises(MonolearnError):
         IdentityInstance(*zeros, t=2.0, q=0.0)
 
 
@@ -165,12 +164,32 @@ def test_sequence_bound_detects_violations():
 
 
 def test_sequence_bound_argument_validation():
-    with pytest.raises(VerifyError):
+    with pytest.raises(MonolearnError):
         check_sequence_bound([0.0], c1=1.0, p=0.4)
-    with pytest.raises(VerifyError):
+    with pytest.raises(MonolearnError):
         check_sequence_bound([0.0], c1=-1.0, p=0.1)
-    with pytest.raises(VerifyError):
+    with pytest.raises(MonolearnError):
         check_sequence_bound([-1.0], c1=1.0, p=0.1)
+
+
+@pytest.mark.parametrize("a, c1, p, key", [
+    ([1.0, 0.5, 0.1], math.nan, 0.25, "c1"),
+    ([1.0, math.nan, 0.1], 1.0, 0.25, "a"),
+    ([1.0, math.inf, 0.1], 1.0, 0.25, "a"),
+    ([0.0], 1.0, "0.1", "p"),
+])
+def test_sequence_bound_checks_its_numbers(a, c1, p, key):
+    # every comparison with NaN is False: unchecked, a NaN reads as a pass
+    with pytest.raises(MonolearnError, match=f"^{key}: must be "):
+        check_sequence_bound(a, c1=c1, p=p)
+
+
+@pytest.mark.parametrize("t, q, key", [(math.nan, 0.1, "t"), (math.inf, 0.1, "t"),
+                                       (2.0, math.nan, "q")])
+def test_identity_instance_rejects_non_finite_t_and_q(t, q, key):
+    zeros = [np.zeros(1) for _ in range(9)]
+    with pytest.raises(MonolearnError, match=f"^{key}: must be a finite number"):
+        IdentityInstance(*zeros, t=t, q=q)
 
 
 def test_sequence_bound_on_run_residuals():
