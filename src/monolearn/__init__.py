@@ -2,9 +2,10 @@
 
 A library plus experiment CLI for no-regret learning dynamics (gradient
 descent, optimistic gradient, extragradient and its anchored variant, and
-the anchored optimistic gradient with optional step-size adaptation). One
-round loop makes every iterate; the self-play runner and the one online
-driver, :func:`play_rows`, drive it. An :class:`Oblivious` gradient
+the anchored optimistic gradient with optional step-size adaptation). An
+array round loop makes every self-play iterate and the one online driver,
+:func:`play_rows`, runs a learner on it or, for an :class:`Oblivious`
+gradient source on a one-coordinate box, on a float loop. An oblivious
 source hands the online driver every round's gradient before round 1.
 The runners measure equilibrium gaps, regrets and the potential-function
 certificate with the row formulas of ``metrics``, and numeric checkers

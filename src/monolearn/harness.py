@@ -7,16 +7,15 @@ gradient variation) are accumulated every round even when only strided
 snapshots are written, so recorded rows are exact.
 
 Players are built and validated through ``make_learner``, one per player.
-Every iterate comes from the one round loop, the block kernel of
-:func:`learners.dynamics`, which this module runs in two ways. Self-play
-hands it the oracle's joint gradient, and the kernel writes each round's
-points and gradients straight into the rows of a block, of
-:func:`block_rows` rounds: more rounds for smaller games. After each
-block, the measurement pass computes every column of the block's rounds
-with whole-block array operations on the joint vectors, per player where
-a column is per player, into the one table of the run: the CSV columns
-that ``run_self_play`` returns and ``emit_csv`` writes. The adversarial
-runner drives the same kernel with one player through
+Self-play runs the array round loop, the block kernel of
+:func:`learners.dynamics`: it hands it the oracle's joint gradient, and
+the kernel writes each round's points and gradients straight into the
+rows of a block, of :func:`block_rows` rounds: more rounds for smaller
+games. After each block, the measurement pass computes every column of
+the block's rounds with whole-block array operations on the joint
+vectors, per player where a column is per player, into the one table of
+the run: the CSV columns that ``run_self_play`` returns and ``emit_csv``
+writes. The adversarial runner plays one learner through
 :func:`learners.play_rows`, the one online driver, and takes the external
 regret of every recorded round from the same row formulas, in one pass
 over its arrays after the run. Validation happens at the boundary: the
@@ -94,8 +93,8 @@ class ExperimentConfig:
         tags = [self.algo] if isinstance(self.algo, str) else self.algo
         if not isinstance(tags, (list, tuple)) or not all(isinstance(t, str) for t in tags):
             raise MonolearnError(f"algo: must be a tag or a list of tags, got {self.algo!r}")
-        if self.out is not None and not isinstance(self.out, str):
-            raise MonolearnError(f"out: must be a file path string, got {self.out!r}")
+        if self.out is not None and not (isinstance(self.out, str) and self.out):
+            raise MonolearnError(f"out: must be a non-empty file path string, got {self.out!r}")
         if not isinstance(self.record_potential, bool):
             raise MonolearnError(f"record_potential: must be true or false, "
                                  f"got {self.record_potential!r}")
@@ -518,8 +517,9 @@ class SlopeFit:
 def fit_loglog_slope(ts, values, window=None):
     """Ordinary least squares of ln(value) on ln(t) inside a round window.
 
-    Rows with nonpositive values are dropped; fewer than 10 usable rows is
-    an error.
+    Rows with nonpositive values are dropped. Fewer than 10 usable rows is
+    an error, and so is a window that holds a non-finite t or value, a
+    t <= 0, or only one log t.
     """
     ts = np.asarray(ts, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -529,7 +529,16 @@ def fit_loglog_slope(ts, values, window=None):
     mask = (ts >= t_min) & (ts <= t_max) & (values > 0)
     if int(mask.sum()) < 10:
         raise MonolearnError("fewer than 10 usable rows in the fit window")
-    x, y = np.log(ts[mask]), np.log(values[mask])
+    ts, values = ts[mask], values[mask]
+    if not (np.isfinite(ts).all() and np.isfinite(values).all()):
+        raise MonolearnError("the fit window holds a non-finite t or value")
+    if ts.min() <= 0:
+        raise MonolearnError(f"t: the fit window holds t = {ts.min():g}; a log-log fit "
+                             "needs t > 0")
+    x, y = np.log(ts), np.log(values)
+    if x.min() == x.max():
+        raise MonolearnError(f"t: every row in the fit window has t = {ts[0]:g}; a fit "
+                             "needs two distinct t")
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
@@ -646,10 +655,13 @@ def _cmd_slope(args):
             continue
         for name, out in (("t", ts), (args.column, vals)):
             try:
-                out.append(float(row[name]))
+                value = float(row[name])
             except (TypeError, ValueError):
+                value = math.nan
+            if not math.isfinite(value):
                 raise MonolearnError(f"trace: {args.trace} line {reader.line_num}: column "
-                                     f"{name!r} holds {row[name]!r}, not a number") from None
+                                     f"{name!r} holds {row[name]!r}, not a finite number")
+            out.append(value)
     window = (args.t_min, args.t_max if args.t_max is not None else float("inf"))
     fit = fit_loglog_slope(ts, vals, window)
     print(f"slope={fit.slope:.4f} intercept={fit.intercept:.4f} r2={fit.r2:.6f}")

@@ -3,23 +3,26 @@
 All six algorithms are one :class:`Learner`, a per-player rule with no run
 state; the tag picks the predictor and whether the player is anchored from
 :data:`RULES`, and every step is :func:`step` with the one anchor term
-:func:`anchor_pull` and the latch of :func:`adapted_step_size`. The
+:func:`anchor_pull` and the step size of :func:`adapted_step_size`. The
 anchored learners (``eag``, ``aog``, ``aog_adaptive``) share the weight
-1/(t+1). :func:`dynamics` is the one round loop, a block kernel: it runs
-the rules of several players on their joint vector and writes each
-round's points and gradients into the caller's rows, and every iterate in
-the package comes from it. The self-play runner (``harness``) feeds it
-the game oracle's gradients, and :func:`play_rows`, the one online
-driver, runs a single learner through it against a gradient source, into
-the arrays of each charged action and its checked gradient; the
-extragradient-style learners (``eg``, ``eag``) charge both phase points.
-An :class:`Oblivious` source writes all its gradients before round 1 and
-is checked once per run; an adaptive source, a callable of the round and
-the action, is called and checked once per round. A joint state of one
-coordinate on a box or unconstrained (a one-dimensional online run) runs
-the kernel on Python floats, with the same IEEE double operations in the
-same order as the array loop, so the two write the same bytes; it clamps
-to the box by comparisons, not builtin calls, for speed.
+1/(t+1).
+
+Every iterate comes from one of two loops, one gradient form each.
+:func:`dynamics`, the array loop, is a block kernel: it runs the rules of
+several players on their joint vector, calls its gradient at each point it
+writes into the caller's rows, and runs all self-play, where the runner
+(``harness``) feeds it the game oracle's gradients, and every online run
+but one kind. :func:`play_rows`, the one online driver, runs a single
+learner against a gradient source, into the arrays of each charged action
+and its checked gradient; the extragradient-style learners (``eg``,
+``eag``) charge both phase points. An :class:`Oblivious` source writes all
+its gradients before round 1 and is checked once per run; an adaptive
+source, a callable of the round and the action, is called and checked once
+per round. An oblivious source against a learner on a one-coordinate box
+runs the float loop, :func:`_scalar_dynamics`, which reads the filled rows
+on Python floats with the same IEEE double operations in the same order as
+the array loop, so the two write the same bytes; it clamps to the box by
+comparisons, not builtin calls, for speed.
 
 Tags: ``gd``, ``og``, ``eg``, ``eag``, ``aog``, ``aog_adaptive``.
 """
@@ -28,12 +31,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .games import check_param, player_slices
-from .geometry import Box, FeasibleSet, MonolearnError, Unconstrained, _as_vector
+from .geometry import Box, FeasibleSet, MonolearnError, _as_vector
 
 # Step-size adaptation switches to 1/sqrt(1+S) once the accumulated
 # second-order gradient variation S exceeds ADAPTATION_FACTOR * D^2 * L^2.
@@ -47,7 +51,7 @@ SCALAR_CHUNK = 2048
 # -- the update rule ---------------------------------------------------------
 # Every learner takes projected steps x+ = P(x - eta * g + w_t * (x1 - x)).
 # They differ in the half-step predictor, in the anchor weight w_t (0, or
-# 1/(t+1) when anchored), and in whether eta is latched-adaptive.
+# 1/(t+1) when anchored), and in whether eta is adaptive.
 
 # tag -> (predictor, anchored). Predictor "none" plays x itself, "last"
 # predicts with the previous gradient, "base" with the gradient observed at
@@ -81,12 +85,11 @@ def step(feasible_set, x, move, pull=None):
     return feasible_set.project(y)
 
 
-def adapted_step_size(eta, S, threshold, latched):
-    """(eta, latched) after a round of the latched adaptive rule: once S
-    exceeds the threshold, eta = 1/sqrt(1+S) from then on."""
-    if latched or S > threshold:
-        return 1.0 / math.sqrt(1.0 + S), True
-    return eta, False
+def adapted_step_size(eta, S, threshold):
+    """The step size after a round of the adaptive rule: 1/sqrt(1+S) once S
+    exceeds the threshold, else ``eta``. S is a running sum of squares, so
+    once past the threshold it stays past it."""
+    return 1.0 / math.sqrt(1.0 + S) if S > threshold else eta
 
 
 # -- the learner ---------------------------------------------------------------
@@ -95,10 +98,10 @@ def adapted_step_size(eta, S, threshold, latched):
 class Learner:
     """One player's rule, with no run state: the tag, the (predictor,
     anchored) pair that ``RULES`` gives it, the action set, the validated
-    start x1, the step size eta and, for ``aog_adaptive``, the latch
+    start x1, the step size eta and, for ``aog_adaptive``, the adaptation
     threshold.
 
-    With a ``threshold`` the step size is latched-adaptive: it stays eta
+    With a ``threshold`` the step size is adaptive: it stays eta
     while the second-order gradient variation S is at most the threshold,
     and is 1/sqrt(1+S) from the first round S exceeds it on. Every run of a
     learner, through :func:`dynamics`, starts at x1.
@@ -193,8 +196,8 @@ def _joint_rule(players, dims):
 
 
 def dynamics(players, feasible_set, x1):
-    """The round loop: every iterate of a run, self-play or online, comes
-    from the block kernel this returns.
+    """The array round loop: the block kernel of every self-play run and of
+    every online run but an oblivious one on a one-coordinate box.
 
     The kernel advances the players' joint state from x1, their start
     points concatenated, on ``feasible_set``, the joint set, and keeps it
@@ -208,19 +211,10 @@ def dynamics(players, feasible_set, x1):
     sizes of each round; it is not written otherwise. x_{t+1} is the next
     round's x_t. ``gradient`` is called with the written row, never with
     the kernel's own iterate, and is not checked here: each caller checks
-    what it trusts less. With ``gradient`` None the gradients are already
-    in ``grad`` (and ``base_grad``), and the kernel reads row k where it
-    would call ``gradient``. A "last" predictor's first half step is x1
+    what it trusts less. A "last" predictor's first half step is x1
     exactly: its gradient estimate starts at zero, and the anchor
     displacement vanishes at t = 1.
-
-    A joint state of one coordinate on a :class:`Box` or
-    :class:`Unconstrained` set runs on Python floats (:func:`_scalar_dynamics`),
-    every other state on arrays; both do the same IEEE double operations
-    in the same order, so their rows are the same bytes.
     """
-    if x1.size == 1 and isinstance(feasible_set, (Box, Unconstrained)):
-        return _scalar_dynamics(players[0], feasible_set, x1)
     dims = [p.set.dim for p in players]
     slices = list(player_slices(dims))
     predict, anchor_mask = _joint_rule(players, dims)
@@ -230,7 +224,7 @@ def dynamics(players, feasible_set, x1):
     # (player, slice, threshold) of each adaptive player
     adaptive = [(i, slices[i], p.threshold) for i, p in enumerate(players)
                 if p.threshold is not None]
-    latched, s_var = [False] * len(players), [0.0] * len(players)
+    s_var = [0.0] * len(players)
     # the step's gradient term eta * V(x_{t-1/2}) of the last round, with
     # this round's eta: a "last" predictor's half step reuses it
     x, g_prev, move_prev, t = x1, np.zeros(x1.size), np.zeros(x1.size), 0
@@ -248,34 +242,27 @@ def dynamics(players, feasible_set, x1):
             if write_etas:
                 etas[k] = etas_now
             if needs_base:
-                if gradient is None:
-                    g_base = base_grad[k]
-                else:
-                    g_base = base_grad[k] = gradient(base[k])
+                g_base = base_grad[k] = gradient(base[k])
                 move_base = eta * g_base
             if weights is not None:
                 pull = anchor_pull(x1, x, weights[k])
             move_hat = predict(move_prev, move_base)
             half[k] = x if move_hat is None else step(feasible_set, x, move_hat, pull)
-            if gradient is None:
-                g = grad[k]
-            else:
-                g = grad[k] = gradient(half[k])
+            g = grad[k] = gradient(half[k])
             move_prev = eta * g
             x = step(feasible_set, x, move_prev, pull)
             if adaptive:
                 if t >= 2:
-                    d = g - g_prev
+                    d, moved = g - g_prev, False
                     for i, s, threshold in adaptive:
                         # player i's increment of S: the np.vecdot of its slice that
                         # metrics.player_dots takes, so S is the measured S bit for bit
                         s_var[i] += np.vecdot(d[s], d[s])
-                        # eta can move only once S passes the threshold
-                        if latched[i] or s_var[i] > threshold:
-                            etas_now[i], latched[i] = adapted_step_size(
-                                etas_now[i], s_var[i], threshold, latched[i])
-                            eta[s] = etas_now[i]
-                    if any(latched):  # the next round predicts with the new eta
+                        if s_var[i] > threshold:  # eta can move only once S passes it
+                            eta[s] = etas_now[i] = adapted_step_size(
+                                etas_now[i], s_var[i], threshold)
+                            moved = True
+                    if moved:  # the next round predicts with the new eta
                         move_prev = eta * g
                 # by value: a source may return one buffer that it overwrites
                 g_prev[:] = g
@@ -283,63 +270,50 @@ def dynamics(players, feasible_set, x1):
     return advance
 
 
-def _scalar_dynamics(player, feasible_set, x1):
-    """:func:`dynamics`' kernel for one player of one coordinate on a Box or
-    Unconstrained set, with the same ``advance`` contract. x, x1, eta, the
-    step terms, the last gradient and S are Python floats, and each is
-    computed by the operations of the array loop, in its order: the anchor
-    weight 1/(t+1), (x1 - x) * w, (x - move) + pull, eta * g, the S
-    increment d * d (np.vecdot of one entry) and :func:`adapted_step_size`.
-    A box projects by ``y = y if y > lo else lo``, then ``y = y if y < hi
+def _scalar_dynamics(learner):
+    """The float loop: :func:`dynamics`' kernel for one learner on a
+    one-coordinate :class:`Box`, whose gradients are already in the rows.
+    ``advance(base, half, grad, base_grad=None)`` runs the next ``len(base)``
+    rounds, reads V(x_{t+1/2}) from ``grad`` (and V(x_t) from ``base_grad``
+    for a "base" predictor) and writes x_t and x_{t+1/2} into ``base`` and
+    ``half``. x, x1, eta, the step terms, the last gradient and S are Python
+    floats, and each is computed by the operations of the array loop, in its
+    order: the anchor weight 1/(t+1), (x1 - x) * w, (x - move) + pull,
+    eta * g, the S increment d * d (np.vecdot of one entry) and
+    :func:`adapted_step_size`, so the two loops write the same bytes. The
+    box projects by ``y = y if y > lo else lo``, then ``y = y if y < hi
     else hi``: the semantics of ``min(hi, max(lo, y))``, whose builtins keep
     their first argument unless a later one compares greater (less), written
     out because the builtin calls cost about half of a round. The bound is
     returned on a tie, as numpy's minimum and maximum return their second
-    argument, so signed zeros match. y is never NaN there while the
-    gradients are finite (x is in the box, the pull is finite and a step
-    term at worst infinite), and every caller stops a run at its first
-    non-finite gradient. Unconstrained is the identity.
+    argument, so signed zeros match. y is never NaN there: the rows are
+    checked finite before the run, x is in the box and the pull is finite,
+    so a step term is at worst infinite.
 
-    Rows move in chunks of ``SCALAR_CHUNK`` rounds: a read gradient chunk is
-    one ``tolist()``, and the chunk's points fill lists preallocated per
-    chunk, one slice assignment each at its end. A callable ``gradient``
-    still gets the row written for it.
+    Rows move in chunks of ``SCALAR_CHUNK`` rounds: a gradient chunk is one
+    ``tolist()``, and the chunk's points fill lists preallocated per chunk,
+    one slice assignment each at its end.
     """
-    use_base, use_last = player.predictor == "base", player.predictor == "last"
-    anchored, threshold = player.anchored, player.threshold
-    box = isinstance(feasible_set, Box)
-    if box:
-        lo, hi = float(feasible_set.lower[0]), float(feasible_set.upper[0])
-    x1 = float(x1[0])
-    x, eta, g_prev, move_prev, t, S, latched = x1, player.eta, 0.0, 0.0, 0, 0.0, False
+    use_base, use_last = learner.predictor == "base", learner.predictor == "last"
+    anchored, threshold = learner.anchored, learner.threshold
+    lo, hi = float(learner.set.lower[0]), float(learner.set.upper[0])
+    x1 = float(learner.x1[0])
+    x, eta, g_prev, move_prev, t, S = x1, learner.eta, 0.0, 0.0, 0, 0.0
 
-    def advance(gradient, base, half, grad, base_grad=None, etas=None):
-        nonlocal x, eta, g_prev, move_prev, t, S, latched
-        write_etas = threshold is not None and etas is not None
+    def advance(base, half, grad, base_grad=None):
+        nonlocal x, eta, g_prev, move_prev, t, S
         for start in range(0, len(base), SCALAR_CHUNK):
             end = min(start + SCALAR_CHUNK, len(base))
-            if gradient is None:
-                gs = grad[start:end, 0].tolist()
-                g_bases = base_grad[start:end, 0].tolist() if use_base else None
+            gs = grad[start:end, 0].tolist()
+            g_bases = base_grad[start:end, 0].tolist() if use_base else None
             m = end - start
             xs, hs = [0.0] * m, [0.0] * m
-            if write_etas:
-                es = [0.0] * m
             for i in range(m):
-                k = start + i
                 t += 1
                 xs[i] = x
-                if write_etas:
-                    es[i] = eta
                 move_hat = move_prev if use_last else None
                 if use_base:
-                    if gradient is None:
-                        g_base = g_bases[i]
-                    else:
-                        base[k] = x
-                        base_grad[k] = gradient(base[k])
-                        g_base = float(base_grad[k, 0])
-                    move_hat = eta * g_base
+                    move_hat = eta * g_bases[i]
                 if anchored:
                     pull = (x1 - x) * (1.0 / (t + 1.0))
                 h = x
@@ -347,34 +321,25 @@ def _scalar_dynamics(player, feasible_set, x1):
                     h = x - move_hat
                     if anchored:
                         h += pull
-                    if box:
-                        h = h if h > lo else lo
-                        h = h if h < hi else hi
+                    h = h if h > lo else lo
+                    h = h if h < hi else hi
                 hs[i] = h
-                if gradient is None:
-                    g = gs[i]
-                else:
-                    half[k] = h
-                    grad[k] = gradient(half[k])
-                    g = float(grad[k, 0])
+                g = gs[i]
                 move_prev = eta * g
                 x -= move_prev
                 if anchored:
                     x += pull
-                if box:
-                    x = x if x > lo else lo
-                    x = x if x < hi else hi
+                x = x if x > lo else lo
+                x = x if x < hi else hi
                 if threshold is not None and t >= 2:
                     d = g - g_prev
                     S += d * d
-                    if latched or S > threshold:  # the next round predicts with the new eta
-                        eta, latched = adapted_step_size(eta, S, threshold, latched)
+                    if S > threshold:  # the next round predicts with the new eta
+                        eta = adapted_step_size(eta, S, threshold)
                         move_prev = eta * g
                 g_prev = g
             base[start:end, 0] = xs  # before ``half``: the two may be one array
             half[start:end, 0] = hs
-            if write_etas:
-                etas[start:end, 0] = es
 
     return advance
 
@@ -407,17 +372,22 @@ def play_rows(learner, gradient_source, rounds):
     Returns (plays, grads), each (rounds, dim), with the action of round t
     and its gradient in row t - 1.
 
-    This is the :func:`dynamics` kernel with one player and the source's
-    gradients in place of the oracle, writing straight into the two
-    arrays. An eg/eag learner plays both phase points, each charged as one
-    round: its base iterate, whose gradient it predicts with, and then its
-    probe point. With an odd ``rounds`` its run ends after a base iterate,
-    and the probe point after it is charged a zero gradient.
+    A round loop with one player and the source's gradients in place of
+    the oracle writes straight into the two arrays. An :class:`Oblivious`
+    source against a learner on a one-coordinate :class:`Box` runs the
+    float loop, :func:`_scalar_dynamics`, which reads the filled rows. Every
+    other run takes the array loop, :func:`dynamics`: it calls an adaptive
+    source through its check, and reads an oblivious source's rows one per
+    call, in fill order, which is the order it asks for them. An eg/eag
+    learner plays both phase points, each charged as one round: its base
+    iterate, whose gradient it predicts with, and then its probe point. With
+    an odd ``rounds`` its run ends after a base iterate, and the probe point
+    after it is charged a zero gradient.
 
     This is the one check of an online gradient, in one of two forms. An
     :class:`Oblivious` source fills all ``rounds`` rows once, before round
-    1; the rows are checked once, for size and finiteness, and the kernel
-    then reads them with no per-round call or check. Any other source is
+    1; the rows are checked once, for size and finiteness, and the loop
+    then reads them with no per-round check. Any other source is
     adaptive, a callable ``gradient_source(t, action)``: it is called once
     a round, and each gradient is checked before the learner uses it.
     Either way a bad gradient raises :class:`MonolearnError` naming its
@@ -435,10 +405,12 @@ def play_rows(learner, gradient_source, rounds):
         raise MonolearnError(f"T: {rounds} rounds of dimension {dim} are too many "
                              "to allocate") from None
 
-    if isinstance(gradient_source, Oblivious):
-        gradient = None
+    oblivious = isinstance(gradient_source, Oblivious)
+    if oblivious:
         _fill_checked(gradient_source, grads[:rounds])
         grads[rounds:] = 0.0  # an odd horizon's last probe point: never played
+        filled = iter(grads)  # the array loop asks for the rows in fill order
+        gradient = lambda point: next(filled)
     else:
         t = 0
 
@@ -454,9 +426,12 @@ def play_rows(learner, gradient_source, rounds):
             except MonolearnError as exc:
                 raise MonolearnError(f"round {t}: gradient from the source: {exc}") from None
 
-    advance = dynamics([learner], learner.set, learner.x1)
+    if oblivious and dim == 1 and isinstance(learner.set, Box):
+        advance = _scalar_dynamics(learner)  # reads the rows itself
+    else:
+        advance = partial(dynamics([learner], learner.set, learner.x1), gradient)
     if two_phase:
-        advance(gradient, plays[0::2], plays[1::2], grads[1::2], base_grad=grads[0::2])
+        advance(plays[0::2], plays[1::2], grads[1::2], grads[0::2])
     else:  # x_t is not played: the kernel writes it first, and x_{t+1/2} over it
-        advance(gradient, plays, plays, grads)
+        advance(plays, plays, grads)
     return plays[:rounds], grads[:rounds]

@@ -408,7 +408,9 @@ def test_oblivious_gradients_checked_once_before_round_one(monkeypatch, bad, tag
         rows[:] = 0.0
         rows[k - 1] = BAD_GRADIENTS[bad]
 
-    monkeypatch.setattr("monolearn.learners.dynamics", lambda *a: kernels.append(a))
+    # either loop: this one-coordinate box would run the float loop
+    for kernel in ("dynamics", "_scalar_dynamics"):
+        monkeypatch.setattr(f"monolearn.learners.{kernel}", lambda *a: kernels.append(a))
     learner = make_learner(tag, symmetric_box(1.0, 1), np.zeros(1), eta=0.2, L=1.0, D=2.0)
     with pytest.raises(MonolearnError, match=f"^round {k}: gradient from the source: vector "
                                            "has non-finite entries$"):
@@ -493,6 +495,19 @@ def test_slope_fit_drops_nonpositive_rows():
 def test_slope_fit_needs_enough_rows():
     with pytest.raises(MonolearnError):
         fit_loglog_slope(np.arange(1, 6), np.ones(5), window=(1, 5))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("ts, values, needle", [
+    (np.arange(1.0, 13.0), [1.0] * 11 + [np.inf], "non-finite t or value"),
+    (np.append(np.arange(1.0, 12.0), np.inf), np.ones(12), "non-finite t or value"),
+    (np.arange(-1.0, 11.0), np.ones(12), "t = -1; a log-log fit needs t > 0"),
+    (np.full(12, 3.0), np.arange(1.0, 13.0), "t = 3; a fit needs two distinct t"),
+])
+def test_slope_fit_rejects_a_degenerate_window(ts, values, needle):
+    # each is one error, with no numpy warning and no fit of NaN
+    with pytest.raises(MonolearnError, match=needle):
+        fit_loglog_slope(ts, values, window=(-10.0, np.inf))
 
 
 # -- CLI ------------------------------------------------------------------
@@ -713,6 +728,8 @@ def assert_one_error_line(capsys, *needles):
      "game_params: n: 4611686018427387904 is too large to allocate"),
     ({**BILINEAR, "game_params": {"dims": [2**62, 2**62]}},
      "game_params: dims: [4611686018427387904, 4611686018427387904] is too large"),
+    # an empty path would run and write nothing
+    ({**BILINEAR, "out": ""}, "out: must be a non-empty file path string, got ''"),
 ])
 # a warning (numpy's overflow RuntimeWarning, say) would be a second stderr line
 @pytest.mark.filterwarnings("error")
@@ -791,6 +808,25 @@ def test_cli_slope_non_numeric_cell_exits_one(tmp_path, capsys, text, needle):
     assert_one_error_line(capsys, str(trace), "line 3", needle)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rows, t_min, needle", [
+    # a t <= 0 row inside the window
+    ([(t, 1.0 / (t + 1)) for t in range(30)], "0", "t: the fit window holds t = 0; "),
+    # every row of the window at one t; at t = 1 the log t column is all zeros
+    ([(5, 1.0 / k) for k in range(1, 31)], "1", "every row in the fit window has t = 5"),
+    ([(1, 1.0 / k) for k in range(1, 31)], "1", "every row in the fit window has t = 1"),
+    # inf parses as a float, but no fit takes it
+    ([(t, "inf") for t in range(1, 12)], "1", "line 2: column 'r_tan' holds 'inf', "
+                                              "not a finite number"),
+])
+def test_cli_slope_degenerate_window_exits_one(tmp_path, capfd, rows, t_min, needle):
+    # capfd: LAPACK writes its own complaints to the stderr descriptor
+    trace = tmp_path / "trace.csv"
+    trace.write_text("t,r_tan\n" + "".join(f"{t},{v}\n" for t, v in rows))
+    assert main(["slope", "--trace", str(trace), "--t-min", t_min]) == 1
+    assert_one_error_line(capfd, needle)
+
+
 def test_cli_slope_skips_the_missing_cells_of_a_short_row(tmp_path, capsys):
     # csv.DictReader fills the cells missing from a short row with None
     trace = tmp_path / "trace.csv"
@@ -812,6 +848,15 @@ def test_cli_adversarial_bad_x1_length_exits_one(tmp_path, capsys, x1):
     cfg = write_config(tmp_path, **{**ADVERSARIAL, "x1": x1})
     assert main(["adversarial", "--config", cfg]) == 1
     assert_one_error_line(capsys, "x1: ", f"got {len(x1)}")
+
+
+@pytest.mark.parametrize("command, data", [("selfplay", BILINEAR), ("adversarial", ADVERSARIAL)])
+def test_cli_empty_out_exits_one(tmp_path, capsys, command, data):
+    # refused before the run: no summary line and no file
+    cfg = write_config(tmp_path, **data)
+    assert main([command, "--config", cfg, "--out", ""]) == 1
+    assert_one_error_line(capsys, "out: must be a non-empty file path string")
+    assert list(tmp_path.iterdir()) == [Path(cfg)]
 
 
 @pytest.mark.filterwarnings("error")

@@ -1,8 +1,9 @@
 """The joint round loop against a per-player reference loop.
 
 ``RefPlayer`` is one player's rule written out on its own state, from the
-shared update-rule functions (``RULES``, ``step``, ``anchor_pull``,
-``adapted_step_size``) and nothing of the round loop. ``reference_self_play``
+shared update-rule functions (``RULES``, ``step``, ``anchor_pull``) and
+nothing of the round loop; it keeps its own latch of the adaptive step
+size, so it checks the loops' latch-free rule independently. ``reference_self_play``
 steps one per player and measures every round per player, on the product of
 the players' sets. The ``learners.dynamics`` kernel, on the oracle that
 ``run_self_play`` hands it, must reproduce its iterates bit for bit, and
@@ -31,8 +32,8 @@ from monolearn.harness import (
 from monolearn.learners import (
     ADAPTATION_FACTOR,
     RULES,
-    adapted_step_size,
     anchor_pull,
+    Oblivious,
     make_learner,
     play_rows,
     step,
@@ -70,9 +71,9 @@ class RefPlayer:
         if self.t >= 2:
             d = g - self.g_prev
             self.S += float(d @ d)
-        if self.rule.threshold is not None:
-            self.eta, self.latched = adapted_step_size(
-                self.eta, self.S, self.rule.threshold, self.latched)
+        threshold = self.rule.threshold
+        if threshold is not None and (self.latched or self.S > threshold):
+            self.eta, self.latched = 1.0 / math.sqrt(1.0 + self.S), True
         self.x, self.g_prev, self.t = x_next, g, self.t + 1
 
 
@@ -234,8 +235,8 @@ def test_unbounded_random_linear_matches_reference():
 @pytest.mark.parametrize("bounded", [None, 1.0])
 @pytest.mark.parametrize("tag", TAGS)
 def test_one_coordinate_self_play_matches_reference(tag, bounded):
-    # one player of one coordinate: the kernel runs on Python floats. D =
-    # 1e-4 latches aog_adaptive's step size in the first recorded rows of
+    # one player of one coordinate, on the array loop like all self-play.
+    # D = 1e-4 latches aog_adaptive's step size in the first recorded rows of
     # the unconstrained game.
     assert_equivalent(ExperimentConfig(game="random_linear_monotone",
                                        game_params={"dims": [1], "seed": 2, "bounded": bounded},
@@ -381,9 +382,9 @@ def test_random_tag_mixes_match_reference(tags, data):
         D=data.draw(st.sampled_from([1e-3, 1e-2, 30.0]))), floor=1e-12)
 
 
-# Action sets of the online reference runs. A one-coordinate Box or
-# Unconstrained set runs the kernel on Python floats; a Ball, and every
-# set of two or more coordinates, on arrays.
+# Action sets of the online reference runs. An oblivious source against a
+# learner on a one-coordinate Box runs the float loop; every other run,
+# and every adaptive source, runs the array loop.
 ONLINE_SETS = {
     "box": lambda dim: Box(-np.ones(dim), 2.0 * np.ones(dim)),
     "unconstrained": lambda dim: Unconstrained(dim),
@@ -408,19 +409,25 @@ def test_play_matches_reference(tag, kind, dim, T, seed, D):
         calls.append(t)
         return A @ action + b[t]
 
+    def fill(rows):  # the oblivious source of the rows b[1..T]
+        rows[:] = b[1:]
+
     learner = make_learner(tag, ONLINE_SETS[kind](dim), rng.uniform(-1.0, 2.0, dim),
                            eta=0.3, L=1.0, D=D)
     # chunks of 64 rounds: a float run crosses chunk boundaries
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("monolearn.learners.SCALAR_CHUNK", 64)
-        plays, grads = play_rows(learner, source, T)
+        runs = [(play_rows(learner, source, T), source),
+                (play_rows(learner, Oblivious(dim, fill), T), lambda t, action: b[t])]
     assert calls == list(range(1, T + 1))
-    want = reference_play(learner, source, T)
-    assert len(plays) == len(grads) == len(want) == T
-    for t, action, g, (t_ref, action_ref, g_ref) in zip(range(1, T + 1), plays, grads, want):
-        assert t == t_ref
-        assert np.array_equal(action, action_ref), (tag, t)
-        assert np.array_equal(g, g_ref), (tag, t)
+    for (plays, grads), ref_source in runs:
+        want = reference_play(learner, ref_source, T)
+        assert len(plays) == len(grads) == len(want) == T
+        for t, action, g, (t_ref, action_ref, g_ref) in zip(range(1, T + 1), plays, grads,
+                                                            want):
+            assert t == t_ref
+            assert np.array_equal(action, action_ref), (tag, t)
+            assert np.array_equal(g, g_ref), (tag, t)
 
 
 @pytest.mark.parametrize("T, dim", [
@@ -432,8 +439,9 @@ def test_oblivious_rows_match_the_adaptive_call_path(tag, dim, T, monkeypatch):
     # callable that returns the same rows goes through the per-round call
     # path, whether it returns a fresh array each round or one array that
     # it overwrites. D = 0.1 latches aog_adaptive's step size inside the
-    # run, so its S must read each round's gradient by value. At dim 1 all
-    # run on floats, in chunks of 100 rounds.
+    # run, so its S must read each round's gradient by value. At dim 1 the
+    # oblivious run is on floats, in chunks of 100 rounds, and the
+    # callables on arrays.
     monkeypatch.setattr("monolearn.learners.SCALAR_CHUNK", 100)
     rows = np.empty((T, dim))
     make_adversary("random_box", dim, seed=5).fill(rows)
@@ -454,25 +462,26 @@ def test_oblivious_rows_match_the_adaptive_call_path(tag, dim, T, monkeypatch):
 
 @pytest.mark.parametrize("tag", TAGS)
 @pytest.mark.parametrize("fset", [Box([-1.0], [2.0]), Box([-0.0], [0.0]), Box([0.0], [-0.0]),
-                                  Box([0.0], [1.0]), Box([-0.0], [1.0]), Box([-1.0], [-0.0]),
-                                  Unconstrained(1)],
+                                  Box([0.0], [1.0]), Box([-0.0], [1.0]), Box([-1.0], [-0.0])],
                          ids=["box", "zero_box", "flipped_zero_box", "zero_lower",
-                              "minus_zero_lower", "zero_upper", "unconstrained"])
+                              "minus_zero_lower", "zero_upper"])
 def test_float_kernel_matches_the_array_loop(tag, fset):
-    # A one-coordinate Box or Unconstrained set runs on floats; the same set
-    # as the one factor of a ProductSet runs the array loop. Gradients of
-    # +-0, and bounds at +-0, make projection ties whose result is a signed
-    # zero (a point of +0 at a lower bound of -0 projects to -0); gradients
-    # of +-1e308 drive an unconstrained run to inf and NaN.
+    # An oblivious source against a one-coordinate Box runs the float loop;
+    # the same set as the one factor of a ProductSet runs the array loop on
+    # the same rows. Gradients of +-0, and bounds at +-0, make projection
+    # ties whose result is a signed zero (a point of +0 at a lower bound of
+    # -0 projects to -0).
     T = 2 * BLOCK_ROWS + 7
     rng = np.random.default_rng(3)
-    big = 1e308 if isinstance(fset, Unconstrained) else 1.0
-    rows = rng.choice([-big, -1.0, -0.0, 0.0, 0.25, big], size=(T, 1))
+    rows = rng.choice([-1.0, -1.0, -0.0, 0.0, 0.25, 1.0], size=(T, 1))
+
+    def fill(out):
+        out[:] = rows
+
     runs = []
     for joint in (fset, ProductSet((fset,))):
         learner = make_learner(tag, joint, [0.0], eta=0.5, L=1.0, D=0.1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            runs.append(play_rows(learner, lambda t, action: rows[t - 1].copy(), T))
+        runs.append(play_rows(learner, Oblivious(1, fill), T))
     (plays, grads), (want_plays, want_grads) = runs
     assert plays.tobytes() == want_plays.tobytes()
     assert grads.tobytes() == want_grads.tobytes()
