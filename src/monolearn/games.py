@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import inspect
 import math
-import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -27,7 +26,7 @@ from .geometry import (
     FeasibleSet,
     MonolearnError,
     Unconstrained,
-    _as_vector,
+    check_param,
     product,
     symmetric_box,
 )
@@ -60,45 +59,6 @@ def spectral_norm(M):
         return math.ldexp(math.sqrt(np.linalg.eigvalsh(gram)[-1]), e)
     except OverflowError:
         return math.inf
-
-
-def check_param(key, value, least=None, vector=False):
-    """``value``, checked by the one rule for every number a user passes: a
-    config key, CLI flag, game parameter or learner argument ``key``. Else
-    one :class:`MonolearnError`, ``<key>: must be <rule>, got <value>``. The
-    type of ``least`` picks the rule: an int, an integer in [least, 2**63);
-    None, a finite number > 0; a float, a finite number >= ``least`` (any at
-    -inf).
-    A real is converted to float first, so one past the float range is
-    refused, and a bool is no number. With ``vector``, ``value`` is a list
-    (or 1-d array) of finite numbers, checked as one array, and ``least`` is
-    not read."""
-    if vector:
-        want = "a list of finite numbers"
-        # numpy reads a list of numbers as ints or floats, and one with an
-        # integer from 2**64 on, or with no number, as objects or text
-        try:
-            v = np.asarray(value)
-        except ValueError:  # ragged nested lists
-            v = np.asarray(None)
-        ok = (v.ndim == 1 and v.dtype.kind in "iuf" and bool not in map(type, value)
-              and bool(np.isfinite(v).all()))
-    elif isinstance(least, int):
-        want = f"an integer in [{least}, 2**63)"
-        ok = (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-              and least <= value < 2**63)
-    else:
-        want = "a finite number" + (" > 0" if least is None
-                                    else f" >= {least}" if least > -math.inf else "")
-        try:
-            v = (float(value) if isinstance(value, numbers.Real)
-                 and not isinstance(value, bool) else math.nan)
-        except OverflowError:
-            v = math.nan
-        ok = math.isfinite(v) and (v > 0 if least is None else v >= least)
-    if not ok:
-        raise MonolearnError(f"{key}: must be {want}, got {value!r}")
-    return value
 
 
 def game_dims(dims):
@@ -186,7 +146,7 @@ class GameOracle:
         if self.best_response_fn is not None and self.losses is None:
             raise MonolearnError("best_response_fn needs the players' losses")
         start = np.zeros(self.dim) if self.start is None else self.start
-        self.start = self.joint_set.project(_as_vector(start, self.dim))
+        self.start = self.joint_set.project(check_param("start", start, vector=self.dim))
 
     @property
     def num_players(self):

@@ -5,11 +5,13 @@ and unconstrained space. All sets expose projection, the tangent residual
 (distance from a gradient to the negative normal cone), support
 minimization, and the diameter. All norms are Euclidean.
 
-Projection, residual and support minimization trust their input: finite
-vectors of the set's dimension, and for the residual a feasible point.
-Outside input is checked once, where it arrives, with :func:`_as_vector`
-and :meth:`FeasibleSet.contains`. All three also take ``(k, dim)`` arrays
-and answer row by row, with the same rounding as one row at a time.
+Projection, residual, support minimization and membership trust their
+input: finite vectors of the set's dimension, and for the residual a
+feasible point. Outside input is checked once, where it arrives, by
+:func:`check_param`, the one rule for every number and vector a user
+passes; the set constructors check their own arguments by it. Projection,
+residual and support minimization also take ``(k, dim)`` arrays and answer
+row by row, with the same rounding as one row at a time.
 :func:`product` builds the joint set of several players: one ``Box`` for
 boxes, one ``Unconstrained`` for unconstrained factors, and a
 ``ProductSet`` only for mixed factors.
@@ -18,6 +20,7 @@ boxes, one ``Unconstrained`` for unconstrained factors, and a
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -36,6 +39,51 @@ class MonolearnError(ValueError):
     makes fail, named in the message."""
 
 
+def check_param(key, value, least=None, vector=False):
+    """``value``, checked by the one rule for every number and vector a user
+    passes, named ``key``; else one :class:`MonolearnError` line, ``<key>:
+    must be <rule>, got <value>``. The type of ``least`` picks a number's
+    rule: an int, an integer in [least, 2**63); None, a finite number > 0; a
+    float, a finite number >= ``least`` (any at -inf). A real is converted
+    to float first, so one past the float range is refused; a bool is no
+    number. With ``vector`` True or a length d, ``value`` is a list or 1-d
+    array of finite numbers (``least`` unread), returned as a 1-d float
+    array; a wrong length is ``<key>: expected dimension d, got n``."""
+    if vector is not False:
+        want = "a list of finite numbers"
+        # numpy reads a list of numbers as ints or floats, and one with an
+        # integer from 2**64 on, or with no number, as objects or text
+        try:
+            v = np.asarray(value)
+        except ValueError:  # ragged nested lists
+            v = np.asarray(None)
+        # an array's dtype tells if it holds bools; count_nonzero costs half
+        # of .all() on the short gradient an adaptive source gives each round
+        ok = (v.ndim == 1 and v.dtype.kind in "iuf"
+              and (type(value) is np.ndarray or {bool, np.bool_}.isdisjoint(map(type, value)))
+              and np.count_nonzero(np.isfinite(v)) == v.size)
+        if ok and vector is not True and v.size != vector:
+            raise MonolearnError(f"{key}: expected dimension {vector}, got {v.size}")
+        value = v.astype(float, copy=False) if ok else value
+    elif isinstance(least, int):
+        want = f"an integer in [{least}, 2**63)"
+        ok = (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+              and least <= value < 2**63)
+    else:
+        want = "a finite number" + (" > 0" if least is None
+                                    else f" >= {least}" if least > -math.inf else "")
+        try:
+            v = (float(value) if isinstance(value, numbers.Real)
+                 and not isinstance(value, bool) else math.nan)
+        except OverflowError:
+            v = math.nan
+        ok = math.isfinite(v) and (v > 0 if least is None else v >= least)
+    if not ok:
+        # numpy wraps the repr of a long or 2-d array over several lines
+        raise MonolearnError(f"{key}: must be {want}, got {' '.join(repr(value).split())}")
+    return value
+
+
 def row_norms(v):
     """Euclidean norm over the last axis; equals ``np.linalg.norm`` of one row."""
     return np.sqrt(np.vecdot(v, v))
@@ -51,25 +99,14 @@ def scaled_row_norms(v):
     return np.ldexp(row_norms(np.ldexp(v, -e[..., None])), e)
 
 
-def _as_vector(x, dim=None):
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 1:
-        v = v.reshape(-1)
-    if not np.isfinite(v).all():
-        raise MonolearnError("vector has non-finite entries")
-    if dim is not None and v.size != dim:
-        raise MonolearnError(f"expected dimension {dim}, got {v.size}")
-    return v
-
-
 class FeasibleSet:
     """Closed convex set supporting projection and normal-cone queries."""
 
     dim: int
 
-    def contains(self, point, tol=MEMBERSHIP_TOL):
-        p = _as_vector(point, self.dim)
-        return float(np.linalg.norm(p - self.project(p))) <= tol
+    def contains(self, p):
+        """Whether the point ``p`` is within ``MEMBERSHIP_TOL`` of its projection."""
+        return float(np.linalg.norm(p - self.project(p))) <= MEMBERSHIP_TOL
 
     def diameter(self):
         """Euclidean diameter, or ``math.inf`` for unbounded sets."""
@@ -102,8 +139,8 @@ class Box(FeasibleSet):
     upper: np.ndarray
 
     def __post_init__(self):
-        lo = _as_vector(self.lower)
-        hi = _as_vector(self.upper, lo.size)
+        lo = check_param("lower", self.lower, vector=True)
+        hi = check_param("upper", self.upper, vector=lo.size)
         if np.any(lo > hi):
             raise MonolearnError("box requires lower <= upper componentwise")
         object.__setattr__(self, "lower", lo)
@@ -148,11 +185,8 @@ class Ball(FeasibleSet):
     radius: float
 
     def __post_init__(self):
-        c = _as_vector(self.center)
-        if not (self.radius > 0):
-            raise MonolearnError("ball radius must be positive")
-        object.__setattr__(self, "center", c)
-        object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "center", check_param("center", self.center, vector=True))
+        object.__setattr__(self, "radius", float(check_param("radius", self.radius)))
 
     @property
     def dim(self):
@@ -192,8 +226,7 @@ class Unconstrained(FeasibleSet):
     dimension: int
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise MonolearnError("dimension must be positive")
+        check_param("dimension", self.dimension, 1)
 
     @property
     def dim(self):

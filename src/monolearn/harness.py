@@ -19,12 +19,13 @@ writes. The adversarial runner plays one learner through
 :func:`learners.play_rows`, the one online driver, and takes the external
 regret of every recorded round from the same row formulas, in one pass
 over its arrays after the run. Validation happens at the boundary: the
-config (also after CLI overrides), every number by :func:`games.check_param`;
-the oracle's gradients, checked for shape on the first call and for
-finiteness once per block, before the block is measured; every adversary
-gradient, checked for size and finiteness before the learner uses it, once
-per run for an oblivious adversary and once per call for an adaptive one;
-and each measured cell, checked for overflow. Geometry methods do not re-check.
+config (also after CLI overrides), every number and vector by
+:func:`geometry.check_param`; the oracle's gradients, checked for shape on
+the first call and for finiteness once per block, before the block is
+measured; every adversary gradient, checked for size and finiteness before
+the learner uses it, once per run for an oblivious adversary and once per
+call for an adaptive one; and each measured cell, checked for overflow.
+Geometry methods do not re-check.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import verify as verify_mod
-from .games import check_param, make_game
-from .geometry import MonolearnError, row_norms, scaled_row_norms
+from .games import make_game
+from .geometry import MonolearnError, check_param, row_norms, scaled_row_norms
 from .learners import Oblivious, dynamics, make_learner, play_rows
 from .metrics import (
     anchored_potential,
@@ -158,9 +159,7 @@ def _learner_inputs(config, game, fset):
         raise MonolearnError("algo: need one tag per player")
     L = config.L if config.L is not None else game.lipschitz_bound
     D = config.D if config.D is not None else fset.diameter()
-    x1 = np.asarray(config.x1, dtype=float) if config.x1 is not None else game.start
-    if x1.size != game.dim:
-        raise MonolearnError(f"x1: expected dimension {game.dim}, got {x1.size}")
+    x1 = game.start if config.x1 is None else check_param("x1", config.x1, vector=game.dim)
     return tags, L, D if math.isfinite(D) else None, x1
 
 
@@ -440,15 +439,18 @@ def _self_play(config, game, players, x1):
 # -- adversarial runs -----------------------------------------------------
 
 
+ADVERSARIES = ("appendix_d", "random_box", "zero")  # also the CLI's choices
+
+
 def make_adversary(name, dim, seed=0):
-    """Scripted gradient sources addressable by id, each an oblivious
+    """Scripted gradient sources by id, each an oblivious
     :class:`learners.Oblivious` of width ``dim``: ``play_rows`` has it fill
     every round's gradient before round 1 and checks them once.
 
     ``random_box`` plays gradients drawn uniformly from [-1, 1]^dim by
-    ``default_rng(seed)``. It draws them ``BLOCK_ROWS`` rounds at a time
-    into the rows it fills, so its stream is the rows of one
-    ``uniform(-1, 1, (T, dim))`` draw; a second fill continues the stream.
+    ``default_rng(seed)``, in place into the contiguous rows it fills, as
+    2u - 1 from one ``random`` draw u: the rows of one ``uniform(-1, 1,
+    (T, dim))`` draw, bit for bit; a second fill continues the stream.
     ``appendix_d`` is :data:`verify.ALTERNATING`, and ``zero`` plays zeros.
     """
     if name == "appendix_d":
@@ -459,14 +461,14 @@ def make_adversary(name, dim, seed=0):
         rng = np.random.default_rng(seed)
 
         def fill(rows):
-            for i in range(0, len(rows), BLOCK_ROWS):
-                block = rows[i:i + BLOCK_ROWS]
-                block[:] = rng.uniform(-1.0, 1.0, block.shape)
+            rng.random(out=rows)
+            rows *= 2.0
+            rows -= 1.0
 
         return Oblivious(dim, fill)
     if name == "zero":
         return Oblivious(dim, lambda rows: rows.fill(0.0))
-    raise MonolearnError(f"unknown adversary {name!r}")
+    raise MonolearnError(f"unknown adversary {name!r}; known: {', '.join(ADVERSARIES)}")
 
 
 @dataclass
@@ -686,8 +688,7 @@ def build_parser():
 
     ad = sub.add_parser("adversarial", help="run a single learner against a scripted adversary")
     ad.add_argument("--config", required=True)
-    ad.add_argument("--adversary", default="random_box",
-                    choices=["appendix_d", "random_box", "zero"])
+    ad.add_argument("--adversary", default="random_box", choices=ADVERSARIES)
     ad.add_argument("--out")
     ad.add_argument("--seed", type=int)
     ad.add_argument("--T", type=int)

@@ -36,8 +36,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .games import check_param, player_slices
-from .geometry import Box, FeasibleSet, MonolearnError, _as_vector
+from .games import player_slices
+from .geometry import Box, FeasibleSet, MonolearnError, check_param
 
 # Step-size adaptation switches to 1/sqrt(1+S) once the accumulated
 # second-order gradient variation S exceeds ADAPTATION_FACTOR * D^2 * L^2.
@@ -111,9 +111,9 @@ class Learner:
         self.tag = tag
         self.predictor, self.anchored = RULES[tag]
         self.set = feasible_set
-        x1 = _as_vector(x1, feasible_set.dim)
+        x1 = check_param("x1", x1, vector=feasible_set.dim)
         if not feasible_set.contains(x1):
-            raise MonolearnError("initial point is infeasible")
+            raise MonolearnError("x1: the initial point is outside the action set")
         self.x1 = feasible_set.project(x1)
         self.eta = float(check_param("eta", eta))
         self.threshold = threshold
@@ -137,7 +137,7 @@ def make_learner(tag, feasible_set, x1, eta=None, L=None, D=None):
 
     ``eta`` overrides the default step size. ``aog_adaptive`` requires both
     ``L`` and ``D``; the others require ``eta`` or ``L``. Each one used is
-    checked by :func:`games.check_param`."""
+    checked by :func:`geometry.check_param`."""
     if tag not in RULES:
         raise MonolearnError(f"unknown algorithm tag {tag!r}; known: {sorted(RULES)}")
     threshold = None
@@ -363,8 +363,7 @@ def _fill_checked(source, rows):
     source.fill(rows)
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if bad.size:
-        raise MonolearnError(f"round {bad[0] + 1}: gradient from the source: "
-                             "vector has non-finite entries")
+        check_param(f"round {bad[0] + 1}: gradient from the source", rows[bad[0]], vector=dim)
 
 
 def play_rows(learner, gradient_source, rounds):
@@ -421,10 +420,10 @@ def play_rows(learner, gradient_source, rounds):
             t += 1
             # ``point`` is the charged row of ``plays``
             g = gradient_source(t, point)
-            try:
-                return _as_vector(g, dim)
+            try:  # the round is formatted only on failure
+                return check_param("gradient from the source", g, vector=dim)
             except MonolearnError as exc:
-                raise MonolearnError(f"round {t}: gradient from the source: {exc}") from None
+                raise MonolearnError(f"round {t}: {exc}") from None
 
     if oblivious and dim == 1 and isinstance(learner.set, Box):
         advance = _scalar_dynamics(learner)  # reads the rows itself

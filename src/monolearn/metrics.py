@@ -38,12 +38,9 @@ def running_sums(carry, increments):
     return np.cumsum(out, axis=0, out=out)
 
 
-def gradient_variation(g, g_prev, slices=None):
-    """Per-player ||g - g_prev||^2: the increments of S. With ``slices``
-    None, the increment of one learner over the whole vector."""
+def gradient_variation(g, g_prev, slices):
+    """Per-player ||g - g_prev||^2: the increments of S."""
     d = g - g_prev
-    if slices is None:
-        return np.vecdot(d, d)
     return player_dots(d, d, slices)
 
 

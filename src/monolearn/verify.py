@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import learners
-from .games import check_param
-from .geometry import MonolearnError, symmetric_box
+from .geometry import MonolearnError, check_param, symmetric_box
 from .metrics import anchored_potential, normal_element, regret_rows
 
 REL_TOL = 1e-9
@@ -132,7 +131,7 @@ class SequenceBoundReport:
         return self.hypothesis_holds and self.conclusion_holds
 
 
-def check_sequence_bound(a, c1, p, rel_tol=REL_TOL):
+def check_sequence_bound(a, c1, p):
     """Check the quadratic-decay sequence proposition on concrete data.
 
     ``a`` is indexed from k = 2. Hypothesis: (k^2/4) a_k <= C1 +
@@ -140,13 +139,13 @@ def check_sequence_bound(a, c1, p, rel_tol=REL_TOL):
     4 C1 / ((1-3p) k^2). Both checks are reported separately so a
     hypothesis failure is distinguishable from a bound violation. ``a`` and
     ``c1`` must be finite and non-negative and ``p`` in (0, 1/3), each
-    checked by :func:`games.check_param` first: a NaN would compare False
+    checked by :func:`geometry.check_param` first: a NaN would compare False
     and read as a pass.
     """
     if not check_param("p", p) < 1.0 / 3.0:
         raise MonolearnError("p must lie in (0, 1/3)")
     check_param("c1", c1, 0.0)
-    a = [float(v) for v in check_param("a", a, vector=True)]
+    a = check_param("a", a, vector=True).tolist()
     if any(v < 0 for v in a):
         raise MonolearnError("sequence entries must be nonnegative")
     ratio = p / (1.0 - p)
@@ -160,12 +159,12 @@ def check_sequence_bound(a, c1, p, rel_tol=REL_TOL):
         lhs = k * k / 4.0 * ak
         slack = lhs - hyp_rhs
         hyp_slack = max(hyp_slack, slack)
-        if slack > rel_tol * max(ABS_FLOOR, abs(hyp_rhs), abs(lhs)):
+        if slack > REL_TOL * max(ABS_FLOOR, abs(hyp_rhs), abs(lhs)):
             hyp_ok = False
         con_rhs = bound_c / (k * k)
         cslack = ak - con_rhs
         con_slack = max(con_slack, cslack)
-        if cslack > rel_tol * max(ABS_FLOOR, con_rhs, ak):
+        if cslack > REL_TOL * max(ABS_FLOOR, con_rhs, ak):
             con_ok = False
         partial += ak
     return SequenceBoundReport(hyp_ok, con_ok, hyp_slack, con_slack)

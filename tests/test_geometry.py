@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from monolearn.games import GameOracle
 from monolearn.geometry import (
     Ball,
     Box,
@@ -14,6 +15,7 @@ from monolearn.geometry import (
     Unconstrained,
     symmetric_box,
 )
+from monolearn.learners import Oblivious, make_learner, play_rows
 from monolearn.metrics import linearized_gaps, regret_terms
 
 RNG = np.random.default_rng(12345)
@@ -342,3 +344,107 @@ def test_degenerate_box():
         Box([1.0], [0.0])
     with pytest.raises(MonolearnError):
         Ball(np.zeros(2), 0.0)
+
+
+# -- one validator: check_param at every boundary -------------------------
+
+NAN = math.nan
+BOX2 = symmetric_box(1.0, 2)
+
+# a bad value of each kind where a list of two finite numbers is wanted; at
+# the parent's rule a bool read as 1.0 and a 2-d array was flattened
+BAD_VECTORS = {
+    "bool": [True, 0.5],
+    "2d": np.zeros((1, 2)),
+    "2d_column": np.zeros((2, 1)),
+    "nan": [NAN, 0.0],
+    "length": [0.0, 0.0, 0.0],
+}
+
+
+def pair_game(start):
+    return GameOracle([symmetric_box(1.0, 1)] * 2, 1.0,
+                      affine=(np.zeros((2, 2)), np.zeros(2)), start=start)
+
+
+def play_adaptive(gradient):
+    play_rows(make_learner("gd", BOX2, np.zeros(2), eta=0.1), lambda t, a: gradient, 4)
+
+
+def play_oblivious(width, row):
+    def fill(rows):
+        rows[:] = 0.0
+        rows[1] = row
+
+    play_rows(make_learner("gd", BOX2, np.zeros(2), eta=0.1), Oblivious(width, fill), 4)
+
+
+# boundary -> (key of its error, a call that passes a value where two
+# numbers are wanted)
+VECTOR_BOUNDARIES = {
+    "make_learner": ("x1", lambda v: make_learner("aog", BOX2, v, eta=0.1)),
+    "box": ("upper", lambda v: Box([-1.0, -1.0], v)),
+    "game_oracle": ("start", pair_game),
+    "adaptive_source": ("round 1: gradient from the source", play_adaptive),
+}
+
+# A ball's center sets its dimension, so no length is wrong. Where a
+# boundary takes a number, one outside its rule (an inf radius, a
+# fractional dimension) stands in for a wrong length. An oblivious source
+# writes into the float rows it is given, so it cannot hand over a bool or
+# a 2-d array.
+OTHER_CASES = {
+    "center-bool": ("center", lambda: Ball([True, 0.5], 1.0)),
+    "center-2d": ("center", lambda: Ball(np.zeros((1, 2)), 1.0)),
+    "center-nan": ("center", lambda: Ball([NAN, 0.0], 1.0)),
+    "radius-bool": ("radius", lambda: Ball([0.0, 0.0], True)),
+    "radius-2d": ("radius", lambda: Ball([0.0, 0.0], np.ones((1, 1)))),
+    "radius-nan": ("radius", lambda: Ball([0.0, 0.0], NAN)),
+    "radius-inf": ("radius", lambda: Ball([0.0, 0.0], math.inf)),
+    "dimension-bool": ("dimension", lambda: Unconstrained(True)),
+    "dimension-2d": ("dimension", lambda: Unconstrained(np.ones((1, 1), dtype=int))),
+    "dimension-nan": ("dimension", lambda: Unconstrained(NAN)),
+    "dimension-fraction": ("dimension", lambda: Unconstrained(2.5)),
+    "oblivious-nan": ("round 2: gradient from the source", lambda: play_oblivious(2, NAN)),
+    "oblivious-length": ("round 1: gradient from the source", lambda: play_oblivious(3, 0.0)),
+}
+
+
+def assert_refused_naming(key, call):
+    with pytest.raises(MonolearnError) as info:
+        call()
+    message = str(info.value)
+    assert message.startswith(f"{key}: ") and "\n" not in message
+    return message
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_VECTORS))
+@pytest.mark.parametrize("boundary", sorted(VECTOR_BOUNDARIES))
+def test_every_vector_boundary_refuses_bad_values_naming_its_key(boundary, kind):
+    key, call = VECTOR_BOUNDARIES[boundary]
+    message = assert_refused_naming(key, lambda: call(BAD_VECTORS[kind]))
+    if kind == "length":
+        assert message == f"{key}: expected dimension 2, got 3"
+
+
+@pytest.mark.parametrize("case", sorted(OTHER_CASES))
+def test_set_constructors_and_sources_refuse_bad_values_naming_their_key(case):
+    assert_refused_naming(*OTHER_CASES[case])
+
+
+@pytest.mark.parametrize("value", [np.full(100, NAN), np.zeros((10, 10)), np.zeros((100, 1))])
+def test_a_refused_long_value_is_one_line(value):
+    assert "\n" in repr(value)  # numpy wraps it; the error does not
+    box = symmetric_box(1.0, 100)
+    assert_refused_naming("x1", lambda: make_learner("gd", box, value, eta=0.1))
+    assert_refused_naming("upper", lambda: Box(-np.ones(100), value))
+    assert_refused_naming("center", lambda: Ball(value, 1.0))
+    learner = make_learner("gd", box, np.zeros(100), eta=0.1)
+    assert_refused_naming("round 1: gradient from the source",
+                          lambda: play_rows(learner, lambda t, a: value, 2))
+
+
+def test_vectors_come_back_as_flat_float_arrays():
+    box = Box([-1, 0], np.array([1, 2], dtype=np.int32))
+    assert box.lower.dtype == box.upper.dtype == np.float64
+    assert make_learner("gd", box, (0, 1), eta=0.1).x1.tolist() == [0.0, 1.0]

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from monolearn.harness import (
+    ADVERSARIES,
     BLOCK_ROWS,
     ExperimentConfig,
     _BlockMeasure,
+    build_parser,
     build_single_learner,
     emit_csv,
     fit_loglog_slope,
@@ -383,7 +385,7 @@ def test_adversary_gradient_checked_once_at_its_round(bad, tag):
 
 @pytest.mark.parametrize("dim", [1, 3])
 def test_random_box_stream_is_one_uniform_draw(dim):
-    # filled BLOCK_ROWS rows at a time: two refills and a partial last block
+    # one in-place draw into all the rows, the same doubles as uniform(-1, 1)
     T = 2 * BLOCK_ROWS + 5
     want = np.random.default_rng(11).uniform(-1.0, 1.0, (2 * T, dim))
     adversary = make_adversary("random_box", dim, seed=11)
@@ -394,6 +396,18 @@ def test_random_box_stream_is_one_uniform_draw(dim):
     # a second fill continues the stream
     adversary.fill(rows)
     assert np.array_equal(rows, want[T:])
+
+
+def test_adversary_ids_are_one_list():
+    # the CLI's --adversary choices are the ids that make_adversary builds
+    parser = build_parser()
+    for name in ADVERSARIES:
+        args = parser.parse_args(["adversarial", "--config", "c.json", "--adversary", name])
+        assert args.adversary == name
+        assert make_adversary(name, 1).dim == 1
+    with pytest.raises(MonolearnError, match="^unknown adversary 'x'; known: appendix_d, "
+                                           "random_box, zero$"):
+        make_adversary("x", 1)
 
 
 @pytest.mark.parametrize("bad", ["inf", "nan"])
@@ -412,8 +426,8 @@ def test_oblivious_gradients_checked_once_before_round_one(monkeypatch, bad, tag
     for kernel in ("dynamics", "_scalar_dynamics"):
         monkeypatch.setattr(f"monolearn.learners.{kernel}", lambda *a: kernels.append(a))
     learner = make_learner(tag, symmetric_box(1.0, 1), np.zeros(1), eta=0.2, L=1.0, D=2.0)
-    with pytest.raises(MonolearnError, match=f"^round {k}: gradient from the source: vector "
-                                           "has non-finite entries$"):
+    with pytest.raises(MonolearnError, match=fr"^round {k}: gradient from the source: must be "
+                                           fr"a list of finite numbers, got array\(\[{bad}\]\)$"):
         run_adversarial(learner, Oblivious(1, fill), 20)
     assert fills == [20]
     assert kernels == []
@@ -699,7 +713,7 @@ def assert_one_error_line(capsys, *needles):
       "game_params": {"dims": [50, 50], "skew_scale": 1e307}},
      "round 1: non-finite gradient from the oracle at the base point"),
     # a number past the float range, or an integer past int64, is refused by
-    # the one rule of games.check_param, which names the key
+    # the one rule of geometry.check_param, which names the key
     ({**BILINEAR, "game_params": {"box_radius": BIG}}, "game_params: box_radius:"),
     ({**BILINEAR, "game_params": {"payoff_scale": BIG}}, "game_params: payoff_scale:"),
     ({**APPENDIX_E, "game_params": {"box_half_width": BIG}}, "game_params: box_half_width:"),

@@ -182,7 +182,7 @@ def test_infeasible_start_rejected():
     # x1 is checked once, by the learner: outside the set, of the wrong size
     # or not finite (projection does not check its input)
     for x1 in ([2.0, 0.0], [0.0, 0.0, 0.0], [0.0, np.nan]):
-        with pytest.raises(MonolearnError):
+        with pytest.raises(MonolearnError, match="^x1: "):
             make_learner("gd", symmetric_box(1.0, 2), np.array(x1), eta=0.1)
 
 

@@ -201,7 +201,7 @@ def test_second_order_variation():
     # S = sum_{t>=2} ||g_t - g_{t-1}||^2: running sums of the increments
     def S(grads):
         g = np.array(grads, dtype=float)
-        return float(running_sums(0.0, gradient_variation(g[1:], g[:-1]))[-1])
+        return float(running_sums(0.0, gradient_variation(g[1:], g[:-1], [slice(None)]))[-1, 0])
 
     assert S([np.ones(2)] * 5) == 0.0
     assert S([[1.0, 0.0], [0.0, 1.0]]) == 2.0
