@@ -27,6 +27,7 @@ from .geometry import (
     MonolearnError,
     Unconstrained,
     check_param,
+    player_slices,
     product,
     symmetric_box,
 )
@@ -95,22 +96,16 @@ def game_boxes(key, half_width, dims):
     return [symmetric_box(half_width, d) for d in dims]
 
 
-def player_slices(player_dims):
-    start = 0
-    for d in player_dims:
-        yield slice(start, start + d)
-        start += d
-
-
 @dataclass
 class GameOracle:
     """Gradient oracle of a smooth monotone game with V(z) = M z + r.
 
-    ``affine=(M, r)``, a finite (dim, dim) M and (dim,) r, is the operator;
-    ``gradient_fn``, derived from it, maps a flat joint action vector to the
-    flat joint gradient. ``losses`` (optional) holds one callable per player,
-    and ``best_response_fn`` (optional, needs ``losses``) maps ``(player,
-    Z)`` to the exact minimizers and minimum values. Both take ``(k, dim)`` rows
+    ``affine=(M, r)``, a finite (dim, dim) M and (dim,) r, is the operator,
+    kept as the oracle's own copies; ``gradient_fn``, derived from it, maps
+    a flat joint action vector to the flat joint gradient, always of shape
+    (dim,). ``losses`` (optional) holds one callable per player, and
+    ``best_response_fn`` (optional, needs ``losses``) maps ``(player, Z)``
+    to the exact minimizers and minimum values. Both take ``(k, dim)`` rows
     ``Z`` of feasible joint profiles, unchecked, and return ``(k,)`` values,
     and the minimizers as ``(k, d_i)`` rows. ``start`` is the default initial
     profile, checked and projected onto the joint set (the projection of 0
@@ -142,6 +137,7 @@ class GameOracle:
                 np.isfinite(M).all() and np.isfinite(r).all()):
             raise MonolearnError(f"affine: need a finite ({n}, {n}) M and a finite ({n},) r, "
                                  f"got shapes {np.shape(M)} and {np.shape(r)}")
+        self.affine = M, r = np.array(M), np.array(r)
         self.gradient_fn = lambda z: M @ z + r
         if self.best_response_fn is not None and self.losses is None:
             raise MonolearnError("best_response_fn needs the players' losses")
@@ -151,9 +147,6 @@ class GameOracle:
     @property
     def num_players(self):
         return len(self.player_sets)
-
-    def diameter(self):
-        return self.joint_set.diameter()
 
     def slices(self):
         return list(player_slices(self.player_dims))

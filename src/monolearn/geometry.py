@@ -47,7 +47,7 @@ def check_param(key, value, least=None, vector=False):
     float, a finite number >= ``least`` (any at -inf). A real is converted
     to float first, so one past the float range is refused; a bool is no
     number. With ``vector`` True or a length d, ``value`` is a list or 1-d
-    array of finite numbers (``least`` unread), returned as a 1-d float
+    array of finite numbers (``least`` unread), returned as a new 1-d float
     array; a wrong length is ``<key>: expected dimension d, got n``."""
     if vector is not False:
         want = "a list of finite numbers"
@@ -64,7 +64,7 @@ def check_param(key, value, least=None, vector=False):
               and np.count_nonzero(np.isfinite(v)) == v.size)
         if ok and vector is not True and v.size != vector:
             raise MonolearnError(f"{key}: expected dimension {vector}, got {v.size}")
-        value = v.astype(float, copy=False) if ok else value
+        value = v.astype(float) if ok else value  # always a copy
     elif isinstance(least, int):
         want = f"an integer in [{least}, 2**63)"
         ok = (isinstance(value, numbers.Integral) and not isinstance(value, bool)
@@ -82,6 +82,14 @@ def check_param(key, value, least=None, vector=False):
         # numpy wraps the repr of a long or 2-d array over several lines
         raise MonolearnError(f"{key}: must be {want}, got {' '.join(repr(value).split())}")
     return value
+
+
+def player_slices(player_dims):
+    """Each player's slice of the joint vector, the dimensions laid end to end."""
+    start = 0
+    for d in player_dims:
+        yield slice(start, start + d)
+        start += d
 
 
 def row_norms(v):
@@ -259,10 +267,7 @@ class ProductSet(FeasibleSet):
         return sum(f.dim for f in self.factors)
 
     def _slices(self):
-        start = 0
-        for f in self.factors:
-            yield f, slice(start, start + f.dim)
-            start += f.dim
+        return zip(self.factors, player_slices(f.dim for f in self.factors))
 
     def project(self, p):
         return np.concatenate([f.project(p[..., s]) for f, s in self._slices()], axis=-1)

@@ -8,8 +8,8 @@ snapshots are written, so recorded rows are exact.
 
 Players are built and validated through ``make_learner``, one per player.
 Self-play runs the array round loop, the block kernel of
-:func:`learners.dynamics`: it hands it the oracle's joint gradient, and
-the kernel writes each round's points and gradients straight into the
+:func:`learners.dynamics`: it builds it with the oracle's joint gradient,
+and the kernel writes each round's points and gradients straight into the
 rows of a block, of :func:`block_rows` rounds: more rounds for smaller
 games. After each block, the measurement pass computes every column of
 the block's rounds with whole-block array operations on the joint
@@ -20,12 +20,13 @@ writes. The adversarial runner plays one learner through
 regret of every recorded round from the same row formulas, in one pass
 over its arrays after the run. Validation happens at the boundary: the
 config (also after CLI overrides), every number and vector by
-:func:`geometry.check_param`; the oracle's gradients, checked for shape on
-the first call and for finiteness once per block, before the block is
-measured; every adversary gradient, checked for size and finiteness before
-the learner uses it, once per run for an oblivious adversary and once per
-call for an adaptive one; and each measured cell, checked for overflow.
-Geometry methods do not re-check.
+:func:`geometry.check_param`; the oracle's gradients, checked for
+finiteness in one place, at the start of each block's measurement pass
+(their shape is fixed by the checked (M, r) of ``game.affine``); every
+adversary gradient, checked for size and finiteness before the learner
+uses it, once per run for an oblivious adversary and once per call for an
+adaptive one; and each measured cell, checked for overflow. Geometry
+methods do not re-check.
 """
 
 from __future__ import annotations
@@ -170,33 +171,13 @@ def _build_learners(config, game):
     return out, tags, np.concatenate([p.x1 for p in out])
 
 
-def _first_call_checked(gradient_fn, dim, point):
-    """``gradient_fn`` with its first value checked for shape (dim,): the one
-    shape check of the oracle, whose first call is at the ``point`` of round
-    1. A wrong shape raises :class:`MonolearnError`; later values go to the
-    rows unchecked."""
-    checked = False
-
-    def gradient(z):
-        nonlocal checked
-        g = gradient_fn(z)
-        if not checked:
-            checked = True
-            if np.shape(g) != (dim,):
-                raise MonolearnError(f"round 1: oracle gradient at the {point} has shape "
-                                     f"{np.shape(g)}, expected {(dim,)}")
-        return g
-
-    return gradient
-
-
 def _check_gradients(t0, base_grad, grad):
     """Raise :class:`MonolearnError` naming the first round, from round t0 on,
     and point whose oracle gradient row is not finite: ``base_grad`` (or
     None) holds V(x_t) and ``grad`` V(x_{t+1/2}), one row per round, and a
-    round's base point comes before its played point. This is the
-    validation boundary of the oracle: everything the run hands to the
-    unchecked geometry methods is built from these rows."""
+    round's base point comes before its played point. This is the one
+    check of the oracle, at the start of each block's measurement pass:
+    everything the run hands to the geometry methods comes from these rows."""
     bad = ~np.isfinite(grad).all(axis=1)
     bad_base = np.zeros_like(bad) if base_grad is None else ~np.isfinite(base_grad).all(axis=1)
     bad |= bad_base
@@ -235,13 +216,15 @@ class _BlockMeasure:
     recorded row is exact whatever the stride. The rest, P_t included, are
     computed on the recorded rows only.
 
-    When the potential is tracked, the pass takes V(x_t) of all base rows
-    from one product, ``base @ M.T + r`` with ``(M, r) = game.affine``,
-    checked by :func:`_check_gradients`, and checks the certificate's
-    hypothesis on every round t >= 2: the witness c_t lies in the normal
-    cone at x_t. The cone is closed under positive scaling, so the test
-    takes the step residual eta c_t, whose rounding is a few ulps of the
-    points whatever the game's scale: ||P(x_t + eta c_t) - x_t|| <=
+    The pass starts with :func:`_check_gradients` on the block's gradient
+    rows. When the potential is tracked, every player runs ``aog``, whose
+    kernel takes no V(x_t), so the pass first forms V(x_t) of all base
+    rows, ``base @ M.T + r`` with ``(M, r) = game.affine``, and checks it
+    with the played gradients. It checks the certificate's hypothesis on
+    every round t >= 2: the witness c_t lies in the normal cone at x_t.
+    The cone is closed under positive scaling, so the test takes the step
+    residual eta c_t, whose rounding is a few ulps of the points whatever
+    the game's scale: ||P(x_t + eta c_t) - x_t|| <=
     ``WITNESS_TOL`` * max(1, ||x_{t-1}||, ||x_t||, ||x_1||, ||eta c_t||),
     with one projection of the block's rows. The norms are
     :func:`geometry.scaled_row_norms`, so the test keeps its signal when
@@ -261,11 +244,16 @@ class _BlockMeasure:
         self.sum_g = np.zeros(game.dim)
         self.columns = {name: [] for name in csv_header(N).split(",")}
 
-    def __call__(self, t0, base, half, grad, etas):
-        """Measure rounds t0, t0+1, ...: ``base``, ``half``, ``grad`` and
-        ``etas`` hold x_t, x_{t+1/2}, V(x_{t+1/2}) and the players' step
+    def __call__(self, t0, base, half, grad, base_grad, etas):
+        """Measure rounds t0, t0+1, ...: ``base``, ``half``, ``grad``,
+        ``base_grad`` and ``etas`` hold x_t, x_{t+1/2}, V(x_{t+1/2}), V(x_t)
+        (None unless a player's predictor is "base") and the players' step
         sizes, one row per round."""
         game, slices, N = self.game, self.slices, self.game.num_players
+        if self.track_potential:
+            M, r = game.affine
+            base_grad = base @ M.T + r
+        _check_gradients(t0, base_grad, grad)
         n = len(grad)
         ts = np.arange(t0, t0 + n)
         g_prev = _previous_rows(grad, self.g_prev)
@@ -297,9 +285,6 @@ class _BlockMeasure:
             dynreg = dynreg[rec]
 
         if self.track_potential:
-            M, r = game.affine
-            base_grad = base @ M.T + r
-            _check_gradients(t0, base_grad, grad)
             x_prev = _previous_rows(base, self.x_prev)
             eta = etas[0, 0]  # one common fixed step
             c = normal_element(x_prev, g_prev, base, self.x1, eta, ts)
@@ -403,23 +388,20 @@ def block_rows(dim):
 
 
 def _self_play(config, game, players, x1):
-    """Self-play through the :func:`learners.dynamics` kernel: it writes
-    each round's x_t, x_{t+1/2} and V(x_{t+1/2}) (and V(x_t) for a "base"
-    predictor, and the step sizes when a player is adaptive) into the rows
-    of block buffers, reused from block to block. A full block has its
-    gradient rows checked by :func:`_check_gradients` and goes to the
-    measurement pass. The buffers are the only place the run's iterates
-    reach."""
+    """Self-play through the :func:`learners.dynamics` kernel, built with
+    the oracle's gradient: it writes each round's x_t, x_{t+1/2} and
+    V(x_{t+1/2}) (and V(x_t) for a "base" predictor, and the step sizes
+    when a player is adaptive) into the rows of block buffers, reused from
+    block to block. A full block goes to the measurement pass, which checks
+    its rows first. The buffers are the only place the run's iterates reach."""
     dim, T = game.dim, config.T
     rows = min(block_rows(dim), T)
     needs_base = any(p.predictor == "base" for p in players)
     block_base, block_half, block_grad = np.empty((3, rows, dim))
     block_base_grad = np.empty((rows, dim)) if needs_base else None
     block_etas = np.tile([p.eta for p in players], (rows, 1))
-    advance = dynamics(players, game.joint_set, x1)
+    advance = dynamics(players, game.joint_set, x1, game.gradient_fn)
     measure = _BlockMeasure(game, x1, T, config.stride, config.record_potential)
-    oracle = game.gradient_fn
-    gradient = _first_call_checked(oracle, dim, "base point" if needs_base else "played point")
 
     with np.errstate(over="ignore", invalid="ignore"):  # the block checks report
         for t0 in range(1, T + 1, rows):
@@ -427,10 +409,8 @@ def _self_play(config, game, players, x1):
             base, half, grad, etas = (a[:n] for a in (block_base, block_half, block_grad,
                                                       block_etas))
             base_grad = None if block_base_grad is None else block_base_grad[:n]
-            advance(gradient, base, half, grad, base_grad, etas)
-            gradient = oracle
-            _check_gradients(t0, base_grad, grad)
-            measure(t0, base, half, grad, etas)
+            advance(base, half, grad, base_grad, etas)
+            measure(t0, base, half, grad, base_grad, etas)
     if config.record_potential:  # after the run: a bad V(x_t) is named, not its P_t
         _check_finite(measure.columns["t"][1:], (measure.columns["potential"][1:],))
     return measure.columns

@@ -7,12 +7,13 @@ state; the tag picks the predictor and whether the player is anchored from
 anchored learners (``eag``, ``aog``, ``aog_adaptive``) share the weight
 1/(t+1).
 
-Every iterate comes from one of two loops, one gradient form each.
+Every iterate comes from one of two loops, each built with its gradient
+source and advanced by the same ``advance(base, half, grad, base_grad)``.
 :func:`dynamics`, the array loop, is a block kernel: it runs the rules of
 several players on their joint vector, calls its gradient at each point it
 writes into the caller's rows, and runs all self-play, where the runner
-(``harness``) feeds it the game oracle's gradients, and every online run
-but one kind. :func:`play_rows`, the one online driver, runs a single
+(``harness``) builds it with the game oracle's gradient, and every online
+run but one kind. :func:`play_rows`, the one online driver, runs a single
 learner against a gradient source, into the arrays of each charged action
 and its checked gradient; the extragradient-style learners (``eg``,
 ``eag``) charge both phase points. An :class:`Oblivious` source writes all
@@ -31,13 +32,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .games import player_slices
-from .geometry import Box, FeasibleSet, MonolearnError, check_param
+from .geometry import Box, FeasibleSet, MonolearnError, check_param, player_slices
 
 # Step-size adaptation switches to 1/sqrt(1+S) once the accumulated
 # second-order gradient variation S exceeds ADAPTATION_FACTOR * D^2 * L^2.
@@ -195,25 +194,25 @@ def _joint_rule(players, dims):
     return predict, 1.0 if all(anchored) else np.repeat(anchored, dims).astype(float)
 
 
-def dynamics(players, feasible_set, x1):
+def dynamics(players, feasible_set, x1, gradient):
     """The array round loop: the block kernel of every self-play run and of
     every online run but an oblivious one on a one-coordinate box.
 
     The kernel advances the players' joint state from x1, their start
     points concatenated, on ``feasible_set``, the joint set, and keeps it
-    from call to call. ``advance(gradient, base, half, grad, base_grad=None,
+    from call to call. ``gradient(z)``, given once here, is the joint
+    gradient at a row ``z``. ``advance(base, half, grad, base_grad=None,
     etas=None)`` runs the next ``len(base)`` rounds and writes round t's
     x_t, x_{t+1/2} and V(x_{t+1/2}) into the next row of ``base``, ``half``
-    and ``grad``. ``gradient(z)`` is the joint gradient at a row ``z``: at
-    the "base point" x_t, into ``base_grad``, only when a player's predictor
-    is "base" (as for eg and eag), and then at the "played point"
-    x_{t+1/2}. When a player is adaptive, ``etas`` gets the players' step
-    sizes of each round; it is not written otherwise. x_{t+1} is the next
-    round's x_t. ``gradient`` is called with the written row, never with
-    the kernel's own iterate, and is not checked here: each caller checks
-    what it trusts less. A "last" predictor's first half step is x1
-    exactly: its gradient estimate starts at zero, and the anchor
-    displacement vanishes at t = 1.
+    and ``grad``. The gradient is taken at the "base point" x_t, into
+    ``base_grad``, only when a player's predictor is "base" (as for eg and
+    eag), and then at the "played point" x_{t+1/2}. When a player is
+    adaptive, ``etas`` gets the players' step sizes of each round; it is
+    not written otherwise. x_{t+1} is the next round's x_t. ``gradient`` is
+    called with the written row, never with the kernel's own iterate, and
+    is not checked here: each caller checks what it trusts less. A "last"
+    predictor's first half step is x1 exactly: its gradient estimate
+    starts at zero, and the anchor displacement vanishes at t = 1.
     """
     dims = [p.set.dim for p in players]
     slices = list(player_slices(dims))
@@ -229,7 +228,7 @@ def dynamics(players, feasible_set, x1):
     # this round's eta: a "last" predictor's half step reuses it
     x, g_prev, move_prev, t = x1, np.zeros(x1.size), np.zeros(x1.size), 0
 
-    def advance(gradient, base, half, grad, base_grad=None, etas=None):
+    def advance(base, half, grad, base_grad=None, etas=None):
         nonlocal x, move_prev, t
         write_etas = bool(adaptive) and etas is not None
         # each round's anchor weight 1/(t+1), on the anchored coordinates
@@ -272,15 +271,16 @@ def dynamics(players, feasible_set, x1):
 
 def _scalar_dynamics(learner):
     """The float loop: :func:`dynamics`' kernel for one learner on a
-    one-coordinate :class:`Box`, whose gradients are already in the rows.
-    ``advance(base, half, grad, base_grad=None)`` runs the next ``len(base)``
-    rounds, reads V(x_{t+1/2}) from ``grad`` (and V(x_t) from ``base_grad``
-    for a "base" predictor) and writes x_t and x_{t+1/2} into ``base`` and
-    ``half``. x, x1, eta, the step terms, the last gradient and S are Python
-    floats, and each is computed by the operations of the array loop, in its
-    order: the anchor weight 1/(t+1), (x1 - x) * w, (x - move) + pull,
-    eta * g, the S increment d * d (np.vecdot of one entry) and
-    :func:`adapted_step_size`, so the two loops write the same bytes. The
+    one-coordinate :class:`Box`, whose gradient source is the rows
+    themselves. ``advance(base, half, grad, base_grad=None)``, the array
+    loop's call with no ``etas``, runs the next ``len(base)`` rounds, reads
+    V(x_{t+1/2}) from ``grad`` (and V(x_t) from ``base_grad`` for a "base"
+    predictor) and writes x_t and x_{t+1/2} into ``base`` and ``half``. x,
+    x1, eta, the step terms, the last gradient and S are Python floats, and
+    each is computed by the operations of the array loop, in its order: the
+    anchor weight 1/(t+1), (x1 - x) * w, (x - move) + pull, eta * g, the S
+    increment d * d (np.vecdot of one entry) and :func:`adapted_step_size`,
+    so the two loops write the same bytes. The
     box projects by ``y = y if y > lo else lo``, then ``y = y if y < hi
     else hi``: the semantics of ``min(hi, max(lo, y))``, whose builtins keep
     their first argument unless a later one compares greater (less), written
@@ -428,7 +428,7 @@ def play_rows(learner, gradient_source, rounds):
     if oblivious and dim == 1 and isinstance(learner.set, Box):
         advance = _scalar_dynamics(learner)  # reads the rows itself
     else:
-        advance = partial(dynamics([learner], learner.set, learner.x1), gradient)
+        advance = dynamics([learner], learner.set, learner.x1, gradient)
     if two_phase:
         advance(plays[0::2], plays[1::2], grads[1::2], grads[0::2])
     else:  # x_t is not played: the kernel writes it first, and x_{t+1/2} over it

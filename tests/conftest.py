@@ -46,11 +46,12 @@ def box_points(box, rng, k):  # k uniform points of a Box, one per row
 
 def run_kernel(players, feasible_set, x1, gradient, rounds):
     """(base, half, grad, etas): the rows of ``rounds`` rounds of the
-    ``learners.dynamics`` kernel, in one call. ``etas`` starts as the
-    players' step sizes, tiled, as in ``harness._self_play``."""
+    ``learners.dynamics`` kernel built with ``gradient``, in one
+    ``advance`` call. ``etas`` starts as the players' step sizes, tiled, as
+    in ``harness._self_play``."""
     base, half, grad, base_grad = np.empty((4, rounds, x1.size))
     etas = np.tile([p.eta for p in players], (rounds, 1))
-    dynamics(players, feasible_set, x1)(gradient, base, half, grad, base_grad, etas)
+    dynamics(players, feasible_set, x1, gradient)(base, half, grad, base_grad, etas)
     return base, half, grad, etas
 
 
@@ -121,6 +122,6 @@ def run_eta(columns):
 def theory_constants(config):
     """L and the finite diameter D of the game of ``config``."""
     game = make_game(config.game, **config.game_params)
-    D = game.diameter()
+    D = game.joint_set.diameter()
     assert math.isfinite(D)
     return game.lipschitz_bound, D

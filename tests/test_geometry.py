@@ -448,3 +448,26 @@ def test_vectors_come_back_as_flat_float_arrays():
     box = Box([-1, 0], np.array([1, 2], dtype=np.int32))
     assert box.lower.dtype == box.upper.dtype == np.float64
     assert make_learner("gd", box, (0, 1), eta=0.1).x1.tolist() == [0.0, 1.0]
+
+
+def test_the_package_keeps_its_own_copies_of_arrays():
+    # a write to the caller's array after construction changes nothing the
+    # package keeps
+    lo, hi, center = np.array([-1.0]), np.array([1.0]), np.zeros(2)
+    box, ball = Box(lo, hi), Ball(center, 1.0)
+    lo[0], hi[0], center[0] = 0.5, 0.75, 0.5
+    assert box.lower.tolist() == [-1.0] and box.upper.tolist() == [1.0]
+    assert box.project(np.zeros(1)).tolist() == [0.0]
+    assert ball.center.tolist() == [0.0, 0.0]
+    x1, start = np.ones(2), np.ones(2)
+    learner = make_learner("aog", Unconstrained(2), x1, eta=0.1)
+    game = GameOracle([Unconstrained(2)], 1.0, affine=(np.eye(2), np.zeros(2)), start=start)
+    x1[0] = start[0] = 5.0
+    assert learner.x1.tolist() == game.start.tolist() == [1.0, 1.0]
+    # the operator stays the one its certificate is for
+    M, r = np.eye(2), np.zeros(2)
+    game = GameOracle([symmetric_box(1.0, 2)], 1.0, affine=(M, r)).validate()
+    M[0, 0], r[1] = 3.0, 1.0
+    assert game.gradient_fn(np.ones(2)).tolist() == [1.0, 1.0]
+    assert game.affine[0].tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert game.affine[1].tolist() == [0.0, 0.0]

@@ -143,7 +143,7 @@ def test_measurement_pass_checks_the_potential_witness_membership():
     etas = np.tile([p.eta for p in players], (cfg.T, 1))
 
     def measure(base_rows):
-        _BlockMeasure(game, x1, cfg.T, 1, True)(1, base_rows, half, grad, etas)
+        _BlockMeasure(game, x1, cfg.T, 1, True)(1, base_rows, half, grad, None, etas)
 
     measure(base)
     # round 8's base point moves off the run, strictly inside the box: c_8
@@ -275,12 +275,26 @@ def test_non_finite_potential_gradient_aborts_with_round(monkeypatch):
         run_self_play(cfg)
 
 
-def test_wrong_size_gradient_aborts(monkeypatch):
-    bad = make_game("bilinear", dims=(1, 1))
-    bad.gradient_fn = lambda z: np.zeros(3)
-    monkeypatch.setattr("monolearn.harness.make_game", lambda *a, **k: bad)
-    with pytest.raises(MonolearnError, match=r"round 1: .*shape"):
-        run_self_play(ExperimentConfig(game="custom", T=5))
+def test_potential_base_gradient_is_checked_with_the_played_ones(monkeypatch):
+    # One check per block covers the potential's V(x_t), formed from
+    # game.affine, and the played gradients: V(x_1) is inf through r, and
+    # the oracle's 5th call (round 5's played point) is NaN. The earlier
+    # round is named, not the played point.
+    game = make_game("bilinear", dims=(1, 1))
+    M, _ = game.affine
+    game.affine = (M, np.array([np.inf, 0.0]))
+    grad, calls = game.gradient_fn, []
+
+    def gradient_fn(z):
+        calls.append(z)
+        return np.full(2, np.nan) if len(calls) == 5 else grad(z)
+
+    game.gradient_fn = gradient_fn
+    monkeypatch.setattr("monolearn.harness.make_game", lambda *a, **k: game)
+    cfg = ExperimentConfig(game="bilinear", algo="aog", T=10, record_potential=True)
+    with pytest.raises(MonolearnError, match=r"^round 1: .*base point$"):
+        run_self_play(cfg)
+    assert len(calls) == cfg.T
 
 
 @pytest.mark.parametrize("config", [

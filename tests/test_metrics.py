@@ -64,7 +64,7 @@ def test_measures_at_corner():
 
 def test_gap_ordering_chain():
     game = make_bilinear_saddle(1.0, 1.0, (2, 2))
-    D = game.diameter()
+    D = game.joint_set.diameter()
     for z in box_points(game.joint_set, RNG, 100):
         r_tan, gap, tgap = measures(game, z)
         assert tgap <= gap + 1e-9
@@ -92,7 +92,7 @@ def test_gap_is_at_most_diameter_times_tangent_residual(game, params):
     # the normal cone there and y in the set, <V, x - y> <= <V + c, x - y>
     # <= ||V + c|| D, and r_tan is the least ||V + c||.
     config = ExperimentConfig(game=game, game_params=params, algo="aog", T=400)
-    D = make_game(game, **params).diameter()
+    D = make_game(game, **params).joint_set.diameter()
     columns = run_self_play(config)
     assert columns["t"] == list(range(1, 401))
     for r_tan, gap in zip(columns["r_tan"], columns["gap"], strict=True):

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pkgutil
@@ -46,3 +47,25 @@ def test_python_dash_m_monolearn_runs_the_cli():
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert proc.stdout.startswith("sequence: ")
+
+
+def test_the_runtime_imports_only_the_standard_library_and_numpy():
+    # the package's one runtime dependency is numpy: every module it imports,
+    # at any depth of a source file, is the standard library's, numpy's or
+    # its own
+    allowed = set(sys.stdlib_module_names) | {"numpy", "monolearn"}
+    sources = sorted((SRC / "monolearn").glob("*.py"))
+    assert sources
+    found = {}
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:  # a relative import is the package's own
+                continue
+            for name in names:
+                found.setdefault(name.partition(".")[0], path.name)
+    assert {top: where for top, where in found.items() if top not in allowed} == {}
+    assert "numpy" in found

@@ -201,7 +201,7 @@ def test_sequence_bound_on_run_residuals():
         record_potential=True,
     )
     game, *_, residual_norm, drift_norm = replay_potential(cfg, run_self_play(cfg))
-    D = game.diameter()
+    D = game.joint_set.diameter()
     a = [r * r + 2.0 * d * d for r, d in zip(residual_norm, drift_norm)]  # rounds 2..T
     report = check_sequence_bound(a, c1=10.0 * D * D, p=0.25)
     assert bool(report)
