@@ -1,16 +1,16 @@
 """Game oracles: joint gradient operators with per-player structure.
 
 A :class:`GameOracle` bundles the per-player feasible sets, the joint
-gradient operator ``V`` (stacking each player's own-action gradient), a
-Lipschitz bound ``L``, and, when available, per-player loss functions and
-exact best responses. Every operator is affine, V(z) = M z + r, given as
-``affine=(M, r)``: the one operator form. Built-in instances cover the
-bilinear saddle game, a banded quadratic-bilinear min-max game, and a
-seeded random linear monotone operator. Monotonicity and the Lipschitz
-bound are certified exactly, in two tiers (:meth:`GameOracle.validate`):
-first the O(n^2) Gershgorin and Schur bounds, which ``bilinear`` and
-``appendix_e`` meet exactly, and only if one fails, lambda_min((M + M^T)/2)
-and ||M||_2 from symmetric eigen-solves (:func:`spectral_norm`).
+gradient operator ``V`` (stacking each player's own-action gradient) and a
+Lipschitz bound ``L``. Every operator is affine, V(z) = M z + r, given as
+``affine=(M, r)``: the one operator form, from which the runs derive every
+gap; no game carries loss functions. Built-in instances cover the bilinear
+saddle game, a banded quadratic-bilinear min-max game, and a seeded random
+linear monotone operator. Monotonicity and the Lipschitz bound are
+certified exactly, in two tiers (:meth:`GameOracle.validate`): first the
+O(n^2) Gershgorin and Schur bounds, which ``bilinear`` and ``appendix_e``
+meet exactly, and only if one fails, lambda_min((M + M^T)/2) and ||M||_2
+from symmetric eigen-solves (:func:`spectral_norm`).
 """
 
 from __future__ import annotations
@@ -103,21 +103,16 @@ class GameOracle:
     ``affine=(M, r)``, a finite (dim, dim) M and (dim,) r, is the operator,
     kept as the oracle's own copies; ``gradient_fn``, derived from it, maps
     a flat joint action vector to the flat joint gradient, always of shape
-    (dim,). ``losses`` (optional) holds one callable per player, and
-    ``best_response_fn`` (optional, needs ``losses``) maps ``(player, Z)``
-    to the exact minimizers and minimum values. Both take ``(k, dim)`` rows
-    ``Z`` of feasible joint profiles, unchecked, and return ``(k,)`` values,
-    and the minimizers as ``(k, d_i)`` rows. ``start`` is the default initial
-    profile, checked and projected onto the joint set (the projection of 0
-    when not given). The joint set and the dimensions ``player_dims`` and
-    ``dim`` are computed once, at construction (see :func:`geometry.product`).
+    (dim,); the oracle holds no loss functions. ``start`` is the default
+    initial profile, checked and projected onto the joint set (the
+    projection of 0 when not given). The joint set and the dimensions
+    ``player_dims`` and ``dim`` are computed once, at construction (see
+    :func:`geometry.product`).
     """
 
     player_sets: list
     lipschitz_bound: float
     affine: tuple
-    losses: list = None
-    best_response_fn: object = None
     name: str = "custom"
     start: np.ndarray = None
     gradient_fn: object = field(init=False, repr=False, compare=False)
@@ -139,8 +134,6 @@ class GameOracle:
                                  f"got shapes {np.shape(M)} and {np.shape(r)}")
         self.affine = M, r = np.array(M), np.array(r)
         self.gradient_fn = lambda z: M @ z + r
-        if self.best_response_fn is not None and self.losses is None:
-            raise MonolearnError("best_response_fn needs the players' losses")
         start = np.zeros(self.dim) if self.start is None else self.start
         self.start = self.joint_set.project(check_param("start", start, vector=self.dim))
 
@@ -150,10 +143,6 @@ class GameOracle:
 
     def slices(self):
         return list(player_slices(self.player_dims))
-
-    @property
-    def has_best_response(self):
-        return self.best_response_fn is not None
 
     def validate(self):
         """Certify monotonicity and the Lipschitz bound exactly: monotone iff
@@ -191,7 +180,8 @@ def make_bilinear_saddle(payoff_scale=1.0, box_radius=1.0, dims=(1, 1)):
 
     Player 1 minimizes f, player 2 minimizes -f; the joint operator is the
     skew map (scale * y, -scale * x), M = scale * [[0, I], [-I, 0]], with
-    Lipschitz constant ``scale``. The start point is halfway from the Nash
+    Lipschitz constant ``scale``. Both own blocks of M are zero, so the runs
+    fill the exact gap columns. The start point is halfway from the Nash
     point 0 to the upper corner, so runs actually have to converge.
     """
     check_param("game_params: payoff_scale", payoff_scale)
@@ -204,24 +194,10 @@ def make_bilinear_saddle(payoff_scale=1.0, box_radius=1.0, dims=(1, 1)):
     with sized_by("dims", dims):
         sets = game_boxes("box_radius", box_radius, dims)
     M = s * np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(dx))
-    r = np.zeros(2 * dx)
-    blocks = [(M[:dx].T, r[:dx]), (M[dx:].T, r[dx:])]
-
-    def best_response_rows(player, Z):
-        # Each loss is <player's block of M z + r, own action>, linear in the
-        # own action, so its minimum is the support minimum of that block.
-        M_iT, r_i = blocks[player]
-        return sets[player].support_min(Z @ M_iT + r_i)
-
-    def f(Z):
-        return s * np.vecdot(Z[:, :dx], Z[:, dx:])
-
     return GameOracle(
         player_sets=sets,
         lipschitz_bound=s,
-        affine=(M, r),
-        losses=[f, lambda Z: -f(Z)],
-        best_response_fn=best_response_rows,
+        affine=(M, np.zeros(2 * dx)),
         name="bilinear",
         start=np.full(dx + dy, 0.5 * float(box_radius)),
     ).validate()
@@ -267,7 +243,6 @@ def make_appendix_e_instance(n=100, box_half_width=200.0):
         player_sets=sets,
         lipschitz_bound=1.0,
         affine=(np.block([[H, -A.T], [A, np.zeros((n, n))]]), np.concatenate([-h, -b])),
-        # no losses or exact best responses: the gap columns are linearized
         name="appendix_e",
         start=np.full(2 * n, 1.0 / n),
     ).validate()

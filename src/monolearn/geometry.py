@@ -150,7 +150,9 @@ class Box(FeasibleSet):
         lo = check_param("lower", self.lower, vector=True)
         hi = check_param("upper", self.upper, vector=lo.size)
         if np.any(lo > hi):
-            raise MonolearnError("box requires lower <= upper componentwise")
+            j = int(np.argmax(lo > hi))
+            raise MonolearnError(f"upper: must be >= lower componentwise, got upper[{j}] = "
+                                 f"{hi[j]} < lower[{j}] = {lo[j]}")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 

@@ -48,7 +48,6 @@ from .geometry import MonolearnError, check_param, row_norms, scaled_row_norms
 from .learners import Oblivious, dynamics, make_learner, play_rows
 from .metrics import (
     anchored_potential,
-    best_response_gaps,
     csv_cells,
     csv_header,
     csv_row,  # unused here; the benchmark's outside-in tracer looks it up by name
@@ -211,10 +210,11 @@ class _BlockMeasure:
     that column's cells.
 
     Each column comes from the per-round formulas in :mod:`metrics`, on all
-    rows of the block at once, with one exact-oracle call per player per
-    block. Cumulative columns add their increments in round order, so every
-    recorded row is exact whatever the stride. The rest, P_t included, are
-    computed on the recorded rows only.
+    rows of the block at once. Cumulative columns add their increments in
+    round order, so every recorded row is exact whatever the stride. The
+    rest, P_t included, are computed on the recorded rows only. ``dynreg_i``
+    sums player i's linearized gaps, and ``tgap_exact`` is their row sum
+    when every player's own block of M is zero, which makes them exact.
 
     The pass starts with :func:`_check_gradients` on the block's gradient
     rows. When the potential is tracked, every player runs ``aog``, whose
@@ -238,6 +238,10 @@ class _BlockMeasure:
         self.joint = game.joint_set
         self.slices = game.slices()
         self.bounded = self.joint.is_bounded
+        # A zero own block M_ii makes loss i <V_i(z), z_i> plus a term free
+        # of z_i, so its linearized gap is exact. Unbounded games read no block.
+        M = game.affine[0]
+        self.exact = self.bounded and not any(M[s, s].any() for s in self.slices)
         N = game.num_players
         self.x_prev = self.g_prev = None
         self.S, self.sum_gx, self.dynreg = np.zeros(N), np.zeros(N), np.zeros(N)
@@ -260,7 +264,7 @@ class _BlockMeasure:
         S = running_sums(self.S, gradient_variation(grad, g_prev, slices))
         rec = np.flatnonzero(((ts - 1) % self.stride == 0) | (ts == self.T))
 
-        extreg = dynreg = regret_incs = gap = tgap = None
+        extreg = dynreg = gap = tgap = None
         pot = [None] * len(rec)
         if self.bounded:
             gx, lows = regret_terms(self.joint, half, grad, slices)
@@ -268,21 +272,15 @@ class _BlockMeasure:
             sum_g = running_sums(self.sum_g, grad)
             extreg = external_regrets(self.joint, sum_gx[rec], sum_g[rec], slices)
             gap = np.maximum(gx[rec].sum(axis=1) - lows[rec].sum(axis=1), 0.0)
-            if not game.has_best_response:
-                regret_incs = linearized_gaps(gx, lows)
-            self.sum_gx, self.sum_g = sum_gx[-1], sum_g[-1]
-        if game.has_best_response:
-            regret_incs = best_response_gaps(game, half)
-            # Python's sum of each row, as the CSV has always had it: the
-            # players' gaps added left to right to 0 (numpy's pairwise sum
-            # would regroup them from 8 players on, and 0 + -0.0 is 0.0)
-            tgap = 0.0
-            for i in range(N):
-                tgap = tgap + regret_incs[rec, i]
-        if regret_incs is not None:
-            dynreg = running_sums(self.dynreg, regret_incs)
-            self.dynreg = dynreg[-1]
+            gaps = linearized_gaps(gx, lows)
+            dynreg = running_sums(self.dynreg, gaps)
+            self.sum_gx, self.sum_g, self.dynreg = sum_gx[-1], sum_g[-1], dynreg[-1]
             dynreg = dynreg[rec]
+            if self.exact:
+                # Python's sum of each row, as the CSV has always had it: the
+                # players' gaps added left to right (numpy's pairwise sum
+                # would regroup them from 8 players on)
+                tgap = sum(gaps[rec].T)
 
         if self.track_potential:
             x_prev = _previous_rows(base, self.x_prev)
@@ -472,7 +470,6 @@ def run_adversarial(learner, adversary, T, record_at=None):
     once per call; a wrong-size or non-finite one raises
     :class:`MonolearnError` naming its round.
     """
-    check_param("T", T, 1)
     fset = learner.set
     if not fset.is_bounded:
         raise MonolearnError("adversarial runs need a bounded action set: the "

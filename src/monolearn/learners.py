@@ -392,9 +392,11 @@ def play_rows(learner, gradient_source, rounds):
     Either way a bad gradient raises :class:`MonolearnError` naming its
     round before the learner uses it, and an adaptive source is not called
     again. A source that raises stops the run before its gradient is
-    used. A ``rounds`` too large to allocate the arrays for is one
+    used. ``rounds`` is checked here, once, for every online run: one that
+    is not an integer >= 1, or too large to allocate the arrays for, is one
     :class:`MonolearnError` naming T.
     """
+    check_param("T", rounds, 1)
     dim = learner.set.dim
     two_phase = learner.predictor == "base"
     steps = -(-rounds // 2) if two_phase else rounds

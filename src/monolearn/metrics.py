@@ -1,8 +1,8 @@
 """Per-round measurement: residuals, gaps, regrets, and the potential.
 
-Functions here are pure and keep no iterates. Each per-round formula
-(per-player dot products, gradient variation, linearized and exact
-best-response gaps, external regret from running sums, c_t and P_t) takes
+Functions here are pure row formulas: they keep no iterates and know no
+game. Each per-round formula (per-player dot products, gradient variation,
+linearized gaps, external regret from running sums, c_t and P_t) takes
 rows over a leading axis, and :func:`running_sums` turns per-round
 increments into cumulative columns in round order. The experiment runner
 measures blocks of rounds, and the adversarial runner whole runs, with the
@@ -14,9 +14,6 @@ measurements are the test suite's (``tests/test_kernel.py``).
 from __future__ import annotations
 
 import numpy as np
-
-from .games import GameOracle
-from .geometry import MonolearnError
 
 
 # -- per-round formulas over a leading row axis ------------------------------
@@ -52,21 +49,9 @@ def regret_terms(feasible_set, x, g, slices):
 
 
 def linearized_gaps(gx, lows):
-    """Per-player linearized gaps from :func:`regret_terms`, clipped at 0."""
+    """Per-player linearized gaps from :func:`regret_terms`, clipped at 0: the
+    exact gaps of players whose losses are linear in their own actions."""
     return np.maximum(gx - lows, 0.0)
-
-
-def best_response_gaps(game: GameOracle, Z):
-    """Per-player loss minus exact best-response value at the feasible
-    profile rows ``Z`` (k, dim): shape (k, N), one oracle call per player.
-    A misshaped result raises :class:`MonolearnError`; the values are not
-    checked here, since the runner checks every measured cell for overflow."""
-    gaps = np.stack([game.losses[i](Z) - game.best_response_fn(i, Z)[1]
-                     for i in range(game.num_players)], axis=-1)
-    if gaps.shape != (len(Z), game.num_players):
-        raise MonolearnError(f"game {game.name!r}: misshaped exact best-response gaps: shape "
-                             f"{gaps.shape}, expected {(len(Z), game.num_players)}")
-    return gaps
 
 
 def external_regrets(feasible_set, sum_gx, sum_g, slices=None):

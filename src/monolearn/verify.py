@@ -143,11 +143,11 @@ def check_sequence_bound(a, c1, p):
     and read as a pass.
     """
     if not check_param("p", p) < 1.0 / 3.0:
-        raise MonolearnError("p must lie in (0, 1/3)")
+        raise MonolearnError(f"p: must be a number in (0, 1/3), got {p!r}")
     check_param("c1", c1, 0.0)
     a = check_param("a", a, vector=True).tolist()
     if any(v < 0 for v in a):
-        raise MonolearnError("sequence entries must be nonnegative")
+        raise MonolearnError(f"a: must be a list of nonnegative numbers, got {min(a)!r}")
     ratio = p / (1.0 - p)
     bound_c = 4.0 * c1 / (1.0 - 3.0 * p)
     partial = 0.0
@@ -190,7 +190,6 @@ def run_eag_adversary(T, eta):
     The play trace is a (T, 2, 1) array whose row t - 1 is the action of
     round t and its gradient, so it iterates as (action, g) pairs.
     """
-    check_param("T", T, 1)
     box = symmetric_box(1.0, 1)
     learner = learners.make_learner("eag", box, np.zeros(1), eta=eta)
     plays, grads = learners.play_rows(learner, ALTERNATING, T)

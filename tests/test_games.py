@@ -42,16 +42,28 @@ def central_difference_gradient(loss, z, step=1e-5):
     return g
 
 
-def loss_at(game, player, z):
-    """``player``'s loss at the one profile ``z``, from the row oracle."""
-    return float(game.losses[player](z[None])[0])
+def bilinear_loss(scale, player, z):
+    """``player``'s loss at the profile ``z`` = (x, y) of the bilinear game,
+    from f(x, y) = scale * <x, y>: player 1 minimizes f, player 2 -f."""
+    x, y = np.split(np.asarray(z, dtype=float), 2)
+    return (1 - 2 * player) * scale * float(x @ y)
 
 
-def best_response_at(game, player, z):
-    """The exact (argmin, min) of ``player`` at the one profile ``z``, from
-    the row oracle."""
-    actions, values = game.best_response_fn(player, np.asarray(z, dtype=float)[None])
-    return actions[0], float(values[0])
+def bilinear_best_response(scale, w, player, z):
+    """The (argmin, min) of ``player``'s loss over its box [-w, w]^d at the
+    profile ``z``, written out: each own coordinate goes to the bound that
+    makes its term of the loss negative, and to -w where the term is 0."""
+    x, y = np.split(np.asarray(z, dtype=float), 2)
+    coeff = scale * y if player == 0 else -scale * x
+    action = np.where(coeff < 0, w, -w)
+    return action, -w * float(np.abs(coeff).sum())
+
+
+def derived_best_response(game, player, Z):
+    """What the runs take as ``player``'s best responses to the rows ``Z``:
+    the support minimum of its block of V over its own set."""
+    s = game.slices()[player]
+    return game.player_sets[player].support_min((Z @ game.affine[0].T + game.affine[1])[:, s])
 
 
 def power_iteration_norm(M, iters=500):
@@ -71,9 +83,14 @@ def test_bilinear_gradient_example():
 
 
 def test_bilinear_zero_sum_losses():
+    # each loss is linear in the own action, <V_i(z), z_i>, and the two add
+    # to 0: the operator is that of the zero-sum game
     game = make_bilinear_saddle(2.0, 1.0, (2, 2))
-    Z = box_points(game.joint_set, RNG, 20)
-    assert np.all(np.abs(game.losses[0](Z) + game.losses[1](Z)) <= 1e-12)
+    for z in box_points(game.joint_set, RNG, 20):
+        v = game.gradient_fn(z)
+        own = [float(v[s] @ z[s]) for s in game.slices()]
+        assert own == pytest.approx([bilinear_loss(2.0, i, z) for i in range(2)], abs=1e-12)
+        assert abs(own[0] + own[1]) <= 1e-12
 
 
 def test_bilinear_lipschitz_is_operator_norm():
@@ -88,13 +105,14 @@ def test_bilinear_lipschitz_is_operator_norm():
 
 def test_bilinear_best_responses():
     game = make_bilinear_saddle(1.0, 1.0, (1, 1))
-    a, v = best_response_at(game, 0, [0.0, 0.5])
-    assert np.array_equal(a, [-1.0]) and v == -0.5
-    a, v = best_response_at(game, 0, [0.0, -1.0])
-    assert np.array_equal(a, [1.0]) and v == -1.0
-    # zero objective for player 2: tie broken to the lower bound
-    a, v = best_response_at(game, 1, [0.0, 0.3])
-    assert np.array_equal(a, [-1.0]) and v == 0.0
+    # the last case is a zero objective for player 2: the tie goes to the
+    # lower bound
+    cases = ((0, [0.0, 0.5], -1.0, -0.5), (0, [0.0, -1.0], 1.0, -1.0), (1, [0.0, 0.3], -1.0, 0.0))
+    for player, z, action, value in cases:
+        a, v = bilinear_best_response(1.0, 1.0, player, z)
+        assert np.array_equal(a, [action]) and v == value
+        (a,), (v,) = derived_best_response(game, player, np.array([z]))
+        assert np.array_equal(a, [action]) and v == value
 
 
 def appendix_e_loss(n, player, z):
@@ -117,7 +135,7 @@ def test_gradients_match_finite_differences():
         for z in box_points(game.joint_set, RNG, 10):
             v = game.gradient_fn(z)
             for i, s in enumerate(slices):
-                loss = (lambda w: loss_at(game, i, w)) if n is None else (
+                loss = (lambda w: bilinear_loss(1.5, i, w)) if n is None else (
                     lambda w: appendix_e_loss(n, i, w))
                 full = central_difference_gradient(loss, z)
                 got, want = v[s], full[s]
@@ -426,41 +444,25 @@ def test_make_game_rejects_validate_key():
         make_game("bilinear", validate=False)
 
 
-def same_bits(a, b):
-    """Equal as float64 bit patterns: -0.0 and 0.0 differ, NaN equals itself."""
-    a, b = np.atleast_1d(np.asarray(a, float)), np.atleast_1d(np.asarray(b, float))
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
-
-
 @pytest.mark.parametrize("scale", [0.5, 1.0, 3.0])
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_bilinear_gradient_and_best_responses_are_closed_forms(scale, d):
     # Profile rows, with exact zeros so ties and signed zeros are covered:
-    # the row forms on many rows equal them on one row bit for bit, and both
-    # equal the closed forms.
+    # the gradient is the closed form bit for bit, and the best responses
+    # the runs derive from it, as rows, are the closed forms too.
     game = make_bilinear_saddle(scale, 1.0, (d, d))
     rng = np.random.default_rng(d)
     Z = box_points(game.joint_set, rng, 20)
     Z[:4, :d] = 0.0
     Z[2:6, d:] = 0.0
-    rows = [(game.losses[i](Z), *game.best_response_fn(i, Z)) for i in range(2)]
-    for losses, actions, values in rows:
-        assert losses.shape == values.shape == (20,) and actions.shape == (20, d)
+    rows = [derived_best_response(game, i, Z) for i in range(2)]
+    for actions, values in rows:
+        assert values.shape == (20,) and actions.shape == (20, d)
     for k, z in enumerate(Z):
         x, y = z[:d], z[d:]
         assert np.array_equal(game.gradient_fn(z), np.concatenate([scale * y, -scale * x]))
-        for player, coeff in ((0, scale * y), (1, -scale * x)):
-            losses, actions, values = rows[player]
-            action, value = best_response_at(game, player, z)
-            want = np.where(coeff < 0, 1.0, -1.0)
-            assert np.array_equal(action, want) and same_bits(actions[k], action)
-            assert value == float(want @ coeff) and same_bits(values[k], value)
-            # the one-profile loss formula the row form replaced
-            assert same_bits(losses[k], loss_at(game, player, z))
-            assert same_bits(losses[k], (1 - 2 * player) * scale * float(x @ y))
-
-
-def test_best_response_needs_losses():
-    with pytest.raises(MonolearnError, match="losses"):
-        GameOracle([symmetric_box(1.0, 1)], 1.0, affine=(np.eye(1), np.zeros(1)),
-                   best_response_fn=lambda player, Z: (Z, Z[:, 0]))
+        for player in range(2):
+            actions, values = rows[player]
+            action, value = bilinear_best_response(scale, 1.0, player, z)
+            assert np.array_equal(actions[k], action)
+            assert math.isclose(values[k], value, rel_tol=1e-15)

@@ -405,6 +405,7 @@ OTHER_CASES = {
     "dimension-2d": ("dimension", lambda: Unconstrained(np.ones((1, 1), dtype=int))),
     "dimension-nan": ("dimension", lambda: Unconstrained(NAN)),
     "dimension-fraction": ("dimension", lambda: Unconstrained(2.5)),
+    "upper-below-lower": ("upper", lambda: Box([-1.0, 1.0], [1.0, 0.0])),
     "oblivious-nan": ("round 2: gradient from the source", lambda: play_oblivious(2, NAN)),
     "oblivious-length": ("round 1: gradient from the source", lambda: play_oblivious(3, 0.0)),
 }

@@ -9,10 +9,12 @@ began to record every ``stride``-th round (the toy config's stride is 1)
 instead of round T alone; each new CSV's last row is the old one's.
 
 The self-play digests were taken from the measurement pass that evaluated
-exact best responses and losses one profile at a time: the CSV of the
-shipped bilinear config, and stride-1 bilinear runs with the potential
-whose horizon ends in a partial block. They pin every column, the exact
-``tgap_exact`` and ``dynreg_i`` columns included.
+the bilinear game's own loss functions and best responses one profile at a
+time: the CSV of the shipped bilinear config, and stride-1 bilinear runs
+with the potential whose horizon ends in a partial block. They pin every
+column, the exact ``tgap_exact`` and ``dynreg_i`` columns included, which
+now come from the operator's linearized gaps: at ``payoff_scale`` 1 the two
+forms give the same bytes.
 
 The play-stream and mixed-tag digests were taken when ``eag`` still divided
 its anchor displacement by t+1 while ``aog`` multiplied it by 1/(t+1): the

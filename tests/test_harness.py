@@ -107,9 +107,46 @@ def test_zero_sum_conservation_along_run():
     result = run_self_play(cfg)
     game, _, _, run = kernel_run(cfg)
     Z = np.array([run[t - 1][1] for t in result["t"]])  # x_{t+1/2}
-    assert np.all(np.abs(game.losses[0](Z) + game.losses[1](Z)) <= 1e-10)
+    # the losses <x, y> and -<x, y> add to 0, so the players' minima over
+    # [-1, 1]^2, -||y||_1 and -||x||_1, leave a total exact gap of
+    # ||x||_1 + ||y||_1
+    assert result["tgap_exact"] == pytest.approx(np.abs(Z).sum(axis=1), rel=1e-12)
     # the two per-player exact gap terms each upper-bound zero
-    assert all(v >= -1e-12 for name in ("dynreg_1", "dynreg_2") for v in result[name])
+    assert all(v >= 0.0 for name in ("dynreg_1", "dynreg_2") for v in result[name])
+
+
+SKEW_GAME = {"dims": [1, 1, 1], "psd_diag": 0.0, "bounded": 1.0, "seed": 5}
+
+
+def test_exact_gap_is_filled_when_every_own_block_is_zero():
+    # psd_diag 0 and one coordinate per player: M is skew, so each player's
+    # own block is 0 and its loss is V_i(z) z_i plus a term free of z_i. The
+    # exact gap is brute-forced from that loss over the box's two endpoints,
+    # with V taken at each candidate profile.
+    cfg = ExperimentConfig(game="random_linear_monotone", game_params=SKEW_GAME, algo="aog",
+                           T=300, stride=7)
+    result = run_self_play(cfg)
+    game, _, _, run = kernel_run(cfg)
+    assert None not in result["tgap_exact"]
+
+    def loss(i, z, zi):
+        w = z.copy()
+        w[i] = zi
+        return float(game.gradient_fn(w)[i] * zi)
+
+    for t, cell in zip(result["t"], result["tgap_exact"], strict=True):
+        z = run[t - 1][1]  # x_{t+1/2}
+        want = sum(loss(i, z, z[i]) - min(loss(i, z, -1.0), loss(i, z, 1.0)) for i in range(3))
+        assert cell == pytest.approx(want, rel=1e-12), t
+
+
+@pytest.mark.parametrize("game, params", [
+    ("random_linear_monotone", {**SKEW_GAME, "psd_diag": 0.1}),
+    ("appendix_e", {"n": 4}),
+])
+def test_exact_gap_is_empty_when_an_own_block_is_not_zero(game, params):
+    cfg = ExperimentConfig(game=game, game_params=params, algo="aog", T=50)
+    assert set(run_self_play(cfg)["tgap_exact"]) == {None}
 
 
 def test_heterogeneous_algos_supported():
@@ -711,8 +748,8 @@ def assert_one_error_line(capsys, *needles):
     ({**APPENDIX_E, "game_params": {"n": 4, "box_half_width": 1e308}},
      "game_params: box_half_width:"),
     ({**RANDOM_LINEAR, "game_params": {"bounded": 1e308}}, "game_params: bounded:"),
-    # a finite diameter, but the losses overflow: inf - inf gives no warning,
-    # and the block's finite check names the round of the exact gap
+    # a finite diameter, but <V, x> overflows in the gap columns, and the
+    # block's finite check names the round
     ({**BILINEAR, "game_params": {"box_radius": 1e200}},
      "round 1: a measured value overflowed"),
     # 1/(sqrt(6) L) rounds to 0

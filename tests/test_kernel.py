@@ -87,7 +87,10 @@ def reference_self_play(config):
     N = game.num_players
     joint = ProductSet(tuple(game.player_sets))
     bounded = joint.is_bounded
-    exact = game.has_best_response and game.losses is not None
+    # the bilinear games' exact gaps, from their losses +-s<x, y> on the box
+    # [-w, w]^d, written out here and not read from the run's formula
+    exact = config.game in ("bilinear", "appendix_d_toy")
+    scale, w = (config.game_params.get(k, 1.0) for k in ("payoff_scale", "box_radius"))
     needs_base = config.record_potential or any(p.predictor == "base" for p in players)
     eta = players[0].eta
     recorded = set(range(1, config.T + 1, config.stride)) | {config.T}
@@ -100,8 +103,10 @@ def reference_self_play(config):
     def lin_gap(fset, p, g):  # <g, p> - min over the set of <g, x>, clipped at 0
         return max(float(p @ g) - float(fset.support_min(g)[1]), 0.0)
 
-    def exact_gap(i, z):  # player i's loss minus its best-response value at z
-        return float(game.losses[i](z[None])[0] - game.best_response_fn(i, z[None])[1][0])
+    def exact_gap(i, z):  # player i's loss minus its minimum over its own box
+        x, y = np.split(z, 2)
+        other = y if i == 0 else x
+        return (1 - 2 * i) * scale * float(x @ y) + w * scale * float(np.abs(other).sum())
 
     for t in range(1, config.T + 1):
         base = np.concatenate([p.x for p in players])

@@ -33,6 +33,15 @@ def test_first_anchored_proposal_is_start_point():
     assert np.array_equal(action, x1)
 
 
+@pytest.mark.parametrize("rounds", [-1, 2.5, True])
+def test_play_rows_checks_rounds(rounds):
+    # the one check of T for every online run: a negative count is not an
+    # allocation failure, a fraction no TypeError, and True no single round
+    learner = make_learner("aog", symmetric_box(1.0, 1), np.zeros(1), eta=0.1)
+    with pytest.raises(MonolearnError, match=r"^T: must be an integer"):
+        play_rows(learner, lambda t, a: np.zeros(1), rounds)
+
+
 def test_anchored_half_step_arithmetic():
     # From x1 = 0, gradients 0 and -8 lead to x_3 = 0.8, and the gradient
     # 1 to x_4 = 0.8 - 0.1 + (0 - 0.8)/4 = 0.5; then at t = 4 with g_prev = 1:

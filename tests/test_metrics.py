@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from monolearn.games import GameOracle, make_bilinear_saddle, make_game
-from monolearn.geometry import MonolearnError, symmetric_box
+from monolearn.games import make_bilinear_saddle, make_game
+from monolearn.geometry import symmetric_box
 from monolearn.harness import ExperimentConfig, run_self_play
 from monolearn.metrics import (
-    best_response_gaps,
     csv_cells,
     csv_header,
     csv_row,
@@ -36,13 +35,13 @@ def small_config(game_id="bilinear", T=50, x1=None, **game_params):
 
 
 def measures(game, z):
-    """(r_tan, linearized gap, exact total gap) at the profile z, from the
-    row formulas on one row: the linearized gap treats the joint set as one
-    player, and the total gap is the Python sum of the players' gaps, as the
-    CSV's ``tgap_exact`` cell is."""
+    """(r_tan, linearized gap, exact total gap) of a bilinear game at the
+    profile z, from the row formulas on one row: the linearized gap treats
+    the joint set as one player, and the total gap is the Python sum of the
+    players' linearized gaps, as the CSV's ``tgap_exact`` cell is."""
     joint, v = game.joint_set, game.gradient_fn(z)
     gap = linearized_gaps(*regret_terms(joint, z[None], v[None], [slice(None)]))[0, 0]
-    tgap = sum(best_response_gaps(game, z[None])[0].tolist())
+    tgap = sum(linearized_gaps(*regret_terms(joint, z[None], v[None], game.slices()))[0].tolist())
     return float(joint.tangent_residual(z, v)), float(gap), tgap
 
 
@@ -113,11 +112,16 @@ def test_external_regret_examples():
 
 
 def test_dynamic_regret_examples():
-    # the per-round dynamic regret terms of an exact game: each player's
-    # loss minus its best-response value
+    # the per-round dynamic regret terms of the bilinear game: each player's
+    # loss minus its best-response value, which its linearized gap is
     game = make_bilinear_saddle(1.0, 1.0, (1, 1))
-    assert math.isclose(best_response_gaps(game, np.ones((1, 2)))[0, 0], 2.0, abs_tol=1e-12)
-    assert np.array_equal(best_response_gaps(game, np.zeros((4, 2))), np.zeros((4, 2)))
+    Z = np.vstack([np.ones((1, 2)), np.zeros((4, 2))])
+    G = np.array([game.gradient_fn(z) for z in Z])
+    gaps = linearized_gaps(*regret_terms(game.joint_set, Z, G, game.slices()))
+    # at (1, 1): <x, y> = 1 against a minimum of -1 for player 1, and
+    # -<x, y> = -1 against -1 for player 2
+    assert np.allclose(gaps[0], [2.0, 0.0], rtol=0.0, atol=1e-12)
+    assert np.array_equal(gaps[1:], np.zeros((4, 2)))
 
 
 def test_dynamic_regret_fallback_is_linearized_gap():
@@ -134,67 +138,37 @@ def test_dynamic_regret_fallback_is_linearized_gap():
             assert math.isclose(row[i], want, abs_tol=1e-12)
 
 
-def one_row_gaps(game, z):
-    """Each player's loss minus best-response value, from the row oracle on
-    the one row z."""
-    return [float(game.losses[i](z[None])[0] - game.best_response_fn(i, z[None])[1][0])
-            for i in range(game.num_players)]
+def one_row_gaps(scale, z):
+    """Each player's loss minus its best-response value in the bilinear game
+    of ``scale`` on [-1, 1]^d at the profile z, written out: the losses are
+    +-scale * <x, y>, and their minima -scale * ||y||_1 and -scale * ||x||_1."""
+    x, y = np.split(z, 2)
+    xy = float(x @ y)
+    return [scale * (xy + float(np.abs(y).sum())), scale * (float(np.abs(x).sum()) - xy)]
 
 
 @pytest.mark.parametrize("d", [1, 3])
 def test_best_response_gaps_rows_equal_one_row_calls(d):
+    # the per-player gaps of many rows equal those of one row at a time bit
+    # for bit, and the exact gaps of the losses
     game = make_bilinear_saddle(1.5, 1.0, (d, d))
     Z = box_points(game.joint_set, RNG, 9)
     Z[0] = 0.0
-    gaps = best_response_gaps(game, Z)
+    G = np.array([game.gradient_fn(z) for z in Z])
+    gaps = linearized_gaps(*regret_terms(game.joint_set, Z, G, game.slices()))
     assert gaps.shape == (9, 2)
-    for row, z in zip(gaps, Z):
-        want = np.array(one_row_gaps(game, z))
-        assert np.array_equal(row.view(np.int64), want.view(np.int64))
+    for row, z, g in zip(gaps, Z, G):
+        one = linearized_gaps(*regret_terms(game.joint_set, z[None], g[None], game.slices()))
+        assert np.array_equal(row.view(np.int64), one[0].view(np.int64))
+        assert row.tolist() == pytest.approx(one_row_gaps(1.5, z), rel=1e-12, abs=1e-15)
 
 
 def test_exact_total_gap_is_the_one_row_sum():
     game = make_bilinear_saddle(3.0, 1.0, (2, 2))
     for z in [*box_points(game.joint_set, RNG, 20), np.zeros(4)]:
-        want = sum(one_row_gaps(game, z))
+        want = sum(one_row_gaps(3.0, z))
         got = measures(game, z)[2]
-        assert type(got) is float and got.hex() == want.hex()
-
-
-def custom_exact_game(losses, values):
-    """A 1+1 bilinear operator whose exact oracle gives both players the
-    losses ``losses(Z)`` and best-response values ``values(Z)``."""
-    M = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return GameOracle([symmetric_box(1.0, 1)] * 2, 1.0, affine=(M, np.zeros(2)),
-                      losses=[losses] * 2,
-                      best_response_fn=lambda player, Z: (-np.ones((len(Z), 1)), values(Z)))
-
-
-def test_best_response_gaps_reject_a_non_finite_row(monkeypatch):
-    # The gaps pass through the run's block check, which names the round of
-    # the first non-finite row: the fourth row of the first block.
-    def values(Z):
-        return np.where(np.arange(len(Z)) == 3, np.nan, -1.0)
-
-    game = custom_exact_game(lambda Z: Z[:, 0] * Z[:, 1], values)
-    assert np.isnan(best_response_gaps(game, np.zeros((6, 2)))[3]).all()
-    monkeypatch.setattr("monolearn.harness.make_game", lambda *a, **k: game)
-    with pytest.raises(MonolearnError, match="^round 4: a measured value overflowed$"):
-        run_self_play(ExperimentConfig(game="custom", T=20))
-    # a misshaped result is the oracle's error
-    game.losses = [lambda Z: np.zeros((len(Z), 2))] * 2
-    game.best_response_fn = lambda player, Z: (Z[:, :1], np.zeros((len(Z), 2)))
-    with pytest.raises(MonolearnError, match="misshaped"):
-        best_response_gaps(game, np.zeros((6, 2)))
-
-
-def test_exact_total_gap_of_negative_zeros_is_positive_zero():
-    # per-player gaps (-0.0, -0.0): Python's sum starts from int 0, so the
-    # total is 0.0, as the CSV has always had it
-    game = custom_exact_game(lambda Z: np.full(len(Z), -0.0), lambda Z: np.zeros(len(Z)))
-    z = np.zeros(2)
-    assert [g.hex() for g in best_response_gaps(game, z[None])[0]] == ["-0x0.0p+0"] * 2
-    assert measures(game, z)[2].hex() == "0x0.0p+0"
+        assert type(got) is float and got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 def test_second_order_variation():

@@ -69,3 +69,19 @@ def test_the_runtime_imports_only_the_standard_library_and_numpy():
                 found.setdefault(name.partition(".")[0], path.name)
     assert {top: where for top, where in found.items() if top not in allowed} == {}
     assert "numpy" in found
+
+
+def test_metrics_imports_no_package_module_but_geometry():
+    # metrics holds pure row formulas: it may read the geometry of a set,
+    # but no game, learner or runner
+    tree = ast.parse((SRC / "monolearn" / "metrics.py").read_text())
+    own = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            own |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("monolearn"):
+            own.add(node.module.partition(".")[2] or "monolearn")
+        elif isinstance(node, ast.Import):
+            own |= {a.name.partition(".")[2] for a in node.names
+                    if a.name.startswith("monolearn")}
+    assert own <= {"geometry"}

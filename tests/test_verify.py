@@ -177,6 +177,8 @@ def test_sequence_bound_argument_validation():
     ([1.0, math.nan, 0.1], 1.0, 0.25, "a"),
     ([1.0, math.inf, 0.1], 1.0, 0.25, "a"),
     ([0.0], 1.0, "0.1", "p"),
+    ([0.0], 1.0, 0.5, "p"),
+    ([1.0, -0.5, 0.1], 1.0, 0.25, "a"),
 ])
 def test_sequence_bound_checks_its_numbers(a, c1, p, key):
     # every comparison with NaN is False: unchecked, a NaN reads as a pass
