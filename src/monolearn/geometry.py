@@ -1,7 +1,8 @@
 """Feasible sets with exact Euclidean projection and normal-cone machinery.
 
-Supported sets: axis-aligned boxes, Euclidean balls, products of sets,
-and unconstrained space. All sets expose projection, the tangent residual
+Supported sets: axis-aligned boxes, whose bounds may be infinite (the
+unconstrained space is the box with every bound infinite), Euclidean balls,
+and products of sets. All sets expose projection, the tangent residual
 (distance from a gradient to the negative normal cone), support
 minimization, and the diameter. All norms are Euclidean.
 
@@ -13,8 +14,7 @@ passes; the set constructors check their own arguments by it. Projection,
 residual and support minimization also take ``(k, dim)`` arrays and answer
 row by row, with the same rounding as one row at a time.
 :func:`product` builds the joint set of several players: one ``Box`` for
-boxes, one ``Unconstrained`` for unconstrained factors, and a
-``ProductSet`` only for mixed factors.
+boxes, bounded or not, and a ``ProductSet`` only for other factors.
 """
 
 from __future__ import annotations
@@ -22,12 +22,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-# A coordinate counts as "at a bound" when within REL_BOUND_TOL * max(1, |bound|);
-# projected iterates land on bounds exactly in real arithmetic but drift by ulps.
+# A point of a ball counts as on its sphere when its distance from the center
+# is within REL_BOUND_TOL * radius of the radius: a projection onto the sphere
+# lands on it in real arithmetic but drifts by ulps.
 REL_BOUND_TOL = 1e-9
 
 # ``contains`` accepts points within this distance of their projection.
@@ -50,22 +50,8 @@ def check_param(key, value, least=None, vector=False):
     array of finite numbers (``least`` unread), returned as a new 1-d float
     array; a wrong length is ``<key>: expected dimension d, got n``."""
     if vector is not False:
-        want = "a list of finite numbers"
-        # numpy reads a list of numbers as ints or floats, and one with an
-        # integer from 2**64 on, or with no number, as objects or text
-        try:
-            v = np.asarray(value)
-        except ValueError:  # ragged nested lists
-            v = np.asarray(None)
-        # an array's dtype tells if it holds bools; count_nonzero costs half
-        # of .all() on the short gradient an adaptive source gives each round
-        ok = (v.ndim == 1 and v.dtype.kind in "iuf"
-              and (type(value) is np.ndarray or {bool, np.bool_}.isdisjoint(map(type, value)))
-              and np.count_nonzero(np.isfinite(v)) == v.size)
-        if ok and vector is not True and v.size != vector:
-            raise MonolearnError(f"{key}: expected dimension {vector}, got {v.size}")
-        value = v.astype(float) if ok else value  # always a copy
-    elif isinstance(least, int):
+        return _check_vector(key, value, vector)
+    if isinstance(least, int):
         want = f"an integer in [{least}, 2**63)"
         ok = (isinstance(value, numbers.Integral) and not isinstance(value, bool)
               and least <= value < 2**63)
@@ -79,9 +65,38 @@ def check_param(key, value, least=None, vector=False):
             v = math.nan
         ok = math.isfinite(v) and (v > 0 if least is None else v >= least)
     if not ok:
-        # numpy wraps the repr of a long or 2-d array over several lines
-        raise MonolearnError(f"{key}: must be {want}, got {' '.join(repr(value).split())}")
+        raise _refusal(key, want, value)
     return value
+
+
+def _check_vector(key, value, dim, unbounded=None):
+    """:func:`check_param`'s vector rule, with length ``dim`` (any, if True);
+    an entry equal to ``unbounded`` (-inf or inf, the infinite side of a
+    box's bound) passes too: each entry is then < inf, or > -inf, which is
+    one comparison, as the finite test is one ufunc."""
+    # numpy reads a list of numbers as ints or floats, and one with an
+    # integer from 2**64 on, or with no number, as objects or text
+    try:
+        v = np.asarray(value)
+    except ValueError:  # ragged nested lists
+        v = np.asarray(None)
+    # an array's dtype tells if it holds bools; count_nonzero costs half
+    # of .all() on the short gradient an adaptive source gives each round
+    ok = (v.ndim == 1 and v.dtype.kind in "iuf"
+          and (type(value) is np.ndarray or {bool, np.bool_}.isdisjoint(map(type, value)))
+          and np.count_nonzero(np.isfinite(v) if unbounded is None
+                               else v < math.inf if unbounded < 0 else v > -math.inf) == v.size)
+    if not ok:
+        want = "a list of finite numbers" + ("" if unbounded is None else f" or {unbounded}")
+        raise _refusal(key, want, value)
+    if dim is not True and v.size != dim:
+        raise MonolearnError(f"{key}: expected dimension {dim}, got {v.size}")
+    return v.astype(float)  # always a copy
+
+
+def _refusal(key, want, value):
+    # numpy wraps the repr of a long or 2-d array over several lines
+    return MonolearnError(f"{key}: must be {want}, got {' '.join(repr(value).split())}")
 
 
 def player_slices(player_dims):
@@ -143,12 +158,15 @@ class FeasibleSet:
 
 @dataclass(frozen=True)
 class Box(FeasibleSet):
+    """The box lower <= x <= upper; a lower bound may be -inf and an upper
+    bound inf, so a free coordinate is one with both bounds infinite."""
+
     lower: np.ndarray
     upper: np.ndarray
 
     def __post_init__(self):
-        lo = check_param("lower", self.lower, vector=True)
-        hi = check_param("upper", self.upper, vector=lo.size)
+        lo = _check_vector("lower", self.lower, True, -math.inf)
+        hi = _check_vector("upper", self.upper, lo.size, math.inf)
         if np.any(lo > hi):
             j = int(np.argmax(lo > hi))
             raise MonolearnError(f"upper: must be >= lower componentwise, got upper[{j}] = "
@@ -167,25 +185,20 @@ class Box(FeasibleSet):
         with np.errstate(over="ignore"):
             return float(scaled_row_norms(self.upper - self.lower))
 
-    @cached_property
-    def _bound_tol(self):
-        """Per-coordinate "at a bound" tolerances for the lower and upper bounds."""
-        return (REL_BOUND_TOL * np.maximum(1.0, np.abs(self.lower)),
-                REL_BOUND_TOL * np.maximum(1.0, np.abs(self.upper)))
-
     def tangent_residual(self, p, g):
-        # p is feasible, so p - lower and upper - p are the distances to the
-        # bounds. Interior coordinate: the normal cone is {0}, contributes
-        # |g_j|. At the lower bound the cone is (-inf, 0], so only g_j < 0
-        # survives; symmetric at the upper bound. A pinned coordinate
-        # contributes 0.
-        tol_lo, tol_hi = self._bound_tol
-        contrib = np.where(p - self.lower <= tol_lo, np.minimum(g, 0.0), g)
-        contrib = np.where(self.upper - p <= tol_hi, np.maximum(contrib, 0.0), contrib)
+        # p is feasible. Interior coordinate: the normal cone is {0},
+        # contributes |g_j|. At the lower bound the cone is (-inf, 0], so only
+        # g_j < 0 survives; symmetric at the upper bound. A pinned coordinate
+        # contributes 0. "At a bound" is exact: every point a run measures
+        # comes out of a clip, which returns the bound itself where it binds.
+        contrib = np.where(p == self.lower, np.minimum(g, 0.0), g)
+        contrib = np.where(p == self.upper, np.maximum(contrib, 0.0), contrib)
         return row_norms(contrib)
 
     def support_min(self, g):
         x = np.where(g < 0, self.upper, self.lower)
+        if not np.isfinite(x).all():
+            raise MonolearnError("support minimization is unbounded")
         return x, np.vecdot(x, g)
 
 
@@ -231,28 +244,10 @@ class Ball(FeasibleSet):
         return x, np.vecdot(x, g)
 
 
-@dataclass(frozen=True)
-class Unconstrained(FeasibleSet):
-    dimension: int
-
-    def __post_init__(self):
-        check_param("dimension", self.dimension, 1)
-
-    @property
-    def dim(self):
-        return self.dimension
-
-    def project(self, p):
-        return p
-
-    def diameter(self):
-        return math.inf
-
-    def tangent_residual(self, p, g):
-        return row_norms(g)
-
-    def support_min(self, g):
-        raise MonolearnError("support minimization is unbounded")
+def Unconstrained(dimension):
+    """The unconstrained space R^dimension: the box with every bound infinite."""
+    d = check_param("dimension", dimension, 1)
+    return Box(np.full(d, -math.inf), np.full(d, math.inf))
 
 
 @dataclass(frozen=True)
@@ -299,16 +294,13 @@ class ProductSet(FeasibleSet):
 def product(factors):
     """The joint set of several players' sets.
 
-    A product of boxes is the box over the concatenated bounds, and a
-    product of unconstrained spaces is one unconstrained space; other
-    combinations stay a :class:`ProductSet`.
+    A product of boxes, bounded or not, is the box over the concatenated
+    bounds; any other factor makes a :class:`ProductSet`.
     """
     factors = tuple(factors)
     if factors and all(isinstance(f, Box) for f in factors):
         return Box(np.concatenate([f.lower for f in factors]),
                    np.concatenate([f.upper for f in factors]))
-    if factors and all(isinstance(f, Unconstrained) for f in factors):
-        return Unconstrained(sum(f.dim for f in factors))
     return ProductSet(factors)
 
 

@@ -621,6 +621,10 @@ def _cmd_verify(args):
 def _cmd_slope(args):
     import csv as csv_lib
 
+    t_min = check_param("t-min", args.t_min, -math.inf)
+    t_max = math.inf if args.t_max is None else check_param("t-max", args.t_max, -math.inf)
+    if t_max < t_min:
+        raise MonolearnError(f"t-max: must be >= t-min, got {t_max!r} < {t_min!r}")
     reader = csv_lib.DictReader(io.StringIO(_read_text(args.trace)))
     if args.column not in (reader.fieldnames or ()):
         raise MonolearnError(f"column: unknown {args.column!r}; the trace has "
@@ -641,8 +645,7 @@ def _cmd_slope(args):
                 raise MonolearnError(f"trace: {args.trace} line {reader.line_num}: column "
                                      f"{name!r} holds {row[name]!r}, not a finite number")
             out.append(value)
-    window = (args.t_min, args.t_max if args.t_max is not None else float("inf"))
-    fit = fit_loglog_slope(ts, vals, window)
+    fit = fit_loglog_slope(ts, vals, (t_min, t_max))
     print(f"slope={fit.slope:.4f} intercept={fit.intercept:.4f} r2={fit.r2:.6f}")
     return 0
 

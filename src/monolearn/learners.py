@@ -19,11 +19,12 @@ and its checked gradient; the extragradient-style learners (``eg``,
 ``eag``) charge both phase points. An :class:`Oblivious` source writes all
 its gradients before round 1 and is checked once per run; an adaptive
 source, a callable of the round and the action, is called and checked once
-per round. An oblivious source against a learner on a one-coordinate box
-runs the float loop, :func:`_scalar_dynamics`, which reads the filled rows
-on Python floats with the same IEEE double operations in the same order as
-the array loop, so the two write the same bytes; it clamps to the box by
-comparisons, not builtin calls, for speed.
+per round. An oblivious source against a learner on a one-coordinate box,
+a free coordinate (infinite bounds) included, runs the float loop,
+:func:`_scalar_dynamics`, which reads the filled rows on Python floats
+with the same IEEE double operations in the same order as the array loop,
+so the two write the same bytes; it clamps to the box by comparisons, not
+builtin calls, for speed.
 
 Tags: ``gd``, ``og``, ``eg``, ``eag``, ``aog``, ``aog_adaptive``.
 """
@@ -281,14 +282,14 @@ def _scalar_dynamics(learner):
     anchor weight 1/(t+1), (x1 - x) * w, (x - move) + pull, eta * g, the S
     increment d * d (np.vecdot of one entry) and :func:`adapted_step_size`,
     so the two loops write the same bytes. The
-    box projects by ``y = y if y > lo else lo``, then ``y = y if y < hi
-    else hi``: the semantics of ``min(hi, max(lo, y))``, whose builtins keep
-    their first argument unless a later one compares greater (less), written
-    out because the builtin calls cost about half of a round. The bound is
-    returned on a tie, as numpy's minimum and maximum return their second
-    argument, so signed zeros match. y is never NaN there: the rows are
-    checked finite before the run, x is in the box and the pull is finite,
-    so a step term is at worst infinite.
+    box projects by ``y = lo if y <= lo else y``, then ``y = hi if y >= hi
+    else y``: the semantics of the array loop's ``np.minimum(np.maximum(y,
+    lo), hi)``, written out by comparisons because builtin calls cost about
+    half of a round. The bound is returned on a tie, as numpy's minimum and
+    maximum return their second argument, so signed zeros match; and a NaN
+    y stays NaN, as numpy's do. A NaN can arise only on an infinite bound:
+    there x can overflow to inf, and an inf step term or pull then meets an
+    inf of the other sign.
 
     Rows move in chunks of ``SCALAR_CHUNK`` rounds: a gradient chunk is one
     ``tolist()``, and the chunk's points fill lists preallocated per chunk,
@@ -321,16 +322,16 @@ def _scalar_dynamics(learner):
                     h = x - move_hat
                     if anchored:
                         h += pull
-                    h = h if h > lo else lo
-                    h = h if h < hi else hi
+                    h = lo if h <= lo else h
+                    h = hi if h >= hi else h
                 hs[i] = h
                 g = gs[i]
                 move_prev = eta * g
                 x -= move_prev
                 if anchored:
                     x += pull
-                x = x if x > lo else lo
-                x = x if x < hi else hi
+                x = lo if x <= lo else x
+                x = hi if x >= hi else x
                 if threshold is not None and t >= 2:
                     d = g - g_prev
                     S += d * d
@@ -373,8 +374,9 @@ def play_rows(learner, gradient_source, rounds):
 
     A round loop with one player and the source's gradients in place of
     the oracle writes straight into the two arrays. An :class:`Oblivious`
-    source against a learner on a one-coordinate :class:`Box` runs the
-    float loop, :func:`_scalar_dynamics`, which reads the filled rows. Every
+    source against a learner on a one-coordinate :class:`Box`, bounded or
+    free (:func:`geometry.Unconstrained`), runs the float loop,
+    :func:`_scalar_dynamics`, which reads the filled rows. Every
     other run takes the array loop, :func:`dynamics`: it calls an adaptive
     source through its check, and reads an oblivious source's rows one per
     call, in fill order, which is the order it asks for them. An eg/eag

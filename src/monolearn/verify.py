@@ -140,12 +140,15 @@ def check_sequence_bound(a, c1, p):
     hypothesis failure is distinguishable from a bound violation. ``a`` and
     ``c1`` must be finite and non-negative and ``p`` in (0, 1/3), each
     checked by :func:`geometry.check_param` first: a NaN would compare False
-    and read as a pass.
+    and read as a pass. An empty ``a`` is refused too: it would pass both
+    checks vacuously.
     """
     if not check_param("p", p) < 1.0 / 3.0:
         raise MonolearnError(f"p: must be a number in (0, 1/3), got {p!r}")
     check_param("c1", c1, 0.0)
     a = check_param("a", a, vector=True).tolist()
+    if not a:
+        raise MonolearnError("a: must be a non-empty list, got []")
     if any(v < 0 for v in a):
         raise MonolearnError(f"a: must be a list of nonnegative numbers, got {min(a)!r}")
     ratio = p / (1.0 - p)

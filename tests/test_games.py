@@ -202,7 +202,10 @@ def test_joint_set_is_built_once_per_game():
     assert isinstance(joint, Box) and joint is boxes.joint_set
     assert np.array_equal(joint.lower, np.full(8, -200.0))
     free = make_random_linear_monotone((2, 3)).joint_set
-    assert isinstance(free, Unconstrained) and free.dim == 5
+    # a free player is the box with infinite bounds, and so is a product of them
+    assert isinstance(free, Box) and free.dim == 5 and not free.is_bounded
+    assert np.array_equal(free.lower, np.full(5, -np.inf))
+    assert np.array_equal(free.upper, np.full(5, np.inf))
     mixed = GameOracle([symmetric_box(1.0, 2), Ball(np.zeros(2), 1.0)], 1.0,
                        affine=(np.eye(4), np.zeros(4)))
     assert isinstance(mixed.joint_set, ProductSet)

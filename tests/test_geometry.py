@@ -46,8 +46,7 @@ def box_residual_oracle(box, point, grad):
     g = np.asarray(grad, float)
     total = 0.0
     for j in range(box.dim):
-        at_lo = abs(p[j] - box.lower[j]) <= 1e-9 * max(1.0, abs(box.lower[j]))
-        at_hi = abs(p[j] - box.upper[j]) <= 1e-9 * max(1.0, abs(box.upper[j]))
+        at_lo, at_hi = p[j] == box.lower[j], p[j] == box.upper[j]
         reach = abs(g[j]) + 1.0
         cone_lo = -reach if at_lo else 0.0
         cone_hi = reach if at_hi else 0.0
@@ -195,8 +194,10 @@ def test_residual_zero_iff_projection_stationary(fset, data, c, tau):
     Stationary pairs are exactly p = P(q), g = c (p - q) with c > 0: then -g
     is in the normal cone at p. Their residual must vanish. For any g, the
     projected step is at most tau times the residual, so a zero residual
-    means a stationary point; the slack covers coordinates within the
-    REL_BOUND_TOL band of a bound, which the residual counts as on it.
+    means a stationary point. A box has no tolerance band: a coordinate is
+    on a bound only when it equals it, and a projection returns the bound
+    itself. The slack covers rounding, and a ball's REL_BOUND_TOL band of
+    its sphere, which the residual counts as on it.
     """
     q = data.draw(points_of(fset))
     p = fset.project(q)
@@ -406,6 +407,10 @@ OTHER_CASES = {
     "dimension-nan": ("dimension", lambda: Unconstrained(NAN)),
     "dimension-fraction": ("dimension", lambda: Unconstrained(2.5)),
     "upper-below-lower": ("upper", lambda: Box([-1.0, 1.0], [1.0, 0.0])),
+    # a bound may be infinite only on its own side, and never NaN
+    "lower-nan": ("lower", lambda: Box([NAN, 0.0], [1.0, 1.0])),
+    "lower-inf": ("lower", lambda: Box([math.inf, 0.0], [math.inf, 1.0])),
+    "upper-minus-inf": ("upper", lambda: Box([-1.0, -1.0], [-math.inf, 1.0])),
     "oblivious-nan": ("round 2: gradient from the source", lambda: play_oblivious(2, NAN)),
     "oblivious-length": ("round 1: gradient from the source", lambda: play_oblivious(3, 0.0)),
 }
@@ -443,6 +448,26 @@ def test_a_refused_long_value_is_one_line(value):
     learner = make_learner("gd", box, np.zeros(100), eta=0.1)
     assert_refused_naming("round 1: gradient from the source",
                           lambda: play_rows(learner, lambda t, a: value, 2))
+
+
+def test_box_bounds_may_be_infinite_on_their_own_side():
+    box = Box([-math.inf, 0], [1.0, math.inf])
+    assert box.lower.tolist() == [-math.inf, 0.0] and box.upper.tolist() == [1.0, math.inf]
+    assert box.diameter() == math.inf and not box.is_bounded
+    assert box.project([-1e300, 1e300]).tolist() == [-1e300, 1e300]
+    with pytest.raises(MonolearnError, match="^support minimization is unbounded$"):
+        box.support_min(np.array([1.0, 1.0]))
+    free = Unconstrained(3)
+    assert isinstance(free, Box) and free.dim == 3
+    assert free.lower.tolist() == [-math.inf] * 3 and free.upper.tolist() == [math.inf] * 3
+
+
+def test_box_residual_tests_a_bound_exactly():
+    # a coordinate within 1e-9 of a bound, not on it, is interior: its
+    # outward gradient counts
+    box = Box([0.0, -1.0], [1.0, 1.0])
+    assert box.tangent_residual(np.array([1e-12, 1.0 - 1e-12]), np.array([3.0, -4.0])) == 5.0
+    assert box.tangent_residual(np.array([0.0, 1.0]), np.array([3.0, -4.0])) == 0.0
 
 
 def test_vectors_come_back_as_flat_float_arrays():

@@ -892,6 +892,20 @@ def test_cli_slope_degenerate_window_exits_one(tmp_path, capfd, rows, t_min, nee
     assert_one_error_line(capfd, needle)
 
 
+@pytest.mark.parametrize("flags, needle", [
+    (["--t-min=nan"], "t-min: must be a finite number, got nan"),
+    (["--t-max=nan"], "t-max: must be a finite number, got nan"),
+    (["--t-min=inf"], "t-min: must be a finite number, got inf"),
+    (["--t-min=500", "--t-max=100"], "t-max: must be >= t-min, got 100.0 < 500.0"),
+])
+def test_cli_slope_bad_window_flag_exits_one(tmp_path, capsys, flags, needle):
+    # each once read "fewer than 10 usable rows in the fit window"
+    trace = tmp_path / "trace.csv"
+    trace.write_text("t,r_tan\n" + "".join(f"{t},{1.0 / t}\n" for t in range(1, 2001)))
+    assert main(["slope", "--trace", str(trace), *flags]) == 1
+    assert_one_error_line(capsys, needle)
+
+
 def test_cli_slope_skips_the_missing_cells_of_a_short_row(tmp_path, capsys):
     # csv.DictReader fills the cells missing from a short row with None
     trace = tmp_path / "trace.csv"

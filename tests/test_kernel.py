@@ -5,9 +5,10 @@ shared update-rule functions (``RULES``, ``step``, ``anchor_pull``) and
 nothing of the round loop; it keeps its own latch of the adaptive step
 size, so it checks the loops' latch-free rule independently. ``reference_self_play``
 steps one per player and measures every round per player, on the product of
-the players' sets. The ``learners.dynamics`` kernel, on the oracle that
-``run_self_play`` hands it, must reproduce its iterates bit for bit, and
-``run_self_play`` its
+the players' sets, with r_tan written out per coordinate
+(``box_tangent_residual``), not taken from ``geometry``. The
+``learners.dynamics`` kernel, on the oracle that ``run_self_play`` hands
+it, must reproduce its iterates bit for bit, and ``run_self_play`` its
 recorded rows to 1e-12. ``reference_play`` charges one learner's
 phase points as online rounds, as ``learners.play_rows`` must.
 """
@@ -134,7 +135,7 @@ def reference_self_play(config):
         if t in recorded:
             row = dict(
                 t=t,
-                r_tan=float(joint.tangent_residual(half, g_half)),
+                r_tan=box_tangent_residual(game.player_sets, half, g_half),
                 gap=lin_gap(joint, half, g_half) if bounded else None,
                 tgap_exact=sum(exact_gap(i, half) for i in range(N)) if exact else None,
                 potential=pot,
@@ -155,6 +156,24 @@ def reference_self_play(config):
         prev_base, prev_g = base, g_half
     bases.append(np.concatenate([p.x for p in players]))
     return rows, bases, halves, grads, [p.eta for p in players]
+
+
+def box_tangent_residual(boxes, p, g):
+    """r_tan at the joint point ``p`` on the players' boxes, written out per
+    coordinate and not read from ``geometry``: a coordinate inside its
+    bounds adds g_j^2, so a free player (bounds -inf and inf) adds ||g_i||^2;
+    one on its lower (upper) bound adds only the part of g_j below (above)
+    0, which the normal cone there cannot cancel."""
+    lower = np.concatenate([b.lower for b in boxes])
+    upper = np.concatenate([b.upper for b in boxes])
+    total = 0.0
+    for pj, gj, lo, hi in zip(p.tolist(), g.tolist(), lower.tolist(), upper.tolist()):
+        if pj == lo:
+            gj = min(gj, 0.0)
+        if pj == hi:
+            gj = max(gj, 0.0)
+        total += gj * gj
+    return math.sqrt(total)
 
 
 def reference_play(learner, gradient_source, rounds):
@@ -388,8 +407,9 @@ def test_random_tag_mixes_match_reference(tags, data):
 
 
 # Action sets of the online reference runs. An oblivious source against a
-# learner on a one-coordinate Box runs the float loop; every other run,
-# and every adaptive source, runs the array loop.
+# learner on a one-coordinate Box, bounded or free (Unconstrained, the box
+# with infinite bounds), runs the float loop; every other run, and every
+# adaptive source, runs the array loop.
 ONLINE_SETS = {
     "box": lambda dim: Box(-np.ones(dim), 2.0 * np.ones(dim)),
     "unconstrained": lambda dim: Unconstrained(dim),
@@ -465,11 +485,27 @@ def test_oblivious_rows_match_the_adaptive_call_path(tag, dim, T, monkeypatch):
             assert got.tobytes() == want.tobytes()
 
 
+def float_and_array_runs(tag, fset, rows, eta):
+    """(plays, grads) of the float loop on ``fset``, then of the array loop
+    on ``fset`` as the one factor of a ProductSet, against the oblivious
+    source of ``rows``."""
+
+    def fill(out):
+        out[:] = rows
+
+    runs = []
+    for joint in (fset, ProductSet((fset,))):
+        learner = make_learner(tag, joint, [0.0], eta=eta, L=1.0, D=0.1)
+        runs.extend(play_rows(learner, Oblivious(1, fill), len(rows)))
+    return runs
+
+
 @pytest.mark.parametrize("tag", TAGS)
 @pytest.mark.parametrize("fset", [Box([-1.0], [2.0]), Box([-0.0], [0.0]), Box([0.0], [-0.0]),
-                                  Box([0.0], [1.0]), Box([-0.0], [1.0]), Box([-1.0], [-0.0])],
+                                  Box([0.0], [1.0]), Box([-0.0], [1.0]), Box([-1.0], [-0.0]),
+                                  Unconstrained(1), Box([-math.inf], [1.0])],
                          ids=["box", "zero_box", "flipped_zero_box", "zero_lower",
-                              "minus_zero_lower", "zero_upper"])
+                              "minus_zero_lower", "zero_upper", "free", "half_free"])
 def test_float_kernel_matches_the_array_loop(tag, fset):
     # An oblivious source against a one-coordinate Box runs the float loop;
     # the same set as the one factor of a ProductSet runs the array loop on
@@ -479,14 +515,22 @@ def test_float_kernel_matches_the_array_loop(tag, fset):
     T = 2 * BLOCK_ROWS + 7
     rng = np.random.default_rng(3)
     rows = rng.choice([-1.0, -1.0, -0.0, 0.0, 0.25, 1.0], size=(T, 1))
-
-    def fill(out):
-        out[:] = rows
-
-    runs = []
-    for joint in (fset, ProductSet((fset,))):
-        learner = make_learner(tag, joint, [0.0], eta=0.5, L=1.0, D=0.1)
-        runs.append(play_rows(learner, Oblivious(1, fill), T))
-    (plays, grads), (want_plays, want_grads) = runs
+    plays, grads, want_plays, want_grads = float_and_array_runs(tag, fset, rows, eta=0.5)
     assert plays.tobytes() == want_plays.tobytes()
     assert grads.tobytes() == want_grads.tobytes()
+
+
+@pytest.mark.parametrize("tag", TAGS)
+@pytest.mark.parametrize("fset", [Unconstrained(1), Box([-math.inf], [1.0])],
+                         ids=["free", "half_free"])
+def test_float_kernel_matches_the_array_loop_past_the_float_range(tag, fset):
+    # On an infinite bound the iterate can overflow to inf, and an inf step
+    # meeting an inf of the other sign makes a NaN: the float loop's clamp
+    # keeps it, as numpy's minimum and maximum do.
+    rows = np.where(np.arange(40) % 3 == 0, 1e10, -1e10)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        plays, grads, want_plays, want_grads = float_and_array_runs(tag, fset, rows, eta=1e300)
+    assert np.isnan(plays).any()
+    assert plays.tobytes() == want_plays.tobytes()
+    assert grads.tobytes() == want_grads.tobytes()
+

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -85,3 +86,31 @@ def test_metrics_imports_no_package_module_but_geometry():
             own |= {a.name.partition(".")[2] for a in node.names
                     if a.name.startswith("monolearn")}
     assert own <= {"geometry"}
+
+
+def test_every_name_the_benchmark_looks_up_resolves():
+    # perfbench/tracer.py wraps classes and harness names that it looks up by
+    # string, and perfbench/child.py calls harness and verify names on the
+    # imported modules: a name removed from the package fails only the
+    # benchmark's traced runs, so it is held here. The tracer is read from
+    # its file, not installed.
+    bench = SRC.parent / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", bench / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    wanted = {(module, name) for module, name, *_ in tracer.CLASS_METHODS}
+    wanted |= {("harness", name) for name, _ in tracer.HARNESS_NAMES}
+    wanted |= {("harness", "make_game"), ("verify", "run_eag_adversary")}  # install() wraps
+    modules = {"games", "geometry", "harness", "learners", "verify"}
+    for path in sorted(bench.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            # child.py names each module it is handed after the module
+            if (path.name == "child.py" and isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name) and node.value.id in modules):
+                wanted.add((node.value.id, node.attr))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("monolearn."):
+                wanted |= {(node.module.partition(".")[2], a.name) for a in node.names}
+    assert ("harness", "run_adversarial") in wanted and ("geometry", "Unconstrained") in wanted
+    missing = sorted((module, name) for module, name in wanted
+                     if not hasattr(importlib.import_module(f"monolearn.{module}"), name))
+    assert missing == []

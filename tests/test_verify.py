@@ -179,6 +179,8 @@ def test_sequence_bound_argument_validation():
     ([0.0], 1.0, "0.1", "p"),
     ([0.0], 1.0, 0.5, "p"),
     ([1.0, -0.5, 0.1], 1.0, 0.25, "a"),
+    # no term to check: both checks would pass vacuously
+    ([], 1.0, 0.1, "a"),
 ])
 def test_sequence_bound_checks_its_numbers(a, c1, p, key):
     # every comparison with NaN is False: unchecked, a NaN reads as a pass
