@@ -462,21 +462,24 @@ class AdversarialResult:
 
 def run_adversarial(learner, adversary, T, record_at=None):
     """Single-agent run over :func:`learners.play_rows`: every played
-    action is charged, both phase points of eg/eag included. ``record_at``
-    lists rounds at which the external regret of the play so far is recorded
-    (the final round is always included); the regret needs a bounded action
-    set. The gradients are checked by ``play_rows`` before the learner uses
-    them: an oblivious adversary's once per run, an adaptive callable's
-    once per call; a wrong-size or non-finite one raises
-    :class:`MonolearnError` naming its round.
+    action is charged, both phase points of eg/eag included. ``record_at``,
+    integers in [1, T] (a list, range or ndarray), each checked once after
+    the run, lists rounds at which the external regret of the play so far
+    is recorded (and at T); the regret needs a bounded action set. The
+    gradients are checked by ``play_rows`` before the learner uses them: an
+    oblivious adversary's once per run, an adaptive callable's once per
+    call; a wrong-size or non-finite one raises :class:`MonolearnError`
+    naming its round.
     """
     fset = learner.set
     if not fset.is_bounded:
         raise MonolearnError("adversarial runs need a bounded action set: the "
                              "external-regret comparator is unbounded")
-    plays, grads = play_rows(learner, adversary, T)
-    wanted = set(record_at or ()) | {T}
-    rounds = [t for t in range(1, T + 1) if t in wanted]
+    plays, grads = play_rows(learner, adversary, T)  # checks T
+    wanted = () if record_at is None else record_at
+    rounds = sorted({int(check_param("record_at", t, 1)) for t in wanted} | {int(T)})
+    if rounds[-1] > T:
+        raise MonolearnError(f"record_at: must be an integer in [1, {T}], got {rounds[-1]}")
     regrets = regret_rows(plays, grads, fset, np.subtract(rounds, 1))
     return AdversarialResult(plays=plays, grads=grads,
                              regret_at=dict(zip(rounds, regrets.tolist())))
@@ -494,17 +497,22 @@ class SlopeFit:
 
 
 def fit_loglog_slope(ts, values, window=None):
-    """Ordinary least squares of ln(value) on ln(t) inside a round window.
+    """Ordinary least squares of ln(value) on ln(t) in the round window
+    (t_min, t_max): a finite t_min and a t_max >= t_min, finite or inf.
 
     Rows with nonpositive values are dropped. Fewer than 10 usable rows is
-    an error, and so is a window that holds a non-finite t or value, a
-    t <= 0, or only one log t.
-    """
+    an error, and so is a window that holds a non-finite t or value, a t <=
+    0, or only one log t."""
     ts = np.asarray(ts, dtype=float)
     values = np.asarray(values, dtype=float)
     if ts.shape != values.shape:
         raise MonolearnError("t and value columns must align")
-    t_min, t_max = window if window is not None else (DEFAULT_SLOPE_T_MIN, float("inf"))
+    t_min, t_max = window if window is not None else (DEFAULT_SLOPE_T_MIN, math.inf)
+    check_param("window t_min", t_min, -math.inf)
+    if t_max != math.inf:
+        check_param("window t_max", t_max, -math.inf)
+    if t_max < t_min:
+        raise MonolearnError(f"window: t_max must be >= t_min, got {t_max!r} < {t_min!r}")
     mask = (ts >= t_min) & (ts <= t_max) & (values > 0)
     if int(mask.sum()) < 10:
         raise MonolearnError("fewer than 10 usable rows in the fit window")

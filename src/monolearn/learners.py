@@ -16,15 +16,11 @@ writes into the caller's rows, and runs all self-play, where the runner
 run but one kind. :func:`play_rows`, the one online driver, runs a single
 learner against a gradient source, into the arrays of each charged action
 and its checked gradient; the extragradient-style learners (``eg``,
-``eag``) charge both phase points. An :class:`Oblivious` source writes all
-its gradients before round 1 and is checked once per run; an adaptive
-source, a callable of the round and the action, is called and checked once
-per round. An oblivious source against a learner on a one-coordinate box,
-a free coordinate (infinite bounds) included, runs the float loop,
-:func:`_scalar_dynamics`, which reads the filled rows on Python floats
-with the same IEEE double operations in the same order as the array loop,
-so the two write the same bytes; it clamps to the box by comparisons, not
-builtin calls, for speed.
+``eag``) charge both phase points. An :class:`Oblivious` source (its
+gradients written before round 1) against a learner on a one-coordinate
+box, free coordinates (infinite bounds) included, runs the float loop,
+:func:`_scalar_dynamics`, on Python floats with the array loop's IEEE
+double operations in its order, so the two write the same bytes.
 
 Tags: ``gd``, ``og``, ``eg``, ``eag``, ``aog``, ``aog_adaptive``.
 """
@@ -277,46 +273,49 @@ def _scalar_dynamics(learner):
     loop's call with no ``etas``, runs the next ``len(base)`` rounds, reads
     V(x_{t+1/2}) from ``grad`` (and V(x_t) from ``base_grad`` for a "base"
     predictor) and writes x_t and x_{t+1/2} into ``base`` and ``half``. x,
-    x1, eta, the step terms, the last gradient and S are Python floats, and
-    each is computed by the operations of the array loop, in its order: the
-    anchor weight 1/(t+1), (x1 - x) * w, (x - move) + pull, eta * g, the S
-    increment d * d (np.vecdot of one entry) and :func:`adapted_step_size`,
-    so the two loops write the same bytes. The
-    box projects by ``y = lo if y <= lo else y``, then ``y = hi if y >= hi
-    else y``: the semantics of the array loop's ``np.minimum(np.maximum(y,
-    lo), hi)``, written out by comparisons because builtin calls cost about
-    half of a round. The bound is returned on a tie, as numpy's minimum and
-    maximum return their second argument, so signed zeros match; and a NaN
-    y stays NaN, as numpy's do. A NaN can arise only on an infinite bound:
-    there x can overflow to inf, and an inf step term or pull then meets an
-    inf of the other sign.
+    x1, eta, the step terms, the last gradient and S are Python floats,
+    locals while a call runs, each computed by the array loop's operations
+    in its order: (x1 - x) * w, (x - move) + pull, eta * g, the S increment
+    d * d (np.vecdot of one entry) and :func:`adapted_step_size`, so the
+    two loops write the same bytes. S adds 0.0 * 0.0 in round 1, which the
+    array loop skips: an oblivious source's rows are finite. The box
+    projects by ``y = lo if y <= lo else y``, then ``y = hi if y >= hi else
+    y``: ``np.minimum(np.maximum(y, lo), hi)`` by comparisons, as builtin
+    calls cost half a round. A tie returns the bound, as numpy's minimum
+    and maximum return their second argument, so signed zeros match; a NaN
+    y stays NaN, as in numpy. A NaN arises only on an infinite bound, where
+    x can overflow to inf and meet an inf of the other sign.
 
     Rows move in chunks of ``SCALAR_CHUNK`` rounds: a gradient chunk is one
-    ``tolist()``, and the chunk's points fill lists preallocated per chunk,
-    one slice assignment each at its end.
+    ``tolist()``, its anchor weights w = 1/(t+1) one numpy division, as in
+    the array loop, and its points fill lists preallocated per chunk, one
+    slice assignment each at its end; x_t has none when ``base`` is ``half``.
     """
     use_base, use_last = learner.predictor == "base", learner.predictor == "last"
     anchored, threshold = learner.anchored, learner.threshold
     lo, hi = float(learner.set.lower[0]), float(learner.set.upper[0])
     x1 = float(learner.x1[0])
-    x, eta, g_prev, move_prev, t, S = x1, learner.eta, 0.0, 0.0, 0, 0.0
+    state = [x1, learner.eta, None, 0.0, 0, 0.0]  # x, eta, g_prev, move_prev, t, S
 
     def advance(base, half, grad, base_grad=None):
-        nonlocal x, eta, g_prev, move_prev, t, S
+        x, eta, g_prev, move_prev, t, S = state
         for start in range(0, len(base), SCALAR_CHUNK):
             end = min(start + SCALAR_CHUNK, len(base))
             gs = grad[start:end, 0].tolist()
             g_bases = base_grad[start:end, 0].tolist() if use_base else None
             m = end - start
-            xs, hs = [0.0] * m, [0.0] * m
+            ws = (1.0 / (np.arange(t + 1, t + m + 1) + 1.0)).tolist() if anchored else None
+            g_prev = gs[0] if g_prev is None else g_prev  # round 1 adds 0.0 * 0.0 to S
+            t += m
+            hs = [0.0] * m
+            xs = hs if base is half else [0.0] * m  # x_{t+1/2} overwrites x_t
             for i in range(m):
-                t += 1
                 xs[i] = x
                 move_hat = move_prev if use_last else None
                 if use_base:
                     move_hat = eta * g_bases[i]
                 if anchored:
-                    pull = (x1 - x) * (1.0 / (t + 1.0))
+                    pull = (x1 - x) * ws[i]
                 h = x
                 if move_hat is not None:
                     h = x - move_hat
@@ -332,15 +331,17 @@ def _scalar_dynamics(learner):
                     x += pull
                 x = lo if x <= lo else x
                 x = hi if x >= hi else x
-                if threshold is not None and t >= 2:
+                if threshold is not None:
                     d = g - g_prev
                     S += d * d
                     if S > threshold:  # the next round predicts with the new eta
                         eta = adapted_step_size(eta, S, threshold)
                         move_prev = eta * g
-                g_prev = g
-            base[start:end, 0] = xs  # before ``half``: the two may be one array
+                    g_prev = g
+            if base is not half:
+                base[start:end, 0] = xs
             half[start:end, 0] = hs
+        state[:] = x, eta, g_prev, move_prev, t, S
 
     return advance
 

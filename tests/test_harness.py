@@ -1,6 +1,8 @@
 import io
 import json
+import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -400,6 +402,34 @@ def test_recorded_regrets_equal_a_per_round_accumulator(tag):
     assert res.regret_at == want
 
 
+@pytest.mark.parametrize("record_at, needle", [
+    ([0, 5.5, 10**9, -3, True], "must be an integer in [1, 2**63), got 0"),
+    ([5.5], "must be an integer in [1, 2**63), got 5.5"),
+    ([10**9], "must be an integer in [1, 50], got 1000000000"),
+    ([51], "must be an integer in [1, 50], got 51"),
+    ([-3], "must be an integer in [1, 2**63), got -3"),
+    ([10, True], "must be an integer in [1, 2**63), got True"),
+    (np.array([1.0, 8.0]), "must be an integer in [1, 2**63), got np.float64(1.0)"),
+])
+def test_run_adversarial_checks_record_at(record_at, needle):
+    # the first once recorded rounds [1, 50]: the bool counted as round 1 and
+    # the other entries were dropped
+    learner = make_learner("og", symmetric_box(1.0, 1), np.zeros(1), eta=0.2)
+    with pytest.raises(MonolearnError, match=f"^record_at: {re.escape(needle)}$"):
+        run_adversarial(learner, make_adversary("zero", 1), 50, record_at=record_at)
+
+
+def test_run_adversarial_records_the_rounds_of_an_ndarray():
+    # an ndarray once raised numpy's "truth value of an array is ambiguous"
+    learner = make_learner("og", symmetric_box(1.0, 1), np.zeros(1), eta=0.2)
+    runs = [run_adversarial(learner, make_adversary("random_box", 1, seed=2), 50, record_at=r)
+            for r in (np.arange(1, 51, 7), range(1, 51, 7), [50, 8, 1, 8, 15, 22, 29, 36, 43])]
+    for res in runs:
+        assert list(res.regret_at) == [1, 8, 15, 22, 29, 36, 43, 50]
+        assert {type(t) for t in res.regret_at} == {int}  # the CSV's t cells
+        assert res.regret_at == runs[0].regret_at
+
+
 def test_adversary_non_finite_gradient_aborts():
     learner = make_learner("og", symmetric_box(1.0, 1), np.zeros(1), eta=0.2)
     with pytest.raises(MonolearnError):
@@ -573,6 +603,30 @@ def test_slope_fit_rejects_a_degenerate_window(ts, values, needle):
     # each is one error, with no numpy warning and no fit of NaN
     with pytest.raises(MonolearnError, match=needle):
         fit_loglog_slope(ts, values, window=(-10.0, np.inf))
+
+
+@pytest.mark.parametrize("window, needle", [
+    ((math.nan, 100.0), "window t_min: must be a finite number, got nan"),
+    ((math.inf, math.inf), "window t_min: must be a finite number, got inf"),
+    (("a", 5), "window t_min: must be a finite number, got 'a'"),
+    ((100.0, math.nan), "window t_max: must be a finite number, got nan"),
+    ((100.0, -math.inf), "window t_max: must be a finite number, got -inf"),
+    ((500.0, 100.0), "window: t_max must be >= t_min, got 100.0 < 500.0"),
+])
+def test_slope_fit_checks_its_window(window, needle):
+    # each once raised "fewer than 10 usable rows in the fit window", which
+    # blames the data, or ("a", 5) numpy's UFuncTypeError
+    ts = np.arange(1.0, 2001.0)
+    with pytest.raises(MonolearnError, match=f"^{re.escape(needle)}$"):
+        fit_loglog_slope(ts, 1.0 / ts, window)
+
+
+@pytest.mark.parametrize("window", [(100, 2000), (np.int64(100), math.inf)])
+def test_slope_fit_takes_a_finite_t_min_and_a_t_max_up_to_inf(window):
+    ts = np.arange(1.0, 2001.0)
+    fit = fit_loglog_slope(ts, 7.0 / ts, window)
+    assert abs(fit.slope + 1.0) <= 1e-6
+    assert fit.window == tuple(map(float, window))
 
 
 # -- CLI ------------------------------------------------------------------

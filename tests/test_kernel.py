@@ -534,3 +534,30 @@ def test_float_kernel_matches_the_array_loop_past_the_float_range(tag, fset):
     assert plays.tobytes() == want_plays.tobytes()
     assert grads.tobytes() == want_grads.tobytes()
 
+
+@pytest.mark.parametrize("tag, rows, chunk, switch", [
+    # S passes the threshold at round 2, by its first increment; round 1's
+    # gradient alone, 20^2 = 400, would pass it too
+    ("aog_adaptive", [20.0, 1.0, 0.5, -1.0, 0.5], 4, 2),
+    # in the first round of the second chunk, from the last gradient of the first
+    ("aog_adaptive", [1.0, 1.0, 1.0, 1.0, 21.0, 1.0, -1.0], 4, 5),
+    ("aog_adaptive", [1.0], 4, None),
+    ("eag", [1.0], 4, None),
+    ("gd", [1.0], 4, None),
+    # an odd horizon ends on a base point; its probe point is never played
+    ("eag", [0.5, -1.0, 0.25, 1.0, -0.5, 0.75, -0.25], 2, None),
+], ids=["switch_at_round_2", "switch_at_a_chunk_start", "one_round_aog_adaptive",
+        "one_round_eag", "one_round_gd", "odd_eag_horizon"])
+@pytest.mark.parametrize("fset", [Box([-50.0], [50.0]), Unconstrained(1)], ids=["box", "free"])
+def test_float_kernel_matches_the_array_loop_at_the_edges_of_s(tag, rows, chunk, switch, fset,
+                                                                 monkeypatch):
+    # The float loop adds round 1's S increment as 0.0 * 0.0 and keeps the
+    # last gradient across chunks; with D = 0.1 the threshold is about 141.
+    monkeypatch.setattr("monolearn.learners.SCALAR_CHUNK", chunk)
+    rows = np.array(rows)[:, None]
+    plays, grads, want_plays, want_grads = float_and_array_runs(tag, fset, rows, eta=0.5)
+    assert plays.tobytes() == want_plays.tobytes()
+    assert grads.tobytes() == want_grads.tobytes()
+    if switch is not None:  # eta moves in round ``switch``: the next play leaves aog's
+        fixed = float_and_array_runs("aog", fset, rows, eta=0.5)[0]
+        assert np.flatnonzero(plays != fixed)[0] == switch
